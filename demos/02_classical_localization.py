@@ -15,7 +15,7 @@ from indoor_fusion.fingerprint import (
     locate,
     rssi_snapshot_positions,
 )
-from indoor_fusion.geometry import RangeObservation, locate_from_ranges
+from indoor_fusion.geometry import trilaterate_batch
 from indoor_fusion.ingest import ingest_run
 from indoor_fusion.mlp import SplitSpec, split_dataset
 from indoor_fusion.records import Position2D
@@ -24,17 +24,16 @@ from indoor_fusion.simulate import SimConfig, build_scenario, simulate_run
 
 def uwb_trilat(result, scenario):
     stream = result.streams["uwb"]
-    anchors = {a.id: a for a in scenario.uwb_anchors}
-    estimates, labels = [], []
-    for s in stream.samples:
-        usable = np.nonzero(s.features >= 0.0)[0]
-        if len(usable) == 0:
-            continue
-        obs = [RangeObservation(anchors[stream.columns[j]], float(s.features[j]))
-               for j in usable]
-        estimates.append((s.t_ref, locate_from_ranges(obs).position))
-        labels.append((s.t_ref, s.label))
-    return error_report(estimates, labels)
+    anchors = {a.id: a.position for a in scenario.uwb_anchors}
+    geometry = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
+    ranges = stream.feature_matrix()
+    usable = ranges >= 0.0  # a dropped-out anchor reports a negative range
+    kept = usable.any(axis=1)
+    est, _ = trilaterate_batch(np.broadcast_to(geometry, (int(kept.sum()), *geometry.shape)),
+                               ranges[kept], usable[kept])
+    samples = [s for s, k in zip(stream.samples, kept) if k]
+    pairs = [(s.t_ref, Position2D(float(x), float(y))) for s, (x, y) in zip(samples, est)]
+    return error_report(pairs, [(s.t_ref, s.label) for s in samples])
 
 
 def rssi_trilat(result, scenario):

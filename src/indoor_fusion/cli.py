@@ -36,6 +36,7 @@ from .errors import (
 from .evaluate import (
     ErrorReport,
     blocks_for_method,
+    degradation,
     emit_plot,
     error_report,
     read_cdf_csv,
@@ -48,9 +49,9 @@ from .fingerprint import (
     build_map,
     calibrate_rssi_offset,
     locate,
-    rssi_snapshot_positions,
+    rssi_snapshot_fixes,
 )
-from .geometry import RangeObservation, locate_from_ranges
+from .geometry import trilaterate_batch
 from .ingest import (
     DEFAULT_WINDOW_S,
     AlignedStream,
@@ -341,36 +342,42 @@ def _labels_of(samples) -> list[tuple[float, Position2D]]:
     return [(s.t_ref, s.label) for s in samples]
 
 
+def _fixes(samples, est: np.ndarray) -> list[tuple[float, Position2D]]:
+    return [(s.t_ref, Position2D(float(x), float(y))) for s, (x, y) in zip(samples, est)]
+
+
+def _solver_counts(est: np.ndarray, fallback: np.ndarray, scenario: Scenario) -> dict:
+    """Fixes answered with the anchor centroid, and fixes outside the room."""
+    inside = scenario.bounds.contains(est[:, 0], est[:, 1])
+    return {"fallbacks": int(fallback.sum()), "outside_room": int((~inside).sum())}
+
+
 def _uwb_trilat_report(camp: _Campaign) -> tuple[ErrorReport, dict]:
     stream = _stream_or_raise(camp, "uwb")
-    anchors = {a.id: a for a in camp.scenario.uwb_anchors}
-    estimates, labels = [], []
-    degenerate = 0
-    skipped = 0
-    for s in stream.samples:
-        usable = np.nonzero(s.features >= 0.0)[0]
-        if len(usable) == 0:
-            skipped += 1
-            continue
+    anchors = {a.id: a.position for a in camp.scenario.uwb_anchors}
+    geometry = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
+    ranges = stream.feature_matrix()
+    usable = ranges >= 0.0
+    kept = usable.any(axis=1)
+    ranges, usable = ranges[kept], usable[kept]
+    est, fallback = trilaterate_batch(np.broadcast_to(geometry, (len(ranges), *geometry.shape)),
+                                      ranges, usable)
+    samples = [s for s, k in zip(stream.samples, kept) if k]
+    return error_report(_fixes(samples, est), _labels_of(samples)), {
+        "ticks_used": len(samples),
         # dropout below three anchors falls back to a degenerate estimate,
         # which is what gives the CDF its two-regime shape
-        degenerate += len(usable) < 3
-        obs = [RangeObservation(anchors[stream.columns[j]], float(s.features[j]))
-               for j in usable]
-        estimates.append((s.t_ref, locate_from_ranges(obs).position))
-        labels.append((s.t_ref, s.label))
-    return error_report(estimates, labels), {"ticks_used": len(estimates),
-                                             "ticks_degenerate": degenerate,
-                                             "ticks_skipped": skipped}
+        "ticks_degenerate": int((usable.sum(axis=1) < 3).sum()),
+        "ticks_skipped": int((~kept).sum()),
+        **_solver_counts(est, fallback, camp.scenario)}
 
 
-def _rssi_trilat_report(camp: _Campaign, beta: float) -> ErrorReport:
+def _rssi_trilat_report(camp: _Campaign, beta: float) -> tuple[ErrorReport, dict]:
     stream = _stream_or_raise(camp, "rssi")
     positions = {a.id: a.position for a in camp.scenario.wifi_anchors}
-    est = rssi_snapshot_positions(stream, positions, beta)
-    estimates = [(s.t_ref, Position2D(float(est[i, 0]), float(est[i, 1])))
-                 for i, s in enumerate(stream.samples)]
-    return error_report(estimates, _labels_of(stream.samples))
+    est, fallback = rssi_snapshot_fixes(stream, positions, beta)
+    return (error_report(_fixes(stream.samples, est), _labels_of(stream.samples)),
+            _solver_counts(est, fallback, camp.scenario))
 
 
 def _train_substream(stream: AlignedStream, samples) -> AlignedStream:
@@ -453,8 +460,7 @@ def _generalization_entry(self_report: ErrorReport,
     return {
         "self": _summary(self_report),
         "transfer": _summary(transfer_report),
-        "degradation": transfer_report.percentiles["p50"]
-        / self_report.percentiles["p50"],
+        "degradation": degradation(self_report, transfer_report),
     }
 
 
@@ -470,12 +476,12 @@ def _run_method(method: str, camp1: _Campaign, camp2: _Campaign | None,
     if method == "rssi-trilat":
         cal = calibrate_rssi_offset(_stream_or_raise(camp1, "rssi"),
                                     list(camp1.scenario.wifi_anchors))
-        report = _rssi_trilat_report(camp1, cal.beta)
-        extras = {"beta_db": cal.beta, "calibration_median_m": cal.error_m}
+        report, counts = _rssi_trilat_report(camp1, cal.beta)
+        extras = {"beta_db": cal.beta, "calibration_median_m": cal.error_m, **counts}
         gen = None
         if camp2 is not None:
             # same receiver, same calibration: reuse campaign-1 beta
-            gen = _generalization_entry(report, _rssi_trilat_report(camp2, cal.beta))
+            gen = _generalization_entry(report, _rssi_trilat_report(camp2, cal.beta)[0])
         return report, extras, gen
     if method in ("rssi-fp", "csi-fp"):
         return _fp_report(camp1, camp2, method.split("-", 1)[0], cfg)

@@ -73,6 +73,10 @@ class EmptyReport(IndoorFusionError):
     """An error report over zero samples is undefined."""
 
 
+class UndefinedDegradation(IndoorFusionError):
+    """A transfer ratio over a self median error of exactly 0."""
+
+
 class LayoutMismatch(IndoorFusionError):
     """Two frame sets do not share the same feature layout."""
 

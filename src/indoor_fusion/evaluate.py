@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyReport, LayoutMismatch, LengthMismatch
+from .errors import EmptyReport, LayoutMismatch, LengthMismatch, UndefinedDegradation
 from .ingest import FrameLayout, FusionFrame, frames_to_arrays, select_blocks
 from .mlp import (Mlp, MlpConfig, SplitSpec, predict_stream, split_dataset,
                   train_arrays)
@@ -130,8 +130,19 @@ class GeneralizationReport:
 
     @property
     def degradation(self) -> float:
-        """Transfer median over self median (1.0 = no loss)."""
-        return self.transfer_report.median / self.self_report.median
+        """See :func:`degradation`."""
+        return degradation(self.self_report, self.transfer_report)
+
+
+def degradation(self_report: ErrorReport, transfer_report: ErrorReport) -> float:
+    """Transfer median over self median (1.0 = no loss).
+
+    Raises UndefinedDegradation when the self median is exactly 0.
+    """
+    if self_report.median == 0.0:
+        raise UndefinedDegradation("self median error is 0 m; the transfer "
+                                   "degradation ratio is undefined")
+    return transfer_report.median / self_report.median
 
 
 def _frames_report(model: Mlp, frames: list[FusionFrame]) -> ErrorReport:

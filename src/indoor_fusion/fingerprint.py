@@ -8,7 +8,8 @@ returns the inverse-distance-weighted average of their centers.
 Calibration reconciles RSSI with geometry: for each candidate gain offset
 in a brute-force sweep, every snapshot's three strongest readings are
 inverted to distances and trilaterated, and the offset with the smallest
-median position error wins.
+median position error wins.  The strongest three do not depend on the
+offset, so the whole sweep is one batched solve.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyMap, InsufficientData
-from .geometry import RangeObservation, locate_from_ranges, rssi_to_distance
+from .geometry import rssi_to_distance, trilaterate_batch
 from .ingest import AlignedStream
 from .records import Anchor, Position2D
 
@@ -154,26 +155,37 @@ class RssiCalibration:
         return min(e for _, e in self.sweep_errors)
 
 
-def rssi_snapshot_positions(stream: AlignedStream, anchors: dict[str, Position2D],
-                            beta: float, p0: float = -40.0, d0: float = 1.0,
-                            exponent: float = 2.2) -> np.ndarray:
+def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D],
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Each snapshot's three strongest raw readings, strongest first (ties in
+    reverse column order), and the (N, 3, 2) positions of their anchors."""
+    readings = stream.feature_matrix()
+    order = np.argsort(readings, axis=1, kind="stable")[:, ::-1][:, :3]
+    positions = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
+    return np.take_along_axis(readings, order, axis=1), positions.reshape(-1, 2)[order]
+
+
+def rssi_snapshot_fixes(stream: AlignedStream, anchors: dict[str, Position2D],
+                        beta, p0: float = -40.0, d0: float = 1.0,
+                        exponent: float = 2.2) -> tuple[np.ndarray, np.ndarray]:
     """Trilaterate every snapshot from its three strongest readings.
 
     Strength ranking uses the raw dBm values; ``beta`` only enters the
-    distance inversion.  Returns an (N, 2) array of positions in tick order.
+    distance inversion.  ``beta`` is a scalar, or a 1-D sweep solved in the
+    same call.  Returns (..., N, 2) positions in tick order and the (..., N)
+    mask of snapshots answered with the anchor centroid (collinear anchors).
     """
-    out = np.empty((len(stream.samples), 2))
-    ids = stream.columns
-    for i, sample in enumerate(stream.samples):
-        readings = sample.features
-        strongest = np.argsort(readings, kind="stable")[::-1][:3]
-        obs = [RangeObservation(Anchor(ids[j], "wifi", anchors[ids[j]]),
-                                float(rssi_to_distance(readings[j], p0=p0, d0=d0,
-                                                       n=exponent, beta=beta)))
-               for j in strongest]
-        pos = locate_from_ranges(obs).position
-        out[i] = (pos.x, pos.y)
-    return out
+    readings, geometry = _strongest_three(stream, anchors)
+    beta = np.asarray(beta, dtype=np.float64)[..., None, None]
+    distances = rssi_to_distance(readings, p0=p0, d0=d0, n=exponent, beta=beta)
+    return trilaterate_batch(geometry, distances)
+
+
+def rssi_snapshot_positions(stream: AlignedStream, anchors: dict[str, Position2D],
+                            beta: float, p0: float = -40.0, d0: float = 1.0,
+                            exponent: float = 2.2) -> np.ndarray:
+    """The (N, 2) positions of :func:`rssi_snapshot_fixes` at one ``beta``."""
+    return rssi_snapshot_fixes(stream, anchors, beta, p0, d0, exponent)[0]
 
 
 def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
@@ -193,18 +205,15 @@ def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
     if samples.modality != "rssi":
         raise InsufficientData(f"calibration expects an rssi stream, "
                                f"got {samples.modality!r}")
-    if sweep is None:
-        sweep = np.arange(-30.0, 31.0)
+    sweep = np.arange(-30.0, 31.0) if sweep is None else np.asarray(sweep, dtype=np.float64)
     positions = {a.id: a.position for a in anchors}
     missing = [c for c in samples.columns if c not in positions]
     if missing:
         raise InsufficientData(f"no anchor positions for {missing}")
 
     labels = samples.labels()
-    curve = []
-    for beta in sweep:
-        est = rssi_snapshot_positions(samples, positions, float(beta), p0, d0, exponent)
-        err = np.hypot(est[:, 0] - labels[:, 0], est[:, 1] - labels[:, 1])
-        curve.append((float(beta), float(np.median(err))))
+    est, _ = rssi_snapshot_fixes(samples, positions, sweep, p0, d0, exponent)
+    err = np.hypot(est[..., 0] - labels[:, 0], est[..., 1] - labels[:, 1])
+    curve = [(float(beta), float(e)) for beta, e in zip(sweep, np.median(err, axis=-1))]
     best = min(range(len(curve)), key=lambda i: curve[i][1])
     return RssiCalibration(curve[best][0], tuple(curve))

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidOverride
-from .geometry import translate_sensor_pose
 from .records import (
     Anchor,
     ClockModel,
@@ -54,7 +53,8 @@ class Bounds:
     height: float = 6.0
 
     def contains(self, x: float, y: float) -> bool:
-        return 0.0 <= x <= self.width and 0.0 <= y <= self.height
+        """Also works elementwise on arrays of coordinates."""
+        return (0.0 <= x) & (x <= self.width) & (0.0 <= y) & (y <= self.height)
 
 
 @dataclass(frozen=True)

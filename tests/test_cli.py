@@ -10,14 +10,15 @@ import pytest
 from indoor_fusion.cli import (
     DEFAULT_METHODS,
     RunConfig,
+    _generalization_entry,
     build_parser,
     main,
     read_config_file,
     resolve_config,
     validate_method,
 )
-from indoor_fusion.errors import ConfigError
-from indoor_fusion.evaluate import emit_plot, error_report, read_cdf_csv
+from indoor_fusion.errors import ConfigError, IndoorFusionError, UndefinedDegradation
+from indoor_fusion.evaluate import emit_plot, error_report, read_cdf_csv, report_from_errors
 from indoor_fusion.ingest import read_frames
 from indoor_fusion.records import Position2D
 from indoor_fusion.simulate import NoiseConfig, read_sidecar
@@ -228,6 +229,14 @@ def test_run_reports_each_method(cli_campaign, capsys):
     assert report["methods"]["uwb-trilat"]["ticks_used"] > 300
     assert report["methods"]["rssi-trilat"]["beta_db"] == pytest.approx(0.0, abs=2.0)
     assert report["methods"]["csi-fp"]["cells"] > 10
+    for name in ("uwb-trilat", "rssi-trilat"):
+        entry = report["methods"][name]
+        count = entry["summary"]["count"]
+        assert 0 <= entry["fallbacks"] <= count
+        assert 0 <= entry["outside_room"] <= count
+    # every degenerate uwb tick is answered with the centroid
+    uwb = report["methods"]["uwb-trilat"]
+    assert uwb["fallbacks"] >= uwb["ticks_degenerate"]
 
     names = [name for name, _ in read_cdf_csv(cli_campaign / "cdf.csv")]
     assert names == ["csi-fp", "rssi-trilat", "uwb-trilat"]
@@ -275,6 +284,13 @@ def test_transfer_scores_the_second_campaign(cli_campaign, capsys):
         entry["transfer"]["p50_m"] / entry["self"]["p50_m"])
     assert entry["degradation"] > 0.0
     assert "transfer-p50=" in capsys.readouterr().out
+
+
+def test_generalization_entry_over_a_zero_self_median_is_a_typed_error():
+    zero = report_from_errors([0.0, 0.0])
+    with pytest.raises(UndefinedDegradation) as info:
+        _generalization_entry(zero, report_from_errors([0.5, 1.0]))
+    assert isinstance(info.value, IndoorFusionError)  # exit code 4 in main
 
 
 def test_thread_cap_does_not_change_the_report(cli_campaign, monkeypatch):

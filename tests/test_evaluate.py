@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indoor_fusion.errors import EmptyReport, LayoutMismatch, LengthMismatch
+from indoor_fusion.errors import (EmptyReport, LayoutMismatch, LengthMismatch,
+                                  UndefinedDegradation)
 from indoor_fusion.evaluate import (
     MODALITIES,
     ErrorReport,
     GeneralizationReport,
     blocks_for_method,
+    degradation,
     emit_plot,
     error_report,
     meets_requirement,
@@ -235,6 +237,16 @@ def test_degradation_is_transfer_over_self():
     self_r = report_from_errors([1.0, 1.0, 1.0])
     transfer_r = report_from_errors([2.0, 2.0, 2.0])
     assert GeneralizationReport(self_r, transfer_r).degradation == 2.0
+
+
+def test_degradation_over_a_zero_self_median_is_a_typed_error():
+    zero = report_from_errors([0.0, 0.0, 0.0])
+    transfer = report_from_errors([1.0, 2.0, 3.0])
+    assert zero.median == 0.0
+    with pytest.raises(UndefinedDegradation):
+        GeneralizationReport(zero, transfer).degradation
+    with pytest.raises(UndefinedDegradation):
+        degradation(zero, transfer)
 
 
 # ---------------------------------------------------------------------------

@@ -218,3 +218,45 @@ def test_calibration_respects_a_custom_sweep():
     cal = calibrate_rssi_offset(stream, SQUARE_ANCHORS, sweep=np.asarray([0.0, 5.0, 8.0]))
     assert cal.beta == 5.0
     assert len(cal.sweep_errors) == 3
+
+
+def _noisy(stream, sigma_db, seed):
+    rng = np.random.default_rng(seed)
+    samples = [LabeledSample(s.t_ref, s.features + rng.normal(0.0, sigma_db, s.features.shape),
+                             s.label, s.modality) for s in stream.samples]
+    return _stream(samples, stream.columns)
+
+
+def test_one_call_sweep_reproduces_a_per_beta_loop():
+    stream = _noisy(_rssi_stream(_survey_points(80), p0=-47.0), 2.0, seed=3)
+    cal = calibrate_rssi_offset(stream, SQUARE_ANCHORS)
+    anchors = {a.id: a.position for a in SQUARE_ANCHORS}
+    labels = stream.labels()
+    loop = []
+    for beta in np.arange(-30.0, 31.0):
+        est = rssi_snapshot_positions(stream, anchors, float(beta))
+        err = np.hypot(est[:, 0] - labels[:, 0], est[:, 1] - labels[:, 1])
+        loop.append((float(beta), float(np.median(err))))
+    assert [b for b, _ in cal.sweep_errors] == [b for b, _ in loop]
+    np.testing.assert_allclose([e for _, e in cal.sweep_errors], [e for _, e in loop],
+                               rtol=0, atol=1e-12)
+    assert cal.beta == loop[int(np.argmin([e for _, e in loop]))][0]
+
+
+def test_snapshot_solve_rejects_a_non_finite_distance():
+    stream = _rssi_stream(_survey_points(60))
+    anchors = {a.id: a.position for a in SQUARE_ANCHORS}
+    # two readings so weak that their distances overflow to inf; one of
+    # them is among the snapshot's three strongest
+    first = stream.samples[0]
+    weak = LabeledSample(first.t_ref, np.asarray([-1e5, -1e5, -50.0, -50.0]),
+                         first.label, "rssi")
+    bad = _stream((weak, *stream.samples[1:]), stream.columns)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        rssi_snapshot_positions(bad, anchors, beta=0.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        calibrate_rssi_offset(bad, SQUARE_ANCHORS)
+    # LabeledSample itself refuses a non-finite reading
+    with pytest.raises(ValueError):
+        LabeledSample(0.0, np.asarray([np.nan, -50.0, -50.0, -50.0]),
+                      Position2D(1.0, 1.0), "rssi")

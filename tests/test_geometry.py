@@ -17,6 +17,7 @@ from indoor_fusion.geometry import (
     rssi_to_distance,
     translate_sensor_pose,
     trilaterate,
+    trilaterate_batch,
 )
 from indoor_fusion.records import Anchor, Pose, Position2D, SensorOffset
 
@@ -97,6 +98,89 @@ def test_range_observation_rejects_bad_distances():
         RangeObservation(_anchor(0, 0, 0), -0.1)
     with pytest.raises(ValueError):
         RangeObservation(_anchor(0, 0, 0), float("inf"))
+
+
+# ---------------------------------------------------------------------------
+# Batched solver against a scalar lstsq reference
+
+BATCH_TOL_M = 1e-9  # on coordinates up to 20 m
+
+
+def _reference_fix(anchors, distances, usable):
+    """lstsq on the radical lines of the usable anchors (the first one as
+    reference); the centroid for fewer than three or collinear anchors."""
+    pts, d = anchors[usable], distances[usable]
+    if len(pts) >= 3:
+        rel = pts[1:] - pts[0]
+        a = 2.0 * rel
+        b = d[0] ** 2 - d[1:] ** 2 + (rel ** 2).sum(axis=1)
+        sv = np.linalg.svd(a.T @ a, compute_uv=False)
+        if sv[-1] >= 1e-10 * sv[0]:
+            return pts[0] + np.linalg.lstsq(a, b, rcond=None)[0], False
+    return pts.mean(axis=0), True
+
+
+def _batch_case(case, m, rng, n=200):
+    anchors = rng.uniform(0.0, 20.0, (n, m, 2))
+    usable = np.ones((n, m), dtype=bool)
+    if case == "masked":
+        usable = rng.random((n, m)) < 0.7
+        usable[np.arange(n), rng.integers(0, m, n)] = True
+        usable[: n // 4, 0] = False  # the reference is the first usable anchor
+        usable[usable.sum(axis=1) < 3, :3] = True
+    elif case == "one-or-two-usable":
+        usable = np.zeros((n, m), dtype=bool)
+        usable[:, 0] = rng.random(n) < 0.5
+        usable[np.arange(n), rng.integers(1, m, n)] = True
+    elif case == "collinear":
+        # integer points on y = k x + c are exactly collinear in floating point
+        xs = rng.integers(0, 20, (n, m)).astype(np.float64)
+        k = rng.integers(-2, 3, (n, 1)).astype(np.float64)
+        anchors = np.stack([xs, k * xs + rng.integers(0, 20, (n, 1))], axis=-1)
+    truth = rng.uniform(0.0, 20.0, (n, 1, 2))
+    exact = np.hypot(*np.moveaxis(anchors - truth, -1, 0))
+    distances = np.abs(exact + rng.normal(0.0, 0.1, (n, m)))
+    # unusable entries carry garbage the solver must ignore
+    distances = np.where(usable, distances, np.nan)
+    return anchors, distances, usable
+
+
+@pytest.mark.parametrize("case,m", [("random", 3), ("random", 4), ("random", 5),
+                                    ("random", 6), ("masked", 6),
+                                    ("one-or-two-usable", 5), ("collinear", 4)])
+def test_batched_solver_matches_the_lstsq_reference(case, m):
+    rng = np.random.default_rng([m, *map(ord, case)])
+    anchors, distances, usable = _batch_case(case, m, rng)
+    # a leading axis of distance sets shares each row's geometry
+    stacked = np.stack([distances, 1.5 * distances])
+    positions, fallback = trilaterate_batch(anchors, stacked, usable)
+    assert positions.shape == (2, len(anchors), 2)
+    assert fallback.shape == (2, len(anchors))
+    for k in range(2):
+        for i in range(len(anchors)):
+            want, want_fallback = _reference_fix(anchors[i], stacked[k, i], usable[i])
+            assert fallback[k, i] == want_fallback
+            # noisy ranges on a thin triangle can put the fix far outside the
+            # 20 m square; the tolerance grows with the fix beyond 20 m
+            tol = BATCH_TOL_M * max(1.0, float(np.abs(want).max()) / 20.0)
+            np.testing.assert_allclose(positions[k, i], want, rtol=0, atol=tol)
+    if case in ("one-or-two-usable", "collinear"):
+        assert fallback.all()
+    if case == "random":
+        assert not fallback.any()
+
+
+def test_batched_solver_input_checks():
+    anchors = np.asarray([[(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]])
+    with pytest.raises(EmptyObservations):
+        trilaterate_batch(anchors, np.ones((1, 3)), np.zeros((1, 3), dtype=bool))
+    for bad in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            trilaterate_batch(anchors, np.asarray([[1.0, bad, 1.0]]))
+    # a bad distance on an unusable anchor is never read
+    pos, fallback = trilaterate_batch(anchors, np.asarray([[1.0, -1.0, 1.0]]),
+                                      np.asarray([[True, False, True]]))
+    assert pos.tolist() == [[0.0, 2.0]] and fallback.tolist() == [True]
 
 
 # ---------------------------------------------------------------------------

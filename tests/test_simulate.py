@@ -163,6 +163,14 @@ def test_trajectory_fits_small_rooms():
         assert s.bounds.contains(pose.x, pose.y)
 
 
+def test_bounds_contains_points_and_arrays():
+    room = Bounds(8.0, 6.0)
+    assert room.contains(0.0, 6.0) and not room.contains(8.1, 1.0)
+    xs = np.asarray([0.0, 8.0, -0.1, 4.0, np.nan])
+    ys = np.asarray([0.0, 6.0, 1.0, 6.5, 1.0])
+    assert room.contains(xs, ys).tolist() == [True, True, False, False, False]
+
+
 def test_interpolator_exact_at_knots_and_clamped_outside():
     traj = [(0.0, Pose(0.0, 0.0, 0.0)), (1.0, Pose(2.0, 0.0, 0.0)),
             (2.0, Pose(2.0, 2.0, 1.0))]
