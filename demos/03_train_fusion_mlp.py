@@ -1,8 +1,8 @@
 """Train position regressors on single modalities and on a fused frame.
 
 Builds aligned fusion frames from 480 s of simulated data, trains one MLP
-per feature subset and prints the held-out median error of each.  Takes a
-minute or two: the CSI-bearing models are 677+ inputs wide.
+per feature subset and prints the held-out median error of each.  Takes
+35-40 s on two cores: the CSI-bearing models are 677+ inputs wide.
 """
 
 from indoor_fusion.ingest import frames_to_arrays, ingest_run, select_blocks

@@ -7,6 +7,11 @@ localizers with fingerprinting and raw-data-fusion MLP regression —
 including how each survives a change of session and layout.
 """
 
+import os
+
+# before numpy loads: ``run`` shares the cores between methods, not BLAS threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     CollinearAnchors,
     ConfigError,

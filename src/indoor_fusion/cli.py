@@ -8,7 +8,8 @@ plots), ``plot`` (re-render the CDF figure from its CSV).
 Exit codes: 0 success, 2 usage/config, 3 I/O, 4 numerical failure.  Options
 may come from a flat ``key=value`` config file (``--config``); explicit
 flags win.  ``INDOOR_FUSION_THREADS`` caps how many methods ``run``
-evaluates concurrently.
+evaluates concurrently; importing the package sets OpenBLAS to one thread
+unless ``OPENBLAS_NUM_THREADS`` is set, so the report is the same on any core count.
 """
 
 from __future__ import annotations
@@ -439,7 +440,11 @@ def _nn_report(camp: _Campaign, camp2: _Campaign | None, method: str,
         gen = None
     extras = {"epochs_run": len(history), "train_frames": len(train_f),
               "test_frames": len(test_f),
-              "input_width": model_config.layer_sizes[0]}
+              "input_width": model_config.layer_sizes[0],
+              "history": history,
+              # the restored weights are the first epoch with the least test error
+              "best_epoch": min(history, key=lambda row: row[2])[0],
+              "stop_reason": "patience" if len(history) < cfg.epochs else "max_epochs"}
     return report, extras, gen
 
 

@@ -9,7 +9,7 @@ Calibration reconciles RSSI with geometry: for each candidate gain offset
 in a brute-force sweep, every snapshot's three strongest readings are
 inverted to distances and trilaterated, and the offset with the smallest
 median position error wins.  The strongest three do not depend on the
-offset, so the whole sweep is one batched solve.
+offset, so the sweep is solved in a few batched blocks of offsets.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .records import Anchor, Position2D
 DEFAULT_RESOLUTION = 0.25
 DEFAULT_K = 3
 MIN_CALIBRATION_SNAPSHOTS = 50
+SWEEP_BLOCK = 8  # beta values per batched solve: bounds the sweep's temporaries
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,13 @@ def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D],
     return np.take_along_axis(readings, order, axis=1), positions.reshape(-1, 2)[order]
 
 
+def _solve_strongest(readings: np.ndarray, geometry: np.ndarray, beta, p0: float,
+                     d0: float, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    beta = np.asarray(beta, dtype=np.float64)[..., None, None]
+    distances = rssi_to_distance(readings, p0=p0, d0=d0, n=exponent, beta=beta)
+    return trilaterate_batch(geometry, distances)
+
+
 def rssi_snapshot_fixes(stream: AlignedStream, anchors: dict[str, Position2D],
                         beta, p0: float = -40.0, d0: float = 1.0,
                         exponent: float = 2.2) -> tuple[np.ndarray, np.ndarray]:
@@ -175,10 +183,7 @@ def rssi_snapshot_fixes(stream: AlignedStream, anchors: dict[str, Position2D],
     same call.  Returns (..., N, 2) positions in tick order and the (..., N)
     mask of snapshots answered with the anchor centroid (collinear anchors).
     """
-    readings, geometry = _strongest_three(stream, anchors)
-    beta = np.asarray(beta, dtype=np.float64)[..., None, None]
-    distances = rssi_to_distance(readings, p0=p0, d0=d0, n=exponent, beta=beta)
-    return trilaterate_batch(geometry, distances)
+    return _solve_strongest(*_strongest_three(stream, anchors), beta, p0, d0, exponent)
 
 
 def rssi_snapshot_positions(stream: AlignedStream, anchors: dict[str, Position2D],
@@ -212,8 +217,12 @@ def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
         raise InsufficientData(f"no anchor positions for {missing}")
 
     labels = samples.labels()
-    est, _ = rssi_snapshot_fixes(samples, positions, sweep, p0, d0, exponent)
-    err = np.hypot(est[..., 0] - labels[:, 0], est[..., 1] - labels[:, 1])
-    curve = [(float(beta), float(e)) for beta, e in zip(sweep, np.median(err, axis=-1))]
+    strongest = _strongest_three(samples, positions)
+    medians = []
+    for start in range(0, len(sweep), SWEEP_BLOCK):
+        est, _ = _solve_strongest(*strongest, sweep[start:start + SWEEP_BLOCK], p0, d0, exponent)
+        err = np.hypot(est[..., 0] - labels[:, 0], est[..., 1] - labels[:, 1])
+        medians.extend(np.median(err, axis=-1))
+    curve = [(float(beta), float(e)) for beta, e in zip(sweep, medians)]
     best = min(range(len(curve)), key=lambda i: curve[i][1])
     return RssiCalibration(curve[best][0], tuple(curve))

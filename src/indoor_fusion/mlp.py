@@ -179,25 +179,8 @@ class Mlp:
             grad_b[layer] = delta.sum(axis=0)
         return loss, grad_w, grad_b
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
     def clone_weights(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-
-    def restore_weights(self, snapshot: tuple[list[np.ndarray], list[np.ndarray]]) -> None:
-        self.weights = [w.copy() for w in snapshot[0]]
-        self.biases = [b.copy() for b in snapshot[1]]
-
-
-def forward(mlp: Mlp, features: np.ndarray) -> tuple[float, float]:
-    """Single-vector convenience wrapper around Mlp.forward."""
-    out = mlp.forward(np.asarray(features, dtype=np.float64).reshape(1, -1))
-    return float(out[0, 0]), float(out[0, 1])
-
-
-def loss_and_grad(mlp: Mlp, x: np.ndarray, y: np.ndarray):
-    return mlp.loss_and_grad(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +263,12 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
     model = Mlp(config, rng=rng)
     model.set_normalization(x_train)
 
-    adam_m = [[np.zeros_like(w) for w in model.weights],
-              [np.zeros_like(b) for b in model.biases]]
-    adam_v = [[np.zeros_like(w) for w in model.weights],
-              [np.zeros_like(b) for b in model.biases]]
+    # updated in place until the best snapshot replaces them; the update's
+    # temporaries are views of two vectors sized for the largest parameter
+    params = model.weights + model.biases
+    adam_m, adam_v = ([np.zeros_like(p) for p in params] for _ in range(2))
+    scratch = [np.empty(max(p.size for p in params)) for _ in range(2)]
+    lr, b1, b2 = config.learning_rate, config.beta1, config.beta2
     step = 0
     history: list[tuple[int, float, float]] = []
     best_err = math.inf
@@ -300,20 +285,22 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
                 raise Divergence(f"non-finite loss at epoch {epoch}", history=history)
             total += loss * len(idx)
             step += 1
-            for params, grads, m_s, v_s in ((model.weights, grad_w, adam_m[0], adam_v[0]),
-                                            (model.biases, grad_b, adam_m[1], adam_v[1])):
-                for i, grad in enumerate(grads):
-                    if config.optimizer == "sgd":
-                        params[i] -= config.learning_rate * grad
-                    else:
-                        m_s[i] *= config.beta1
-                        m_s[i] += (1.0 - config.beta1) * grad
-                        v_s[i] *= config.beta2
-                        v_s[i] += (1.0 - config.beta2) * grad * grad
-                        m_hat = m_s[i] / (1.0 - config.beta1 ** step)
-                        v_hat = v_s[i] / (1.0 - config.beta2 ** step)
-                        params[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                                     + config.adam_eps)
+            for p, g, m, v in zip(params, grad_w + grad_b, adam_m, adam_v):
+                a, b = (s[:g.size].reshape(g.shape) for s in scratch)
+                if config.optimizer == "sgd":
+                    np.multiply(lr, g, out=a)
+                else:
+                    m *= b1
+                    m += np.multiply(1.0 - b1, g, out=a)
+                    v *= b2
+                    np.multiply(1.0 - b2, g, out=a)
+                    v += np.multiply(a, g, out=a)
+                    np.divide(m, 1.0 - b1 ** step, out=a)
+                    np.sqrt(np.divide(v, 1.0 - b2 ** step, out=b), out=b)
+                    b += config.adam_eps
+                    a *= lr
+                    a /= b
+                p -= a
         train_mse = total / len(x_train)
         test_err = median_position_error(model, x_test, y_test) if len(x_test) \
             else math.nan
@@ -327,7 +314,7 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
             if len(x_test) and stale >= config.patience:
                 break
     if len(x_test):  # without a held-out set the final weights stand
-        model.restore_weights(best_snapshot)
+        model.weights, model.biases = best_snapshot
     return model, history
 
 

@@ -122,12 +122,6 @@ class Scenario:
         object.__setattr__(self, "session_phase",
                            {k: float(v) % (2.0 * math.pi) for k, v in self.session_phase.items()})
 
-    def uwb_anchor_ids(self) -> list[str]:
-        return sorted(a.id for a in self.uwb_anchors)
-
-    def wifi_anchor_ids(self) -> list[str]:
-        return sorted(a.id for a in self.wifi_anchors)
-
     def anchor_by_id(self, anchor_id: str) -> Anchor:
         for a in self.uwb_anchors + self.wifi_anchors:
             if a.id == anchor_id:

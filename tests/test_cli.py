@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import indoor_fusion
 from indoor_fusion.cli import (
     DEFAULT_METHODS,
     RunConfig,
@@ -172,6 +177,15 @@ def test_bad_config_key_exits_config(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+def test_truncated_final_line_exits_io_naming_the_line(cli_campaign, tmp_path, capsys):
+    shutil.copy(cli_campaign / "scenario.json", tmp_path / "scenario.json")
+    lines = (cli_campaign / "dataset1.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[-1] = lines[-1][:len(lines[-1]) // 2]
+    (tmp_path / "dataset1.jsonl").write_text("\n".join(lines), encoding="utf-8")
+    assert main(["ingest", "--out", str(tmp_path)]) == 3
+    assert f"dataset1.jsonl:{len(lines)}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["zero", "0", "-3"])
 def test_bad_thread_cap_exits_config(cli_campaign, monkeypatch, value):
     monkeypatch.setenv("INDOOR_FUSION_THREADS", value)
@@ -214,10 +228,10 @@ def test_calibrate_writes_the_gain_sweep(cli_campaign):
 # run
 
 def test_run_reports_each_method(cli_campaign, capsys):
-    assert main(["run", "--out", str(cli_campaign), "--seed", "7",
-                 "--methods", "uwb-trilat,rssi-trilat,csi-fp"]) == 0
+    assert main(["run", "--out", str(cli_campaign), "--seed", "7", "--epochs", "3",
+                 "--methods", "uwb-trilat,rssi-trilat,csi-fp,nn:uwb"]) == 0
     report = _load(cli_campaign / "report.json")
-    assert report["config"]["methods"] == ["csi-fp", "rssi-trilat", "uwb-trilat"]
+    assert report["config"]["methods"] == ["csi-fp", "nn:uwb", "rssi-trilat", "uwb-trilat"]
     assert report["config"]["seed"] == 7
     assert report["sim_config"]["duration"] == 45.0
     assert report["failures"] == {}
@@ -237,9 +251,16 @@ def test_run_reports_each_method(cli_campaign, capsys):
     # every degenerate uwb tick is answered with the centroid
     uwb = report["methods"]["uwb-trilat"]
     assert uwb["fallbacks"] >= uwb["ticks_degenerate"]
+    # the training history: one [epoch, train mse, test median m] row per epoch
+    nn = report["methods"]["nn:uwb"]
+    assert [row[0] for row in nn["history"]] == list(range(nn["epochs_run"])) == [0, 1, 2]
+    assert all(row[1] > 0.0 and row[2] >= 0.0 for row in nn["history"])
+    test_errors = [row[2] for row in nn["history"]]
+    assert nn["best_epoch"] == test_errors.index(min(test_errors))
+    assert nn["stop_reason"] == "max_epochs"
 
     names = [name for name, _ in read_cdf_csv(cli_campaign / "cdf.csv")]
-    assert names == ["csi-fp", "rssi-trilat", "uwb-trilat"]
+    assert names == ["csi-fp", "nn:uwb", "rssi-trilat", "uwb-trilat"]
     assert (cli_campaign / "cdf.svg").stat().st_size > 0
 
     out = capsys.readouterr().out
@@ -303,6 +324,30 @@ def test_thread_cap_does_not_change_the_report(cli_campaign, monkeypatch):
     assert main(methods) == 0
     threaded = _load(cli_campaign / "report.json")["methods"]
     assert serial == threaded
+
+
+def test_training_stopped_by_patience_says_so(cli_campaign):
+    # phase features stop improving on the held-out split early in training
+    assert main(["run", "--out", str(cli_campaign), "--seed", "7", "--epochs", "40",
+                 "--methods", "nn:csi-phase"]) == 0
+    nn = _load(cli_campaign / "report.json")["methods"]["nn:csi-phase"]
+    assert nn["stop_reason"] == "patience"
+    # patience (10) epochs without a better test error follow the best one
+    assert len(nn["history"]) == nn["epochs_run"] == nn["best_epoch"] + 11 < 40
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_importing_the_package_defaults_openblas_to_one_thread(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(indoor_fusion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, indoor_fusion; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == expected
 
 
 def test_noiseless_trilateration_is_exact_end_to_end(tmp_path):

@@ -10,11 +10,13 @@ from indoor_fusion.fingerprint import (
     DEFAULT_K,
     DEFAULT_RESOLUTION,
     MIN_CALIBRATION_SNAPSHOTS,
+    SWEEP_BLOCK,
     RadioMap,
     build_map,
     calibrate_rssi_offset,
     load_radio_map,
     locate,
+    rssi_snapshot_fixes,
     rssi_snapshot_positions,
     save_radio_map,
 )
@@ -241,6 +243,19 @@ def test_one_call_sweep_reproduces_a_per_beta_loop():
     np.testing.assert_allclose([e for _, e in cal.sweep_errors], [e for _, e in loop],
                                rtol=0, atol=1e-12)
     assert cal.beta == loop[int(np.argmin([e for _, e in loop]))][0]
+
+
+def test_blocked_sweep_equals_the_one_call_sweep_bit_for_bit():
+    stream = _noisy(_rssi_stream(_survey_points(80), p0=-47.0), 2.0, seed=4)
+    # two full blocks and a short third one
+    sweep = np.linspace(-12.5, 9.0, 2 * SWEEP_BLOCK + 3)
+    cal = calibrate_rssi_offset(stream, SQUARE_ANCHORS, sweep=sweep)
+    est, _ = rssi_snapshot_fixes(stream, {a.id: a.position for a in SQUARE_ANCHORS}, sweep)
+    labels = stream.labels()
+    medians = np.median(np.hypot(est[..., 0] - labels[:, 0], est[..., 1] - labels[:, 1]),
+                        axis=-1)
+    assert cal.sweep_errors == tuple(zip(sweep.tolist(), medians.tolist()))
+    assert cal.beta == sweep[int(np.argmin(medians))]
 
 
 def test_snapshot_solve_rejects_a_non_finite_distance():

@@ -17,7 +17,6 @@ from indoor_fusion.mlp import (
     Mlp,
     MlpConfig,
     SplitSpec,
-    forward,
     gradient_check,
     load_checkpoint,
     median_position_error,
@@ -116,8 +115,6 @@ def test_forward_shapes_and_width_check():
     assert out.shape == (5, 2)
     with pytest.raises(DimensionMismatch):
         model.forward(np.zeros((5, 3)))
-    x, y = forward(model, np.zeros(2))
-    assert (x, y) == (float(out[0, 0]), float(out[0, 1]))
 
 
 def test_manual_forward_and_loss_oracle():
@@ -219,6 +216,69 @@ def test_first_adam_step_moves_by_lr_times_sign():
     for got, w0, g in zip(model.weights, reference.weights, grad_w):
         delta = got - w0
         np.testing.assert_allclose(delta, -1e-3 * np.sign(g), atol=1e-3 * 1e-4)
+
+
+def _reference_train(x_train, y_train, x_test, y_test, config):
+    """The training loop with the optimizer written out plainly, allocating
+    its temporaries on every step: the reference for train_arrays."""
+    rng = np.random.default_rng(config.seed)
+    model = Mlp(config, rng=rng)
+    model.set_normalization(x_train)
+    adam_m = [np.zeros_like(p) for p in model.weights + model.biases]
+    adam_v = [np.zeros_like(p) for p in model.weights + model.biases]
+    step, history, best_err, stale = 0, [], math.inf, 0
+    best_snapshot = model.clone_weights()
+    for epoch in range(config.epochs):
+        perm = rng.permutation(len(x_train))
+        total = 0.0
+        for start in range(0, len(perm), config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            loss, grad_w, grad_b = model.loss_and_grad(x_train[idx], y_train[idx])
+            total += loss * len(idx)
+            step += 1
+            params = model.weights + model.biases
+            for i, grad in enumerate(grad_w + grad_b):
+                if config.optimizer == "sgd":
+                    params[i] -= config.learning_rate * grad
+                else:
+                    adam_m[i] *= config.beta1
+                    adam_m[i] += (1.0 - config.beta1) * grad
+                    adam_v[i] *= config.beta2
+                    adam_v[i] += (1.0 - config.beta2) * grad * grad
+                    m_hat = adam_m[i] / (1.0 - config.beta1 ** step)
+                    v_hat = adam_v[i] / (1.0 - config.beta2 ** step)
+                    params[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                                 + config.adam_eps)
+        test_err = median_position_error(model, x_test, y_test)
+        history.append((epoch, total / len(x_train), test_err))
+        if test_err < best_err:
+            best_err, best_snapshot, stale = test_err, model.clone_weights(), 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    model.weights, model.biases = best_snapshot
+    return model, history
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_in_place_update_matches_the_reference_loop_bit_for_bit(optimizer, activation):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(70, 5))
+    y = np.stack([x[:, 0] + 0.5 * x[:, 1], np.tanh(x[:, 2]) - x[:, 3]], axis=1)
+    # 50 training rows in batches of 16: three full batches and a short one
+    config = MlpConfig(layer_sizes=(5, 12, 6, 2), activation=activation,
+                       optimizer=optimizer, learning_rate=2e-2, epochs=5,
+                       batch_size=16, seed=9)
+    args = (x[:50], y[:50], x[50:], y[50:], config)
+    model, history = train_arrays(*args)
+    want_model, want_history = _reference_train(*args)
+    assert len(history) == 5
+    assert history == want_history
+    for got, want in zip(model.weights + model.biases,
+                         want_model.weights + want_model.biases):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,15 @@ def test_read_records_reports_the_offending_line(tmp_path):
         read_records(path)
 
 
+def test_read_records_reports_a_truncated_final_line(tmp_path):
+    path = tmp_path / "dataset1.jsonl"
+    line = serialize_record(Record(0.1, "uwb", "tag0", UwbPayload("u0", 3.25, -55.0)))
+    # a writer cut off mid-line: no closing brace, no final newline
+    path.write_text(line + "\n" + line + "\n" + line[:len(line) // 2], encoding="utf-8")
+    with pytest.raises(MalformedLine, match=r"dataset1\.jsonl:3:"):
+        read_records(path)
+
+
 # ---------------------------------------------------------------------------
 # Angles
 
