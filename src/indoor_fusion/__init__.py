@@ -46,13 +46,16 @@ from .records import (
     Record,
     RssiPayload,
     SensorOffset,
+    SensorTable,
     UwbPayload,
     angle_difference,
     interpolate_heading,
     normalize_angle,
     parse_record,
     read_records,
+    read_tables,
     serialize_record,
+    tables_from_records,
     write_records,
 )
 from .geometry import (
@@ -97,10 +100,14 @@ from .ingest import (
     align_all,
     build_fusion_frames,
     correct_clock,
+    correct_table,
     estimate_clock_offset,
+    fit_clock,
     frame_layout,
     frames_to_arrays,
     ingest_run,
+    ingest_tables,
+    label_table,
     label_with_groundtruth,
     read_frames,
     select_blocks,

@@ -62,13 +62,14 @@ from .ingest import (
     build_fusion_frames,
     frame_layout,
     frames_to_arrays,
-    ingest_run,
-    label_with_groundtruth,
+    groundtruth_interpolator,
+    ingest_tables,
+    label_table,
     select_blocks,
     write_frames,
 )
 from .mlp import MlpConfig, SplitSpec, predict_stream, split_dataset, train_arrays
-from .records import Position2D, SensorOffset, read_records
+from .records import Position2D, SensorOffset, read_tables
 from .simulate import (
     DEFAULT_PERTURBATION,
     NoiseConfig,
@@ -264,9 +265,9 @@ def _load_campaign(cfg: RunConfig, which: int,
             raise ConfigError("scenario.json records no second campaign; "
                               "re-run simulate")
         scenario = scenario2
-    records = read_records(cfg.out / f"dataset{which}.jsonl")
-    result = ingest_run(records, scenario.sensor_offsets, sim_config.rates,
-                        sim_config.duration, window=cfg.window)
+    tables = read_tables(cfg.out / f"dataset{which}.jsonl")
+    result = ingest_tables(tables, scenario.sensor_offsets, sim_config.rates,
+                           sim_config.duration, window=cfg.window)
     return scenario, sim_config, result
 
 
@@ -322,10 +323,9 @@ class _Campaign:
 def _prepare_campaign(cfg: RunConfig, which: int, need_phase: bool) -> _Campaign:
     scenario, _, result = _load_campaign(cfg, which)
     camp = _Campaign(scenario, result)
-    if need_phase:
-        csi_records = [r for r in result.corrected if r.sensor == "csi"]
-        stream = label_with_groundtruth(
-            csi_records, result.gt_records,
+    if need_phase and "csi" in result.tables:
+        stream = label_table(
+            result.tables["csi"], groundtruth_interpolator(result.tables["gt"]),
             scenario.sensor_offsets.get("csi", SensorOffset()), csi_features="phase")
         camp.phase_frames = build_fusion_frames([stream], window=cfg.window)
         camp.phase_layout = frame_layout([stream])

@@ -1,18 +1,25 @@
 """Offline alignment of a recorded multi-rate stream.
 
-Stages, in pipeline order:
+The stream arrives as one column table per sensor (``records.SensorTable``)
+and every stage works on its arrays.  Stages, in pipeline order:
 
-1. clock estimation — each sensor stamps records with its own skewed clock;
-   fitting the recorded timestamps against the sensor's expected emission
-   grid recovers offset and drift,
-2. clock correction — map recorded time back to reference (robot) time,
-3. ground-truth labeling — group one sensor's records into emission ticks,
-   interpolate the 5 Hz robot pose at each corrected tick (position
-   componentwise linear, heading shortest-arc), translate it to the sensor's
-   mounting point, and pack the tick's readings into one feature vector,
-4. fusion-frame assembly — one stacked feature vector per CSI tick with
+1. clock estimation (``fit_clock``): each sensor stamps records with its
+   own skewed clock; fitting the recorded timestamps against the sensor's
+   expected emission grid recovers offset and drift,
+2. clock correction (``correct_table``): map recorded time back to
+   reference (robot) time, drop pre-epoch rows, sort by (time, source id),
+3. ground-truth labeling (``label_table``): group one sensor's rows into
+   emission ticks (equal times), scatter each tick's readings into one row
+   of a (ticks, width) feature matrix, and label every tick in one call:
+   the 5 Hz robot pose interpolated at the tick (position componentwise
+   linear, heading shortest-arc) and translated to the sensor's mount,
+4. fusion-frame assembly: one stacked feature vector per CSI tick with
    per-block presence masks, zero-filled blocks, and a causal freshness
    window for the non-anchoring modalities.
+
+``ingest_tables`` runs all four.  ``ingest_run``, ``estimate_clock_offset``,
+``correct_clock``, ``label_with_groundtruth`` and ``align_all`` take
+Records instead; they turn them into tables and call the same functions.
 
 Per-tick feature layouts (column meaning is fixed and documented here):
 
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +51,8 @@ from .records import (
     Position2D,
     Record,
     SensorOffset,
+    SensorTable,
+    tables_from_records,
 )
 from .simulate import TrajectoryInterpolator
 
@@ -63,36 +72,51 @@ def sensor_rate(rates: dict[str, float], sensor: str) -> float:
     raise KeyError(f"no rate known for sensor {sensor!r}")
 
 
-def correct_clock(records: list[Record], clock: ClockModel) -> list[Record]:
-    """Map recorded timestamps to reference time: t_ref = (t - offset) / (1 + drift).
+def correct_times(t: np.ndarray, clock: ClockModel) -> np.ndarray:
+    """Map recorded timestamps to reference time: t_ref = (t - offset) / (1 + drift)."""
+    return (t - clock.offset) / (1.0 + clock.drift)
 
-    Ordering is preserved; records whose corrected time lands before the
-    reference epoch are dropped.
+
+def correct_table(table: SensorTable, clock: ClockModel) -> SensorTable:
+    """Clock-correct one sensor's table.
+
+    Rows whose corrected time lands before the reference epoch are dropped;
+    the rest are sorted by (t_ref, source id), ties kept in table order.
     """
-    out = []
-    for rec in records:
-        t_ref = (rec.t - clock.offset) / (1.0 + clock.drift)
-        if t_ref >= 0.0:
-            out.append(Record(t_ref, rec.sensor, rec.source_id, rec.payload))
-    return out
+    t_ref = correct_times(table.t, clock)
+    keep = np.flatnonzero(t_ref >= 0.0)
+    ids = table.source_ids
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    order = keep[np.lexsort((keep, rank[table.source[keep]], t_ref[keep]))]
+    if np.array_equal(order, np.arange(len(table))):  # already in order: share the rows
+        return replace(table, t=t_ref)
+    return replace(table, t=t_ref).take(order)
 
 
-def estimate_clock_offset(sensor_records: list[Record], gt_records: list[Record],
-                          rate: float, duration: float | None = None) -> ClockModel:
-    """Recover a sensor's clock model from timestamps alone.
+def correct_clock(records: list[Record], clock: ClockModel) -> list[Record]:
+    """Record-list form of :func:`correct_times`: order kept, pre-epoch records dropped."""
+    t_ref = correct_times(np.asarray([r.t for r in records], dtype=np.float64), clock)
+    return [Record(t, r.sensor, r.source_id, r.payload)
+            for r, t in zip(records, t_ref.tolist()) if t >= 0.0]
+
+
+def fit_clock(t: np.ndarray, gt_t: np.ndarray, rate: float,
+              duration: float | None = None) -> ClockModel:
+    """Recover a sensor's clock model from its timestamps alone.
 
     The sensor emits on the grid (k+1)/rate in reference time; recorded
     timestamps are an affine image of that grid.  Tick indices are assigned
     by rounding consecutive gaps, the affine map is fit by least squares,
     and the absolute grid position of the first record follows either from
     stream completeness (when ``duration`` is known and no tick is missing)
-    or from rounding the fitted intercept.
+    or from rounding the fitted intercept.  ``gt_t`` holds the ground-truth
+    times, which bound the usable overlap.
     """
-    if not sensor_records or not gt_records:
+    if not t.size or not gt_t.size:
         raise InsufficientOverlap("need both sensor records and ground truth")
-    ts = np.asarray(sorted({r.t for r in sensor_records}), dtype=np.float64)
-    gt_t = np.asarray(sorted(r.t for r in gt_records), dtype=np.float64)
-    overlap = min(ts[-1], gt_t[-1]) - max(ts[0], gt_t[0])
+    ts = np.unique(t)
+    overlap = min(ts[-1], gt_t.max()) - max(ts[0], gt_t.min())
     if overlap < MIN_OVERLAP_S or len(ts) < 4:
         raise InsufficientOverlap(
             f"sensor/ground-truth overlap is {max(overlap, 0.0):.3f} s, "
@@ -120,6 +144,14 @@ def estimate_clock_offset(sensor_records: list[Record], gt_records: list[Record]
             raise MalformedLine(f"estimated drift {drift:.3e} exceeds the clock model range")
         drift = math.copysign(1e-4, drift)
     return ClockModel(offset=float(offset), drift=float(drift))
+
+
+def estimate_clock_offset(sensor_records: list[Record], gt_records: list[Record],
+                          rate: float, duration: float | None = None) -> ClockModel:
+    """Record-list form of :func:`fit_clock`."""
+    return fit_clock(np.asarray([r.t for r in sensor_records], dtype=np.float64),
+                     np.asarray([r.t for r in gt_records], dtype=np.float64),
+                     rate, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -162,128 +194,121 @@ class AlignedStream:
 
 
 def groundtruth_interpolator(gt) -> TrajectoryInterpolator:
-    """Accepts ground-truth Records or (t, Pose) pairs."""
-    pairs = []
-    for item in gt:
-        if isinstance(item, Record):
-            if item.sensor != "gt":
-                continue
-            pairs.append((item.t, Pose(item.payload.x, item.payload.y, item.payload.phi)))
-        else:
-            t, pose = item
-            pairs.append((float(t), pose))
+    """Accepts a gt SensorTable, ground-truth Records or (t, Pose) pairs."""
+    if isinstance(gt, SensorTable):
+        pairs = [(t, Pose(x, y, phi))
+                 for t, (x, y, phi) in zip(gt.t.tolist(), gt.values.tolist())]
+    else:
+        pairs = []
+        for item in gt:
+            if isinstance(item, Record):
+                if item.sensor != "gt":
+                    continue
+                pairs.append((item.t, Pose(item.payload.x, item.payload.y, item.payload.phi)))
+            else:
+                t, pose = item
+                pairs.append((float(t), pose))
     pairs.sort(key=lambda p: p[0])
     if len(pairs) < 2:
         raise EmptyGroundTruth("need >= 2 ground-truth poses to interpolate")
     return TrajectoryInterpolator(pairs)
 
 
-def _tick_features(modality: str, recs: list[Record], anchor_ids: list[str],
-                   subcarriers: int, csi_features: str) -> np.ndarray:
-    if modality == "uwb":
-        by_anchor = {r.payload.anchor_id: r.payload.range_m for r in recs}
-        return np.asarray([by_anchor.get(a, UWB_MISSING_RANGE) for a in anchor_ids])
-    if modality == "rssi":
-        by_anchor = {r.payload.anchor_id: r.payload.rssi_db for r in recs}
-        return np.asarray([by_anchor.get(a, RSSI_FLOOR_DB) for a in anchor_ids])
-    if modality == "csi":
-        by_anchor = {r.payload.anchor_id: r.payload for r in recs}
-        parts = []
-        for a in anchor_ids:
-            p = by_anchor.get(a)
-            if p is None:
-                width = subcarriers * (2 if csi_features == "both" else 1)
-                parts.append(np.zeros(width))
-            elif csi_features == "magnitude":
-                parts.append(p.magnitudes)
-            elif csi_features == "phase":
-                parts.append(p.phases)
-            else:
-                parts.append(np.concatenate([p.magnitudes, p.phases]))
-        return np.concatenate(parts)
+# Feature value of an anchor missing from a tick.
+_MISSING = {"uwb": UWB_MISSING_RANGE, "rssi": RSSI_FLOOR_DB, "csi": 0.0, "imu": 0.0}
+_IMU_COLUMNS = ("accel_x", "accel_y", "accel_z", "gyro_x", "gyro_y", "gyro_z",
+                "mag_x", "mag_y", "mag_z")
+
+
+def _check_csi_features(csi_features: str) -> None:
+    if csi_features not in ("magnitude", "phase", "both"):
+        raise ValueError(f"csi_features must be magnitude/phase/both, got {csi_features!r}")
+
+
+def label_table(table: SensorTable, interp: TrajectoryInterpolator,
+                sensor_offset: SensorOffset, csi_features: str = "magnitude",
+                ) -> AlignedStream:
+    """Label one sensor's clock-corrected table against ground truth.
+
+    Rows are grouped by exact emission tick (equal ``t``); each tick becomes
+    one LabeledSample whose label is the interpolated pose translated to the
+    sensor's mounting point.  Within a tick the last row of each anchor
+    (of the tick, for imu) wins.  Rows outside the ground-truth span are
+    dropped and counted.
+    """
+    _check_csi_features(csi_features)
+    modality = table.sensor
+    if modality not in _MISSING:
+        raise ValueError(f"cannot featurize modality {modality!r}")
+    kept = np.flatnonzero((table.t >= interp.t[0]) & (table.t <= interp.t[-1]))
+    times, tick = np.unique(table.t[kept], return_inverse=True)
+
+    values = table.values
     if modality == "imu":
-        p = recs[-1].payload
-        return np.concatenate([p.accel, p.gyro, p.mag])
-    raise ValueError(f"cannot featurize modality {modality!r}")
+        slots, slot, columns = 1, np.zeros(len(kept), dtype=np.intp), _IMU_COLUMNS
+    else:
+        if modality == "csi":
+            half = values.shape[1] // 2
+            values = {"magnitude": values[:, :half], "phase": values[:, half:],
+                      "both": values}[csi_features]
+        else:
+            values = values[:, :1]  # range_m / rssi_db
+        # one slot per anchor present, in sorted id order
+        anchor = table.anchor[kept]
+        codes = {table.anchor_ids[c]: c for c in np.unique(anchor).tolist()}
+        anchor_ids = sorted(codes)
+        slot_of = np.zeros(len(table.anchor_ids), dtype=np.intp)
+        slot_of[[codes[a] for a in anchor_ids]] = np.arange(len(anchor_ids))
+        slots, slot = len(anchor_ids), slot_of[anchor]
+        columns = tuple(a for a in anchor_ids for _ in range(values.shape[1]))
 
+    width = values.shape[1]
+    features = np.full((len(times), slots, width), _MISSING[modality])
+    key = tick * slots + slot
+    last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
+    features[tick[last], slot[last]] = values[kept[last]]
+    features = features.reshape(len(times), slots * width)
 
-def _columns(modality: str, anchor_ids: list[str], subcarriers: int,
-             csi_features: str) -> tuple[str, ...]:
-    if modality in ("uwb", "rssi"):
-        return tuple(anchor_ids)
-    if modality == "csi":
-        per = 2 * subcarriers if csi_features == "both" else subcarriers
-        return tuple(a for a in anchor_ids for _ in range(per))
-    return ("accel_x", "accel_y", "accel_z", "gyro_x", "gyro_y", "gyro_z",
-            "mag_x", "mag_y", "mag_z")
+    samples = []
+    if len(times):
+        pos = interp.sensor_position_at(times, sensor_offset).tolist()
+        samples = [LabeledSample(t, features[i], Position2D(x, y), modality)
+                   for i, (t, (x, y)) in enumerate(zip(times.tolist(), pos))]
+    return AlignedStream(modality, tuple(samples), columns,
+                         dropped=len(table) - len(kept), record_count=len(kept))
 
 
 def label_with_groundtruth(records: list[Record], gt, sensor_offset: SensorOffset,
                            csi_features: str = "magnitude") -> AlignedStream:
-    """Label one sensor's clock-corrected records against ground truth.
-
-    Records are grouped by exact emission tick; each tick becomes one
-    LabeledSample whose label is the interpolated pose translated to the
-    sensor's mounting point.  Records outside the ground-truth span are
-    dropped and counted.
-    """
-    if csi_features not in ("magnitude", "phase", "both"):
-        raise ValueError(f"csi_features must be magnitude/phase/both, got {csi_features!r}")
+    """Record-list form of :func:`label_table`; ``gt`` as for
+    :func:`groundtruth_interpolator`.  The records must share one modality."""
+    _check_csi_features(csi_features)
     interp = groundtruth_interpolator(gt)
-    t0, t1 = interp.t[0], interp.t[-1]
+    tables = tables_from_records([r for r in records if r.sensor != "gt"])
+    if len(tables) > 1:
+        raise ValueError(f"records mix modalities {sorted(tables)}; label one at a time")
+    if not tables:
+        return AlignedStream("uwb", (), ())
+    (table,) = tables.values()
+    return label_table(table, interp, sensor_offset, csi_features)
 
-    non_gt = [r for r in records if r.sensor != "gt"]
-    modalities = {r.sensor for r in non_gt}
-    if len(modalities) > 1:
-        raise ValueError(f"records mix modalities {sorted(modalities)}; label one at a time")
-    modality = modalities.pop() if modalities else "uwb"
 
-    ticks: dict[float, list[Record]] = {}
-    dropped = 0
-    kept = 0
-    for rec in non_gt:
-        if rec.t < t0 or rec.t > t1:
-            dropped += 1
-            continue
-        ticks.setdefault(rec.t, []).append(rec)
-        kept += 1
-
-    anchor_ids = sorted({r.payload.anchor_id for recs in ticks.values() for r in recs
-                         if hasattr(r.payload, "anchor_id")})
-    subcarriers = 0
-    for recs in ticks.values():
-        for r in recs:
-            if r.sensor == "csi":
-                subcarriers = len(r.payload.magnitudes)
-                break
-        if subcarriers:
-            break
-
-    times = np.asarray(sorted(ticks))
-    samples = []
-    if len(times):
-        pos = interp.sensor_position_at(times, sensor_offset)
-        for i, t in enumerate(times):
-            features = _tick_features(modality, ticks[float(t)], anchor_ids,
-                                      subcarriers, csi_features)
-            samples.append(LabeledSample(float(t), features,
-                                         Position2D(float(pos[i, 0]), float(pos[i, 1])),
-                                         modality))
-    return AlignedStream(modality, tuple(samples),
-                         _columns(modality, anchor_ids, subcarriers, csi_features),
-                         dropped=dropped, record_count=kept)
+def _label_all(tables: dict[str, SensorTable], sensor_offsets: dict[str, SensorOffset],
+               csi_features: str) -> dict[str, AlignedStream]:
+    _check_csi_features(csi_features)
+    modalities = sorted(set(tables) - {"gt"})
+    if not modalities:
+        return {}
+    interp = groundtruth_interpolator(tables.get("gt", ()))
+    return {m: label_table(tables[m], interp, sensor_offsets.get(m, SensorOffset()),
+                           csi_features)
+            for m in modalities}
 
 
 def align_all(records: list[Record], sensor_offsets: dict[str, SensorOffset],
               csi_features: str = "magnitude") -> dict[str, AlignedStream]:
     """Label every non-gt modality present in a corrected record stream."""
-    gt = [r for r in records if r.sensor == "gt"]
-    streams = {}
-    for modality in sorted({r.sensor for r in records} - {"gt"}):
-        streams[modality] = label_with_groundtruth(
-            [r for r in records if r.sensor == modality], gt,
-            sensor_offsets.get(modality, SensorOffset()), csi_features)
-    return streams
+    return _label_all(tables_from_records(records), sensor_offsets, csi_features)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +328,15 @@ class FrameLayout:
     """Block order, widths and column meaning of assembled frames."""
 
     blocks: tuple[BlockDef, ...]
+    # modality -> (mask index, feature offset, block), built once
+    _offsets: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        offsets, start = {}, 0
+        for i, b in enumerate(self.blocks):
+            offsets.setdefault(b.modality, (i, start, b))
+            start += b.width
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def feature_width(self) -> int:
@@ -315,25 +349,21 @@ class FrameLayout:
     def modalities(self) -> tuple[str, ...]:
         return tuple(b.modality for b in self.blocks)
 
+    def _entry(self, modality: str) -> tuple[int, int, BlockDef]:
+        entry = self._offsets.get(modality)
+        if entry is None:
+            raise LayoutMismatch(f"no {modality!r} block; layout has {self.modalities()}")
+        return entry
+
     def block(self, modality: str) -> BlockDef:
-        for b in self.blocks:
-            if b.modality == modality:
-                return b
-        raise LayoutMismatch(f"no {modality!r} block; layout has {self.modalities()}")
+        return self._entry(modality)[2]
 
     def feature_slice(self, modality: str) -> slice:
-        start = 0
-        for b in self.blocks:
-            if b.modality == modality:
-                return slice(start, start + b.width)
-            start += b.width
-        raise LayoutMismatch(f"no {modality!r} block; layout has {self.modalities()}")
+        _, start, b = self._entry(modality)
+        return slice(start, start + b.width)
 
     def mask_index(self, modality: str) -> int:
-        for i, b in enumerate(self.blocks):
-            if b.modality == modality:
-                return i
-        raise LayoutMismatch(f"no {modality!r} block; layout has {self.modalities()}")
+        return self._entry(modality)[0]
 
 
 def frame_layout(streams: list[AlignedStream]) -> FrameLayout:
@@ -468,37 +498,60 @@ def read_frames(path) -> list[FusionFrame]:
 
 @dataclass(frozen=True)
 class IngestResult:
-    """Everything downstream stages need from one recorded run."""
+    """Everything downstream stages need from one recorded run.
 
-    corrected: list[Record]
-    gt_records: list[Record]
+    ``tables`` holds each sensor's clock-corrected table, sorted by
+    (t, source id), and the ground-truth table as read.
+    """
+
+    tables: dict[str, SensorTable]
     streams: dict[str, AlignedStream]
     frames: list[FusionFrame]
     layout: FrameLayout
     clock_estimates: dict[str, ClockModel]
     dropped: int
 
+    @property
+    def gt_records(self) -> list[Record]:
+        return self.tables["gt"].records()
+
+    @property
+    def corrected(self) -> list[Record]:
+        """Every corrected record, ordered by (t, sensor, source id)."""
+        out = [rec for table in self.tables.values() for rec in table.records()]
+        out.sort(key=lambda r: (r.t, r.sensor, r.source_id))
+        return out
+
+
+def ingest_tables(tables: dict[str, SensorTable], sensor_offsets: dict[str, SensorOffset],
+                  rates: dict[str, float], duration: float | None,
+                  window: float = DEFAULT_WINDOW_S,
+                  csi_features: str = "magnitude") -> IngestResult:
+    """Run the full alignment pipeline on one recorded stream's tables."""
+    gt = tables.get("gt")
+    if gt is None or len(gt) < 2:
+        raise EmptyGroundTruth("stream carries no usable ground-truth records")
+
+    corrected = {"gt": gt}
+    estimates: dict[str, ClockModel] = {}
+    for sensor in sorted(set(tables) - {"gt"}):
+        clock = fit_clock(tables[sensor].t, gt.t, sensor_rate(rates, sensor), duration)
+        estimates[sensor] = clock
+        table = correct_table(tables[sensor], clock)
+        if len(table):
+            corrected[sensor] = table
+
+    streams = _label_all(corrected, sensor_offsets, csi_features)
+    frames = build_fusion_frames(list(streams.values()), window=window)
+    layout = frame_layout(list(streams.values()))
+    dropped = sum(s.dropped for s in streams.values())
+    return IngestResult(corrected, streams, frames, layout, estimates, dropped)
+
 
 def ingest_run(records: list[Record], sensor_offsets: dict[str, SensorOffset],
                rates: dict[str, float], duration: float | None,
                window: float = DEFAULT_WINDOW_S,
                csi_features: str = "magnitude") -> IngestResult:
-    """Run the full alignment pipeline on one recorded stream."""
-    gt = [r for r in records if r.sensor == "gt"]
-    if len(gt) < 2:
-        raise EmptyGroundTruth("stream carries no usable ground-truth records")
-
-    corrected: list[Record] = list(gt)
-    estimates: dict[str, ClockModel] = {}
-    for sensor in sorted({r.sensor for r in records} - {"gt"}):
-        stream = [r for r in records if r.sensor == sensor]
-        clock = estimate_clock_offset(stream, gt, sensor_rate(rates, sensor), duration)
-        estimates[sensor] = clock
-        corrected.extend(correct_clock(stream, clock))
-    corrected.sort(key=lambda r: (r.t, r.sensor, r.source_id))
-
-    streams = align_all(corrected, sensor_offsets, csi_features)
-    frames = build_fusion_frames(list(streams.values()), window=window)
-    layout = frame_layout(list(streams.values()))
-    dropped = sum(s.dropped for s in streams.values())
-    return IngestResult(corrected, gt, streams, frames, layout, estimates, dropped)
+    """Record-list form of :func:`ingest_tables`."""
+    return ingest_tables(tables_from_records(records), sensor_offsets, rates, duration,
+                         window, csi_features)

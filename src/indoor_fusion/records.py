@@ -17,6 +17,15 @@ Floats are rendered in scientific notation with 17 significant digits, so
 ``parse_record(serialize_record(r)) == r`` holds bit-exactly.  Units are
 meters, seconds, radians and dBm throughout; ``t`` is the sender's clock.
 
+Reading builds column tables, not objects: ``read_tables`` turns a file
+into one ``SensorTable`` per sensor kind in a single pass (times, source and
+anchor indices, a float64 payload matrix, the line of each row).  Each line
+goes through one row validator (JSON shape, keys, types, arities, the sign
+of ``t``); payload finiteness is checked once per table with
+``np.isfinite``.  Every failure is reported as ``path:line:`` of the first
+faulty line.  ``parse_record`` is a one-line table read, and
+``read_records`` turns the tables into Records in file order.
+
 All types here are immutable values and safe to share between threads.
 """
 
@@ -24,7 +33,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,8 +263,15 @@ class LabeledSample:
             raise ValueError("features must be non-empty and finite")
 
 
+@lru_cache(maxsize=None)
+def _vec_template(n: int) -> str:
+    return "[" + ",".join([_F] * n) + "]"
+
+
 def _fmt_vec(values) -> str:
-    return "[" + ",".join(_F % v for v in values) + "]"
+    """``[v,...]`` with 17 significant digits; one ``%`` call per vector."""
+    values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+    return _vec_template(len(values)) % values
 
 
 def serialize_record(record: Record) -> str:
@@ -280,95 +297,6 @@ def serialize_record(record: Record) -> str:
         _F % record.t, record.sensor, json.dumps(record.source_id), body)
 
 
-def _as_float(obj, ctx: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise SchemaViolation(f"{ctx}: expected a number, got {type(obj).__name__}")
-    v = float(obj)
-    if not math.isfinite(v):
-        raise SchemaViolation(f"{ctx}: non-finite value")
-    return v
-
-
-def _as_float_list(obj, ctx: str) -> list[float]:
-    if not isinstance(obj, list):
-        raise SchemaViolation(f"{ctx}: expected an array")
-    return [_as_float(v, ctx) for v in obj]
-
-
-def _check_keys(obj: dict, required: tuple[str, ...], ctx: str) -> None:
-    keys = set(obj.keys())
-    missing = set(required) - keys
-    extra = keys - set(required)
-    if missing:
-        raise SchemaViolation(f"{ctx}: missing keys {sorted(missing)}")
-    if extra:
-        raise SchemaViolation(f"{ctx}: unknown keys {sorted(extra)}")
-
-
-def parse_record(line: str, subcarriers: int | None = None) -> Record:
-    """Parse one JSON line into a Record, rejecting anything off-schema.
-
-    ``subcarriers`` pins the expected CSI payload arity when the scenario
-    is known; when None, magnitudes and phases only need matching lengths.
-
-    Raises MalformedLine, SchemaViolation or NegativeTime.
-    """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedLine(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaViolation("record line must be a JSON object")
-    _check_keys(obj, ("t", "sensor", "id", "payload"), "record")
-
-    t = _as_float(obj["t"], "t")
-    if t < 0.0:
-        raise NegativeTime(f"record time {t} < 0")
-    sensor = obj["sensor"]
-    if sensor not in SENSOR_KINDS:
-        raise SchemaViolation(f"unknown sensor kind {sensor!r}")
-    source_id = obj["id"]
-    if not isinstance(source_id, str):
-        raise SchemaViolation("id must be a string")
-
-    raw = obj["payload"]
-    if sensor == "imu":
-        values = _as_float_list(raw, "imu payload")
-        if len(values) != 9:
-            raise SchemaViolation(f"imu payload must have 9 floats, got {len(values)}")
-        payload: Payload = ImuPayload(tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:9]))
-    else:
-        if not isinstance(raw, dict):
-            raise SchemaViolation(f"{sensor} payload must be an object")
-        if sensor == "uwb":
-            _check_keys(raw, ("anchor_id", "range_m", "power_db"), "uwb payload")
-            payload = UwbPayload(_as_str(raw["anchor_id"]), _as_float(raw["range_m"], "range_m"),
-                                 _as_float(raw["power_db"], "power_db"))
-        elif sensor == "rssi":
-            _check_keys(raw, ("anchor_id", "rssi_db"), "rssi payload")
-            payload = RssiPayload(_as_str(raw["anchor_id"]), _as_float(raw["rssi_db"], "rssi_db"))
-        elif sensor == "csi":
-            _check_keys(raw, ("anchor_id", "magnitudes", "phases"), "csi payload")
-            mags = _as_float_list(raw["magnitudes"], "magnitudes")
-            phases = _as_float_list(raw["phases"], "phases")
-            if len(mags) != len(phases) or not mags:
-                raise SchemaViolation("csi magnitudes and phases must be non-empty and equally long")
-            if subcarriers is not None and len(mags) != subcarriers:
-                raise SchemaViolation(f"csi payload has {len(mags)} subcarriers, expected {subcarriers}")
-            payload = CsiPayload(_as_str(raw["anchor_id"]), np.array(mags), np.array(phases))
-        else:  # gt
-            _check_keys(raw, ("x", "y", "phi"), "gt payload")
-            payload = GtPayload(_as_float(raw["x"], "x"), _as_float(raw["y"], "y"),
-                                _as_float(raw["phi"], "phi"))
-    return Record(t, sensor, source_id, payload)
-
-
-def _as_str(obj) -> str:
-    if not isinstance(obj, str):
-        raise SchemaViolation("anchor_id must be a string")
-    return obj
-
-
 def write_records(path, records) -> int:
     """Write records as JSONL (UTF-8, LF). Returns the number of lines."""
     n = 0
@@ -380,14 +308,334 @@ def write_records(path, records) -> int:
     return n
 
 
-def read_records(path, subcarriers: int | None = None) -> list[Record]:
-    """Read a JSONL record stream; blank lines are rejected, not skipped."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+# ---------------------------------------------------------------------------
+# Column tables
+
+@dataclass(frozen=True, eq=False)
+class SensorTable:
+    """One sensor kind's records as columns, one row per record.
+
+    ``values`` is the float payload: uwb ``[range_m, power_db]``, rssi
+    ``[rssi_db]``, csi ``[magnitudes..., phases...]``, imu the 9 floats in
+    wire order, gt ``[x, y, phi]``.  ``source`` and ``anchor`` index
+    ``source_ids`` and ``anchor_ids`` (``anchor`` is -1 for imu and gt).
+    ``line`` is each row's 1-based line in its file, or its position in the
+    record list the table was built from.  The arrays are read-only.
+    """
+
+    sensor: str
+    t: np.ndarray
+    values: np.ndarray
+    source: np.ndarray
+    source_ids: tuple[str, ...]
+    anchor: np.ndarray
+    anchor_ids: tuple[str, ...]
+    line: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.t, self.values, self.source, self.anchor, self.line):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def take(self, rows) -> "SensorTable":
+        """The rows selected by an index array or a boolean mask."""
+        return replace(self, t=self.t[rows], values=self.values[rows],
+                       source=self.source[rows], anchor=self.anchor[rows],
+                       line=self.line[rows])
+
+    def records(self) -> list[Record]:
+        """The rows as Records, in table order."""
+        rows = self.values.tolist()
+        out = []
+        for i, (t, s, a) in enumerate(zip(self.t.tolist(), self.source.tolist(),
+                                          self.anchor.tolist())):
+            v = rows[i]
+            anchor_id = self.anchor_ids[a] if a >= 0 else ""
+            if self.sensor == "uwb":
+                payload: Payload = UwbPayload(anchor_id, v[0], v[1])
+            elif self.sensor == "rssi":
+                payload = RssiPayload(anchor_id, v[0])
+            elif self.sensor == "csi":
+                half = len(v) // 2
+                payload = CsiPayload(anchor_id, self.values[i, :half], self.values[i, half:])
+            elif self.sensor == "imu":
+                payload = ImuPayload(tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]))
+            else:
+                payload = GtPayload(v[0], v[1], v[2])
+            out.append(Record(t, self.sensor, self.source_ids[s], payload))
+        return out
+
+
+# Rows of pending payload floats are moved into numpy once this many gather.
+_BLOCK_FLOATS = 1 << 16
+
+
+class _TableBuilder:
+    """Collects one sensor's rows; payload floats go to numpy in blocks.
+
+    The first row fixes the payload width.
+    """
+
+    def __init__(self, sensor: str):
+        self.sensor = sensor
+        self.width: int | None = None
+        self.t: list[float] = []
+        self.source: list[int] = []
+        self.anchor: list[int] = []
+        self.line: list[int] = []
+        self.source_ids: dict[str, int] = {}
+        self.anchor_ids: dict[str, int] = {}
+        self.pending: list[float] = []
+        self.blocks: list[np.ndarray] = []
+
+    def add(self, line: int, t: float, source_id: str, anchor_id: str | None,
+            values: list) -> None:
+        if self.width is None:
+            self.width = len(values)
+        elif len(values) != self.width:  # only csi rows vary in width
+            raise SchemaViolation(f"csi payload has {len(values) // 2} subcarriers, "
+                                  f"expected {self.width // 2} as in the first csi record")
+        self.t.append(t)
+        self.line.append(line)
+        self.source.append(self.source_ids.setdefault(source_id, len(self.source_ids)))
+        self.anchor.append(-1 if anchor_id is None
+                           else self.anchor_ids.setdefault(anchor_id, len(self.anchor_ids)))
+        self.pending += values
+        if len(self.pending) >= _BLOCK_FLOATS:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self.pending:
+            self.blocks.append(np.array(self.pending, dtype=np.float64).reshape(-1, self.width))
+            self.pending = []
+
+    def build(self) -> SensorTable:
+        self._flush()
+        values = self.blocks[0] if len(self.blocks) == 1 else np.concatenate(self.blocks)
+        return SensorTable(self.sensor, np.array(self.t, dtype=np.float64), values,
+                           np.array(self.source, dtype=np.intp), tuple(self.source_ids),
+                           np.array(self.anchor, dtype=np.intp), tuple(self.anchor_ids),
+                           np.array(self.line, dtype=np.intp))
+
+
+def tables_from_records(records) -> dict[str, SensorTable]:
+    """Column tables of in-memory Records, rows in list order."""
+    builders: dict[str, _TableBuilder] = {}
+    for i, rec in enumerate(records, start=1):
+        p = rec.payload
+        if rec.sensor == "uwb":
+            anchor_id, values = p.anchor_id, [p.range_m, p.power_db]
+        elif rec.sensor == "rssi":
+            anchor_id, values = p.anchor_id, [p.rssi_db]
+        elif rec.sensor == "csi":
+            anchor_id, values = p.anchor_id, p.magnitudes.tolist() + p.phases.tolist()
+        elif rec.sensor == "imu":
+            anchor_id, values = None, [*p.accel, *p.gyro, *p.mag]
+        else:
+            anchor_id, values = None, [p.x, p.y, p.phi]
+        builder = builders.get(rec.sensor)
+        if builder is None:
+            builder = builders[rec.sensor] = _TableBuilder(rec.sensor)
+        builder.add(i, rec.t, rec.source_id, anchor_id, values)
+    return {s: b.build() for s, b in builders.items()}
+
+
+# ---------------------------------------------------------------------------
+# Reading: one row validator, then whole-table finiteness checks
+
+_KEYS = {
+    "record": frozenset(("t", "sensor", "id", "payload")),
+    "uwb payload": frozenset(("anchor_id", "range_m", "power_db")),
+    "rssi payload": frozenset(("anchor_id", "rssi_db")),
+    "csi payload": frozenset(("anchor_id", "magnitudes", "phases")),
+    "gt payload": frozenset(("x", "y", "phi")),
+}
+_FIELDS = {"uwb": ("range_m", "power_db"), "rssi": ("rssi_db",), "gt": ("x", "y", "phi")}
+_FLOAT_ONLY = {float}
+
+
+def _number(obj, ctx: str) -> float:
+    kind = type(obj)
+    if kind is float:
+        return obj
+    if kind is int:
+        try:
+            return float(obj)
+        except OverflowError:
+            raise SchemaViolation(f"{ctx}: integer out of float64 range") from None
+    raise SchemaViolation(f"{ctx}: expected a number, got {kind.__name__}")
+
+
+def _numbers(obj, ctx: str) -> list:
+    if not isinstance(obj, list):
+        raise SchemaViolation(f"{ctx}: expected an array")
+    if set(map(type, obj)) <= _FLOAT_ONLY:
+        return obj
+    return [_number(v, ctx) for v in obj]
+
+
+def _check_keys(obj: dict, ctx: str) -> None:
+    required = _KEYS[ctx]
+    if obj.keys() == required:
+        return
+    missing = required - obj.keys()
+    if missing:
+        raise SchemaViolation(f"{ctx}: missing keys {sorted(missing)}")
+    raise SchemaViolation(f"{ctx}: unknown keys {sorted(obj.keys() - required)}")
+
+
+def _anchor_id(raw: dict) -> str:
+    if not isinstance(raw["anchor_id"], str):
+        raise SchemaViolation("anchor_id must be a string")
+    return raw["anchor_id"]
+
+
+def _row(obj, subcarriers: int | None) -> tuple[str, float, str, str | None, list]:
+    """Check one decoded line against the wire schema.
+
+    Returns ``(sensor, t, source_id, anchor_id, values)`` with ``anchor_id``
+    None for imu and gt.  ``t`` is checked here, since a negative time is a
+    NegativeTime however the rest of the line looks; the payload's
+    finiteness is left to :func:`_check_finite`.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaViolation("record line must be a JSON object")
+    _check_keys(obj, "record")
+    t = _number(obj["t"], "t")
+    if not 0.0 <= t < math.inf:
+        if math.isfinite(t):
+            raise NegativeTime(f"record time {t} < 0")
+        raise SchemaViolation("t: non-finite value")
+    sensor = obj["sensor"]
+    if sensor not in SENSOR_KINDS:
+        raise SchemaViolation(f"unknown sensor kind {sensor!r}")
+    source_id = obj["id"]
+    if not isinstance(source_id, str):
+        raise SchemaViolation("id must be a string")
+
+    raw = obj["payload"]
+    if sensor == "imu":
+        values = _numbers(raw, "imu payload")
+        if len(values) != 9:
+            raise SchemaViolation(f"imu payload must have 9 floats, got {len(values)}")
+        return sensor, t, source_id, None, values
+    if not isinstance(raw, dict):
+        raise SchemaViolation(f"{sensor} payload must be an object")
+    _check_keys(raw, f"{sensor} payload")
+    if sensor == "csi":
+        mags = _numbers(raw["magnitudes"], "magnitudes")
+        phases = _numbers(raw["phases"], "phases")
+        if len(mags) != len(phases) or not mags:
+            raise SchemaViolation("csi magnitudes and phases must be non-empty and equally long")
+        if subcarriers is not None and len(mags) != subcarriers:
+            raise SchemaViolation(f"csi payload has {len(mags)} subcarriers, expected {subcarriers}")
+        return sensor, t, source_id, _anchor_id(raw), mags + phases
+    anchor_id = None if sensor == "gt" else _anchor_id(raw)
+    return sensor, t, source_id, anchor_id, [_number(raw[f], f) for f in _FIELDS[sensor]]
+
+
+def _column_name(sensor: str, column: int, width: int) -> str:
+    if sensor == "csi":
+        return "magnitudes" if column < width // 2 else "phases"
+    if sensor == "imu":
+        return "imu payload"
+    return _FIELDS[sensor][column]
+
+
+def _at_line(exc: Exception, line: int) -> Exception:
+    exc.line = line
+    return exc
+
+
+def _check_finite(tables: dict[str, SensorTable]) -> None:
+    """Raise SchemaViolation for the first line holding a non-finite payload value."""
+    first = None  # (line, table, row)
+    for table in tables.values():
+        bad = np.flatnonzero(~np.isfinite(table.values).all(axis=1))
+        if bad.size and (first is None or table.line[bad[0]] < first[0]):
+            first = (int(table.line[bad[0]]), table, int(bad[0]))
+    if first is not None:
+        line, table, row = first
+        column = int(np.argmin(np.isfinite(table.values[row])))
+        name = _column_name(table.sensor, column, table.values.shape[1])
+        raise _at_line(SchemaViolation(f"{name}: non-finite value"), line)
+
+
+_scan = json.JSONDecoder().scan_once  # json.loads minus its whitespace handling
+
+
+def _decode(line: str):
+    try:
+        return json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:  # also: nested too deep
+        raise MalformedLine(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise SchemaViolation(f"number out of float64 range: {exc}") from exc
+
+
+def _tables_from_lines(lines, subcarriers: int | None) -> dict[str, SensorTable]:
+    """Parse lines into per-sensor tables in one pass.
+
+    A failing line raises its typed error with ``.line`` set; a non-finite
+    value on an earlier line is reported first, as the earlier fault.
+    """
+    builders: dict[str, _TableBuilder] = {}
+    lineno = 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
             try:
-                out.append(parse_record(line, subcarriers=subcarriers))
-            except (MalformedLine, SchemaViolation) as exc:
-                raise type(exc)(f"{path}:{i}: {exc}") from exc
+                obj, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(line):  # not a bare JSON value: let json.loads judge it
+                obj = _decode(line)
+            sensor, t, source_id, anchor_id, values = _row(obj, subcarriers)
+            builder = builders.get(sensor)
+            if builder is None:
+                builder = builders[sensor] = _TableBuilder(sensor)
+            builder.add(lineno, t, source_id, anchor_id, values)
+    except (MalformedLine, SchemaViolation) as exc:
+        _check_finite({s: b.build() for s, b in builders.items()})
+        raise _at_line(exc, lineno)
+    tables = {s: b.build() for s, b in builders.items()}
+    _check_finite(tables)
+    return tables
+
+
+def parse_record(line: str, subcarriers: int | None = None) -> Record:
+    """Parse one JSON line into a Record, rejecting anything off-schema.
+
+    ``subcarriers`` pins the expected CSI payload arity when the scenario
+    is known; when None, magnitudes and phases only need matching lengths.
+    A one-row table read.
+
+    Raises MalformedLine, SchemaViolation or NegativeTime.
+    """
+    (table,) = _tables_from_lines((line,), subcarriers).values()
+    return table.records()[0]
+
+
+def read_tables(path, subcarriers: int | None = None) -> dict[str, SensorTable]:
+    """Read a JSONL record stream into one SensorTable per sensor kind.
+
+    Rows keep file order.  Blank lines are rejected, not skipped; every
+    error names ``path:line:``.  Without ``subcarriers``, the first csi
+    record fixes the CSI width for the rest of the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return _tables_from_lines((line.rstrip("\n") for line in fh), subcarriers)
+        except (MalformedLine, SchemaViolation) as exc:
+            raise type(exc)(f"{path}:{exc.line}: {exc}") from exc
+
+
+def read_records(path, subcarriers: int | None = None) -> list[Record]:
+    """Read a JSONL record stream as Records, in file order."""
+    tables = read_tables(path, subcarriers)
+    out: list = [None] * sum(len(t) for t in tables.values())
+    for table in tables.values():
+        for line, rec in zip(table.line.tolist(), table.records()):
+            out[line - 1] = rec
     return out

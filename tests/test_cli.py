@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -184,6 +185,18 @@ def test_truncated_final_line_exits_io_naming_the_line(cli_campaign, tmp_path, c
     (tmp_path / "dataset1.jsonl").write_text("\n".join(lines), encoding="utf-8")
     assert main(["ingest", "--out", str(tmp_path)]) == 3
     assert f"dataset1.jsonl:{len(lines)}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_integer_beyond_float64_exits_io_naming_the_line(cli_campaign, tmp_path, capsys,
+                                                        digits):
+    # 400 digits overflow float(); 5000 pass the json module's digit limit
+    shutil.copy(cli_campaign / "scenario.json", tmp_path / "scenario.json")
+    lines = (cli_campaign / "dataset1.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[4] = re.sub(r'^\{"t":[^,]*,', '{"t":1' + "0" * digits + ",", lines[4])
+    (tmp_path / "dataset1.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["ingest", "--out", str(tmp_path)]) == 3
+    assert "dataset1.jsonl:5:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["zero", "0", "-3"])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indoor_fusion.errors import (
     EmptyGroundTruth,
@@ -22,11 +24,14 @@ from indoor_fusion.ingest import (
     align_all,
     build_fusion_frames,
     correct_clock,
+    correct_table,
     estimate_clock_offset,
     frame_layout,
     frames_to_arrays,
     groundtruth_interpolator,
     ingest_run,
+    ingest_tables,
+    label_table,
     label_with_groundtruth,
     read_frames,
     select_blocks,
@@ -45,6 +50,9 @@ from indoor_fusion.records import (
     RssiPayload,
     SensorOffset,
     UwbPayload,
+    read_tables,
+    tables_from_records,
+    write_records,
 )
 from indoor_fusion.simulate import generate_trajectory
 
@@ -260,6 +268,130 @@ def test_align_all_splits_by_modality():
     assert streams["uwb"].samples[0].label.x == pytest.approx(0.2, abs=1e-12)
 
 
+def _reference_label(records, interp, offset, csi_features):
+    """Per-record labeling: ticks in a dict keyed by exact time, anchors in
+    per-tick dicts (so the last record of an anchor wins), one feature
+    vector per tick."""
+    ticks = {}
+    for rec in records:
+        if interp.t[0] <= rec.t <= interp.t[-1]:
+            ticks.setdefault(rec.t, []).append(rec)
+    anchors = sorted({r.payload.anchor_id for recs in ticks.values() for r in recs
+                      if hasattr(r.payload, "anchor_id")})
+    times = np.asarray(sorted(ticks))
+    out = []
+    for t, pos in zip(times, interp.sensor_position_at(times, offset)):
+        recs = ticks[float(t)]
+        p = recs[0].payload
+        if isinstance(p, ImuPayload):
+            p = recs[-1].payload
+            features = np.concatenate([p.accel, p.gyro, p.mag])
+        elif isinstance(p, CsiPayload):
+            by = {r.payload.anchor_id: r.payload for r in recs}
+            width = len(p.magnitudes) * (2 if csi_features == "both" else 1)
+            features = np.concatenate([
+                np.zeros(width) if a not in by else
+                {"magnitude": by[a].magnitudes, "phase": by[a].phases,
+                 "both": np.concatenate([by[a].magnitudes, by[a].phases])}[csi_features]
+                for a in anchors])
+        else:
+            field = "range_m" if isinstance(p, UwbPayload) else "rssi_db"
+            missing = UWB_MISSING_RANGE if isinstance(p, UwbPayload) else RSSI_FLOOR_DB
+            by = {r.payload.anchor_id: getattr(r.payload, field) for r in recs}
+            features = np.asarray([by.get(a, missing) for a in anchors])
+        out.append((float(t), features, float(pos[0]), float(pos[1])))
+    return out
+
+
+@st.composite
+def tick_records(draw):
+    """One modality's records on few ticks and anchors, so both collide."""
+    sensor = draw(st.sampled_from(["uwb", "rssi", "csi", "imu"]))
+    n = draw(st.integers(1, 25))
+    out = []
+    for _ in range(n):
+        t = draw(st.sampled_from([0.5, 1.0, 1.25, 3.0, 7.5, 12.0]))
+        source = draw(st.sampled_from(["a", "b"]))
+        anchor = draw(st.sampled_from(["w2", "w0", "w1"]))
+        v = draw(st.floats(-100.0, 100.0))
+        if sensor == "uwb":
+            payload = UwbPayload(anchor, v, -50.0)
+        elif sensor == "rssi":
+            payload = RssiPayload(anchor, v)
+        elif sensor == "csi":
+            payload = CsiPayload(anchor, np.asarray([v, v + 1.0]), np.asarray([-v, 0.5]))
+        else:
+            payload = ImuPayload((v, 0.0, 9.81), (0.0, v, 0.0), (19.0, 4.0, v))
+        out.append(Record(t, sensor, source, payload))
+    return out
+
+
+@given(tick_records(), st.sampled_from(["magnitude", "phase", "both"]))
+@settings(max_examples=150)
+def test_label_table_matches_per_record_labeling(records, csi_features):
+    gt = _gt_line(10.0)  # t in [0, 1.8]: later ticks are dropped
+    interp = groundtruth_interpolator(gt)
+    offset = SensorOffset(0.1, -0.2, 0.3)
+    stream = label_with_groundtruth(records, gt, offset, csi_features)
+    expected = _reference_label(records, interp, offset, csi_features)
+    assert len(stream.samples) == len(expected)
+    for s, (t, features, x, y) in zip(stream.samples, expected):
+        assert s.t_ref == t and (s.label.x, s.label.y) == (x, y)
+        np.testing.assert_array_equal(s.features, features)
+    kept = sum(interp.t[0] <= r.t <= interp.t[-1] for r in records)
+    assert (stream.record_count, stream.dropped) == (kept, len(records) - kept)
+
+
+def test_correct_table_sorts_by_time_then_source_keeping_ties_in_order():
+    recs = [_uwb(2.0, "u0", 1.0), Record(1.0, "uwb", "z", UwbPayload("u0", 2.0, 0.0)),
+            Record(1.0, "uwb", "a", UwbPayload("u1", 3.0, 0.0)), _uwb(1.0, "u2", 4.0),
+            _uwb(1.0, "u3", 5.0), _uwb(0.001, "u4", 6.0)]
+    (table,) = tables_from_records(recs).values()
+    out = correct_table(table, ClockModel(offset=0.002))
+    # the 0.001 s record corrects to before the epoch
+    assert out.values[:, 0].tolist() == [3.0, 4.0, 5.0, 2.0, 1.0]
+    assert [out.source_ids[s] for s in out.source] == ["a", "tag0", "tag0", "z", "tag0"]
+    np.testing.assert_array_equal(out.t, [0.998, 0.998, 0.998, 0.998, 1.998])
+    assert out.line.tolist() == [3, 4, 5, 2, 1]
+
+
+def test_ingest_tables_of_a_file_match_ingest_run_of_its_records(short_campaign, tmp_path):
+    c = short_campaign
+    path = tmp_path / "dataset1.jsonl"
+    write_records(path, c.records)
+    result = ingest_tables(read_tables(path), c.scenario.sensor_offsets, c.config.rates,
+                           c.config.duration)
+    expected = c.result
+    assert result.clock_estimates == expected.clock_estimates
+    assert result.dropped == expected.dropped
+    assert len(result.frames) == len(expected.frames)
+    for a, b in zip(result.frames, expected.frames):
+        assert a.t_ref == b.t_ref and a.label == b.label
+        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.mask, b.mask)
+    for m, stream in result.streams.items():
+        assert stream.columns == expected.streams[m].columns
+        np.testing.assert_array_equal(stream.feature_matrix(),
+                                      expected.streams[m].feature_matrix())
+
+
+def test_ingest_result_materializes_its_records(short_campaign):
+    result, records = short_campaign.result, short_campaign.records
+    assert result.gt_records == [r for r in records if r.sensor == "gt"]
+    corrected = result.corrected
+    keys = [(r.t, r.sensor, r.source_id) for r in corrected]
+    assert keys == sorted(keys)
+    assert len(corrected) == sum(len(t) for t in result.tables.values())
+    # the phase relabel of the corrected CSI records is the table's relabel
+    interp = groundtruth_interpolator(result.tables["gt"])
+    offset = short_campaign.scenario.sensor_offsets["csi"]
+    via_records = label_with_groundtruth([r for r in corrected if r.sensor == "csi"],
+                                         result.gt_records, offset, csi_features="phase")
+    via_table = label_table(result.tables["csi"], interp, offset, csi_features="phase")
+    np.testing.assert_array_equal(via_records.feature_matrix(), via_table.feature_matrix())
+    np.testing.assert_array_equal(via_records.labels(), via_table.labels())
+
+
 def test_aligned_stream_requires_increasing_times():
     s1 = LabeledSample(1.0, np.ones(2), Position2D(0, 0), "uwb")
     s2 = LabeledSample(0.5, np.ones(2), Position2D(0, 0), "uwb")
@@ -288,8 +420,11 @@ def test_frame_layout_follows_the_canonical_order():
     assert layout.mask_width == 3
     assert layout.feature_slice("uwb") == slice(6, 9)
     assert layout.mask_index("imu") == 2
-    with pytest.raises(LayoutMismatch):
-        layout.block("rssi")
+    assert layout.block("uwb").width == 3
+    for lookup in (layout.block, layout.feature_slice, layout.mask_index):
+        with pytest.raises(LayoutMismatch,
+                           match=r"^no 'rssi' block; layout has \('csi', 'uwb', 'imu'\)$"):
+            lookup("rssi")
     with pytest.raises(LayoutMismatch):
         frame_layout([_mini_stream("uwb", [1.0], 3, 0), _mini_stream("uwb", [2.0], 3, 0)])
 

@@ -1,5 +1,7 @@
-"""Wire schema: bit-exact round-trips, strict parsing, angle helpers."""
+"""Wire schema: bit-exact round-trips, strict parsing, column tables, angle helpers."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -26,7 +28,9 @@ from indoor_fusion.records import (
     normalize_angle,
     parse_record,
     read_records,
+    read_tables,
     serialize_record,
+    tables_from_records,
     write_records,
 )
 
@@ -140,6 +144,255 @@ def test_read_records_reports_a_truncated_final_line(tmp_path):
     path.write_text(line + "\n" + line + "\n" + line[:len(line) // 2], encoding="utf-8")
     with pytest.raises(MalformedLine, match=r"dataset1\.jsonl:3:"):
         read_records(path)
+
+
+@pytest.mark.parametrize("literal", ["1" + "0" * 400, "-" + "9" * 400, "1" * 5000])
+def test_integer_beyond_float64_is_a_schema_violation(tmp_path, literal):
+    # 400 digits overflow float(); 5000 pass the json module's digit limit
+    line = '{"t": %s, "sensor": "gt", "id": "r", "payload": {"x":0,"y":0,"phi":0}}'
+    with pytest.raises(SchemaViolation):
+        parse_record(line % literal)
+    good = line % "1.0"
+    payload = '{"t": 1.0, "sensor": "uwb", "id": "r", "payload": ' \
+        '{"anchor_id": "u0", "range_m": %s, "power_db": -50.0}}' % literal
+    path = tmp_path / "dataset1.jsonl"
+    for bad in (line % literal, payload):
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(SchemaViolation, match=r"dataset1\.jsonl:2:"):
+            read_records(path)
+
+
+# Awkward values: a third, negative zero, the smallest subnormal, the largest
+# double, empty and quoted ids.  The bytes are pinned: the writer's output is
+# the on-disk spec.
+GOLDEN = [
+    Record(1.0 / 3.0, "gt", "", GtPayload(-0.0, 5e-324, 1.7976931348623157e308)),
+    Record(0.0, "uwb", "", UwbPayload("", 1.0 / 3.0, -0.0)),
+    Record(5e-324, "rssi", 'esp"0', RssiPayload("", -1.7976931348623157e308)),
+    Record(1.7976931348623157e308, "csi", "", CsiPayload(
+        "", np.asarray([1.0 / 3.0, -0.0, 5e-324]),
+        np.asarray([1.7976931348623157e308, -1.0 / 3.0, 0.1]))),
+    Record(2.5, "csi", "esp0", CsiPayload("w01", np.asarray([-5e-324, 2.0, 0.5]),
+                                          np.asarray([1e-300, -0.0, 7.0]))),
+    Record(2.5, "imu", "", ImuPayload((1.0 / 3.0, -0.0, 5e-324),
+                                      (1.7976931348623157e308, -1.0, 0.0),
+                                      (1e-300, -2.5e-7, 123456789.0))),
+]
+GOLDEN_BYTES = (
+    b'{"t":3.3333333333333331e-01,"sensor":"gt","id":"","payload":{"x":-0.0000000000000000e+00,'
+    b'"y":4.9406564584124654e-324,"phi":1.7976931348623157e+308}}\n'
+    b'{"t":0.0000000000000000e+00,"sensor":"uwb","id":"","payload":{"anchor_id":"",'
+    b'"range_m":3.3333333333333331e-01,"power_db":-0.0000000000000000e+00}}\n'
+    b'{"t":4.9406564584124654e-324,"sensor":"rssi","id":"esp\\"0","payload":{"anchor_id":"",'
+    b'"rssi_db":-1.7976931348623157e+308}}\n'
+    b'{"t":1.7976931348623157e+308,"sensor":"csi","id":"","payload":{"anchor_id":"",'
+    b'"magnitudes":[3.3333333333333331e-01,-0.0000000000000000e+00,4.9406564584124654e-324],'
+    b'"phases":[1.7976931348623157e+308,-3.3333333333333331e-01,1.0000000000000001e-01]}}\n'
+    b'{"t":2.5000000000000000e+00,"sensor":"csi","id":"esp0","payload":{"anchor_id":"w01",'
+    b'"magnitudes":[-4.9406564584124654e-324,2.0000000000000000e+00,5.0000000000000000e-01],'
+    b'"phases":[1.0000000000000000e-300,-0.0000000000000000e+00,7.0000000000000000e+00]}}\n'
+    b'{"t":2.5000000000000000e+00,"sensor":"imu","id":"","payload":[3.3333333333333331e-01,'
+    b'-0.0000000000000000e+00,4.9406564584124654e-324,1.7976931348623157e+308,'
+    b'-1.0000000000000000e+00,0.0000000000000000e+00,1.0000000000000000e-300,'
+    b'-2.4999999999999999e-07,1.2345678900000000e+08]}\n'
+)
+
+
+def test_written_bytes_are_pinned(tmp_path):
+    path = tmp_path / "golden.jsonl"
+    assert write_records(path, GOLDEN) == len(GOLDEN)
+    assert path.read_bytes() == GOLDEN_BYTES
+    assert [_bits(r) for r in read_records(path)] == [_bits(r) for r in GOLDEN]
+
+
+def test_tables_hold_one_row_per_record_in_file_order(tmp_path):
+    path = tmp_path / "golden.jsonl"
+    write_records(path, GOLDEN)
+    tables = read_tables(path)
+    assert set(tables) == {"gt", "uwb", "rssi", "csi", "imu"}
+    csi = tables["csi"]
+    assert csi.values.shape == (2, 6)
+    assert csi.line.tolist() == [4, 5]
+    assert [csi.anchor_ids[a] for a in csi.anchor] == ["", "w01"]
+    assert [csi.source_ids[s] for s in csi.source] == ["", "esp0"]
+    assert tables["imu"].anchor.tolist() == [-1]
+    with pytest.raises(ValueError):
+        csi.values[0, 0] = 1.0  # read-only
+    from_records = tables_from_records(GOLDEN)
+    for sensor, table in tables.items():
+        other = from_records[sensor]
+        np.testing.assert_array_equal(table.values.view(np.int64), other.values.view(np.int64))
+        np.testing.assert_array_equal(table.t.view(np.int64), other.t.view(np.int64))
+
+
+def test_reader_refuses_a_change_of_subcarrier_count(tmp_path):
+    path = tmp_path / "dataset1.jsonl"
+    recs = [Record(0.1, "csi", "e", CsiPayload("a", np.ones(4), np.zeros(4))),
+            Record(0.2, "uwb", "t", UwbPayload("u0", 1.0, -50.0)),
+            Record(0.3, "csi", "e", CsiPayload("a", np.ones(5), np.zeros(5)))]
+    write_records(path, recs)
+    with pytest.raises(SchemaViolation, match=r"dataset1\.jsonl:3: csi payload has 5 subcarriers"):
+        read_records(path)
+
+
+def test_a_line_nested_too_deep_is_malformed(tmp_path):
+    path = tmp_path / "dataset1.jsonl"
+    good = serialize_record(Record(0.1, "uwb", "tag0", UwbPayload("u0", 3.25, -55.0)))
+    path.write_text(good + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(MalformedLine, match=r"dataset1\.jsonl:2: invalid JSON"):
+        read_records(path)
+
+
+def test_reader_reports_the_first_faulty_line(tmp_path):
+    # a non-finite value, found by the whole-table check, still comes before
+    # a later line's schema fault
+    good = '{"t": 1.0, "sensor": "rssi", "id": "e", "payload": {"anchor_id": "a", "rssi_db": %s}}'
+    path = tmp_path / "dataset1.jsonl"
+    path.write_text("\n".join([good % "-50", good % "NaN", good % "true", good % "-1e999"]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaViolation, match=r"dataset1\.jsonl:2: rssi_db: non-finite"):
+        read_records(path)
+    path.write_text("\n".join([good % "-50", good % "true", good % "NaN"]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaViolation, match=r"dataset1\.jsonl:2: rssi_db: expected a number"):
+        read_records(path)
+
+
+# ---------------------------------------------------------------------------
+# The table reader against the one-line parser
+
+N_SUB = 3
+_numbers = st.one_of(finite, st.integers(-10**6, 10**6))
+
+
+def _bits(rec):
+    """Every field of a record, floats as their exact bits."""
+    p = rec.payload
+    if isinstance(p, CsiPayload):
+        anchor, values = p.anchor_id, [*p.magnitudes.tolist(), *p.phases.tolist()]
+    elif isinstance(p, ImuPayload):
+        anchor, values = None, [*p.accel, *p.gyro, *p.mag]
+    else:
+        fields = dataclasses.asdict(p)
+        anchor, values = fields.pop("anchor_id", None), list(fields.values())
+    return (type(rec.t), rec.t.hex(), rec.sensor, rec.source_id, anchor,
+            [(type(v), float(v).hex()) for v in values])
+
+
+@st.composite
+def wire_docs(draw, sensor=None):
+    """One valid line as a JSON document; ints stand in for some floats."""
+    sensor = sensor or draw(st.sampled_from(["uwb", "rssi", "csi", "imu", "gt"]))
+    if sensor == "uwb":
+        payload = {"anchor_id": draw(ids), "range_m": draw(_numbers), "power_db": draw(_numbers)}
+    elif sensor == "rssi":
+        payload = {"anchor_id": draw(ids), "rssi_db": draw(_numbers)}
+    elif sensor == "csi":
+        vec = st.lists(_numbers, min_size=N_SUB, max_size=N_SUB)
+        payload = {"anchor_id": draw(ids), "magnitudes": draw(vec), "phases": draw(vec)}
+    elif sensor == "imu":
+        payload = draw(st.lists(_numbers, min_size=9, max_size=9))
+    else:
+        payload = {"x": draw(_numbers), "y": draw(_numbers), "phi": draw(_numbers)}
+    doc = {"t": draw(st.one_of(times, st.integers(0, 10**6))), "sensor": sensor,
+           "id": draw(ids), "payload": payload}
+    return {k: doc[k] for k in draw(st.permutations(list(doc)))}
+
+
+def _number_slots(doc):
+    """(container, key) of every number in a document."""
+    slots = [(doc, "t")]
+    payload = doc["payload"]
+    if isinstance(payload, list):
+        return slots + [(payload, i) for i in range(len(payload))]
+    for key, value in payload.items():
+        if isinstance(value, list):
+            slots += [(value, i) for i in range(len(value))]
+        elif key != "anchor_id":
+            slots.append((payload, key))
+    return slots
+
+
+CORRUPTIONS = ("bool", "non-finite", "huge int", "imu arity", "csi lengths",
+               "unknown key", "missing key", "negative t", "subcarriers", "truncated")
+EXPECTED = {**{kind: SchemaViolation for kind in CORRUPTIONS},
+            "negative t": NegativeTime, "truncated": MalformedLine}
+
+
+@st.composite
+def corrupted_line(draw, kind):
+    if kind == "bool":
+        doc = draw(wire_docs())
+        container, key = draw(st.sampled_from(_number_slots(doc)))
+        container[key] = draw(st.booleans())
+    elif kind == "non-finite":  # NaN, Infinity and -Infinity tokens
+        doc = draw(wire_docs())
+        container, key = draw(st.sampled_from(_number_slots(doc)))
+        container[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "huge int":
+        doc = draw(wire_docs())
+        container, key = draw(st.sampled_from(_number_slots(doc)))
+        container[key] = draw(st.sampled_from([1, -1])) * 10 ** draw(st.integers(309, 600))
+    elif kind == "imu arity":
+        doc = draw(wire_docs("imu"))
+        n = draw(st.sampled_from([0, 3, 8, 10]))
+        doc["payload"] = (doc["payload"] * 2)[:n]
+    elif kind == "csi lengths":
+        doc = draw(wire_docs("csi"))
+        doc["payload"][draw(st.sampled_from(["magnitudes", "phases"]))].pop()
+    elif kind == "unknown key":
+        doc = draw(wire_docs())
+        target = doc["payload"] if isinstance(doc["payload"], dict) and draw(st.booleans()) \
+            else doc
+        target["extra"] = 1
+    elif kind == "missing key":
+        doc = draw(wire_docs())
+        target = doc["payload"] if isinstance(doc["payload"], dict) and draw(st.booleans()) \
+            else doc
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif kind == "negative t":
+        doc = draw(wire_docs())
+        doc["t"] = -draw(st.floats(min_value=5e-324, max_value=1e9))
+    elif kind == "subcarriers":  # equally long, but not the pinned count
+        doc = draw(wire_docs("csi"))
+        extra = draw(st.integers(1, 3))
+        doc["payload"]["magnitudes"] += [1.0] * extra
+        doc["payload"]["phases"] += [0.0] * extra
+    else:  # truncated: a prefix of a valid line
+        line = json.dumps(draw(wire_docs()))
+        return line[:draw(st.integers(1, len(line) - 1))]
+    return json.dumps(doc)
+
+
+@given(st.lists(wire_docs(), min_size=1, max_size=12))
+@settings(max_examples=150)
+def test_table_reader_agrees_with_parse_record(tmp_path_factory, docs):
+    lines = [json.dumps(d) for d in docs]
+    path = tmp_path_factory.mktemp("agree") / "stream.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = [_bits(parse_record(line)) for line in lines]
+    assert [_bits(r) for r in read_records(path)] == expected
+    assert [_bits(r) for r in read_records(path, subcarriers=N_SUB)] == expected
+
+
+@given(st.lists(wire_docs(), min_size=0, max_size=6), st.data(),
+       st.sampled_from(CORRUPTIONS))
+@settings(max_examples=300)
+def test_table_reader_fails_like_parse_record(tmp_path_factory, docs, data, kind):
+    lines = [json.dumps(d) for d in docs]
+    bad = data.draw(corrupted_line(kind))
+    at = len(lines) if kind == "truncated" else data.draw(st.integers(0, len(lines)))
+    lines.insert(at, bad)
+    path = tmp_path_factory.mktemp("fail") / "stream.jsonl"
+    path.write_text("\n".join(lines) + ("" if kind == "truncated" else "\n"),
+                    encoding="utf-8")
+    with pytest.raises((MalformedLine, SchemaViolation)) as direct:
+        parse_record(bad, subcarriers=N_SUB)
+    with pytest.raises((MalformedLine, SchemaViolation)) as read:
+        read_records(path, subcarriers=N_SUB)
+    assert type(direct.value) is EXPECTED[kind]
+    assert type(read.value) is type(direct.value)
+    assert str(read.value).startswith(f"{path}:{at + 1}: ")
 
 
 # ---------------------------------------------------------------------------
