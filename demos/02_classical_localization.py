@@ -4,11 +4,9 @@ Runs UWB range trilateration, calibrated RSSI trilateration and k-NN
 fingerprinting on 120 s of data, then prints one error summary per method.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
-from indoor_fusion.evaluate import error_report
+from indoor_fusion.evaluate import error_report, stamped
 from indoor_fusion.fingerprint import (
     build_map,
     calibrate_rssi_offset,
@@ -18,7 +16,6 @@ from indoor_fusion.fingerprint import (
 from indoor_fusion.geometry import trilaterate_batch
 from indoor_fusion.ingest import ingest_run
 from indoor_fusion.mlp import SplitSpec, split_dataset
-from indoor_fusion.records import Position2D
 from indoor_fusion.simulate import SimConfig, build_scenario, simulate_run
 
 
@@ -26,14 +23,12 @@ def uwb_trilat(result, scenario):
     stream = result.streams["uwb"]
     anchors = {a.id: a.position for a in scenario.uwb_anchors}
     geometry = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
-    ranges = stream.feature_matrix()
-    usable = ranges >= 0.0  # a dropped-out anchor reports a negative range
+    usable = stream.features >= 0.0  # a dropped-out anchor reports a negative range
     kept = usable.any(axis=1)
-    est, _ = trilaterate_batch(np.broadcast_to(geometry, (int(kept.sum()), *geometry.shape)),
-                               ranges[kept], usable[kept])
-    samples = [s for s, k in zip(stream.samples, kept) if k]
-    pairs = [(s.t_ref, Position2D(float(x), float(y))) for s, (x, y) in zip(samples, est)]
-    return error_report(pairs, [(s.t_ref, s.label) for s in samples])
+    used = stream.take(kept)
+    est, _ = trilaterate_batch(np.broadcast_to(geometry, (len(used), *geometry.shape)),
+                               used.features, usable[kept])
+    return error_report(stamped(used.t, est), stamped(used.t, used.labels))
 
 
 def rssi_trilat(result, scenario):
@@ -42,19 +37,17 @@ def rssi_trilat(result, scenario):
     print(f"  (calibrated receiver gain: {cal.beta:+.0f} dB)")
     positions = {a.id: a.position for a in scenario.wifi_anchors}
     est = rssi_snapshot_positions(stream, positions, cal.beta)
-    pairs = [(s.t_ref, Position2D(float(est[i, 0]), float(est[i, 1])))
-             for i, s in enumerate(stream.samples)]
-    return error_report(pairs, [(s.t_ref, s.label) for s in stream.samples])
+    return error_report(stamped(stream.t, est), stamped(stream.t, stream.labels))
 
 
 def fingerprint(result, modality):
     stream = result.streams[modality]
-    train_s, test_s = split_dataset(list(stream.samples), SplitSpec(shuffle_seed=0))
-    train_s = sorted(train_s, key=lambda s: s.t_ref)  # splits come shuffled
-    test_s = sorted(test_s, key=lambda s: s.t_ref)
-    radio_map = build_map(replace(stream, samples=tuple(train_s)), 0.25)
-    pairs = [(s.t_ref, locate(s.features, radio_map)) for s in test_s]
-    return error_report(pairs, [(s.t_ref, s.label) for s in test_s])
+    # split row indices: a stream's ticks stay in time order, splits come shuffled
+    train_rows, test_rows = split_dataset(np.arange(len(stream)), SplitSpec(shuffle_seed=0))
+    radio_map = build_map(stream.take(np.sort(train_rows)), 0.25)
+    test = stream.take(np.sort(test_rows))
+    pairs = [(t, locate(row, radio_map)) for t, row in zip(test.t.tolist(), test.features)]
+    return error_report(pairs, stamped(test.t, test.labels))
 
 
 def main():

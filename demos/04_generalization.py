@@ -27,7 +27,7 @@ def csi_frames(scenario, config):
     records = simulate_run(scenario, config)
     result = ingest_run(records, scenario.sensor_offsets, config.rates,
                         config.duration)
-    magnitude, _ = select_blocks(result.frames, result.layout, ["csi"])
+    magnitude = select_blocks(result.frames, ["csi"])
     csi_records = [r for r in result.corrected if r.sensor == "csi"]
     stream = label_with_groundtruth(csi_records, result.gt_records,
                                     scenario.sensor_offsets["csi"],
@@ -44,7 +44,7 @@ def main():
     mag_a, phase_a = csi_frames(scenario, config)
     mag_b, phase_b = csi_frames(reseeded, config)
 
-    nn_config = MlpConfig.for_input(mag_a[0].features.size + 1, epochs=30,
+    nn_config = MlpConfig.for_input(mag_a.features.shape[1] + 1, epochs=30,
                                     seed=0)
     spec = SplitSpec(shuffle_seed=0)
     for name, frames_a, frames_b in (("magnitude", mag_a, mag_b),

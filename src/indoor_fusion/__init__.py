@@ -40,7 +40,6 @@ from .records import (
     CsiPayload,
     GtPayload,
     ImuPayload,
-    LabeledSample,
     Pose,
     Position2D,
     Record,
@@ -95,7 +94,7 @@ from .ingest import (
     AlignedStream,
     BlockDef,
     FrameLayout,
-    FusionFrame,
+    Frames,
     IngestResult,
     align_all,
     build_fusion_frames,
@@ -143,10 +142,12 @@ from .evaluate import (
     degradation,
     emit_plot,
     error_report,
+    frames_report,
     meets_requirement,
     report_from_errors,
     run_generalization,
     split_and_run,
+    stamped,
 )
 
 __version__ = "0.1.0"

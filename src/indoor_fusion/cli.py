@@ -40,8 +40,10 @@ from .evaluate import (
     degradation,
     emit_plot,
     error_report,
+    frames_report,
     read_cdf_csv,
     run_generalization,
+    stamped,
     write_cdf_svg,
 )
 from .fingerprint import (
@@ -56,11 +58,9 @@ from .geometry import trilaterate_batch
 from .ingest import (
     DEFAULT_WINDOW_S,
     AlignedStream,
-    FrameLayout,
-    FusionFrame,
+    Frames,
     IngestResult,
     build_fusion_frames,
-    frame_layout,
     frames_to_arrays,
     groundtruth_interpolator,
     ingest_tables,
@@ -68,8 +68,8 @@ from .ingest import (
     select_blocks,
     write_frames,
 )
-from .mlp import MlpConfig, SplitSpec, predict_stream, split_dataset, train_arrays
-from .records import Position2D, SensorOffset, read_tables
+from .mlp import MlpConfig, SplitSpec, split_dataset, train_arrays
+from .records import SensorOffset, read_tables
 from .simulate import (
     DEFAULT_PERTURBATION,
     NoiseConfig,
@@ -281,8 +281,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
         "clocks": {s: {"offset_s": c.offset, "drift": c.drift}
                    for s, c in sorted(result.clock_estimates.items())},
         "blocks": [{"modality": b.modality, "width": b.width}
-                   for b in result.layout.blocks],
-        "streams": {m: len(s.samples) for m, s in sorted(result.streams.items())},
+                   for b in result.frames.layout.blocks],
+        "streams": {m: len(s) for m, s in sorted(result.streams.items())},
     }
     with open(cfg.out / "ingest.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
@@ -316,8 +316,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 class _Campaign:
     scenario: Scenario
     result: IngestResult
-    phase_frames: list[FusionFrame] | None = None
-    phase_layout: FrameLayout | None = None
+    phase: Frames | None = None  # CSI phase frames, for nn:csi-phase
 
 
 def _prepare_campaign(cfg: RunConfig, which: int, need_phase: bool) -> _Campaign:
@@ -327,24 +326,15 @@ def _prepare_campaign(cfg: RunConfig, which: int, need_phase: bool) -> _Campaign
         stream = label_table(
             result.tables["csi"], groundtruth_interpolator(result.tables["gt"]),
             scenario.sensor_offsets.get("csi", SensorOffset()), csi_features="phase")
-        camp.phase_frames = build_fusion_frames([stream], window=cfg.window)
-        camp.phase_layout = frame_layout([stream])
+        camp.phase = build_fusion_frames([stream], window=cfg.window)
     return camp
 
 
 def _stream_or_raise(camp: _Campaign, modality: str) -> AlignedStream:
     stream = camp.result.streams.get(modality)
-    if stream is None or not stream.samples:
+    if stream is None or not len(stream):
         raise InsufficientData(f"dataset carries no {modality} records")
     return stream
-
-
-def _labels_of(samples) -> list[tuple[float, Position2D]]:
-    return [(s.t_ref, s.label) for s in samples]
-
-
-def _fixes(samples, est: np.ndarray) -> list[tuple[float, Position2D]]:
-    return [(s.t_ref, Position2D(float(x), float(y))) for s, (x, y) in zip(samples, est)]
 
 
 def _solver_counts(est: np.ndarray, fallback: np.ndarray, scenario: Scenario) -> dict:
@@ -357,15 +347,13 @@ def _uwb_trilat_report(camp: _Campaign) -> tuple[ErrorReport, dict]:
     stream = _stream_or_raise(camp, "uwb")
     anchors = {a.id: a.position for a in camp.scenario.uwb_anchors}
     geometry = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
-    ranges = stream.feature_matrix()
-    usable = ranges >= 0.0
+    usable = stream.features >= 0.0
     kept = usable.any(axis=1)
-    ranges, usable = ranges[kept], usable[kept]
-    est, fallback = trilaterate_batch(np.broadcast_to(geometry, (len(ranges), *geometry.shape)),
-                                      ranges, usable)
-    samples = [s for s, k in zip(stream.samples, kept) if k]
-    return error_report(_fixes(samples, est), _labels_of(samples)), {
-        "ticks_used": len(samples),
+    used, usable = stream.take(kept), usable[kept]
+    est, fallback = trilaterate_batch(np.broadcast_to(geometry, (len(used), *geometry.shape)),
+                                      used.features, usable)
+    return error_report(stamped(used.t, est), stamped(used.t, used.labels)), {
+        "ticks_used": len(used),
         # dropout below three anchors falls back to a degenerate estimate,
         # which is what gives the CDF its two-regime shape
         "ticks_degenerate": int((usable.sum(axis=1) < 3).sum()),
@@ -377,57 +365,54 @@ def _rssi_trilat_report(camp: _Campaign, beta: float) -> tuple[ErrorReport, dict
     stream = _stream_or_raise(camp, "rssi")
     positions = {a.id: a.position for a in camp.scenario.wifi_anchors}
     est, fallback = rssi_snapshot_fixes(stream, positions, beta)
-    return (error_report(_fixes(stream.samples, est), _labels_of(stream.samples)),
+    return (error_report(stamped(stream.t, est), stamped(stream.t, stream.labels)),
             _solver_counts(est, fallback, camp.scenario))
 
 
-def _train_substream(stream: AlignedStream, samples) -> AlignedStream:
-    ordered = tuple(sorted(samples, key=lambda s: s.t_ref))
-    return replace(stream, samples=ordered, dropped=0, record_count=len(ordered))
+def _fp_errors(stream: AlignedStream, radio_map, k: int) -> ErrorReport:
+    fixes = [locate(row, radio_map, k) for row in stream.features]
+    return error_report(list(zip(stream.t.tolist(), fixes)), stamped(stream.t, stream.labels))
 
 
 def _fp_report(camp: _Campaign, camp2: _Campaign | None, modality: str,
                cfg: RunConfig) -> tuple[ErrorReport, dict, dict | None]:
     stream = _stream_or_raise(camp, modality)
-    train_s, test_s = split_dataset(list(stream.samples),
-                                    SplitSpec(shuffle_seed=cfg.seed))
-    radio_map = build_map(_train_substream(stream, train_s), cfg.grid)
-    test_sorted = sorted(test_s, key=lambda s: s.t_ref)
-    report = error_report([(s.t_ref, locate(s.features, radio_map, cfg.k))
-                           for s in test_sorted], _labels_of(test_sorted))
-    extras = {"cells": len(radio_map.cells), "train_samples": len(train_s),
-              "test_samples": len(test_s)}
+    train_rows, test_rows = split_dataset(np.arange(len(stream)),
+                                          SplitSpec(shuffle_seed=cfg.seed))
+    # sorted rows keep tick order: the map sums each cell's rows in time order
+    radio_map = build_map(stream.take(np.sort(train_rows)), cfg.grid)
+    report = _fp_errors(stream.take(np.sort(test_rows)), radio_map, cfg.k)
+    extras = {"cells": len(radio_map.cells), "train_samples": len(train_rows),
+              "test_samples": len(test_rows)}
     gen = None
     if camp2 is not None:
-        other = _stream_or_raise(camp2, modality)
-        transfer = error_report([(s.t_ref, locate(s.features, radio_map, cfg.k))
-                                 for s in other.samples], _labels_of(other.samples))
+        transfer = _fp_errors(_stream_or_raise(camp2, modality), radio_map, cfg.k)
         gen = _generalization_entry(report, transfer)
     return report, extras, gen
 
 
-def _nn_selection(camp: _Campaign, method: str,
-                  ) -> tuple[list[FusionFrame], FrameLayout]:
+def _nn_selection(camp: _Campaign, method: str) -> Frames:
     if method == "nn:csi-phase":
-        if camp.phase_frames is None or camp.phase_layout is None:
+        if camp.phase is None:
             raise InsufficientData("phase-featurized frames were not prepared")
-        return camp.phase_frames, camp.phase_layout
+        return camp.phase
     wanted = blocks_for_method(method)
     if method == "nn-fusion":
-        wanted = [m for m in wanted if m in camp.result.layout.modalities()]
-    return select_blocks(camp.result.frames, camp.result.layout, wanted)
+        wanted = [m for m in wanted if m in camp.result.frames.layout.modalities()]
+    return select_blocks(camp.result.frames, wanted)
 
 
 def _nn_report(camp: _Campaign, camp2: _Campaign | None, method: str,
                cfg: RunConfig) -> tuple[ErrorReport, dict, dict | None]:
-    frames, layout = _nn_selection(camp, method)
-    spec = SplitSpec(shuffle_seed=cfg.seed)
+    # the split copies the selected rows; the selection is not kept past it
+    train_f, test_f = split_dataset(_nn_selection(camp, method),
+                                    SplitSpec(shuffle_seed=cfg.seed))
+    layout = train_f.layout
     model_config = MlpConfig.for_input(layout.feature_width + layout.mask_width,
                                        epochs=cfg.epochs, seed=cfg.seed)
-    train_f, test_f = split_dataset(frames, spec)
     if camp2 is not None:
-        frames_b, _ = _nn_selection(camp2, method)
-        result = run_generalization(train_f, test_f, frames_b, model_config)
+        result = run_generalization(train_f, test_f, _nn_selection(camp2, method),
+                                    model_config)
         report = result.self_report
         history = result.history
         gen = _generalization_entry(result.self_report, result.transfer_report)
@@ -435,8 +420,7 @@ def _nn_report(camp: _Campaign, camp2: _Campaign | None, method: str,
         x_train, y_train = frames_to_arrays(train_f)
         x_test, y_test = frames_to_arrays(test_f)
         model, history = train_arrays(x_train, y_train, x_test, y_test, model_config)
-        report = error_report(predict_stream(model, test_f),
-                              [(f.t_ref, f.label) for f in test_f])
+        report = frames_report(model, test_f)
         gen = None
     extras = {"epochs_run": len(history), "train_frames": len(train_f),
               "test_frames": len(test_f),

@@ -2,7 +2,8 @@
 
 Everything downstream of a localizer lands here: matched (timestamp,
 estimate) / (timestamp, truth) series become an ErrorReport with an exact
-empirical CDF and nearest-rank percentiles; a pair of datasets becomes a
+empirical CDF and nearest-rank percentiles (``stamped`` turns time and
+position arrays into such a series); a pair of ``Frames`` sets becomes a
 train-on-A / score-on-A-and-B generalization report; reports become a CSV
 and a self-contained SVG.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyReport, LayoutMismatch, LengthMismatch, UndefinedDegradation
-from .ingest import FrameLayout, FusionFrame, frames_to_arrays, select_blocks
+from .ingest import Frames, frames_to_arrays, select_blocks
 from .mlp import (Mlp, MlpConfig, SplitSpec, predict_stream, split_dataset,
                   train_arrays)
 from .records import Position2D
@@ -87,6 +88,11 @@ def error_report(estimates: list[tuple[float, Position2D]],
     return report_from_errors(errors)
 
 
+def stamped(t: np.ndarray, xy: np.ndarray) -> list[tuple[float, Position2D]]:
+    """(N,) times and (N, 2) positions as the series :func:`error_report` takes."""
+    return [(ti, Position2D(x, y)) for ti, (x, y) in zip(t.tolist(), xy.tolist())]
+
+
 def meets_requirement(report: ErrorReport, threshold_m: float = 1.0,
                       fraction: float = 0.99) -> bool:
     """Sub-meter-at-p99 style check: does `fraction` of errors fall at or
@@ -145,72 +151,64 @@ def degradation(self_report: ErrorReport, transfer_report: ErrorReport) -> float
     return transfer_report.median / self_report.median
 
 
-def _frames_report(model: Mlp, frames: list[FusionFrame]) -> ErrorReport:
-    estimates = predict_stream(model, frames)
-    labels = [(fr.t_ref, fr.label) for fr in frames]
-    return error_report(estimates, labels)
+def frames_report(model: Mlp, frames: Frames) -> ErrorReport:
+    """The model's errors on labeled frames."""
+    return error_report(predict_stream(model, frames), stamped(frames.t, frames.labels))
 
 
-def run_generalization(train_frames: list[FusionFrame],
-                       test_frames: list[FusionFrame],
-                       transfer_frames: list[FusionFrame],
-                       config: MlpConfig | None = None,
-                       layout: FrameLayout | None = None,
+def run_generalization(train_frames: Frames, test_frames: Frames,
+                       transfer_frames: Frames, config: MlpConfig | None = None,
                        modalities: list[str] | None = None,
                        ) -> GeneralizationReport:
     """Train once on layout-A training frames, report self accuracy on the
     held-out A frames and transfer accuracy on the full other-layout set.
 
     Transfer frames contribute nothing to fitting or normalization; they
-    are only scored after training completes.  With ``modalities`` set
-    (requires ``layout``), the run repeats per single modality on
-    block-sliced frames for an ablation breakdown.
+    are only scored after training completes.  With ``modalities`` set,
+    the run repeats per single modality on block-sliced frames for an
+    ablation breakdown.
     """
-    if not train_frames or not test_frames or not transfer_frames:
+    if not len(train_frames) or not len(test_frames) or not len(transfer_frames):
         raise EmptyReport("generalization needs non-empty train/test/transfer sets")
-    width = train_frames[0].features.size
+    width = train_frames.features.shape[1]
     for name, frames in (("test", test_frames), ("transfer", transfer_frames)):
-        if frames[0].features.size != width:
-            raise LayoutMismatch(f"{name} frames are {frames[0].features.size}-wide, "
+        if frames.features.shape[1] != width:
+            raise LayoutMismatch(f"{name} frames are {frames.features.shape[1]}-wide, "
                                  f"train frames are {width}-wide")
     if config is None:
-        config = MlpConfig.for_input(width + train_frames[0].mask.size)
+        config = MlpConfig.for_input(width + train_frames.mask.shape[1])
 
     x_train, y_train = frames_to_arrays(train_frames)
     x_test, y_test = frames_to_arrays(test_frames)
     model, history = train_arrays(x_train, y_train, x_test, y_test, config)
     result = GeneralizationReport(
-        self_report=_frames_report(model, test_frames),
-        transfer_report=_frames_report(model, transfer_frames),
+        self_report=frames_report(model, test_frames),
+        transfer_report=frames_report(model, transfer_frames),
         history=tuple(history),
     )
 
     if modalities:
-        if layout is None:
-            raise LayoutMismatch("per-modality breakdown requires the frame layout")
         breakdown = {}
         for modality in modalities:
-            sub_train, sub_layout = select_blocks(train_frames, layout, [modality])
-            sub_test, _ = select_blocks(test_frames, layout, [modality])
-            sub_transfer, _ = select_blocks(transfer_frames, layout, [modality])
+            sub_train = select_blocks(train_frames, [modality])
+            sub_layout = sub_train.layout
             sub_config = config.with_input(sub_layout.feature_width
                                            + sub_layout.mask_width)
             breakdown[modality] = run_generalization(
-                sub_train, sub_test, sub_transfer, sub_config)
+                sub_train, select_blocks(test_frames, [modality]),
+                select_blocks(transfer_frames, [modality]), sub_config)
         result = GeneralizationReport(result.self_report, result.transfer_report,
                                       result.history, breakdown)
     return result
 
 
-def split_and_run(frames_a: list[FusionFrame], frames_b: list[FusionFrame],
+def split_and_run(frames_a: Frames, frames_b: Frames,
                   config: MlpConfig | None = None,
                   spec: SplitSpec = SplitSpec(),
-                  layout: FrameLayout | None = None,
                   modalities: list[str] | None = None) -> GeneralizationReport:
     """Convenience wrapper: split A per ``spec``, evaluate against all of B."""
     train_a, test_a = split_dataset(frames_a, spec)
-    return run_generalization(train_a, test_a, frames_b, config,
-                              layout=layout, modalities=modalities)
+    return run_generalization(train_a, test_a, frames_b, config, modalities=modalities)
 
 
 # ---------------------------------------------------------------------------

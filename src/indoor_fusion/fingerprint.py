@@ -1,7 +1,7 @@
 """Radio-map fingerprinting and receiver-gain calibration.
 
 A radio map bins a labeled survey stream onto a square grid and stores the
-running-mean feature vector per visited cell.  Localization finds the k
+mean feature vector per visited cell.  Localization finds the k
 cells whose fingerprints are closest to the query in feature space and
 returns the inverse-distance-weighted average of their centers.
 
@@ -51,30 +51,23 @@ class RadioMap:
         return Position2D((ix + 0.5) * self.resolution, (iy + 0.5) * self.resolution)
 
 
-def build_map(samples: AlignedStream, resolution: float = DEFAULT_RESOLUTION) -> RadioMap:
-    """Fold a survey stream into per-cell running means."""
-    if len(samples) == 0:
+def build_map(stream: AlignedStream, resolution: float = DEFAULT_RESOLUTION) -> RadioMap:
+    """Fold a survey stream into per-cell means, adding rows in stream order."""
+    if len(stream) == 0:
         raise InsufficientData("no survey samples to build a map from")
-    dim = len(samples.columns)
-    sums: dict[tuple[int, int], np.ndarray] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for sample in samples.samples:
-        if sample.features.shape != (dim,):
-            raise DimensionMismatch(
-                f"sample at t={sample.t_ref} has shape {sample.features.shape}, "
-                f"stream declares {dim} columns")
-        key = (int(np.floor(sample.label.x / resolution)),
-               int(np.floor(sample.label.y / resolution)))
-        if key in sums:
-            sums[key] = sums[key] + sample.features
-            counts[key] += 1
-        else:
-            sums[key] = sample.features.astype(np.float64)
-            counts[key] = 1
-    cells = {key: sums[key] / counts[key] for key in sums}
-    for v in cells.values():
-        v.setflags(write=False)
-    return RadioMap(resolution, samples.modality, dim, cells, counts)
+    cell_xy = np.floor(stream.labels / resolution).astype(np.int64)
+    keys, cell = np.unique(cell_xy, axis=0, return_inverse=True)
+    cell = cell.reshape(-1)
+    # start from -0.0, the exact additive identity (+0.0 would turn a -0.0
+    # sum into +0.0): each sum is the left-to-right sum of its rows
+    sums = np.full((len(keys), len(stream.columns)), -0.0)
+    np.add.at(sums, cell, stream.features)
+    counts = np.bincount(cell, minlength=len(keys))
+    means = sums / counts[:, None]
+    means.setflags(write=False)
+    keys = [tuple(k) for k in keys.tolist()]
+    return RadioMap(resolution, stream.modality, len(stream.columns),
+                    dict(zip(keys, means)), dict(zip(keys, counts.tolist())))
 
 
 def locate(query: np.ndarray, radio_map: RadioMap, k: int = DEFAULT_K) -> Position2D:
@@ -160,7 +153,7 @@ def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D],
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Each snapshot's three strongest raw readings, strongest first (ties in
     reverse column order), and the (N, 3, 2) positions of their anchors."""
-    readings = stream.feature_matrix()
+    readings = stream.features
     order = np.argsort(readings, axis=1, kind="stable")[:, ::-1][:, :3]
     positions = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
     return np.take_along_axis(readings, order, axis=1), positions.reshape(-1, 2)[order]
@@ -216,7 +209,7 @@ def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
     if missing:
         raise InsufficientData(f"no anchor positions for {missing}")
 
-    labels = samples.labels()
+    labels = samples.labels
     strongest = _strongest_three(samples, positions)
     medians = []
     for start in range(0, len(sweep), SWEEP_BLOCK):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearAnchors, EmptyObservations, TooFewAnchors
-from .records import Anchor, Pose, Position2D, SensorOffset
+from .records import Anchor, Position2D, SensorOffset
 
 # Rank test on the 2x2 normal matrix: smallest singular value below this
 # fraction of the largest means the anchors are (numerically) collinear.
@@ -174,19 +174,22 @@ def locate_from_ranges(obs: list[RangeObservation]) -> TrilatResult:
     return _solve_one(obs)[0]
 
 
-def translate_sensor_pose(slam: Pose, offset: SensorOffset) -> Position2D:
-    """Global position of a sensor mounted at ``offset`` on a robot at ``slam``.
+def translate_sensor_pose(xy, phi, offset: SensorOffset) -> np.ndarray:
+    """Global position of a sensor mounted at ``offset`` on a robot at ``xy``
+    with heading ``phi``: (N, 2) positions and (N,) headings give (N, 2)
+    sensor positions, one (x, y) and a scalar heading give one (2,) position.
 
     The sensor sits at radius r = hypot(x_off, y_off) from the robot center;
     its global bearing is the robot heading plus the mounting bearing
     atan2(y_off, x_off) plus the measured offset angle phi_off (the real and
     imaginary parts of r * exp(j * (phi + phi_sensor))).
     """
+    xy = np.asarray(xy, dtype=np.float64)
     r = math.hypot(offset.x_off, offset.y_off)
     if r == 0.0:
-        return Position2D(slam.x, slam.y)
-    ang = slam.phi + math.atan2(offset.y_off, offset.x_off) + offset.phi_off
-    return Position2D(slam.x + r * math.cos(ang), slam.y + r * math.sin(ang))
+        return xy
+    ang = phi + math.atan2(offset.y_off, offset.x_off) + offset.phi_off
+    return xy + r * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
 def rssi_to_distance(rssi: float, p0: float = -40.0, d0: float = 1.0,

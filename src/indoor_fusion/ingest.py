@@ -12,9 +12,14 @@ and every stage works on its arrays.  Stages, in pipeline order:
    emission ticks (equal times), scatter each tick's readings into one row
    of a (ticks, width) feature matrix, and label every tick in one call:
    the 5 Hz robot pose interpolated at the tick (position componentwise
-   linear, heading shortest-arc) and translated to the sensor's mount,
-4. fusion-frame assembly: one stacked feature vector per CSI tick with
-   per-block presence masks, zero-filled blocks, and a causal freshness
+   linear, heading shortest-arc) and translated to the sensor's mount.
+   The result is an ``AlignedStream``: ``t`` (N,), ``features`` (N, W) and
+   ``labels`` (N, 2) arrays,
+4. fusion-frame assembly (``build_fusion_frames``): one ``Frames`` value,
+   a stacked (N, F) feature matrix over the CSI ticks with an (N, B)
+   per-block presence mask, (N, 2) labels and the ``FrameLayout`` that maps
+   the columns.  Each block is filled by one ``searchsorted`` over all
+   anchor ticks: zero-filled when absent, and held to a causal freshness
    window for the non-anchoring modalities.
 
 ``ingest_tables`` runs all four.  ``ingest_run``, ``estimate_clock_offset``,
@@ -39,6 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptyGroundTruth,
     InsufficientOverlap,
     LayoutMismatch,
@@ -46,7 +52,6 @@ from .errors import (
 )
 from .records import (
     ClockModel,
-    LabeledSample,
     Pose,
     Position2D,
     Record,
@@ -157,40 +162,57 @@ def estimate_clock_offset(sensor_records: list[Record], gt_records: list[Record]
 # ---------------------------------------------------------------------------
 # Labeling
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedStream:
     """One sensor's clock-corrected, ground-truth-labeled tick stream.
 
-    ``columns`` documents the feature layout: one entry per feature index
+    One row per emission tick: ``t`` (N,) reference times, strictly
+    increasing, ``features`` (N, W) and ``labels`` (N, 2) sensor positions.
+    ``columns`` documents the feature layout: one entry per feature column
     giving "anchor_id" (repeated S times for CSI) or the IMU channel name.
     ``dropped`` counts input records outside the ground-truth span;
-    ``record_count`` counts the ones folded into samples.
+    ``record_count`` counts the ones folded into ticks.  The arrays are
+    read-only; features and labels must be finite.
     """
 
     modality: str
-    samples: tuple[LabeledSample, ...]
+    t: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
     columns: tuple[str, ...]
     dropped: int = 0
     record_count: int = 0
 
     def __post_init__(self):
-        ts = [s.t_ref for s in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("AlignedStream samples must have strictly increasing t_ref")
+        t, features, labels = _frozen(self, "t", "features", "labels")
+        if features.shape != (len(t), len(self.columns)) or labels.shape != (len(t), 2):
+            raise DimensionMismatch(
+                f"{len(t)} ticks with features {features.shape} and labels "
+                f"{labels.shape}; stream declares {len(self.columns)} columns")
+        if np.any(np.diff(t) <= 0.0):
+            raise ValueError("AlignedStream ticks must have strictly increasing t")
+        if len(t) and (not self.columns or not np.isfinite(features).all()
+                       or not np.isfinite(labels).all()):
+            raise ValueError("features must be non-empty and finite, labels finite")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t)
 
-    def times(self) -> np.ndarray:
-        return np.asarray([s.t_ref for s in self.samples])
+    def take(self, rows) -> "AlignedStream":
+        """The ticks selected by an increasing index array or a boolean mask."""
+        return replace(self, t=self.t[rows], features=self.features[rows],
+                       labels=self.labels[rows])
 
-    def labels(self) -> np.ndarray:
-        return np.asarray([(s.label.x, s.label.y) for s in self.samples])
 
-    def feature_matrix(self) -> np.ndarray:
-        if not self.samples:
-            return np.zeros((0, len(self.columns)))
-        return np.stack([s.features for s in self.samples])
+def _frozen(obj, *names: str) -> list[np.ndarray]:
+    """Set each named field of a frozen dataclass to a read-only float64 array."""
+    out = []
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=np.float64)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+        out.append(arr)
+    return out
 
 
 def groundtruth_interpolator(gt) -> TrajectoryInterpolator:
@@ -231,7 +253,7 @@ def label_table(table: SensorTable, interp: TrajectoryInterpolator,
     """Label one sensor's clock-corrected table against ground truth.
 
     Rows are grouped by exact emission tick (equal ``t``); each tick becomes
-    one LabeledSample whose label is the interpolated pose translated to the
+    one stream row whose label is the interpolated pose translated to the
     sensor's mounting point.  Within a tick the last row of each anchor
     (of the tick, for imu) wins.  Rows outside the ground-truth span are
     dropped and counted.
@@ -267,14 +289,8 @@ def label_table(table: SensorTable, interp: TrajectoryInterpolator,
     key = tick * slots + slot
     last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
     features[tick[last], slot[last]] = values[kept[last]]
-    features = features.reshape(len(times), slots * width)
-
-    samples = []
-    if len(times):
-        pos = interp.sensor_position_at(times, sensor_offset).tolist()
-        samples = [LabeledSample(t, features[i], Position2D(x, y), modality)
-                   for i, (t, (x, y)) in enumerate(zip(times.tolist(), pos))]
-    return AlignedStream(modality, tuple(samples), columns,
+    return AlignedStream(modality, times, features.reshape(len(times), slots * width),
+                         interp.sensor_position_at(times, sensor_offset), columns,
                          dropped=len(table) - len(kept), record_count=len(kept))
 
 
@@ -288,7 +304,7 @@ def label_with_groundtruth(records: list[Record], gt, sensor_offset: SensorOffse
     if len(tables) > 1:
         raise ValueError(f"records mix modalities {sorted(tables)}; label one at a time")
     if not tables:
-        return AlignedStream("uwb", (), ())
+        return AlignedStream("uwb", np.zeros(0), np.zeros((0, 0)), np.zeros((0, 2)), ())
     (table,) = tables.values()
     return label_table(table, interp, sensor_offset, csi_features)
 
@@ -376,121 +392,138 @@ def frame_layout(streams: list[AlignedStream]) -> FrameLayout:
     return FrameLayout(tuple(blocks))
 
 
-@dataclass(frozen=True)
-class FusionFrame:
-    """One aligned multi-modality snapshot on the anchoring tick grid."""
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """Fusion frames on the anchoring tick grid, one row per frame.
 
-    t_ref: float
+    ``t`` (N,) holds the anchor ticks, ``features`` (N, F) each block's
+    columns in ``layout`` order, ``mask`` (N, B) 1.0 where a block is
+    present and ``labels`` (N, 2) the anchor stream's positions.  The
+    arrays are read-only.
+    """
+
+    t: np.ndarray
     features: np.ndarray
     mask: np.ndarray
-    label: Position2D
+    labels: np.ndarray
+    layout: FrameLayout
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=np.float64))
-        self.features.setflags(write=False)
-        self.mask.setflags(write=False)
+        t, features, mask, labels = _frozen(self, "t", "features", "mask", "labels")
+        n = len(t)
+        if (features.shape != (n, self.layout.feature_width)
+                or mask.shape != (n, self.layout.mask_width) or labels.shape != (n, 2)):
+            raise LayoutMismatch(
+                f"{n} frames with features {features.shape}, mask {mask.shape} and "
+                f"labels {labels.shape} do not fit the layout of "
+                f"{self.layout.feature_width} features and {self.layout.mask_width} blocks")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def take(self, rows) -> "Frames":
+        """The frames selected by an index array, a slice or a boolean mask."""
+        return replace(self, t=self.t[rows], features=self.features[rows],
+                       mask=self.mask[rows], labels=self.labels[rows])
 
 
 def build_fusion_frames(streams: list[AlignedStream],
                         window: float = DEFAULT_WINDOW_S,
-                        anchor_modality: str = "csi") -> list[FusionFrame]:
+                        anchor_modality: str = "csi") -> Frames:
     """Assemble stacked frames anchored on one modality's ticks.
 
-    Every anchor-stream sample yields a frame labeled with that sample's
-    position.  Each other block holds its stream's newest sample from the
-    causal window [t - window, t]; a stale or absent block is zero-filled
-    with its mask bit cleared.
+    Every anchor-stream tick yields a frame labeled with that tick's
+    position.  Each block holds its stream's newest tick from the causal
+    window [t - window, t] (for the anchor block, the tick itself); a stale
+    or absent block is zero-filled with its mask bit cleared.  Without an
+    anchor stream there are no frames.
     """
     if window <= 0.0:
         raise ValueError(f"window must be > 0, got {window}")
     layout = frame_layout(streams)
     by_modality = {s.modality: s for s in streams}
     anchor = by_modality.get(anchor_modality)
-    if anchor is None or not anchor.samples:
-        return []
-
-    times = {m: s.times() for m, s in by_modality.items()}
-    frames = []
-    for sample in anchor.samples:
-        t = sample.t_ref
-        features = np.zeros(layout.feature_width)
-        mask = np.zeros(layout.mask_width)
-        for block in layout.blocks:
-            stream = by_modality[block.modality]
-            if block.modality == anchor_modality:
-                chosen = sample
-            else:
-                i = int(np.searchsorted(times[block.modality], t, side="right")) - 1
-                if i < 0 or t - stream.samples[i].t_ref > window:
-                    continue
-                chosen = stream.samples[i]
-            features[layout.feature_slice(block.modality)] = chosen.features
-            mask[layout.mask_index(block.modality)] = 1.0
-        frames.append(FusionFrame(t, features, mask, sample.label))
-    return frames
+    t = anchor.t if anchor is not None else np.zeros(0)
+    features = np.zeros((len(t), layout.feature_width))
+    mask = np.zeros((len(t), layout.mask_width))
+    for block in layout.blocks:
+        stream = by_modality[block.modality]
+        columns = layout.feature_slice(block.modality)
+        if stream is anchor:  # each frame's own tick: copied with no temporary
+            features[:, columns] = stream.features
+            mask[:, layout.mask_index(block.modality)] = 1.0
+            continue
+        newest = np.searchsorted(stream.t, t, side="right") - 1
+        rows = np.flatnonzero(newest >= 0)
+        rows = rows[t[rows] - stream.t[newest[rows]] <= window]
+        features[rows, columns] = stream.features[newest[rows]]
+        mask[rows, layout.mask_index(block.modality)] = 1.0
+    labels = anchor.labels if anchor is not None else np.zeros((0, 2))
+    return Frames(t, features, mask, labels, layout)
 
 
-def select_blocks(frames: list[FusionFrame], layout: FrameLayout,
-                  modalities: list[str]) -> tuple[list[FusionFrame], FrameLayout]:
+def select_blocks(frames: Frames, modalities: list[str]) -> Frames:
     """Restrict frames to a subset of blocks (layout order preserved)."""
+    layout = frames.layout
     for m in modalities:
         layout.block(m)  # raises LayoutMismatch on unknown names
     keep = [b for b in layout.blocks if b.modality in modalities]
-    sub_layout = FrameLayout(tuple(keep))
-    fslices = [layout.feature_slice(b.modality) for b in keep]
-    midx = [layout.mask_index(b.modality) for b in keep]
-    out = []
-    for fr in frames:
-        feats = np.concatenate([fr.features[s] for s in fslices]) if fslices \
-            else np.zeros(0)
-        mask = fr.mask[midx]
-        out.append(FusionFrame(fr.t_ref, feats, mask, fr.label))
-    return out, sub_layout
+    columns = [np.arange(layout.feature_width)[layout.feature_slice(b.modality)]
+               for b in keep]
+    return Frames(frames.t,
+                  frames.features[:, np.concatenate(columns) if columns else []],
+                  frames.mask[:, [layout.mask_index(b.modality) for b in keep]],
+                  frames.labels, FrameLayout(tuple(keep)))
 
 
-def frames_to_arrays(frames: list[FusionFrame],
-                     include_mask: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Stack frames into (X, y); mask bits are appended as extra features."""
-    if not frames:
+def frames_to_arrays(frames: Frames) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) for a regressor: mask bits are appended as extra features."""
+    if not len(frames):
         raise ValueError("no frames to stack")
-    if include_mask:
-        x = np.stack([np.concatenate([f.features, f.mask]) for f in frames])
-    else:
-        x = np.stack([f.features for f in frames])
-    y = np.asarray([(f.label.x, f.label.y) for f in frames], dtype=np.float64)
-    return x, y
+    return np.hstack([frames.features, frames.mask]), np.array(frames.labels)
 
 
-def write_frames(path, frames: list[FusionFrame]) -> int:
+def write_frames(path, frames: Frames) -> int:
     """Persist frames as JSONL: {"t", "features", "mask", "label"}."""
-    n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for fr in frames:
-            fh.write(json.dumps({"t": fr.t_ref,
-                                 "features": fr.features.tolist(),
-                                 "mask": fr.mask.tolist(),
-                                 "label": [fr.label.x, fr.label.y]}))
+        # one row at a time: a whole matrix as Python floats is 4x its size
+        for t, features, mask, label in zip(frames.t.tolist(), frames.features,
+                                            frames.mask, frames.labels):
+            fh.write(json.dumps({"t": t, "features": features.tolist(),
+                                 "mask": mask.tolist(), "label": label.tolist()}))
             fh.write("\n")
-            n += 1
-    return n
+    return len(frames)
 
 
-def read_frames(path) -> list[FusionFrame]:
-    frames = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                frames.append(FusionFrame(doc["t"], np.asarray(doc["features"]),
-                                          np.asarray(doc["mask"]),
-                                          Position2D(float(doc["label"][0]),
-                                                     float(doc["label"][1]))))
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                raise MalformedLine(f"{path}:{lineno}: {exc}") from exc
-    return frames
+def read_frames(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read a frames file back as its (t, features, mask, labels) arrays.
+
+    The file does not record the layout; ``Frames(*read_frames(path),
+    layout)`` rebuilds the frames when it is known.
+    """
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    doc = json.loads(line)
+                    label = Position2D(float(doc["label"][0]), float(doc["label"][1]))
+                    row = (float(doc["t"]), np.asarray(doc["features"], dtype=np.float64),
+                           np.asarray(doc["mask"], dtype=np.float64), (label.x, label.y))
+                    if rows and (row[1].shape, row[2].shape) != (rows[0][1].shape,
+                                                                 rows[0][2].shape):
+                        raise ValueError("frame is not as wide as the first frame")
+                except (KeyError, TypeError, ValueError, IndexError) as exc:
+                    raise MalformedLine(f"{path}:{lineno}: {exc}") from exc
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if not rows:
+        return np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 2))
+    t, features, mask, labels = zip(*rows)
+    return np.asarray(t), np.stack(features), np.stack(mask), np.asarray(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +539,7 @@ class IngestResult:
 
     tables: dict[str, SensorTable]
     streams: dict[str, AlignedStream]
-    frames: list[FusionFrame]
-    layout: FrameLayout
+    frames: Frames
     clock_estimates: dict[str, ClockModel]
     dropped: int
 
@@ -543,9 +575,8 @@ def ingest_tables(tables: dict[str, SensorTable], sensor_offsets: dict[str, Sens
 
     streams = _label_all(corrected, sensor_offsets, csi_features)
     frames = build_fusion_frames(list(streams.values()), window=window)
-    layout = frame_layout(list(streams.values()))
     dropped = sum(s.dropped for s in streams.values())
-    return IngestResult(corrected, streams, frames, layout, estimates, dropped)
+    return IngestResult(corrected, streams, frames, estimates, dropped)
 
 
 def ingest_run(records: list[Record], sensor_offsets: dict[str, SensorOffset],

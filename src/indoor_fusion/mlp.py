@@ -4,7 +4,9 @@ Float64 end to end so the analytic gradients can be checked against central
 finite differences to tight tolerance.  Training is plain minibatch SGD or
 Adam on mean squared position error over fusion frames, with feature
 normalization frozen from the training split and the best-so-far weights
-(by held-out median position error) restored at the end.
+(by held-out median position error) restored at the end.  ``train`` and
+``predict_stream`` take ``Frames``; ``train_arrays`` takes the (X, y)
+matrices of ``frames_to_arrays``: features with the mask bits appended.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, Divergence, InsufficientData, TooFewFrames
-from .ingest import FusionFrame, frames_to_arrays
+from .ingest import Frames, frames_to_arrays
 from .records import Position2D
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -80,18 +82,19 @@ class SplitSpec:
                              f"got {self.train_fraction}")
 
 
-def split_dataset(frames: list, spec: SplitSpec = SplitSpec()) -> tuple[list, list]:
+def split_dataset(data, spec: SplitSpec = SplitSpec()):
     """Shuffle by seed, take the first train_fraction as train, rest as test.
 
-    Exact partition: no overlap, union equals the input multiset.
+    ``data`` is anything with ``len`` and ``take(rows)``: Frames, or a 1-D
+    array such as the row indices of a stream.  Both parts keep the
+    shuffled order.  Exact partition: no overlap, union equals the input
+    multiset.
     """
-    if len(frames) < 10:
-        raise TooFewFrames(f"need >= 10 frames to split, got {len(frames)}")
-    perm = np.random.default_rng(spec.shuffle_seed).permutation(len(frames))
-    n_train = min(max(int(round(len(frames) * spec.train_fraction)), 1),
-                  len(frames) - 1)
-    return ([frames[i] for i in perm[:n_train]],
-            [frames[i] for i in perm[n_train:]])
+    if len(data) < 10:
+        raise TooFewFrames(f"need >= 10 frames to split, got {len(data)}")
+    perm = np.random.default_rng(spec.shuffle_seed).permutation(len(data))
+    n_train = min(max(int(round(len(data) * spec.train_fraction)), 1), len(data) - 1)
+    return data.take(perm[:n_train]), data.take(perm[n_train:])
 
 
 class Mlp:
@@ -240,6 +243,13 @@ def load_checkpoint(path) -> Mlp:
 # Training
 
 def median_position_error(model: Mlp, x: np.ndarray, y: np.ndarray) -> float:
+    """Held-out median position error, as ``np.median`` takes it.
+
+    This is the history's ``test_median_m`` and selects the best epoch.  For
+    an even count it averages the two middle errors, so it is not the
+    report's ``p50_m``, which takes the lower one (nearest rank): on the
+    same frames seed 7 ``nn:uwb`` reads 3.2824 m here and 3.2766 m there.
+    """
     pred = model.forward(x)
     return float(np.median(np.hypot(pred[:, 0] - y[:, 0], pred[:, 1] - y[:, 1])))
 
@@ -318,7 +328,7 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
     return model, history
 
 
-def train(frames: list[FusionFrame], config: MlpConfig | None = None,
+def train(frames: Frames, config: MlpConfig | None = None,
           spec: SplitSpec = SplitSpec(),
           ) -> tuple[Mlp, list[tuple[int, float, float]]]:
     """Split frames per ``spec``, fit, and return the best-test snapshot.
@@ -334,15 +344,12 @@ def train(frames: list[FusionFrame], config: MlpConfig | None = None,
     return train_arrays(x_train, y_train, x_test, y_test, config)
 
 
-def predict_stream(mlp: Mlp, frames: list[FusionFrame],
-                   ) -> list[tuple[float, Position2D]]:
-    """One (t_ref, estimate) per frame; masks appended exactly as in training."""
-    if not frames:
+def predict_stream(mlp: Mlp, frames: Frames) -> list[tuple[float, Position2D]]:
+    """One (t, estimate) per frame; masks appended exactly as in training."""
+    if not len(frames):
         return []
-    x, _ = frames_to_arrays(frames)
-    pred = mlp.forward(x)
-    return [(fr.t_ref, Position2D(float(pred[i, 0]), float(pred[i, 1])))
-            for i, fr in enumerate(frames)]
+    pred = mlp.forward(frames_to_arrays(frames)[0])
+    return [(t, Position2D(x, y)) for t, (x, y) in zip(frames.t.tolist(), pred.tolist())]
 
 
 # ---------------------------------------------------------------------------

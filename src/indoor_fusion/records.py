@@ -245,24 +245,6 @@ class Record:
         )
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """One measurement vector tied to a reference-clock time and a true position."""
-
-    t_ref: float
-    features: np.ndarray
-    label: Position2D
-    modality: str
-    source_id: str = ""
-
-    def __post_init__(self):
-        arr = np.asarray(self.features, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "features", arr)
-        if arr.size == 0 or not np.isfinite(arr).all():
-            raise ValueError("features must be non-empty and finite")
-
-
 @lru_cache(maxsize=None)
 def _vec_template(n: int) -> str:
     return "[" + ",".join([_F] * n) + "]"
@@ -621,7 +603,8 @@ def read_tables(path, subcarriers: int | None = None) -> dict[str, SensorTable]:
     """Read a JSONL record stream into one SensorTable per sensor kind.
 
     Rows keep file order.  Blank lines are rejected, not skipped; every
-    error names ``path:line:``.  Without ``subcarriers``, the first csi
+    error names ``path:line:``, except bytes that are not UTF-8, which
+    raise MalformedLine naming the path.  Without ``subcarriers``, the first csi
     record fixes the CSI width for the rest of the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -629,6 +612,8 @@ def read_tables(path, subcarriers: int | None = None) -> dict[str, SensorTable]:
             return _tables_from_lines((line.rstrip("\n") for line in fh), subcarriers)
         except (MalformedLine, SchemaViolation) as exc:
             raise type(exc)(f"{path}:{exc.line}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # raised a decoder chunk ahead of its line
+            raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def read_records(path, subcarriers: int | None = None) -> list[Record]:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidOverride
+from .geometry import translate_sensor_pose
 from .records import (
     Anchor,
     ClockModel,
@@ -378,12 +379,7 @@ class TrajectoryInterpolator:
 
     def sensor_position_at(self, ts: np.ndarray, offset: SensorOffset) -> np.ndarray:
         """Offset-translated sensor positions at arbitrary times -> (N, 2)."""
-        xy = self.position_at(ts)
-        r = math.hypot(offset.x_off, offset.y_off)
-        if r == 0.0:
-            return xy
-        ang = self.heading_at(ts) + math.atan2(offset.y_off, offset.x_off) + offset.phi_off
-        return xy + r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        return translate_sensor_pose(self.position_at(ts), self.heading_at(ts), offset)
 
 
 def _lawnmower_polyline(bounds: Bounds, margin: float, spacing: float,

@@ -41,7 +41,6 @@ from indoor_fusion.mlp import (
 from indoor_fusion.records import (
     Anchor,
     ClockModel,
-    LabeledSample,
     Position2D,
     parse_record,
     serialize_record,
@@ -104,8 +103,8 @@ def test_criterion_2_noiseless_ingest_reproduces_sensor_positions():
         table = truth_by_sensor[modality]
         times = np.asarray(sorted(table))
         where = np.asarray([table[t] for t in times])
-        t_ref = np.asarray([s.t_ref for s in stream.samples])
-        labels = np.asarray([(s.label.x, s.label.y) for s in stream.samples])
+        t_ref = stream.t
+        labels = stream.labels
         # nearest true emission tick to each reconstructed tick
         hi = np.clip(np.searchsorted(times, t_ref), 0, len(times) - 1)
         lo = np.maximum(hi - 1, 0)
@@ -219,7 +218,7 @@ def test_criterion_7_generalization_separates_magnitude_from_phase():
         records = simulate_run(sc, config)
         result = ingest_run(records, sc.sensor_offsets, config.rates,
                             config.duration)
-        mag, _ = select_blocks(result.frames, result.layout, ["csi"])
+        mag = select_blocks(result.frames, ["csi"])
         if not want_phase:
             return mag, None
         csi_records = [r for r in result.corrected if r.sensor == "csi"]
@@ -232,7 +231,7 @@ def test_criterion_7_generalization_separates_magnitude_from_phase():
     mag_identical, _ = csi_frames(identical, want_phase=False)
     mag_reseeded, phase_reseeded = csi_frames(reseeded, want_phase=True)
 
-    nn_config = MlpConfig.for_input(mag_a[0].features.size + 1, epochs=40,
+    nn_config = MlpConfig.for_input(mag_a.features.shape[1] + 1, epochs=40,
                                     seed=0)
     spec = SplitSpec(shuffle_seed=0)
 
@@ -294,27 +293,26 @@ def _percentile_ordering_suite(errors, p, q):
     window=st.floats(0.05, 2.0),
 )
 def _frame_causality_suite(anchor_ticks, other_times, window):
-    mark = Position2D(0.0, 0.0)
-    csi = AlignedStream("csi", tuple(
-        LabeledSample(t, np.array([1.0]), mark, "csi")
-        for t in sorted(anchor_ticks)), ("w0",))
-    uwb = AlignedStream("uwb", tuple(
-        LabeledSample(t, np.array([t + 1.0]), mark, "uwb")
-        for t in sorted(other_times)), ("a0",))
+    csi_t = np.asarray(sorted(anchor_ticks))
+    uwb_t = np.asarray(sorted(other_times))
+    csi = AlignedStream("csi", csi_t, np.ones((len(csi_t), 1)),
+                        np.zeros((len(csi_t), 2)), ("w0",))
+    uwb = AlignedStream("uwb", uwb_t, (uwb_t + 1.0)[:, None],
+                        np.zeros((len(uwb_t), 2)), ("a0",))
     frames = build_fusion_frames([csi, uwb], window=window)
     layout = frame_layout([csi, uwb])
     col = layout.feature_slice("uwb").start
     bit = layout.mask_index("uwb")
-    times = np.asarray(sorted(other_times))
-    for frame in frames:
-        eligible = times[(times <= frame.t_ref)
-                         & (frame.t_ref - times <= window)]
-        if frame.mask[bit] == 1.0:
+    times = uwb_t
+    for t_ref, features, mask in zip(frames.t, frames.features, frames.mask):
+        eligible = times[(times <= t_ref)
+                         & (t_ref - times <= window)]
+        if mask[bit] == 1.0:
             assert eligible.size > 0
-            assert frame.features[col] == eligible[-1] + 1.0  # newest, causal
+            assert features[col] == eligible[-1] + 1.0  # newest, causal
         else:
             assert eligible.size == 0
-            assert frame.features[col] == 0.0
+            assert features[col] == 0.0
 
 
 @settings(max_examples=100)

@@ -199,6 +199,18 @@ def test_integer_beyond_float64_exits_io_naming_the_line(cli_campaign, tmp_path,
     assert "dataset1.jsonl:5:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_bytes_that_are_not_utf8_exit_io_naming_the_file(cli_campaign, tmp_path, capsys,
+                                                         command):
+    for name in ("scenario.json", "dataset1.jsonl"):
+        shutil.copy(cli_campaign / name, tmp_path / name)
+    with open(tmp_path / "dataset1.jsonl", "ab") as fh:
+        fh.write(b"\xff\xfe")
+    methods = ["--methods", "uwb-trilat"] if command == "run" else []
+    assert main([command, "--out", str(tmp_path), *methods]) == 3
+    assert "dataset1.jsonl: not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["zero", "0", "-3"])
 def test_bad_thread_cap_exits_config(cli_campaign, monkeypatch, value):
     monkeypatch.setenv("INDOOR_FUSION_THREADS", value)
@@ -212,8 +224,8 @@ def test_bad_thread_cap_exits_config(cli_campaign, monkeypatch, value):
 def test_ingest_writes_frames_and_summary(cli_campaign):
     assert main(["ingest", "--out", str(cli_campaign)]) == 0
     summary = _load(cli_campaign / "ingest.json")
-    frames = read_frames(cli_campaign / "frames1.jsonl")
-    assert summary["frames"] == len(frames) > 100
+    t, _, _, _ = read_frames(cli_campaign / "frames1.jsonl")
+    assert summary["frames"] == len(t) > 100
     assert summary["window_s"] == 0.15
     # timestamps carry no measurement noise, so recovery is near exact
     expected = {"uwb": 0.002, "csi": -0.003, "rssi": -0.003, "imu": 0.001}

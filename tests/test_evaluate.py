@@ -2,6 +2,7 @@
 
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from indoor_fusion.evaluate import (
     write_cdf_csv,
     write_cdf_svg,
 )
-from indoor_fusion.ingest import FusionFrame
+from indoor_fusion.ingest import BlockDef, FrameLayout, Frames
 from indoor_fusion.mlp import MlpConfig, SplitSpec
 from indoor_fusion.records import Position2D
 
@@ -35,15 +36,17 @@ error_lists = st.lists(st.floats(min_value=0.0, max_value=1e6,
 
 
 def _frames(n, seed=0, width=2, wobble=0.0):
+    """One ``rssi`` block whose first two features are the label."""
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
+    labels, features = [], []
+    for _ in range(n):
         x, y = rng.uniform(0.5, 7.5), rng.uniform(0.5, 5.5)
         feats = np.concatenate([[x, y], rng.normal(size=width - 2)]) \
             if width > 2 else np.asarray([x, y])
-        feats = feats + rng.normal(0.0, wobble, size=width)
-        out.append(FusionFrame(float(i), feats, np.ones(1), Position2D(x, y)))
-    return out
+        labels.append((x, y))
+        features.append(feats + rng.normal(0.0, wobble, size=width))
+    layout = FrameLayout((BlockDef("rssi", width, ("w",) * width),))
+    return Frames(np.arange(n, dtype=np.float64), features, np.ones((n, 1)), labels, layout)
 
 
 _FAST = MlpConfig(layer_sizes=(3, 8, 2), activation="tanh", optimizer="adam",
@@ -179,53 +182,53 @@ def test_generalization_identity_layouts_do_not_degrade():
 def test_generalization_transfer_set_never_touches_training():
     frames_a = _frames(80, seed=3)
     b1 = _frames(40, seed=4)
-    b2 = [FusionFrame(f.t_ref, f.features * 3.0 + 1.0, f.mask, f.label)
-          for f in _frames(40, seed=5)]
-    r1 = run_generalization(frames_a[:70], frames_a[70:], b1, _FAST)
-    r2 = run_generalization(frames_a[:70], frames_a[70:], b2, _FAST)
+    b2 = _frames(40, seed=5)
+    b2 = replace(b2, features=b2.features * 3.0 + 1.0)
+    train, test = frames_a.take(slice(70)), frames_a.take(slice(70, None))
+    r1 = run_generalization(train, test, b1, _FAST)
+    r2 = run_generalization(train, test, b2, _FAST)
     assert r1.self_report.errors == r2.self_report.errors
     assert r1.history == r2.history
 
 
 def test_generalization_validates_inputs():
     frames = _frames(30)
+    none = frames.take(slice(0))
     with pytest.raises(EmptyReport):
-        run_generalization([], frames, frames, _FAST)
+        run_generalization(none, frames, frames, _FAST)
     with pytest.raises(EmptyReport):
-        run_generalization(frames, frames, [], _FAST)
+        run_generalization(frames, frames, none, _FAST)
     wide = _frames(10, width=5)
     with pytest.raises(LayoutMismatch):
         run_generalization(frames, frames, wide, _FAST)
     with pytest.raises(LayoutMismatch):
-        run_generalization(frames[:20], frames[20:], frames,
-                           _FAST, modalities=["csi"])  # layout missing
+        run_generalization(frames.take(slice(20)), frames.take(slice(20, None)), frames,
+                           _FAST, modalities=["csi"])  # no csi block in the layout
 
 
 def test_generalization_per_modality_breakdown():
-    from indoor_fusion.ingest import AlignedStream, build_fusion_frames, frame_layout
-    from indoor_fusion.records import LabeledSample
+    from indoor_fusion.ingest import AlignedStream, build_fusion_frames
 
     def stream(modality, width, n, seed):
         rng = np.random.default_rng(seed)
-        samples = []
-        for i in range(n):
+        labels, features = [], []
+        for _ in range(n):
             x, y = rng.uniform(1, 7), rng.uniform(1, 5)
-            feats = np.concatenate([[x, y], rng.normal(size=width - 2)])
-            samples.append(LabeledSample(float(i + 1), feats, Position2D(x, y),
-                                         modality))
-        return AlignedStream(modality, tuple(samples),
+            labels.append((x, y))
+            features.append(np.concatenate([[x, y], rng.normal(size=width - 2)]))
+        return AlignedStream(modality, np.arange(1.0, n + 1.0), features, labels,
                              tuple(f"{modality}{j}" for j in range(width)))
 
     def frames(seed):
         csi = stream("csi", 4, 60, seed)
         uwb = stream("uwb", 3, 60, seed + 100)
-        return build_fusion_frames([csi, uwb], window=1.0), frame_layout([csi, uwb])
+        return build_fusion_frames([csi, uwb], window=1.0)
 
-    frames_a, layout = frames(1)
-    frames_b, _ = frames(2)
-    config = _FAST.with_input(frames_a[0].features.size + frames_a[0].mask.size)
-    report = run_generalization(frames_a[:50], frames_a[50:], frames_b,
-                                config, layout=layout, modalities=["csi", "uwb"])
+    frames_a = frames(1)
+    frames_b = frames(2)
+    config = _FAST.with_input(frames_a.features.shape[1] + frames_a.mask.shape[1])
+    report = run_generalization(frames_a.take(slice(50)), frames_a.take(slice(50, None)),
+                                frames_b, config, modalities=["csi", "uwb"])
     assert set(report.per_modality) == {"csi", "uwb"}
     for sub in report.per_modality.values():
         assert sub.self_report.count == 10

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indoor_fusion.errors import DimensionMismatch, EmptyMap, InsufficientData
 from indoor_fusion.fingerprint import (
@@ -21,7 +23,7 @@ from indoor_fusion.fingerprint import (
     save_radio_map,
 )
 from indoor_fusion.ingest import AlignedStream
-from indoor_fusion.records import Anchor, LabeledSample, Position2D
+from indoor_fusion.records import Anchor, Position2D
 
 SQUARE_ANCHORS = [Anchor("a0", "wifi", Position2D(0.0, 0.0)),
                   Anchor("a1", "wifi", Position2D(4.0, 0.0)),
@@ -29,20 +31,20 @@ SQUARE_ANCHORS = [Anchor("a0", "wifi", Position2D(0.0, 0.0)),
                   Anchor("a3", "wifi", Position2D(4.0, 4.0))]
 
 
-def _stream(samples, columns, modality="rssi"):
-    return AlignedStream(modality, tuple(samples), tuple(columns))
+def _stream(features, labels, columns, modality="rssi"):
+    """One tick per row at t = 0, 1, 2, ..."""
+    features = np.asarray(features, dtype=np.float64).reshape(len(labels), len(columns))
+    labels = np.asarray(labels, dtype=np.float64).reshape(len(labels), 2)
+    return AlignedStream(modality, np.arange(len(labels), dtype=np.float64), features,
+                         labels, tuple(columns))
 
 
 def _rssi_stream(points, p0=-40.0, exponent=2.2, anchors=SQUARE_ANCHORS):
     """Exact log-distance readings from every anchor at the given points."""
-    samples = []
-    for i, (x, y) in enumerate(points):
-        feats = [p0 - 10.0 * exponent * math.log10(
-            max(math.hypot(x - a.position.x, y - a.position.y), 1e-3))
-            for a in anchors]
-        samples.append(LabeledSample(float(i), np.asarray(feats),
-                                     Position2D(x, y), "rssi"))
-    return _stream(samples, [a.id for a in anchors])
+    features = [[p0 - 10.0 * exponent * math.log10(
+        max(math.hypot(x - a.position.x, y - a.position.y), 1e-3))
+        for a in anchors] for x, y in points]
+    return _stream(features, points, [a.id for a in anchors])
 
 
 def _survey_points(n):
@@ -57,12 +59,9 @@ def _survey_points(n):
 
 
 def test_build_map_running_means_and_counts():
-    samples = [
-        LabeledSample(0.0, np.asarray([1.0, 3.0]), Position2D(0.2, 0.2), "rssi"),
-        LabeledSample(1.0, np.asarray([3.0, 5.0]), Position2D(0.8, 0.4), "rssi"),
-        LabeledSample(2.0, np.asarray([10.0, 10.0]), Position2D(1.5, 0.5), "rssi"),
-    ]
-    m = build_map(_stream(samples, ["a", "b"]), resolution=1.0)
+    stream = _stream([[1.0, 3.0], [3.0, 5.0], [10.0, 10.0]],
+                     [(0.2, 0.2), (0.8, 0.4), (1.5, 0.5)], ["a", "b"])
+    m = build_map(stream, resolution=1.0)
     assert len(m) == 2
     np.testing.assert_array_equal(m.cells[(0, 0)], [2.0, 4.0])
     assert m.counts[(0, 0)] == 2
@@ -74,10 +73,10 @@ def test_build_map_running_means_and_counts():
 
 def test_build_map_validates_input():
     with pytest.raises(InsufficientData):
-        build_map(_stream([], ["a"]))
-    bad = [LabeledSample(0.0, np.asarray([1.0, 2.0, 3.0]), Position2D(0, 0), "rssi")]
+        build_map(_stream(np.zeros((0, 1)), np.zeros((0, 2)), ["a"]))
+    # a stream cannot hold rows wider than its declared columns
     with pytest.raises(DimensionMismatch):
-        build_map(_stream(bad, ["a", "b"]))
+        build_map(AlignedStream("rssi", [0.0], [[1.0, 2.0, 3.0]], [[0.0, 0.0]], ("a", "b")))
     with pytest.raises(ValueError):
         RadioMap(0.0, "rssi", 1, {}, {})
 
@@ -87,22 +86,18 @@ def test_locate_exact_match_returns_its_cell_center():
     m = build_map(stream, resolution=0.5)
     # pick a sample whose cell saw only itself, so its stored fingerprint
     # is exact; that match carries weight 1/1e-9 and swamps the other cells
-    sample = next(
-        s for s in stream.samples
-        if m.counts[(int(np.floor(s.label.x / 0.5)), int(np.floor(s.label.y / 0.5)))] == 1)
-    ix = int(np.floor(sample.label.x / 0.5))
-    iy = int(np.floor(sample.label.y / 0.5))
-    pos = locate(sample.features, m)
+    i = next(
+        i for i, (x, y) in enumerate(stream.labels)
+        if m.counts[(int(np.floor(x / 0.5)), int(np.floor(y / 0.5)))] == 1)
+    ix = int(np.floor(stream.labels[i, 0] / 0.5))
+    iy = int(np.floor(stream.labels[i, 1] / 0.5))
+    pos = locate(stream.features[i], m)
     center = m.cell_center(ix, iy)
     assert math.hypot(pos.x - center.x, pos.y - center.y) < 1e-6
 
 
 def test_locate_k1_is_nearest_cell_center():
-    samples = [
-        LabeledSample(0.0, np.asarray([0.0]), Position2D(0.5, 0.5), "rssi"),
-        LabeledSample(1.0, np.asarray([10.0]), Position2D(2.5, 0.5), "rssi"),
-    ]
-    m = build_map(_stream(samples, ["a"]), resolution=1.0)
+    m = build_map(_stream([[0.0], [10.0]], [(0.5, 0.5), (2.5, 0.5)], ["a"]), resolution=1.0)
     pos = locate(np.asarray([2.0]), m, k=1)
     assert (pos.x, pos.y) == (0.5, 0.5)
     pos = locate(np.asarray([8.0]), m, k=1)
@@ -110,11 +105,7 @@ def test_locate_k1_is_nearest_cell_center():
 
 
 def test_locate_equidistant_query_lands_midway():
-    samples = [
-        LabeledSample(0.0, np.asarray([0.0]), Position2D(0.5, 0.5), "rssi"),
-        LabeledSample(1.0, np.asarray([10.0]), Position2D(3.5, 2.5), "rssi"),
-    ]
-    m = build_map(_stream(samples, ["a"]), resolution=1.0)
+    m = build_map(_stream([[0.0], [10.0]], [(0.5, 0.5), (3.5, 2.5)], ["a"]), resolution=1.0)
     pos = locate(np.asarray([5.0]), m, k=2)
     assert pos.x == pytest.approx(2.0, abs=1e-6)
     assert pos.y == pytest.approx(1.5, abs=1e-6)
@@ -136,23 +127,21 @@ def test_self_queries_stay_within_a_cell_radius():
     m = build_map(stream, resolution=res)
     half_diag = res * math.sqrt(2.0) / 2.0
     errs = []
-    for s in stream.samples:
-        pos = locate(s.features, m, k=1)
-        errs.append(math.hypot(pos.x - s.label.x, pos.y - s.label.y))
+    for features, (x, y) in zip(stream.features, stream.labels):
+        pos = locate(features, m, k=1)
+        errs.append(math.hypot(pos.x - x, pos.y - y))
     assert max(errs) <= half_diag + 1e-9
 
 
 def test_noiseless_survey_localizes_to_the_grid(noiseless_campaign):
     stream = noiseless_campaign.result.streams["rssi"]
     n_train = int(0.8 * len(stream))
-    import dataclasses
-
-    train = dataclasses.replace(stream, samples=stream.samples[:n_train])
-    test = stream.samples[n_train:]
+    train = stream.take(slice(None, n_train))
+    test = stream.take(slice(n_train, None))
     m = build_map(train, resolution=DEFAULT_RESOLUTION)
-    errs = [math.hypot(locate(s.features, m, k=DEFAULT_K).x - s.label.x,
-                       locate(s.features, m, k=DEFAULT_K).y - s.label.y)
-            for s in test]
+    errs = [math.hypot(locate(features, m, k=DEFAULT_K).x - x,
+                       locate(features, m, k=DEFAULT_K).y - y)
+            for features, (x, y) in zip(test.features, test.labels)]
     assert float(np.median(errs)) <= DEFAULT_RESOLUTION
 
 
@@ -170,6 +159,47 @@ def test_radio_map_roundtrip(tmp_path):
         assert back.counts[key] == m.counts[key]
 
 
+def _reference_map(stream, resolution):
+    """The per-sample fold: a dict of running sums in stream order, one
+    mean per cell."""
+    sums, counts = {}, {}
+    for features, (x, y) in zip(stream.features, stream.labels.tolist()):
+        key = (int(np.floor(x / resolution)), int(np.floor(y / resolution)))
+        if key in sums:
+            sums[key] = sums[key] + features
+            counts[key] += 1
+        else:
+            sums[key] = features.astype(np.float64)
+            counts[key] = 1
+    return {key: sums[key] / counts[key] for key in sums}, counts
+
+
+_values = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.0 / 3.0]) | st.floats(-100.0, 100.0)
+
+
+@st.composite
+def survey_streams(draw):
+    """Rows crowded into few cells, with signed zeros and tiny values."""
+    n = draw(st.integers(1, 30))
+    width = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+                           min_size=n, max_size=n))
+    features = draw(st.lists(_values, min_size=n * width, max_size=n * width))
+    return _stream(features, labels, [f"a{j}" for j in range(width)])
+
+
+@given(survey_streams(), st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.1, 3.0))
+@example(_stream([[-0.0], [-0.0], [0.0]], [(0.1, 0.1), (0.2, 0.2), (1.5, 1.5)], ["a"]), 1.0)
+@settings(max_examples=150)
+def test_build_map_matches_the_per_sample_fold_bit_for_bit(stream, resolution):
+    m = build_map(stream, resolution)
+    cells, counts = _reference_map(stream, resolution)
+    assert m.counts == counts
+    assert sorted(m.cells) == sorted(cells)
+    for key, mean in cells.items():
+        assert m.cells[key].tobytes() == mean.tobytes(), key
+
+
 # ---------------------------------------------------------------------------
 # Gain calibration
 
@@ -177,7 +207,7 @@ def test_snapshot_positions_recover_noiseless_geometry():
     stream = _rssi_stream(_survey_points(20))
     anchors = {a.id: a.position for a in SQUARE_ANCHORS}
     est = rssi_snapshot_positions(stream, anchors, beta=0.0)
-    labels = stream.labels()
+    labels = stream.labels
     err = np.hypot(est[:, 0] - labels[:, 0], est[:, 1] - labels[:, 1])
     assert float(err.max()) < 1e-6
 
@@ -207,7 +237,7 @@ def test_calibration_input_validation():
         calibrate_rssi_offset(small, SQUARE_ANCHORS)
 
     stream = _rssi_stream(_survey_points(60))
-    wrong_mod = AlignedStream("uwb", stream.samples, stream.columns)
+    wrong_mod = AlignedStream("uwb", stream.t, stream.features, stream.labels, stream.columns)
     with pytest.raises(InsufficientData):
         calibrate_rssi_offset(wrong_mod, SQUARE_ANCHORS)
 
@@ -224,16 +254,15 @@ def test_calibration_respects_a_custom_sweep():
 
 def _noisy(stream, sigma_db, seed):
     rng = np.random.default_rng(seed)
-    samples = [LabeledSample(s.t_ref, s.features + rng.normal(0.0, sigma_db, s.features.shape),
-                             s.label, s.modality) for s in stream.samples]
-    return _stream(samples, stream.columns)
+    features = stream.features + rng.normal(0.0, sigma_db, stream.features.shape)
+    return _stream(features, stream.labels, stream.columns)
 
 
 def test_one_call_sweep_reproduces_a_per_beta_loop():
     stream = _noisy(_rssi_stream(_survey_points(80), p0=-47.0), 2.0, seed=3)
     cal = calibrate_rssi_offset(stream, SQUARE_ANCHORS)
     anchors = {a.id: a.position for a in SQUARE_ANCHORS}
-    labels = stream.labels()
+    labels = stream.labels
     loop = []
     for beta in np.arange(-30.0, 31.0):
         est = rssi_snapshot_positions(stream, anchors, float(beta))
@@ -251,7 +280,7 @@ def test_blocked_sweep_equals_the_one_call_sweep_bit_for_bit():
     sweep = np.linspace(-12.5, 9.0, 2 * SWEEP_BLOCK + 3)
     cal = calibrate_rssi_offset(stream, SQUARE_ANCHORS, sweep=sweep)
     est, _ = rssi_snapshot_fixes(stream, {a.id: a.position for a in SQUARE_ANCHORS}, sweep)
-    labels = stream.labels()
+    labels = stream.labels
     medians = np.median(np.hypot(est[..., 0] - labels[:, 0], est[..., 1] - labels[:, 1]),
                         axis=-1)
     assert cal.sweep_errors == tuple(zip(sweep.tolist(), medians.tolist()))
@@ -263,15 +292,14 @@ def test_snapshot_solve_rejects_a_non_finite_distance():
     anchors = {a.id: a.position for a in SQUARE_ANCHORS}
     # two readings so weak that their distances overflow to inf; one of
     # them is among the snapshot's three strongest
-    first = stream.samples[0]
-    weak = LabeledSample(first.t_ref, np.asarray([-1e5, -1e5, -50.0, -50.0]),
-                         first.label, "rssi")
-    bad = _stream((weak, *stream.samples[1:]), stream.columns)
+    features = np.array(stream.features)
+    features[0] = [-1e5, -1e5, -50.0, -50.0]
+    bad = _stream(features, stream.labels, stream.columns)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         rssi_snapshot_positions(bad, anchors, beta=0.0)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         calibrate_rssi_offset(bad, SQUARE_ANCHORS)
-    # LabeledSample itself refuses a non-finite reading
+    # the stream itself refuses a non-finite reading
+    features[0] = [np.nan, -50.0, -50.0, -50.0]
     with pytest.raises(ValueError):
-        LabeledSample(0.0, np.asarray([np.nan, -50.0, -50.0, -50.0]),
-                      Position2D(1.0, 1.0), "rssi")
+        _stream(features, stream.labels, stream.columns)

@@ -188,15 +188,19 @@ def test_batched_solver_input_checks():
 
 def test_translate_sensor_pose_quarter_turn():
     # robot at (1, 2) facing +y; a sensor 0.1 m ahead lands at (1, 2.1)
-    pos = translate_sensor_pose(Pose(1.0, 2.0, math.pi / 2), SensorOffset(0.1, 0.0, 0.0))
-    assert pos.x == pytest.approx(1.0, abs=1e-12)
-    assert pos.y == pytest.approx(2.1, abs=1e-12)
+    pos = translate_sensor_pose((1.0, 2.0), math.pi / 2, SensorOffset(0.1, 0.0, 0.0))
+    assert pos[0] == pytest.approx(1.0, abs=1e-12)
+    assert pos[1] == pytest.approx(2.1, abs=1e-12)
+    # the same robot pose twice, as arrays, gives the same position twice
+    both = translate_sensor_pose([(1.0, 2.0)] * 2, np.full(2, math.pi / 2),
+                                 SensorOffset(0.1, 0.0, 0.0))
+    assert both.tolist() == [pos.tolist()] * 2
 
 
 def test_translate_sensor_pose_zero_offset_is_identity():
     pose = Pose(3.7, -1.2, 0.4)
-    pos = translate_sensor_pose(pose, SensorOffset())
-    assert (pos.x, pos.y) == (pose.x, pose.y)
+    pos = translate_sensor_pose((pose.x, pose.y), pose.phi, SensorOffset())
+    assert (pos[0], pos[1]) == (pose.x, pose.y)
 
 
 @given(coords, coords, st.floats(min_value=-4, max_value=4),
@@ -206,16 +210,16 @@ def test_translate_sensor_pose_zero_offset_is_identity():
 @settings(max_examples=200)
 def test_translate_preserves_mount_radius(x, y, phi, xo, yo, po):
     pose = Pose(x, y, phi)
-    pos = translate_sensor_pose(pose, SensorOffset(xo, yo, po))
-    assert math.hypot(pos.x - pose.x, pos.y - pose.y) == pytest.approx(
+    pos = translate_sensor_pose((pose.x, pose.y), pose.phi, SensorOffset(xo, yo, po))
+    assert math.hypot(pos[0] - pose.x, pos[1] - pose.y) == pytest.approx(
         math.hypot(xo, yo), abs=1e-9)
 
 
 def test_translate_phi_off_rotates_about_the_center():
-    base = translate_sensor_pose(Pose(0, 0, 0), SensorOffset(0.2, 0.0, 0.0))
-    quarter = translate_sensor_pose(Pose(0, 0, 0), SensorOffset(0.2, 0.0, math.pi / 2))
-    assert (base.x, base.y) == pytest.approx((0.2, 0.0), abs=1e-12)
-    assert (quarter.x, quarter.y) == pytest.approx((0.0, 0.2), abs=1e-12)
+    base = translate_sensor_pose((0.0, 0.0), 0.0, SensorOffset(0.2, 0.0, 0.0))
+    quarter = translate_sensor_pose((0.0, 0.0), 0.0, SensorOffset(0.2, 0.0, math.pi / 2))
+    assert (base[0], base[1]) == pytest.approx((0.2, 0.0), abs=1e-12)
+    assert (quarter[0], quarter[1]) == pytest.approx((0.0, 0.2), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

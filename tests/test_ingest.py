@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indoor_fusion.errors import (
@@ -19,8 +19,9 @@ from indoor_fusion.ingest import (
     RSSI_FLOOR_DB,
     UWB_MISSING_RANGE,
     AlignedStream,
+    BlockDef,
     FrameLayout,
-    FusionFrame,
+    Frames,
     align_all,
     build_fusion_frames,
     correct_clock,
@@ -43,7 +44,6 @@ from indoor_fusion.records import (
     CsiPayload,
     GtPayload,
     ImuPayload,
-    LabeledSample,
     Pose,
     Position2D,
     Record,
@@ -190,9 +190,9 @@ def test_labeling_translates_to_the_sensor_mount():
     recs = [_uwb(t) for t in _ticks(19.0, 2.0)]
     stream = label_with_groundtruth(recs, gt, SensorOffset(0.0, 0.25, 0.0))
     assert stream.modality == "uwb"
-    for s in stream.samples:
-        assert s.label.x == pytest.approx(0.1 * s.t_ref, abs=1e-12)
-        assert s.label.y == pytest.approx(0.25, abs=1e-12)
+    for t, (x, y) in zip(stream.t, stream.labels):
+        assert x == pytest.approx(0.1 * t, abs=1e-12)
+        assert y == pytest.approx(0.25, abs=1e-12)
 
 
 def test_labeling_drops_records_outside_the_groundtruth_span():
@@ -218,14 +218,14 @@ def test_uwb_and_rssi_feature_layout_marks_missing_anchors():
     recs = [_uwb(1.0, "u0", 2.0), _uwb(1.0, "u1", 3.0), _uwb(2.0, "u1", 4.0)]
     stream = label_with_groundtruth(recs, gt, SensorOffset())
     assert stream.columns == ("u0", "u1")
-    np.testing.assert_array_equal(stream.samples[0].features, [2.0, 3.0])
-    np.testing.assert_array_equal(stream.samples[1].features, [UWB_MISSING_RANGE, 4.0])
+    np.testing.assert_array_equal(stream.features[0], [2.0, 3.0])
+    np.testing.assert_array_equal(stream.features[1], [UWB_MISSING_RANGE, 4.0])
 
     rrecs = [Record(1.0, "rssi", "esp0", RssiPayload("w00", -41.0)),
              Record(2.0, "rssi", "esp0", RssiPayload("w01", -52.0))]
     rstream = label_with_groundtruth(rrecs, gt, SensorOffset())
-    np.testing.assert_array_equal(rstream.samples[0].features, [-41.0, RSSI_FLOOR_DB])
-    np.testing.assert_array_equal(rstream.samples[1].features, [RSSI_FLOOR_DB, -52.0])
+    np.testing.assert_array_equal(rstream.features[0], [-41.0, RSSI_FLOOR_DB])
+    np.testing.assert_array_equal(rstream.features[1], [RSSI_FLOOR_DB, -52.0])
 
 
 def test_csi_feature_layout_variants():
@@ -237,16 +237,16 @@ def test_csi_feature_layout_variants():
 
     mag_stream = label_with_groundtruth(recs, gt, SensorOffset())
     assert mag_stream.columns == ("w00",) * 3 + ("w01",) * 3
-    np.testing.assert_array_equal(mag_stream.samples[0].features,
+    np.testing.assert_array_equal(mag_stream.features[0],
                                   [1.0, 2.0, 3.0, 0.0, 0.0, 0.0])
 
     phase_stream = label_with_groundtruth(recs, gt, SensorOffset(), csi_features="phase")
-    np.testing.assert_array_equal(phase_stream.samples[1].features,
+    np.testing.assert_array_equal(phase_stream.features[1],
                                   [0.0, 0.0, 0.0, -0.1, -0.2, -0.3])
 
     both = label_with_groundtruth(recs, gt, SensorOffset(), csi_features="both")
     assert len(both.columns) == 12
-    np.testing.assert_array_equal(both.samples[0].features,
+    np.testing.assert_array_equal(both.features[0],
                                   [1, 2, 3, 0.1, 0.2, 0.3, 0, 0, 0, 0, 0, 0])
 
 
@@ -256,8 +256,8 @@ def test_imu_features_take_the_newest_record_in_a_tick():
     second = Record(1.0, "imu", "imu0", ImuPayload((2, 0, 9.81), (0, 0, 0.2), (19, 4, -45)))
     stream = label_with_groundtruth([first, second], gt, SensorOffset())
     assert stream.columns[:3] == ("accel_x", "accel_y", "accel_z")
-    assert stream.samples[0].features[0] == 2.0
-    assert stream.samples[0].features[5] == 0.2
+    assert stream.features[0, 0] == 2.0
+    assert stream.features[0, 5] == 0.2
 
 
 def test_align_all_splits_by_modality():
@@ -265,7 +265,7 @@ def test_align_all_splits_by_modality():
     recs = gt + [_uwb(1.0), Record(1.5, "rssi", "esp0", RssiPayload("w00", -50.0))]
     streams = align_all(recs, {"uwb": SensorOffset(0.1, 0, 0)})
     assert set(streams) == {"uwb", "rssi"}
-    assert streams["uwb"].samples[0].label.x == pytest.approx(0.2, abs=1e-12)
+    assert streams["uwb"].labels[0, 0] == pytest.approx(0.2, abs=1e-12)
 
 
 def _reference_label(records, interp, offset, csi_features):
@@ -334,10 +334,11 @@ def test_label_table_matches_per_record_labeling(records, csi_features):
     offset = SensorOffset(0.1, -0.2, 0.3)
     stream = label_with_groundtruth(records, gt, offset, csi_features)
     expected = _reference_label(records, interp, offset, csi_features)
-    assert len(stream.samples) == len(expected)
-    for s, (t, features, x, y) in zip(stream.samples, expected):
-        assert s.t_ref == t and (s.label.x, s.label.y) == (x, y)
-        np.testing.assert_array_equal(s.features, features)
+    assert len(stream) == len(expected)
+    for s_t, s_features, s_label, (t, features, x, y) in zip(
+            stream.t.tolist(), stream.features, stream.labels.tolist(), expected):
+        assert s_t == t and s_label == [x, y]
+        np.testing.assert_array_equal(s_features, features)
     kept = sum(interp.t[0] <= r.t <= interp.t[-1] for r in records)
     assert (stream.record_count, stream.dropped) == (kept, len(records) - kept)
 
@@ -365,14 +366,12 @@ def test_ingest_tables_of_a_file_match_ingest_run_of_its_records(short_campaign,
     assert result.clock_estimates == expected.clock_estimates
     assert result.dropped == expected.dropped
     assert len(result.frames) == len(expected.frames)
-    for a, b in zip(result.frames, expected.frames):
-        assert a.t_ref == b.t_ref and a.label == b.label
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.mask, b.mask)
+    for name in ("t", "labels", "features", "mask"):
+        np.testing.assert_array_equal(getattr(result.frames, name),
+                                      getattr(expected.frames, name))
     for m, stream in result.streams.items():
         assert stream.columns == expected.streams[m].columns
-        np.testing.assert_array_equal(stream.feature_matrix(),
-                                      expected.streams[m].feature_matrix())
+        np.testing.assert_array_equal(stream.features, expected.streams[m].features)
 
 
 def test_ingest_result_materializes_its_records(short_campaign):
@@ -388,15 +387,27 @@ def test_ingest_result_materializes_its_records(short_campaign):
     via_records = label_with_groundtruth([r for r in corrected if r.sensor == "csi"],
                                          result.gt_records, offset, csi_features="phase")
     via_table = label_table(result.tables["csi"], interp, offset, csi_features="phase")
-    np.testing.assert_array_equal(via_records.feature_matrix(), via_table.feature_matrix())
-    np.testing.assert_array_equal(via_records.labels(), via_table.labels())
+    np.testing.assert_array_equal(via_records.features, via_table.features)
+    np.testing.assert_array_equal(via_records.labels, via_table.labels)
+
+
+def test_aligned_stream_requires_finite_nonempty_features():
+    stream = AlignedStream("uwb", [0.0], np.ones((1, 2)), np.zeros((1, 2)), ("a", "b"))
+    with pytest.raises(ValueError):
+        stream.features[0, 0] = 5.0  # read-only
+    # no ticks, no columns: the empty stream of a sensor that never reported
+    assert len(AlignedStream("uwb", np.zeros(0), np.zeros((0, 0)), np.zeros((0, 2)), ())) == 0
+    with pytest.raises(ValueError):
+        AlignedStream("uwb", [0.0], np.zeros((1, 0)), np.zeros((1, 2)), ())
+    with pytest.raises(ValueError):
+        AlignedStream("uwb", [0.0], [[np.inf]], np.zeros((1, 2)), ("a",))
+    with pytest.raises(ValueError):
+        AlignedStream("uwb", [0.0], [[1.0]], [[np.nan, 0.0]], ("a",))
 
 
 def test_aligned_stream_requires_increasing_times():
-    s1 = LabeledSample(1.0, np.ones(2), Position2D(0, 0), "uwb")
-    s2 = LabeledSample(0.5, np.ones(2), Position2D(0, 0), "uwb")
     with pytest.raises(ValueError):
-        AlignedStream("uwb", (s1, s2), ("a", "b"))
+        AlignedStream("uwb", [1.0, 0.5], np.ones((2, 2)), np.zeros((2, 2)), ("a", "b"))
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +415,11 @@ def test_aligned_stream_requires_increasing_times():
 
 def _mini_stream(modality, ticks, width, fill):
     cols = tuple(f"{modality}{i}" for i in range(width))
-    samples = tuple(
-        LabeledSample(float(t), np.full(width, float(fill) + j), Position2D(float(t), 0.0),
-                      modality)
-        for j, t in enumerate(ticks))
-    return AlignedStream(modality, samples, cols)
+    t = np.asarray(ticks, dtype=np.float64)
+    features = np.repeat(float(fill) + np.arange(len(t), dtype=np.float64)[:, None], width,
+                         axis=1)
+    labels = np.stack([t, np.zeros_like(t)], axis=1)
+    return AlignedStream(modality, t, features, labels, cols)
 
 
 def test_frame_layout_follows_the_canonical_order():
@@ -436,17 +447,16 @@ def test_fusion_frames_take_the_newest_sample_in_the_causal_window():
     assert len(frames) == 2
     layout = frame_layout([csi, uwb])
 
-    f1 = frames[0]
-    assert f1.t_ref == 1.0
-    np.testing.assert_array_equal(f1.mask, [1.0, 1.0])
+    assert frames.layout == layout
+    assert frames.t[0] == 1.0
+    np.testing.assert_array_equal(frames.mask[0], [1.0, 1.0])
     # newest uwb sample at or before t=1.0 within 0.15 s is the one at 0.92
-    assert f1.features[layout.feature_slice("uwb")][0] == 1.0
-    assert (f1.label.x, f1.label.y) == (1.0, 0.0)
+    assert frames.features[0, layout.feature_slice("uwb")][0] == 1.0
+    assert tuple(frames.labels[0]) == (1.0, 0.0)
 
-    f2 = frames[1]
     # the 2.05 sample is in the future; 1.95 wins
-    assert f2.features[layout.feature_slice("uwb")][0] == 2.0
-    np.testing.assert_array_equal(f2.mask, [1.0, 1.0])
+    assert frames.features[1, layout.feature_slice("uwb")][0] == 2.0
+    np.testing.assert_array_equal(frames.mask[1], [1.0, 1.0])
 
 
 def test_fusion_frames_zero_fill_stale_blocks():
@@ -454,18 +464,87 @@ def test_fusion_frames_zero_fill_stale_blocks():
     uwb = _mini_stream("uwb", [0.9], 1, 7.0)
     frames = build_fusion_frames([csi, uwb], window=0.15)
     layout = frame_layout([csi, uwb])
-    stale = frames[1]
-    np.testing.assert_array_equal(stale.features[layout.feature_slice("uwb")], [0.0])
-    np.testing.assert_array_equal(stale.mask, [1.0, 0.0])
-    fresh = frames[0]
-    np.testing.assert_array_equal(fresh.features[layout.feature_slice("uwb")], [7.0])
+    np.testing.assert_array_equal(frames.features[1, layout.feature_slice("uwb")], [0.0])
+    np.testing.assert_array_equal(frames.mask[1], [1.0, 0.0])
+    np.testing.assert_array_equal(frames.features[0, layout.feature_slice("uwb")], [7.0])
 
 
 def test_fusion_frames_need_a_positive_window_and_an_anchor():
     csi = _mini_stream("csi", [1.0], 2, 0.0)
     with pytest.raises(ValueError):
         build_fusion_frames([csi], window=0.0)
-    assert build_fusion_frames([_mini_stream("uwb", [1.0], 1, 0.0)]) == []
+    assert len(build_fusion_frames([_mini_stream("uwb", [1.0], 1, 0.0)])) == 0
+
+
+def _reference_frames(streams, window, anchor_modality="csi"):
+    """The per-tick assembly loop: one frame per anchor tick, each other
+    block filled from its stream's newest tick in the causal window."""
+    layout = frame_layout(streams)
+    by_modality = {s.modality: s for s in streams}
+    anchor = by_modality.get(anchor_modality)
+    rows = []
+    for i, t in enumerate([] if anchor is None else anchor.t.tolist()):
+        features = np.zeros(layout.feature_width)
+        mask = np.zeros(layout.mask_width)
+        for block in layout.blocks:
+            stream = by_modality[block.modality]
+            if block.modality == anchor_modality:
+                j = i
+            else:
+                j = int(np.searchsorted(stream.t, t, side="right")) - 1
+                if j < 0 or t - stream.t[j] > window:
+                    continue
+            features[layout.feature_slice(block.modality)] = stream.features[j]
+            mask[layout.mask_index(block.modality)] = 1.0
+        rows.append((t, features, mask, anchor.labels[i]))
+    return rows
+
+
+# dyadic ticks and windows, so a tick is often exactly one window old
+_grid_ticks = st.sampled_from([k / 8.0 for k in range(33)]) | st.floats(0.0, 4.0)
+_windows = st.sampled_from([0.125, 0.25, 0.5]) | st.floats(0.01, 2.0)
+
+
+@st.composite
+def fusion_streams(draw):
+    """A csi anchor stream and up to three others, any of them empty."""
+    streams = []
+    modalities = ["csi"] + draw(st.lists(st.sampled_from(["rssi", "uwb", "imu"]),
+                                         unique=True, max_size=3))
+    for modality in modalities:
+        ticks = sorted(draw(st.lists(_grid_ticks, max_size=8, unique=True)))
+        width = draw(st.integers(1, 3))
+        values = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(ticks) * width,
+                               max_size=len(ticks) * width))
+        labels = draw(st.lists(st.floats(-5.0, 5.0), min_size=2 * len(ticks),
+                               max_size=2 * len(ticks)))
+        streams.append(AlignedStream(
+            modality, np.asarray(ticks, dtype=np.float64),
+            np.asarray(values, dtype=np.float64).reshape(len(ticks), width),
+            np.asarray(labels, dtype=np.float64).reshape(len(ticks), 2),
+            tuple(f"{modality}{j}" for j in range(width))))
+    return streams
+
+
+@given(fusion_streams(), _windows)
+# a uwb tick exactly one window old, and one at the anchor's own time
+@example([_mini_stream("csi", [1.0, 2.0], 2, 1.0), _mini_stream("uwb", [0.75, 2.0], 1, 5.0)],
+         0.25)
+# an empty non-anchor stream
+@example([_mini_stream("csi", [1.0], 2, 1.0), _mini_stream("imu", [], 9, 0.0)], 0.25)
+# a stream with no anchor ticks
+@example([_mini_stream("csi", [], 2, 1.0), _mini_stream("uwb", [1.0], 1, 5.0)], 0.25)
+@settings(max_examples=200)
+def test_fusion_frames_match_the_per_tick_loop_bit_for_bit(streams, window):
+    frames = build_fusion_frames(streams, window=window)
+    expected = _reference_frames(streams, window)
+    assert frames.layout == frame_layout(streams)
+    assert len(frames) == len(expected)
+    for i, (t, features, mask, label) in enumerate(expected):
+        assert frames.t[i] == t
+        assert frames.features[i].tobytes() == features.tobytes()
+        assert frames.mask[i].tobytes() == mask.tobytes()
+        assert frames.labels[i].tobytes() == label.tobytes()
 
 
 def test_select_blocks_restricts_features_and_layout():
@@ -473,17 +552,16 @@ def test_select_blocks_restricts_features_and_layout():
     uwb = _mini_stream("uwb", [0.95], 1, 5.0)
     imu = _mini_stream("imu", [0.99], 9, 0.0)
     frames = build_fusion_frames([csi, uwb, imu], window=0.15)
-    layout = frame_layout([csi, uwb, imu])
 
-    sub, sub_layout = select_blocks(frames, layout, ["imu", "csi"])
-    assert sub_layout.modalities() == ("csi", "imu")
-    assert sub[0].features.shape == (11,)
-    np.testing.assert_array_equal(sub[0].features[:2], [10.0, 10.0])
-    np.testing.assert_array_equal(sub[0].mask, [1.0, 1.0])
-    assert sub[0].label.x == frames[0].label.x
+    sub = select_blocks(frames, ["imu", "csi"])
+    assert sub.layout.modalities() == ("csi", "imu")
+    assert sub.features[0].shape == (11,)
+    np.testing.assert_array_equal(sub.features[0, :2], [10.0, 10.0])
+    np.testing.assert_array_equal(sub.mask[0], [1.0, 1.0])
+    assert sub.labels[0, 0] == frames.labels[0, 0]
 
     with pytest.raises(LayoutMismatch):
-        select_blocks(frames, layout, ["rssi"])
+        select_blocks(frames, ["rssi"])
 
 
 def test_frames_to_arrays_appends_mask_bits():
@@ -492,33 +570,35 @@ def test_frames_to_arrays_appends_mask_bits():
     x, y = frames_to_arrays(frames)
     assert x.shape == (2, 3)
     np.testing.assert_array_equal(x[:, 2], [1.0, 1.0])
-    x2, _ = frames_to_arrays(frames, include_mask=False)
-    assert x2.shape == (2, 2)
+    np.testing.assert_array_equal(x[:, :2], frames.features)
     np.testing.assert_array_equal(y[:, 0], [1.0, 2.0])
     with pytest.raises(ValueError):
-        frames_to_arrays([])
+        frames_to_arrays(frames.take([]))
 
 
 def test_frames_jsonl_roundtrip_is_exact(tmp_path):
-    frames = [FusionFrame(1.0 / 3.0, np.asarray([0.1, -2.5e-7]), np.asarray([1.0]),
-                          Position2D(1.23456789012345, -0.5)),
-              FusionFrame(2.0 / 3.0, np.asarray([4.0, 5.0]), np.asarray([0.0]),
-                          Position2D(0.0, 0.0))]
+    layout = FrameLayout((BlockDef("csi", 2, ("w0", "w0")),))
+    frames = Frames([1.0 / 3.0, 2.0 / 3.0], [[0.1, -2.5e-7], [4.0, 5.0]], [[1.0], [0.0]],
+                    [[1.23456789012345, -0.5], [0.0, 0.0]], layout)
     path = tmp_path / "frames.jsonl"
     assert write_frames(path, frames) == 2
-    back = read_frames(path)
+    back = Frames(*read_frames(path), layout)
     assert len(back) == 2
-    for a, b in zip(frames, back):
-        assert a.t_ref == b.t_ref
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.mask, b.mask)
-        assert (a.label.x, a.label.y) == (b.label.x, b.label.y)
+    for name in ("t", "features", "mask", "labels"):
+        np.testing.assert_array_equal(getattr(frames, name), getattr(back, name))
 
 
 def test_read_frames_rejects_malformed_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": 1.0, "features": [1.0]}\n', encoding="utf-8")
     with pytest.raises(MalformedLine):
+        read_frames(path)
+    line = '{"t": 1.0, "features": [1.0], "mask": [1.0], "label": [0.0, 0.0]}\n'
+    path.write_text(line + line.replace("[1.0]", "[1.0, 2.0]", 1), encoding="utf-8")
+    with pytest.raises(MalformedLine, match=":2: frame is not as wide"):
+        read_frames(path)
+    path.write_bytes(line.encode() + b"\xff\xfe\n")
+    with pytest.raises(MalformedLine, match=r"bad\.jsonl: not UTF-8 text"):
         read_frames(path)
 
 
@@ -536,10 +616,10 @@ def test_ingest_run_recovers_the_configured_clocks(short_campaign):
 def test_ingest_run_produces_the_full_layout(short_campaign):
     result = short_campaign.result
     assert set(result.streams) == {"csi", "rssi", "uwb", "imu"}
-    assert result.layout.modalities() == MODALITY_ORDER
+    assert result.frames.layout.modalities() == MODALITY_ORDER
     assert len(result.frames) > 100
     assert result.dropped == sum(s.dropped for s in result.streams.values())
-    widths = {b.modality: b.width for b in result.layout.blocks}
+    widths = {b.modality: b.width for b in result.frames.layout.blocks}
     assert widths["csi"] == 13 * 52
     assert widths["rssi"] == 13
     assert widths["uwb"] == 3
@@ -556,9 +636,8 @@ def test_ingest_run_labels_match_true_sensor_positions(short_campaign):
 
     interp = TrajectoryInterpolator(traj)
     for modality, stream in short_campaign.result.streams.items():
-        true_pos = interp.sensor_position_at(stream.times(),
-                                             scenario.sensor_offsets[modality])
-        err = np.hypot(*(stream.labels() - true_pos).T)
+        true_pos = interp.sensor_position_at(stream.t, scenario.sensor_offsets[modality])
+        err = np.hypot(*(stream.labels - true_pos).T)
         assert float(err.max()) < 1e-6, modality
 
 

@@ -11,7 +11,7 @@ from indoor_fusion.errors import (
     InsufficientData,
     TooFewFrames,
 )
-from indoor_fusion.ingest import FusionFrame, select_blocks
+from indoor_fusion.ingest import BlockDef, FrameLayout, Frames, select_blocks
 from indoor_fusion.mlp import (
     DEFAULT_HIDDEN,
     Mlp,
@@ -32,12 +32,9 @@ from indoor_fusion.records import Position2D
 def _identity_frames(n, seed=0):
     """Frames whose label is literally their two features: y = x."""
     rng = np.random.default_rng(seed)
-    frames = []
-    for i in range(n):
-        x, y = rng.uniform(0.5, 7.5), rng.uniform(0.5, 5.5)
-        frames.append(FusionFrame(float(i), np.asarray([x, y]), np.asarray([1.0]),
-                                  Position2D(x, y)))
-    return frames
+    xy = np.asarray([(rng.uniform(0.5, 7.5), rng.uniform(0.5, 5.5)) for _ in range(n)])
+    layout = FrameLayout((BlockDef("uwb", 2, ("x", "y")),))
+    return Frames(np.arange(n, dtype=np.float64), xy, np.ones((n, 1)), xy, layout)
 
 
 def _tiny_config(**kwargs):
@@ -85,25 +82,30 @@ def test_split_spec_validation():
 
 
 def test_split_dataset_is_an_exact_partition():
-    items = list(range(37))
+    items = np.arange(37)
     train_part, test_part = split_dataset(items, SplitSpec(0.9, 3))
     assert len(train_part) == 33  # round(37 * 0.9)
     assert len(test_part) == 4
-    assert sorted(train_part + test_part) == items
+    assert sorted(np.concatenate([train_part, test_part]).tolist()) == items.tolist()
     again = split_dataset(items, SplitSpec(0.9, 3))
-    assert again == (train_part, test_part)
+    assert all(np.array_equal(a, b) for a, b in zip(again, (train_part, test_part)))
     different = split_dataset(items, SplitSpec(0.9, 4))
-    assert different != (train_part, test_part)
+    assert not all(np.array_equal(a, b) for a, b in zip(different, (train_part, test_part)))
+    # frames split the same rows as their indices
+    frames = _identity_frames(37)
+    train_f, test_f = split_dataset(frames, SplitSpec(0.9, 3))
+    np.testing.assert_array_equal(train_f.t, train_part)
+    np.testing.assert_array_equal(test_f.features, frames.features[test_part])
 
 
 def test_split_dataset_always_leaves_both_sides_nonempty():
-    items = list(range(10))
+    items = np.arange(10)
     train_part, test_part = split_dataset(items, SplitSpec(0.99, 0))
     assert len(train_part) == 9 and len(test_part) == 1
     train_part, test_part = split_dataset(items, SplitSpec(0.01, 0))
     assert len(train_part) == 1 and len(test_part) == 9
     with pytest.raises(TooFewFrames):
-        split_dataset(list(range(9)))
+        split_dataset(np.arange(9))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +382,10 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 def test_predict_stream_parallels_the_frames():
     frames = _identity_frames(40)
     model, _ = train(frames, _tiny_config(layer_sizes=(3, 8, 2), epochs=2))
-    estimates = predict_stream(model, frames[:5])
-    assert [t for t, _ in estimates] == [f.t_ref for f in frames[:5]]
+    estimates = predict_stream(model, frames.take(slice(5)))
+    assert [t for t, _ in estimates] == frames.t[:5].tolist()
     assert all(isinstance(p, Position2D) for _, p in estimates)
-    assert predict_stream(model, []) == []
+    assert predict_stream(model, frames.take(slice(0))) == []
 
 
 def test_median_position_error_matches_numpy():
@@ -400,7 +402,8 @@ def test_median_position_error_matches_numpy():
 
 def test_rssi_frames_are_learnable(noiseless_campaign):
     result = noiseless_campaign.result
-    frames, layout = select_blocks(result.frames, result.layout, ["rssi"])
+    frames = select_blocks(result.frames, ["rssi"])
+    layout = frames.layout
     config = MlpConfig.for_input(layout.feature_width + layout.mask_width,
                                  hidden=(64, 32), learning_rate=1e-2,
                                  epochs=40, seed=0)

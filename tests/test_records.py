@@ -16,7 +16,6 @@ from indoor_fusion.records import (
     CsiPayload,
     GtPayload,
     ImuPayload,
-    LabeledSample,
     Pose,
     Position2D,
     Record,
@@ -144,6 +143,17 @@ def test_read_records_reports_a_truncated_final_line(tmp_path):
     path.write_text(line + "\n" + line + "\n" + line[:len(line) // 2], encoding="utf-8")
     with pytest.raises(MalformedLine, match=r"dataset1\.jsonl:3:"):
         read_records(path)
+
+
+@pytest.mark.parametrize("tail", [b"\xff\xfe\n", b"\xc3"])
+def test_bytes_that_are_not_utf8_are_a_malformed_line_naming_the_path(tmp_path, tail):
+    path = tmp_path / "dataset1.jsonl"
+    write_records(path, [Record(0.1, "uwb", "tag0", UwbPayload("u0", 3.25, -55.0))] * 3)
+    with open(path, "ab") as fh:
+        fh.write(tail)  # a stray byte pair, or a character cut off at the end
+    for read in (read_tables, read_records):
+        with pytest.raises(MalformedLine, match=r"dataset1\.jsonl: not UTF-8 text"):
+            read(path)
 
 
 @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-" + "9" * 400, "1" * 5000])
@@ -467,14 +477,6 @@ def test_csi_payload_validation_and_equality():
     assert p != CsiPayload("a", np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         p.magnitudes[0] = 5.0  # read-only
-
-
-def test_labeled_sample_requires_finite_nonempty_features():
-    LabeledSample(0.0, np.ones(2), Position2D(0, 0), "uwb")
-    with pytest.raises(ValueError):
-        LabeledSample(0.0, np.asarray([]), Position2D(0, 0), "uwb")
-    with pytest.raises(ValueError):
-        LabeledSample(0.0, np.asarray([np.inf]), Position2D(0, 0), "uwb")
 
 
 def test_sensor_offset_defaults_to_center():
