@@ -6,14 +6,14 @@ the radio layout, trajectory and noise stay identical.  Magnitude features
 survive; phase features collapse.
 """
 
-from indoor_fusion.evaluate import run_generalization
+from indoor_fusion.evaluate import split_and_run
 from indoor_fusion.ingest import (
     build_fusion_frames,
     ingest_run,
     label_with_groundtruth,
     select_blocks,
 )
-from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset
+from indoor_fusion.mlp import MlpConfig, SplitSpec
 from indoor_fusion.simulate import (
     Perturbation,
     SimConfig,
@@ -49,8 +49,7 @@ def main():
     spec = SplitSpec(shuffle_seed=0)
     for name, frames_a, frames_b in (("magnitude", mag_a, mag_b),
                                      ("phase", phase_a, phase_b)):
-        train_f, test_f = split_dataset(frames_a, spec)
-        out = run_generalization(train_f, test_f, frames_b, nn_config)
+        out = split_and_run(frames_a, frames_b, nn_config, spec)
         self_p50 = out.self_report.percentiles["p50"]
         transfer_p50 = out.transfer_report.percentiles["p50"]
         print(f"{name:9s} self p50={self_p50:.3f} m   "

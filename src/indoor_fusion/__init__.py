@@ -142,8 +142,9 @@ from .evaluate import (
     degradation,
     emit_plot,
     error_report,
-    frames_report,
+    fit_and_score,
     meets_requirement,
+    model_report,
     report_from_errors,
     run_generalization,
     split_and_run,

@@ -40,7 +40,7 @@ from .evaluate import (
     degradation,
     emit_plot,
     error_report,
-    frames_report,
+    fit_and_score,
     read_cdf_csv,
     run_generalization,
     stamped,
@@ -58,17 +58,16 @@ from .geometry import trilaterate_batch
 from .ingest import (
     DEFAULT_WINDOW_S,
     AlignedStream,
+    FrameLayout,
     Frames,
     IngestResult,
     build_fusion_frames,
-    frames_to_arrays,
     groundtruth_interpolator,
     ingest_tables,
     label_table,
-    select_blocks,
     write_frames,
 )
-from .mlp import MlpConfig, SplitSpec, split_dataset, train_arrays
+from .mlp import MlpConfig, SplitSpec, split_dataset
 from .records import SensorOffset, read_tables
 from .simulate import (
     DEFAULT_PERTURBATION,
@@ -255,9 +254,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_campaign(cfg: RunConfig, which: int,
-                   ) -> tuple[Scenario, SimConfig, IngestResult]:
-    scenario1, sim_config, scenario2 = read_sidecar(cfg.out / "scenario.json")
+def _load_campaign(cfg: RunConfig, sidecar: tuple[Scenario, SimConfig, Scenario | None],
+                   which: int) -> tuple[Scenario, IngestResult]:
+    """Read and ingest one campaign; ``sidecar`` is what read_sidecar returns."""
+    scenario1, sim_config, scenario2 = sidecar
     if which == 1:
         scenario = scenario1
     else:
@@ -268,11 +268,11 @@ def _load_campaign(cfg: RunConfig, which: int,
     tables = read_tables(cfg.out / f"dataset{which}.jsonl")
     result = ingest_tables(tables, scenario.sensor_offsets, sim_config.rates,
                            sim_config.duration, window=cfg.window)
-    return scenario, sim_config, result
+    return scenario, result
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    scenario, _, result = _load_campaign(cfg, 1)
+    _, result = _load_campaign(cfg, read_sidecar(cfg.out / "scenario.json"), 1)
     n = write_frames(cfg.out / "frames1.jsonl", result.frames)
     summary = {
         "frames": n,
@@ -294,7 +294,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
-    scenario, _, result = _load_campaign(cfg, 1)
+    scenario, result = _load_campaign(cfg, read_sidecar(cfg.out / "scenario.json"), 1)
     stream = result.streams.get("rssi")
     if stream is None:
         raise InsufficientData("dataset carries no rssi records to calibrate on")
@@ -314,24 +314,29 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
 @dataclass
 class _Campaign:
+    """What the methods read of one campaign; no sensor table is kept."""
+
     scenario: Scenario
-    result: IngestResult
+    streams: dict[str, AlignedStream]
+    frames: Frames
     phase: Frames | None = None  # CSI phase frames, for nn:csi-phase
 
 
-def _prepare_campaign(cfg: RunConfig, which: int, need_phase: bool) -> _Campaign:
-    scenario, _, result = _load_campaign(cfg, which)
-    camp = _Campaign(scenario, result)
+def _prepare_campaign(cfg: RunConfig, sidecar: tuple[Scenario, SimConfig, Scenario | None],
+                      which: int, need_phase: bool) -> _Campaign:
+    scenario, result = _load_campaign(cfg, sidecar, which)
+    phase = None
     if need_phase and "csi" in result.tables:
         stream = label_table(
             result.tables["csi"], groundtruth_interpolator(result.tables["gt"]),
             scenario.sensor_offsets.get("csi", SensorOffset()), csi_features="phase")
-        camp.phase = build_fusion_frames([stream], window=cfg.window)
-    return camp
+        phase = build_fusion_frames([stream], window=cfg.window)
+    # the corrected tables are freed with ``result`` once the phase relabel is done
+    return _Campaign(scenario, result.streams, result.frames, phase)
 
 
 def _stream_or_raise(camp: _Campaign, modality: str) -> AlignedStream:
-    stream = camp.result.streams.get(modality)
+    stream = camp.streams.get(modality)
     if stream is None or not len(stream):
         raise InsufficientData(f"dataset carries no {modality} records")
     return stream
@@ -391,39 +396,39 @@ def _fp_report(camp: _Campaign, camp2: _Campaign | None, modality: str,
     return report, extras, gen
 
 
-def _nn_selection(camp: _Campaign, method: str) -> Frames:
+def _nn_input(camp: _Campaign, method: str) -> tuple[Frames, FrameLayout]:
+    """The frames a neural method reads, and the layout of its blocks."""
     if method == "nn:csi-phase":
         if camp.phase is None:
             raise InsufficientData("phase-featurized frames were not prepared")
-        return camp.phase
+        return camp.phase, camp.phase.layout
     wanted = blocks_for_method(method)
     if method == "nn-fusion":
-        wanted = [m for m in wanted if m in camp.result.frames.layout.modalities()]
-    return select_blocks(camp.result.frames, wanted)
+        wanted = [m for m in wanted if m in camp.frames.layout.modalities()]
+    return camp.frames, camp.frames.layout.select(wanted)
 
 
 def _nn_report(camp: _Campaign, camp2: _Campaign | None, method: str,
                cfg: RunConfig) -> tuple[ErrorReport, dict, dict | None]:
-    # the split copies the selected rows; the selection is not kept past it
-    train_f, test_f = split_dataset(_nn_selection(camp, method),
-                                    SplitSpec(shuffle_seed=cfg.seed))
-    layout = train_f.layout
+    # rows are split, then each input is gathered once from the shared frames
+    frames, layout = _nn_input(camp, method)
+    train_rows, test_rows = split_dataset(np.arange(len(frames)),
+                                          SplitSpec(shuffle_seed=cfg.seed))
     model_config = MlpConfig.for_input(layout.feature_width + layout.mask_width,
                                        epochs=cfg.epochs, seed=cfg.seed)
     if camp2 is not None:
-        result = run_generalization(train_f, test_f, _nn_selection(camp2, method),
-                                    model_config)
+        frames2, layout2 = _nn_input(camp2, method)
+        result = run_generalization(frames, train_rows, test_rows, frames2,
+                                    model_config, layout, layout2)
         report = result.self_report
         history = result.history
         gen = _generalization_entry(result.self_report, result.transfer_report)
     else:
-        x_train, y_train = frames_to_arrays(train_f)
-        x_test, y_test = frames_to_arrays(test_f)
-        model, history = train_arrays(x_train, y_train, x_test, y_test, model_config)
-        report = frames_report(model, test_f)
+        _, report, history = fit_and_score(frames, train_rows, test_rows,
+                                           model_config, layout)
         gen = None
-    extras = {"epochs_run": len(history), "train_frames": len(train_f),
-              "test_frames": len(test_f),
+    extras = {"epochs_run": len(history), "train_frames": len(train_rows),
+              "test_frames": len(test_rows),
               "input_width": model_config.layer_sizes[0],
               "history": history,
               # the restored weights are the first epoch with the least test error
@@ -480,8 +485,9 @@ def _run_method(method: str, camp1: _Campaign, camp2: _Campaign | None,
 def cmd_run(cfg: RunConfig) -> int:
     methods = sorted(set(cfg.methods))
     need_phase = "nn:csi-phase" in methods
-    camp1 = _prepare_campaign(cfg, 1, need_phase)
-    camp2 = _prepare_campaign(cfg, 2, need_phase) if cfg.transfer else None
+    sidecar = read_sidecar(cfg.out / "scenario.json")
+    camp1 = _prepare_campaign(cfg, sidecar, 1, need_phase)
+    camp2 = _prepare_campaign(cfg, sidecar, 2, need_phase) if cfg.transfer else None
 
     outcomes: dict[str, tuple] = {}
     failures: dict[str, str] = {}
@@ -499,7 +505,7 @@ def cmd_run(cfg: RunConfig) -> int:
                      if name in outcomes]
     report_doc = {
         "config": {**cfg.as_dict(), "methods": methods},
-        "sim_config": sim_config_to_dict(read_sidecar(cfg.out / "scenario.json")[1]),
+        "sim_config": sim_config_to_dict(sidecar[1]),
         "methods": {},
         "failures": dict(sorted(failures.items())),
     }

@@ -3,8 +3,9 @@
 Everything downstream of a localizer lands here: matched (timestamp,
 estimate) / (timestamp, truth) series become an ErrorReport with an exact
 empirical CDF and nearest-rank percentiles (``stamped`` turns time and
-position arrays into such a series); a pair of ``Frames`` sets becomes a
-train-on-A / score-on-A-and-B generalization report; reports become a CSV
+position arrays into such a series); ``Frames`` split into train and test
+rows, plus a transfer set, become a train-on-A / score-on-A-and-B
+generalization report; reports become a CSV
 and a self-contained SVG.
 """
 
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyReport, LayoutMismatch, LengthMismatch, UndefinedDegradation
-from .ingest import Frames, frames_to_arrays, select_blocks
-from .mlp import (Mlp, MlpConfig, SplitSpec, predict_stream, split_dataset,
-                  train_arrays)
+from .errors import (EmptyReport, LayoutMismatch, LengthMismatch, MalformedLine,
+                     SchemaViolation, UndefinedDegradation)
+from .ingest import FrameLayout, Frames, frames_to_arrays
+from .mlp import Mlp, MlpConfig, SplitSpec, split_dataset, train_arrays
 from .records import Position2D
 
 _TIME_MATCH_TOL = 1e-9
@@ -151,64 +152,77 @@ def degradation(self_report: ErrorReport, transfer_report: ErrorReport) -> float
     return transfer_report.median / self_report.median
 
 
-def frames_report(model: Mlp, frames: Frames) -> ErrorReport:
-    """The model's errors on labeled frames."""
-    return error_report(predict_stream(model, frames), stamped(frames.t, frames.labels))
+def model_report(model: Mlp, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> ErrorReport:
+    """The model's errors on inputs ``x`` labelled ``y`` at times ``t``."""
+    return error_report(stamped(t, model.forward(x)), stamped(t, y))
 
 
-def run_generalization(train_frames: Frames, test_frames: Frames,
-                       transfer_frames: Frames, config: MlpConfig | None = None,
+def fit_and_score(frames: Frames, train_rows, test_rows, config: MlpConfig,
+                  layout: FrameLayout | None = None,
+                  ) -> tuple[Mlp, ErrorReport, list[tuple[int, float, float]]]:
+    """Train on the ``train_rows`` of ``frames`` and score the ``test_rows``.
+
+    ``layout`` picks the blocks, as ``frames.layout.select`` gives them
+    (default: all).  Each input is gathered once, and the training input
+    is freed as soon as training returns.  Returns the model, its report
+    on the test rows and the per-epoch history.
+    """
+    x_test, y_test = frames_to_arrays(frames, test_rows, layout)
+    model, history = train_arrays(*frames_to_arrays(frames, train_rows, layout),
+                                  x_test, y_test, config)
+    return model, model_report(model, x_test, y_test, frames.t[test_rows]), history
+
+
+def run_generalization(frames: Frames, train_rows, test_rows, transfer_frames: Frames,
+                       config: MlpConfig | None = None,
+                       layout: FrameLayout | None = None,
+                       transfer_layout: FrameLayout | None = None,
                        modalities: list[str] | None = None,
                        ) -> GeneralizationReport:
-    """Train once on layout-A training frames, report self accuracy on the
-    held-out A frames and transfer accuracy on the full other-layout set.
+    """Train once on the layout-A ``train_rows`` of ``frames``, report self
+    accuracy on its ``test_rows`` and transfer accuracy on all of the
+    other-layout ``transfer_frames``.
 
-    Transfer frames contribute nothing to fitting or normalization; they
-    are only scored after training completes.  With ``modalities`` set,
-    the run repeats per single modality on block-sliced frames for an
+    ``layout`` and ``transfer_layout`` pick the blocks of each set
+    (default: all).  Transfer frames contribute nothing to fitting or
+    normalization; they are gathered and scored only after training.
+    With ``modalities`` set, the run repeats per single modality for an
     ablation breakdown.
     """
-    if not len(train_frames) or not len(test_frames) or not len(transfer_frames):
+    layout = frames.layout if layout is None else layout
+    if transfer_layout is None:
+        transfer_layout = transfer_frames.layout
+    if not len(train_rows) or not len(test_rows) or not len(transfer_frames):
         raise EmptyReport("generalization needs non-empty train/test/transfer sets")
-    width = train_frames.features.shape[1]
-    for name, frames in (("test", test_frames), ("transfer", transfer_frames)):
-        if frames.features.shape[1] != width:
-            raise LayoutMismatch(f"{name} frames are {frames.features.shape[1]}-wide, "
-                                 f"train frames are {width}-wide")
+    if transfer_layout.feature_width != layout.feature_width:
+        raise LayoutMismatch(f"transfer frames are {transfer_layout.feature_width}-wide, "
+                             f"train frames are {layout.feature_width}-wide")
     if config is None:
-        config = MlpConfig.for_input(width + train_frames.mask.shape[1])
+        config = MlpConfig.for_input(layout.feature_width + layout.mask_width)
 
-    x_train, y_train = frames_to_arrays(train_frames)
-    x_test, y_test = frames_to_arrays(test_frames)
-    model, history = train_arrays(x_train, y_train, x_test, y_test, config)
-    result = GeneralizationReport(
-        self_report=frames_report(model, test_frames),
-        transfer_report=frames_report(model, transfer_frames),
-        history=tuple(history),
-    )
-
-    if modalities:
-        breakdown = {}
-        for modality in modalities:
-            sub_train = select_blocks(train_frames, [modality])
-            sub_layout = sub_train.layout
-            sub_config = config.with_input(sub_layout.feature_width
-                                           + sub_layout.mask_width)
-            breakdown[modality] = run_generalization(
-                sub_train, select_blocks(test_frames, [modality]),
-                select_blocks(transfer_frames, [modality]), sub_config)
-        result = GeneralizationReport(result.self_report, result.transfer_report,
-                                      result.history, breakdown)
-    return result
+    model, self_report, history = fit_and_score(frames, train_rows, test_rows, config,
+                                                layout)
+    transfer_report = model_report(
+        model, *frames_to_arrays(transfer_frames, layout=transfer_layout),
+        transfer_frames.t)
+    breakdown = {}
+    for modality in modalities or ():
+        sub = layout.select([modality])
+        breakdown[modality] = run_generalization(
+            frames, train_rows, test_rows, transfer_frames,
+            config.with_input(sub.feature_width + sub.mask_width),
+            sub, transfer_layout.select([modality]))
+    return GeneralizationReport(self_report, transfer_report, tuple(history), breakdown)
 
 
 def split_and_run(frames_a: Frames, frames_b: Frames,
                   config: MlpConfig | None = None,
                   spec: SplitSpec = SplitSpec(),
                   modalities: list[str] | None = None) -> GeneralizationReport:
-    """Convenience wrapper: split A per ``spec``, evaluate against all of B."""
-    train_a, test_a = split_dataset(frames_a, spec)
-    return run_generalization(train_a, test_a, frames_b, config, modalities=modalities)
+    """Convenience wrapper: split A's rows per ``spec``, evaluate against all of B."""
+    train_rows, test_rows = split_dataset(np.arange(len(frames_a)), spec)
+    return run_generalization(frames_a, train_rows, test_rows, frames_b, config,
+                              modalities=modalities)
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +245,37 @@ def write_cdf_csv(named_reports: list[tuple[str, ErrorReport]], path) -> None:
 
 
 def read_cdf_csv(path) -> list[tuple[str, list[tuple[float, float]]]]:
+    """Read :func:`write_cdf_csv` output back as (series, [(error, fraction)]).
+
+    Bytes that are not UTF-8 raise MalformedLine naming the path; a wrong
+    header or a row that is not (name, float, float) raises SchemaViolation
+    naming ``path:line:``.
+    """
     series: dict[str, list[tuple[float, float]]] = {}
     order: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["series", "error_m", "fraction"]:
-            raise ValueError(f"unexpected CDF CSV header: {header}")
-        for name, error, fraction in reader:
-            if name not in series:
-                series[name] = []
-                order.append(name)
-            series[name].append((float(error), float(fraction)))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["series", "error_m", "fraction"]:
+                raise SchemaViolation(f"{path}:1: unexpected CDF CSV header: {header}")
+            for row in reader:
+                if len(row) != 3:
+                    raise SchemaViolation(f"{path}:{reader.line_num}: expected 3 fields, "
+                                          f"got {len(row)}")
+                name, error, fraction = row
+                try:
+                    point = (float(error), float(fraction))
+                except ValueError as exc:
+                    raise SchemaViolation(f"{path}:{reader.line_num}: {exc}") from exc
+                if name not in series:
+                    series[name] = []
+                    order.append(name)
+                series[name].append(point)
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise MalformedLine(f"{path}: {exc}") from exc
     return [(name, series[name]) for name in order]
 
 

@@ -381,6 +381,12 @@ class FrameLayout:
     def mask_index(self, modality: str) -> int:
         return self._entry(modality)[0]
 
+    def select(self, modalities) -> "FrameLayout":
+        """The layout of the named blocks alone, in this layout's order."""
+        for m in modalities:
+            self.block(m)  # raises LayoutMismatch on unknown names
+        return FrameLayout(tuple(b for b in self.blocks if b.modality in modalities))
+
 
 def frame_layout(streams: list[AlignedStream]) -> FrameLayout:
     """Canonical layout over the provided streams: csi | rssi | uwb | imu."""
@@ -465,22 +471,47 @@ def build_fusion_frames(streams: list[AlignedStream],
 def select_blocks(frames: Frames, modalities: list[str]) -> Frames:
     """Restrict frames to a subset of blocks (layout order preserved)."""
     layout = frames.layout
-    for m in modalities:
-        layout.block(m)  # raises LayoutMismatch on unknown names
-    keep = [b for b in layout.blocks if b.modality in modalities]
+    keep = layout.select(modalities)
     columns = [np.arange(layout.feature_width)[layout.feature_slice(b.modality)]
-               for b in keep]
+               for b in keep.blocks]
     return Frames(frames.t,
                   frames.features[:, np.concatenate(columns) if columns else []],
-                  frames.mask[:, [layout.mask_index(b.modality) for b in keep]],
-                  frames.labels, FrameLayout(tuple(keep)))
+                  frames.mask[:, [layout.mask_index(b.modality) for b in keep.blocks]],
+                  frames.labels, keep)
 
 
-def frames_to_arrays(frames: Frames) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) for a regressor: mask bits are appended as extra features."""
-    if not len(frames):
+# Rows gathered per step: bounds the temporary that fancy indexing makes.
+_GATHER_ROWS = 512
+
+
+def frames_to_arrays(frames: Frames, rows=None,
+                     layout: FrameLayout | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) for a regressor: block features with the mask bits appended.
+
+    ``rows`` picks frames in the given order (default: all), ``layout``
+    the blocks, as ``frames.layout.select`` gives them (default: all).  X
+    is one (rows, F + B) array filled in place, so selecting blocks and
+    splitting rows copies each input once.
+    """
+    layout = frames.layout if layout is None else layout
+    rows = np.arange(len(frames)) if rows is None else np.asarray(rows)
+    if not len(rows):
         raise ValueError("no frames to stack")
-    return np.hstack([frames.features, frames.mask]), np.array(frames.labels)
+    for b in layout.blocks:
+        if frames.layout.block(b.modality) != b:
+            raise LayoutMismatch(f"the {b.modality!r} block differs from the frames' own")
+    # (destination, source) columns of each block, and the source mask bits
+    pieces = [(layout.feature_slice(b.modality), frames.layout.feature_slice(b.modality))
+              for b in layout.blocks]
+    masks = [frames.layout.mask_index(b.modality) for b in layout.blocks]
+    x = np.empty((len(rows), layout.feature_width + layout.mask_width))
+    for start in range(0, len(rows), _GATHER_ROWS):
+        chunk = rows[start:start + _GATHER_ROWS]
+        out = x[start:start + len(chunk)]
+        for dst, src in pieces:
+            out[:, dst] = frames.features[chunk, src]
+        out[:, layout.feature_width:] = frames.mask[np.ix_(chunk, masks)]
+    return x, frames.labels[rows]
 
 
 def write_frames(path, frames: Frames) -> int:
@@ -534,7 +565,8 @@ class IngestResult:
     """Everything downstream stages need from one recorded run.
 
     ``tables`` holds each sensor's clock-corrected table, sorted by
-    (t, source id), and the ground-truth table as read.
+    (t, source id), and the ground-truth table as read.  The csi stream's
+    ``features`` is a read-only view of the frames' csi block.
     """
 
     tables: dict[str, SensorTable]
@@ -575,6 +607,9 @@ def ingest_tables(tables: dict[str, SensorTable], sensor_offsets: dict[str, Sens
 
     streams = _label_all(corrected, sensor_offsets, csi_features)
     frames = build_fusion_frames(list(streams.values()), window=window)
+    if "csi" in streams:  # the anchor block holds the csi stream: keep one copy
+        streams["csi"] = replace(streams["csi"], features=frames.features[
+            :, frames.layout.feature_slice("csi")])
     dropped = sum(s.dropped for s in streams.values())
     return IngestResult(corrected, streams, frames, estimates, dropped)
 

@@ -141,7 +141,8 @@ class Mlp:
         if x.shape[1] != self.input_dim:
             raise DimensionMismatch(f"input has {x.shape[1]} features, "
                                     f"model expects {self.input_dim}")
-        a = (x - self.x_mean) / self.x_std
+        a = x - self.x_mean  # normalized in place: one temporary
+        a /= self.x_std
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             a = self._activate(a @ w + b)
         return a @ self.weights[-1] + self.biases[-1]
@@ -157,7 +158,8 @@ class Mlp:
         if len(x) != len(y):
             raise DimensionMismatch(f"{len(x)} inputs vs {len(y)} targets")
         n = len(x)
-        norm = (x - self.x_mean) / self.x_std
+        norm = x - self.x_mean
+        norm /= self.x_std
         pre: list[np.ndarray] = []
         acts: list[np.ndarray] = [norm]
         a = norm
@@ -274,15 +276,16 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
     model.set_normalization(x_train)
 
     # updated in place until the best snapshot replaces them; the update's
-    # temporaries are views of two vectors sized for the largest parameter
+    # step is a view of one vector sized for the largest parameter, and the
+    # Adam divisor reuses the gradient, which is spent by then
     params = model.weights + model.biases
     adam_m, adam_v = ([np.zeros_like(p) for p in params] for _ in range(2))
-    scratch = [np.empty(max(p.size for p in params)) for _ in range(2)]
+    scratch = np.empty(max(p.size for p in params))
     lr, b1, b2 = config.learning_rate, config.beta1, config.beta2
     step = 0
     history: list[tuple[int, float, float]] = []
     best_err = math.inf
-    best_snapshot = model.clone_weights()
+    best_snapshot = model.clone_weights()  # overwritten in place on each improvement
     stale = 0
 
     for epoch in range(config.epochs):
@@ -296,7 +299,7 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
             total += loss * len(idx)
             step += 1
             for p, g, m, v in zip(params, grad_w + grad_b, adam_m, adam_v):
-                a, b = (s[:g.size].reshape(g.shape) for s in scratch)
+                a = scratch[:g.size].reshape(g.shape)
                 if config.optimizer == "sgd":
                     np.multiply(lr, g, out=a)
                 else:
@@ -306,10 +309,10 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
                     np.multiply(1.0 - b2, g, out=a)
                     v += np.multiply(a, g, out=a)
                     np.divide(m, 1.0 - b1 ** step, out=a)
-                    np.sqrt(np.divide(v, 1.0 - b2 ** step, out=b), out=b)
-                    b += config.adam_eps
+                    np.sqrt(np.divide(v, 1.0 - b2 ** step, out=g), out=g)
+                    g += config.adam_eps
                     a *= lr
-                    a /= b
+                    a /= g
                 p -= a
         train_mse = total / len(x_train)
         test_err = median_position_error(model, x_test, y_test) if len(x_test) \
@@ -317,7 +320,8 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
         history.append((epoch, train_mse, test_err))
         if len(x_test) and test_err < best_err:
             best_err = test_err
-            best_snapshot = model.clone_weights()
+            for best, current in zip(best_snapshot[0] + best_snapshot[1], params):
+                np.copyto(best, current)
             stale = 0
         else:
             stale += 1

@@ -357,7 +357,11 @@ _BLOCK_FLOATS = 1 << 16
 class _TableBuilder:
     """Collects one sensor's rows; payload floats go to numpy in blocks.
 
-    The first row fixes the payload width.
+    Each block is appended to one payload array grown in place and trimmed
+    in ``build``, so the payload is never held twice: a list of blocks
+    joined at the end would peak at twice its size.  The array grows by at
+    least a quarter, so the copies a ``realloc`` may make stay linear in
+    the payload.  The first row fixes the payload width.
     """
 
     def __init__(self, sensor: str):
@@ -370,7 +374,8 @@ class _TableBuilder:
         self.source_ids: dict[str, int] = {}
         self.anchor_ids: dict[str, int] = {}
         self.pending: list[float] = []
-        self.blocks: list[np.ndarray] = []
+        self.values = np.empty(0)
+        self.size = 0  # floats of ``values`` in use
 
     def add(self, line: int, t: float, source_id: str, anchor_id: str | None,
             values: list) -> None:
@@ -390,12 +395,18 @@ class _TableBuilder:
 
     def _flush(self) -> None:
         if self.pending:
-            self.blocks.append(np.array(self.pending, dtype=np.float64).reshape(-1, self.width))
+            end = self.size + len(self.pending)
+            if end > self.values.size:
+                # no view of the array is alive here, so the reference check is moot
+                self.values.resize(max(end, self.values.size * 5 // 4), refcheck=False)
+            self.values[self.size:end] = self.pending
+            self.size = end
             self.pending = []
 
     def build(self) -> SensorTable:
         self._flush()
-        values = self.blocks[0] if len(self.blocks) == 1 else np.concatenate(self.blocks)
+        self.values.resize(self.size, refcheck=False)
+        values = self.values.reshape(-1, self.width)
         return SensorTable(self.sensor, np.array(self.t, dtype=np.float64), values,
                            np.array(self.source, dtype=np.intp), tuple(self.source_ids),
                            np.array(self.anchor, dtype=np.intp), tuple(self.anchor_ids),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidOverride
+from .errors import InvalidOverride, MalformedLine, SchemaViolation
 from .geometry import translate_sensor_pose
 from .records import (
     Anchor,
@@ -720,10 +720,21 @@ def write_sidecar(path, scenario: Scenario, config: SimConfig,
 
 
 def read_sidecar(path) -> tuple[Scenario, SimConfig, Scenario | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    scenario2 = scenario_from_dict(doc["scenario2"]) if "scenario2" in doc else None
-    return scenario_from_dict(doc["scenario"]), sim_config_from_dict(doc["config"]), scenario2
+    """Read scenario.json back.  A file that is not UTF-8 JSON raises
+    MalformedLine, one missing a field or holding a wrong type raises
+    SchemaViolation; both name the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedLine(f"{path}: not UTF-8 JSON ({exc})") from exc
+    try:
+        scenario2 = scenario_from_dict(doc["scenario2"]) if "scenario2" in doc else None
+        return scenario_from_dict(doc["scenario"]), sim_config_from_dict(doc["config"]), scenario2
+    except KeyError as exc:
+        raise SchemaViolation(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SchemaViolation(f"{path}: {exc}") from exc
 
 
 def write_dataset(path, records: list[Record]) -> int:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_records import records as record_strategy
 
 from indoor_fusion.cli import main as cli_main
-from indoor_fusion.evaluate import error_report, run_generalization
+from indoor_fusion.evaluate import error_report, split_and_run
 from indoor_fusion.fingerprint import calibrate_rssi_offset
 from indoor_fusion.geometry import RangeObservation, trilaterate
 from indoor_fusion.ingest import (
@@ -35,7 +35,6 @@ from indoor_fusion.mlp import (
     MlpConfig,
     SplitSpec,
     gradient_check,
-    split_dataset,
     train_arrays,
 )
 from indoor_fusion.records import (
@@ -236,8 +235,7 @@ def test_criterion_7_generalization_separates_magnitude_from_phase():
     spec = SplitSpec(shuffle_seed=0)
 
     def degradation(frames_a, frames_b):
-        train_f, test_f = split_dataset(frames_a, spec)
-        out = run_generalization(train_f, test_f, frames_b, nn_config)
+        out = split_and_run(frames_a, frames_b, nn_config, spec)
         return (out.transfer_report.percentiles["p50"]
                 / out.self_report.percentiles["p50"])
 

@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import indoor_fusion
+from indoor_fusion import cli
 from indoor_fusion.cli import (
     DEFAULT_METHODS,
     RunConfig,
+    _Campaign,
     _generalization_entry,
+    _nn_report,
+    _prepare_campaign,
     build_parser,
     main,
     read_config_file,
@@ -24,9 +32,11 @@ from indoor_fusion.cli import (
     validate_method,
 )
 from indoor_fusion.errors import ConfigError, IndoorFusionError, UndefinedDegradation
-from indoor_fusion.evaluate import emit_plot, error_report, read_cdf_csv, report_from_errors
-from indoor_fusion.ingest import read_frames
-from indoor_fusion.records import Position2D
+from indoor_fusion.evaluate import (emit_plot, error_report, model_report, read_cdf_csv,
+                                 report_from_errors)
+from indoor_fusion.ingest import IngestResult, frames_to_arrays, read_frames
+from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset, train_arrays
+from indoor_fusion.records import Position2D, SensorTable
 from indoor_fusion.simulate import NoiseConfig, read_sidecar
 
 
@@ -211,6 +221,52 @@ def test_bytes_that_are_not_utf8_exit_io_naming_the_file(cli_campaign, tmp_path,
     assert "dataset1.jsonl: not UTF-8 text" in capsys.readouterr().err
 
 
+def _campaign_copy(cli_campaign, out):
+    """The CLI campaign's datasets linked into ``out``, with its own scenario.json."""
+    for name in ("dataset1.jsonl", "dataset2.jsonl"):
+        (out / name).symlink_to(cli_campaign / name)
+    shutil.copy(cli_campaign / "scenario.json", out / "scenario.json")
+    return out / "scenario.json"
+
+
+def _missing_magnetic_field(path):
+    doc = _load(path)
+    del doc["scenario"]["magnetic_field"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _not_utf8(path):
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe")
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+@pytest.mark.parametrize("damage, message", [
+    (_not_utf8, "scenario.json: not UTF-8 JSON"),
+    (_missing_magnetic_field, "scenario.json: missing key 'magnetic_field'"),
+])
+def test_malformed_sidecar_exits_io_naming_the_file(cli_campaign, tmp_path, capsys,
+                                                    command, damage, message):
+    damage(_campaign_copy(cli_campaign, tmp_path))
+    methods = ["--methods", "uwb-trilat"] if command == "run" else []
+    assert main([command, "--out", str(tmp_path), *methods]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_run_reads_the_sidecar_once(cli_campaign, tmp_path, monkeypatch):
+    _campaign_copy(cli_campaign, tmp_path)
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_sidecar(path)
+
+    monkeypatch.setattr(cli, "read_sidecar", counting)
+    assert main(["run", "--out", str(tmp_path), "--methods", "uwb-trilat",
+                 "--transfer"]) == 0
+    assert calls == [tmp_path / "scenario.json"]
+
+
 @pytest.mark.parametrize("value", ["zero", "0", "-3"])
 def test_bad_thread_cap_exits_config(cli_campaign, monkeypatch, value):
     monkeypatch.setenv("INDOOR_FUSION_THREADS", value)
@@ -320,6 +376,62 @@ def test_run_with_no_surviving_method_exits_numeric(imu_free_campaign, capsys):
     assert "all 1 methods failed" in capsys.readouterr().err
 
 
+def _reachable(root):
+    """Every object reachable from ``root``, not following types, modules or functions."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+
+
+def test_a_prepared_campaign_holds_no_sensor_table(cli_campaign):
+    camp = _prepare_campaign(RunConfig(out=cli_campaign),
+                             read_sidecar(cli_campaign / "scenario.json"), 1, need_phase=True)
+    assert camp.phase is not None and "csi" in camp.streams
+    assert not any(isinstance(obj, (SensorTable, IngestResult)) for obj in _reachable(camp))
+
+
+def test_nn_path_holds_one_copy_of_each_input(short_campaign):
+    # bound: the train and test inputs once each plus what train_arrays
+    # allocates alone; then, once training has freed them, the transfer
+    # input once plus what scoring it allocates alone
+    result = short_campaign.result
+    camp = _Campaign(short_campaign.scenario, result.streams, result.frames)
+    cfg = RunConfig(epochs=3)
+    frames = result.frames
+    layout = frames.layout.select(["csi"])
+    width = layout.feature_width + layout.mask_width
+    train_rows, test_rows = split_dataset(np.arange(len(frames)),
+                                          SplitSpec(shuffle_seed=cfg.seed))
+    x_train, y_train = frames_to_arrays(frames, train_rows, layout)
+    x_test, y_test = frames_to_arrays(frames, test_rows, layout)
+    x_transfer, y_transfer = frames_to_arrays(frames, layout=layout)
+    tracemalloc.start()
+    try:
+        model, _ = train_arrays(x_train, y_train, x_test, y_test,
+                                MlpConfig.for_input(width, epochs=cfg.epochs, seed=cfg.seed))
+        training = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        model_report(model, x_transfer, y_transfer, frames.t)
+        scoring = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del x_train, y_train, x_test, y_test, x_transfer, y_transfer
+    inputs = len(frames) * (width + 2) * 8  # x and y of train + test, or of transfer
+
+    tracemalloc.start()
+    try:
+        _nn_report(camp, camp, "nn:csi", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= inputs + max(training, scoring) + 64 * 1024
+
+
 def test_transfer_scores_the_second_campaign(cli_campaign, capsys):
     assert main(["run", "--out", str(cli_campaign), "--seed", "7",
                  "--methods", "nn:uwb", "--epochs", "2", "--transfer"]) == 0
@@ -386,6 +498,30 @@ def test_noiseless_trilateration_is_exact_end_to_end(tmp_path):
 
 # ---------------------------------------------------------------------------
 # plot
+
+def _bad_header(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("series,error_m,fraction", "name,error,fraction", 1),
+                    encoding="utf-8")
+
+
+def _two_column_row(path):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("near,0.5\n")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_not_utf8, "cdf.csv: not UTF-8 text"),
+    (_bad_header, "cdf.csv:1: unexpected CDF CSV header"),
+    (_two_column_row, "cdf.csv:10: expected 3 fields, got 2"),
+])
+def test_malformed_cdf_csv_exits_io_naming_the_file(tmp_path, capsys, damage, message):
+    frames = [(float(i), Position2D(float(i), 0.0)) for i in range(8)]
+    emit_plot([("near", error_report(frames, frames))], tmp_path / "cdf")
+    damage(tmp_path / "cdf.csv")
+    assert main(["plot", "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+
 
 def test_plot_rerenders_the_same_svg(tmp_path):
     frames = [(float(i), Position2D(float(i), 0.0)) for i in range(8)]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indoor_fusion.errors import (EmptyReport, LayoutMismatch, LengthMismatch,
-                                  UndefinedDegradation)
+                                  SchemaViolation, UndefinedDegradation)
 from indoor_fusion.evaluate import (
     MODALITIES,
     ErrorReport,
@@ -184,25 +184,27 @@ def test_generalization_transfer_set_never_touches_training():
     b1 = _frames(40, seed=4)
     b2 = _frames(40, seed=5)
     b2 = replace(b2, features=b2.features * 3.0 + 1.0)
-    train, test = frames_a.take(slice(70)), frames_a.take(slice(70, None))
-    r1 = run_generalization(train, test, b1, _FAST)
-    r2 = run_generalization(train, test, b2, _FAST)
+    train, test = np.arange(70), np.arange(70, 80)
+    r1 = run_generalization(frames_a, train, test, b1, _FAST)
+    r2 = run_generalization(frames_a, train, test, b2, _FAST)
     assert r1.self_report.errors == r2.self_report.errors
     assert r1.history == r2.history
 
 
 def test_generalization_validates_inputs():
     frames = _frames(30)
-    none = frames.take(slice(0))
+    rows, none = np.arange(30), np.arange(0)
     with pytest.raises(EmptyReport):
-        run_generalization(none, frames, frames, _FAST)
+        run_generalization(frames, none, rows, frames, _FAST)
     with pytest.raises(EmptyReport):
-        run_generalization(frames, frames, none, _FAST)
+        run_generalization(frames, rows, none, frames, _FAST)
+    with pytest.raises(EmptyReport):
+        run_generalization(frames, rows, rows, frames.take(none), _FAST)
     wide = _frames(10, width=5)
     with pytest.raises(LayoutMismatch):
-        run_generalization(frames, frames, wide, _FAST)
+        run_generalization(frames, rows, rows, wide, _FAST)
     with pytest.raises(LayoutMismatch):
-        run_generalization(frames.take(slice(20)), frames.take(slice(20, None)), frames,
+        run_generalization(frames, rows[:20], rows[20:], frames,
                            _FAST, modalities=["csi"])  # no csi block in the layout
 
 
@@ -227,7 +229,7 @@ def test_generalization_per_modality_breakdown():
     frames_a = frames(1)
     frames_b = frames(2)
     config = _FAST.with_input(frames_a.features.shape[1] + frames_a.mask.shape[1])
-    report = run_generalization(frames_a.take(slice(50)), frames_a.take(slice(50, None)),
+    report = run_generalization(frames_a, np.arange(50), np.arange(50, 60),
                                 frames_b, config, modalities=["csi", "uwb"])
     assert set(report.per_modality) == {"csi", "uwb"}
     for sub in report.per_modality.values():
@@ -308,7 +310,7 @@ def test_plots_reject_empty_input(tmp_path):
 def test_read_cdf_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaViolation, match="bad.csv:1: unexpected CDF CSV header"):
         read_cdf_csv(path)
 
 

@@ -1,12 +1,15 @@
 """Clock recovery, ground-truth labeling, and fusion-frame assembly."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from indoor_fusion import ingest
 from indoor_fusion.errors import (
     EmptyGroundTruth,
     InsufficientOverlap,
@@ -39,6 +42,7 @@ from indoor_fusion.ingest import (
     sensor_rate,
     write_frames,
 )
+from indoor_fusion.mlp import SplitSpec, split_dataset
 from indoor_fusion.records import (
     ClockModel,
     CsiPayload,
@@ -574,6 +578,97 @@ def test_frames_to_arrays_appends_mask_bits():
     np.testing.assert_array_equal(y[:, 0], [1.0, 2.0])
     with pytest.raises(ValueError):
         frames_to_arrays(frames.take([]))
+
+
+def test_frames_to_arrays_rejects_a_block_the_frames_do_not_hold():
+    frames = build_fusion_frames([_mini_stream("csi", [1.0], 2, 1.0)], window=0.15)
+    other = FrameLayout((BlockDef("csi", 3, ("w0", "w0", "w0")),))
+    with pytest.raises(LayoutMismatch):
+        frames_to_arrays(frames, layout=other)
+    with pytest.raises(LayoutMismatch):
+        frames.layout.select(["imu"])
+
+
+def _reference_select_blocks(frames, modalities):
+    """The column copy ``select_blocks`` made before the one-copy gather."""
+    layout = frames.layout
+    keep = [b for b in layout.blocks if b.modality in modalities]
+    columns = [np.arange(layout.feature_width)[layout.feature_slice(b.modality)]
+               for b in keep]
+    return Frames(frames.t, frames.features[:, np.concatenate(columns)],
+                  frames.mask[:, [layout.mask_index(b.modality) for b in keep]],
+                  frames.labels, FrameLayout(tuple(keep)))
+
+
+def _reference_arrays(frames):
+    """The stacking ``frames_to_arrays`` did before it gathered rows."""
+    return np.hstack([frames.features, frames.mask]), np.array(frames.labels)
+
+
+def _bits(a):
+    # the reference's full selection is Fortran-ordered (a fancy column index
+    # lays it out so); tobytes() reads either layout in C order
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.fixture(scope="module")
+def gather_inputs(short_campaign):
+    """The conftest campaign's frames and its csi phase frames."""
+    result = short_campaign.result
+    phase = label_table(result.tables["csi"], groundtruth_interpolator(result.tables["gt"]),
+                        short_campaign.scenario.sensor_offsets["csi"], csi_features="phase")
+    return {"frames": result.frames, "phase": build_fusion_frames([phase])}
+
+
+@settings(max_examples=30)
+@given(case=st.sampled_from([("frames", ("csi",)), ("frames", ("csi", "imu")),
+                             ("frames", ("uwb", "rssi")), ("phase", ("csi",))]),
+       shuffle_seed=st.integers(0, 2**32 - 1),
+       train_fraction=st.floats(0.05, 0.95),
+       gather_rows=st.integers(1, 200))
+def test_one_copy_gather_matches_select_split_stack_bit_for_bit(
+        gather_inputs, case, shuffle_seed, train_fraction, gather_rows):
+    # csi alone is one contiguous column range, csi+imu and uwb+rssi are not
+    name, modalities = case
+    frames = gather_inputs[name]
+    spec = SplitSpec(train_fraction, shuffle_seed)
+    want = [_reference_arrays(part)
+            for part in split_dataset(_reference_select_blocks(frames, modalities), spec)]
+    layout = frames.layout.select(modalities)
+    with mock.patch.object(ingest, "_GATHER_ROWS", gather_rows):  # chunk boundaries
+        got = [frames_to_arrays(frames, rows, layout)
+               for rows in split_dataset(np.arange(len(frames)), spec)]
+        # the transfer set: every row, in order
+        want.append(_reference_arrays(_reference_select_blocks(frames, modalities)))
+        got.append(frames_to_arrays(frames, layout=layout))
+    for (x, y), (x_want, y_want) in zip(got, want):
+        assert x.flags.c_contiguous
+        assert _bits(x) == _bits(x_want)
+        assert _bits(y) == _bits(y_want)
+
+
+def test_gather_holds_one_copy_of_its_output(gather_inputs):
+    frames = gather_inputs["frames"]
+    layout = frames.layout.select(["csi", "imu"])
+    rows = np.arange(len(frames))[::-1]
+    chunk = 16 * frames.features.shape[1] * 8  # one chunk of every column, at most
+    with mock.patch.object(ingest, "_GATHER_ROWS", 16):
+        tracemalloc.start()
+        try:
+            x, y = frames_to_arrays(frames, rows, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= x.nbytes + y.nbytes + chunk
+
+
+def test_csi_stream_is_a_read_only_view_of_the_frames(short_campaign):
+    result = short_campaign.result
+    features = result.streams["csi"].features
+    assert np.shares_memory(features, result.frames.features)
+    assert not features.flags.writeable
+    assert features.tobytes() == result.frames.features[
+        :, result.frames.layout.feature_slice("csi")].tobytes()
 
 
 def test_frames_jsonl_roundtrip_is_exact(tmp_path):

@@ -273,14 +273,33 @@ def test_in_place_update_matches_the_reference_loop_bit_for_bit(optimizer, activ
     config = MlpConfig(layer_sizes=(5, 12, 6, 2), activation=activation,
                        optimizer=optimizer, learning_rate=2e-2, epochs=5,
                        batch_size=16, seed=9)
+    history = _assert_matches_the_reference(x, y, config)
+    assert len(history) == 5
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_in_place_update_restores_an_early_best_epoch_like_the_reference(optimizer):
+    # a large step and a short patience: training stops on patience, so the
+    # restored snapshot is an earlier epoch's copy, not the last weights
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(70, 5))
+    y = np.stack([x[:, 0] + 0.5 * x[:, 1], np.tanh(x[:, 2]) - x[:, 3]], axis=1)
+    config = MlpConfig(layer_sizes=(5, 12, 6, 2), optimizer=optimizer, learning_rate=0.1,
+                       epochs=30, batch_size=16, patience=4, seed=9)
+    history = _assert_matches_the_reference(x, y, config)
+    assert len(history) < config.epochs
+    assert min(history, key=lambda row: row[2])[0] < history[-1][0]
+
+
+def _assert_matches_the_reference(x, y, config):
     args = (x[:50], y[:50], x[50:], y[50:], config)
     model, history = train_arrays(*args)
     want_model, want_history = _reference_train(*args)
-    assert len(history) == 5
     assert history == want_history
     for got, want in zip(model.weights + model.biases,
                          want_model.weights + want_model.biases):
         np.testing.assert_array_equal(got, want)
+    return history
 
 
 # ---------------------------------------------------------------------------
