@@ -6,7 +6,7 @@ fingerprinting on 120 s of data, then prints one error summary per method.
 
 import numpy as np
 
-from indoor_fusion.evaluate import error_report, stamped
+from indoor_fusion.evaluate import error_report
 from indoor_fusion.fingerprint import (
     build_map,
     calibrate_rssi_offset,
@@ -28,7 +28,7 @@ def uwb_trilat(result, scenario):
     used = stream.take(kept)
     est, _ = trilaterate_batch(np.broadcast_to(geometry, (len(used), *geometry.shape)),
                                used.features, usable[kept])
-    return error_report(stamped(used.t, est), stamped(used.t, used.labels))
+    return error_report(est, used.labels)
 
 
 def rssi_trilat(result, scenario):
@@ -37,7 +37,7 @@ def rssi_trilat(result, scenario):
     print(f"  (calibrated receiver gain: {cal.beta:+.0f} dB)")
     positions = {a.id: a.position for a in scenario.wifi_anchors}
     est = rssi_snapshot_positions(stream, positions, cal.beta)
-    return error_report(stamped(stream.t, est), stamped(stream.t, stream.labels))
+    return error_report(est, stream.labels)
 
 
 def fingerprint(result, modality):
@@ -46,8 +46,7 @@ def fingerprint(result, modality):
     train_rows, test_rows = split_dataset(np.arange(len(stream)), SplitSpec(shuffle_seed=0))
     radio_map = build_map(stream.take(np.sort(train_rows)), 0.25)
     test = stream.take(np.sort(test_rows))
-    pairs = [(t, locate(row, radio_map)) for t, row in zip(test.t.tolist(), test.features)]
-    return error_report(pairs, stamped(test.t, test.labels))
+    return error_report(locate(test.features, radio_map), test.labels)
 
 
 def main():

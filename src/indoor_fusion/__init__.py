@@ -117,11 +117,9 @@ from .fingerprint import (
     RssiCalibration,
     build_map,
     calibrate_rssi_offset,
-    load_radio_map,
     locate,
     rssi_snapshot_fixes,
     rssi_snapshot_positions,
-    save_radio_map,
 )
 from .mlp import (
     Mlp,
@@ -129,7 +127,6 @@ from .mlp import (
     SplitSpec,
     gradient_check,
     load_checkpoint,
-    predict_stream,
     save_checkpoint,
     split_dataset,
     train,
@@ -148,7 +145,6 @@ from .evaluate import (
     report_from_errors,
     run_generalization,
     split_and_run,
-    stamped,
 )
 
 __version__ = "0.1.0"

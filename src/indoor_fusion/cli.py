@@ -43,7 +43,6 @@ from .evaluate import (
     fit_and_score,
     read_cdf_csv,
     run_generalization,
-    stamped,
     write_cdf_svg,
 )
 from .fingerprint import (
@@ -136,24 +135,31 @@ _CONFIG_KEYS = {
 
 
 def read_config_file(path) -> dict:
-    """Flat key=value file; blank lines and #-comments ignored."""
+    """Flat key=value file; blank lines and #-comments ignored.
+
+    A file that is not UTF-8 text raises ConfigError naming the path.
+    """
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or not key:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
-                                  f"(valid: {', '.join(sorted(_CONFIG_KEYS))})")
-            try:
-                values[key] = _CONFIG_KEYS[key](value.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
+                              f"(valid: {', '.join(sorted(_CONFIG_KEYS))})")
+        try:
+            values[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -179,10 +185,10 @@ class RunConfig:
         if not math.isfinite(self.duration) or self.duration <= 0:
             raise ConfigError(f"duration must be a positive duration in seconds, "
                               f"got {self.duration}")
-        if self.window <= 0:
-            raise ConfigError(f"window must be > 0, got {self.window}")
-        if self.grid <= 0:
-            raise ConfigError(f"grid must be > 0, got {self.grid}")
+        if not math.isfinite(self.window) or self.window <= 0:
+            raise ConfigError(f"window must be a positive number of seconds, got {self.window}")
+        if not math.isfinite(self.grid) or self.grid <= 0:
+            raise ConfigError(f"grid must be a positive cell size in meters, got {self.grid}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.epochs < 1:
@@ -357,7 +363,7 @@ def _uwb_trilat_report(camp: _Campaign) -> tuple[ErrorReport, dict]:
     used, usable = stream.take(kept), usable[kept]
     est, fallback = trilaterate_batch(np.broadcast_to(geometry, (len(used), *geometry.shape)),
                                       used.features, usable)
-    return error_report(stamped(used.t, est), stamped(used.t, used.labels)), {
+    return error_report(est, used.labels), {
         "ticks_used": len(used),
         # dropout below three anchors falls back to a degenerate estimate,
         # which is what gives the CDF its two-regime shape
@@ -370,13 +376,11 @@ def _rssi_trilat_report(camp: _Campaign, beta: float) -> tuple[ErrorReport, dict
     stream = _stream_or_raise(camp, "rssi")
     positions = {a.id: a.position for a in camp.scenario.wifi_anchors}
     est, fallback = rssi_snapshot_fixes(stream, positions, beta)
-    return (error_report(stamped(stream.t, est), stamped(stream.t, stream.labels)),
-            _solver_counts(est, fallback, camp.scenario))
+    return error_report(est, stream.labels), _solver_counts(est, fallback, camp.scenario)
 
 
 def _fp_errors(stream: AlignedStream, radio_map, k: int) -> ErrorReport:
-    fixes = [locate(row, radio_map, k) for row in stream.features]
-    return error_report(list(zip(stream.t.tolist(), fixes)), stamped(stream.t, stream.labels))
+    return error_report(locate(stream.features, radio_map, k), stream.labels)
 
 
 def _fp_report(camp: _Campaign, camp2: _Campaign | None, modality: str,
@@ -387,7 +391,7 @@ def _fp_report(camp: _Campaign, camp2: _Campaign | None, modality: str,
     # sorted rows keep tick order: the map sums each cell's rows in time order
     radio_map = build_map(stream.take(np.sort(train_rows)), cfg.grid)
     report = _fp_errors(stream.take(np.sort(test_rows)), radio_map, cfg.k)
-    extras = {"cells": len(radio_map.cells), "train_samples": len(train_rows),
+    extras = {"cells": len(radio_map), "train_samples": len(train_rows),
               "test_samples": len(test_rows)}
     gen = None
     if camp2 is not None:

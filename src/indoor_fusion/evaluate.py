@@ -1,12 +1,11 @@
 """Error statistics, cross-layout generalization runs, and CDF plotting.
 
-Everything downstream of a localizer lands here: matched (timestamp,
-estimate) / (timestamp, truth) series become an ErrorReport with an exact
-empirical CDF and nearest-rank percentiles (``stamped`` turns time and
-position arrays into such a series); ``Frames`` split into train and test
-rows, plus a transfer set, become a train-on-A / score-on-A-and-B
-generalization report; reports become a CSV
-and a self-contained SVG.
+Everything downstream of a localizer lands here: an (N, 2) array of
+estimates and the (N, 2) array of true positions, paired row by row,
+become an ErrorReport with an exact empirical CDF and nearest-rank
+percentiles; ``Frames`` split into train and test rows, plus a transfer
+set, become a train-on-A / score-on-A-and-B generalization report;
+reports become a CSV and a self-contained SVG.
 """
 
 from __future__ import annotations
@@ -17,28 +16,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EmptyReport, LayoutMismatch, LengthMismatch, MalformedLine,
-                     SchemaViolation, UndefinedDegradation)
+from .errors import (DimensionMismatch, EmptyReport, LayoutMismatch, LengthMismatch,
+                     MalformedLine, SchemaViolation, UndefinedDegradation)
 from .ingest import FrameLayout, Frames, frames_to_arrays
 from .mlp import Mlp, MlpConfig, SplitSpec, split_dataset, train_arrays
-from .records import Position2D
-
-_TIME_MATCH_TOL = 1e-9
 
 MODALITIES = ("csi", "rssi", "uwb", "imu")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
     """Distribution summary of per-sample position errors (meters).
 
-    ``errors`` is sorted ascending; ``cdf`` holds (error, fraction <= error)
-    pairs, one per sample, so fraction steps by 1/count.  Percentiles use
-    the nearest-rank rule: the ceil(p*n)-th smallest error (1-based).
+    ``errors`` is a sorted, read-only float64 array; ``cdf`` pairs each
+    error with the fraction of errors <= it, so fraction steps by 1/count.
+    Percentiles use the nearest-rank rule: the ceil(p*n)-th smallest error
+    (1-based).
     """
 
-    errors: tuple[float, ...]
-    cdf: tuple[tuple[float, float], ...]
+    errors: np.ndarray
     percentiles: dict[str, float]
     mean: float
     count: int
@@ -46,10 +42,15 @@ class ErrorReport:
     def percentile(self, p: float) -> float:
         if not 0.0 < p <= 1.0:
             raise ValueError(f"percentile must be in (0, 1], got {p}")
-        return self.errors[math.ceil(p * self.count) - 1]
+        return float(self.errors[math.ceil(p * self.count) - 1])
 
     def fraction_within(self, threshold: float) -> float:
         return float(np.searchsorted(self.errors, threshold, side="right")) / self.count
+
+    @property
+    def cdf(self) -> tuple[tuple[float, float], ...]:
+        n = self.count
+        return tuple((e, (i + 1) / n) for i, e in enumerate(self.errors.tolist()))
 
     @property
     def median(self) -> float:
@@ -58,40 +59,35 @@ class ErrorReport:
 
 def report_from_errors(errors) -> ErrorReport:
     """Build the report from raw per-sample error magnitudes."""
-    arr = np.sort(np.asarray(list(errors), dtype=np.float64))
+    arr = np.sort(np.asarray(errors, dtype=np.float64))
     n = arr.size
     if n == 0:
         raise EmptyReport("no errors to summarize")
     if not np.all(np.isfinite(arr)) or arr[0] < 0:
         raise ValueError("errors must be finite and non-negative")
-    cdf = tuple((float(e), (i + 1) / n) for i, e in enumerate(arr))
+    arr.setflags(write=False)
     percentiles = {name: float(arr[math.ceil(p * n) - 1])
                    for name, p in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99))}
-    return ErrorReport(errors=tuple(float(e) for e in arr), cdf=cdf,
-                       percentiles=percentiles, mean=float(arr.mean()), count=n)
+    return ErrorReport(errors=arr, percentiles=percentiles, mean=float(arr.mean()), count=n)
 
 
-def error_report(estimates: list[tuple[float, Position2D]],
-                 labels: list[tuple[float, Position2D]]) -> ErrorReport:
-    """Euclidean error per matched timestamp.
+def error_report(est: np.ndarray, truth: np.ndarray) -> ErrorReport:
+    """Euclidean error between row i of ``est`` and row i of ``truth``.
 
-    Series must align one-to-one: same length, timestamps equal in order.
+    Both are (N, 2) position arrays: another shape raises DimensionMismatch,
+    a row-count mismatch LengthMismatch, zero rows EmptyReport.
     """
-    if len(estimates) != len(labels):
-        raise LengthMismatch(f"{len(estimates)} estimates vs {len(labels)} labels")
-    if not estimates:
+    est = np.asarray(est, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if est.shape[1:] != (2,) or truth.shape[1:] != (2,):
+        raise DimensionMismatch(f"positions must be (N, 2), got {est.shape} and {truth.shape}")
+    if len(est) != len(truth):
+        raise LengthMismatch(f"{len(est)} estimates vs {len(truth)} labels")
+    if not len(est):
         raise EmptyReport("no samples to compare")
-    errors = []
-    for (t_e, est), (t_l, truth) in zip(estimates, labels):
-        if abs(t_e - t_l) > _TIME_MATCH_TOL:
-            raise LengthMismatch(f"timestamp mismatch: {t_e!r} vs {t_l!r}")
-        errors.append(math.hypot(est.x - truth.x, est.y - truth.y))
-    return report_from_errors(errors)
-
-
-def stamped(t: np.ndarray, xy: np.ndarray) -> list[tuple[float, Position2D]]:
-    """(N,) times and (N, 2) positions as the series :func:`error_report` takes."""
-    return [(ti, Position2D(x, y)) for ti, (x, y) in zip(t.tolist(), xy.tolist())]
+    # math.hypot, not np.hypot: the two differ in the last ulp on some pairs
+    dx, dy = (est - truth).T.tolist()
+    return report_from_errors(list(map(math.hypot, dx, dy)))
 
 
 def meets_requirement(report: ErrorReport, threshold_m: float = 1.0,
@@ -152,9 +148,9 @@ def degradation(self_report: ErrorReport, transfer_report: ErrorReport) -> float
     return transfer_report.median / self_report.median
 
 
-def model_report(model: Mlp, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> ErrorReport:
-    """The model's errors on inputs ``x`` labelled ``y`` at times ``t``."""
-    return error_report(stamped(t, model.forward(x)), stamped(t, y))
+def model_report(model: Mlp, x: np.ndarray, y: np.ndarray) -> ErrorReport:
+    """The model's errors on inputs ``x`` labelled ``y``."""
+    return error_report(model.forward(x), y)
 
 
 def fit_and_score(frames: Frames, train_rows, test_rows, config: MlpConfig,
@@ -170,7 +166,7 @@ def fit_and_score(frames: Frames, train_rows, test_rows, config: MlpConfig,
     x_test, y_test = frames_to_arrays(frames, test_rows, layout)
     model, history = train_arrays(*frames_to_arrays(frames, train_rows, layout),
                                   x_test, y_test, config)
-    return model, model_report(model, x_test, y_test, frames.t[test_rows]), history
+    return model, model_report(model, x_test, y_test), history
 
 
 def run_generalization(frames: Frames, train_rows, test_rows, transfer_frames: Frames,
@@ -203,8 +199,7 @@ def run_generalization(frames: Frames, train_rows, test_rows, transfer_frames: F
     model, self_report, history = fit_and_score(frames, train_rows, test_rows, config,
                                                 layout)
     transfer_report = model_report(
-        model, *frames_to_arrays(transfer_frames, layout=transfer_layout),
-        transfer_frames.t)
+        model, *frames_to_arrays(transfer_frames, layout=transfer_layout))
     breakdown = {}
     for modality in modalities or ():
         sub = layout.select([modality])

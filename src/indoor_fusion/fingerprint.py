@@ -1,9 +1,10 @@
 """Radio-map fingerprinting and receiver-gain calibration.
 
 A radio map bins a labeled survey stream onto a square grid and stores the
-mean feature vector per visited cell.  Localization finds the k
-cells whose fingerprints are closest to the query in feature space and
-returns the inverse-distance-weighted average of their centers.
+visited cells as arrays: their grid indices, mean feature vectors and
+sample counts.  Localization takes a batch of queries; for each it finds
+the k cells whose fingerprints are closest in feature space and returns
+the inverse-distance-weighted average of their centers.
 
 Calibration reconciles RSSI with geometry: for each candidate gain offset
 in a brute-force sweep, every snapshot's three strongest readings are
@@ -14,15 +15,18 @@ offset, so the sweep is solved in a few batched blocks of offsets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyMap, InsufficientData
 from .geometry import rssi_to_distance, trilaterate_batch
 from .ingest import AlignedStream
-from .records import Anchor, Position2D
+from .records import Anchor
+
+if TYPE_CHECKING:  # the anchors' positions are passed in, none is built here
+    from .records import Position2D
 
 DEFAULT_RESOLUTION = 0.25
 DEFAULT_K = 3
@@ -30,25 +34,28 @@ MIN_CALIBRATION_SNAPSHOTS = 50
 SWEEP_BLOCK = 8  # beta values per batched solve: bounds the sweep's temporaries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadioMap:
-    """Grid of mean fingerprints over the surveyed area."""
+    """Grid of mean fingerprints over the surveyed area.
+
+    Row i of ``keys`` is the (ix, iy) grid index of a visited cell, rows
+    sorted as ``np.unique`` sorts them (by ix, then iy); row i of ``means``
+    is that cell's mean fingerprint and ``counts[i]`` the number of survey
+    rows folded into it.  The cell's center is ((ix, iy) + 0.5) * resolution.
+    """
 
     resolution: float
     modality: str
-    feature_dim: int
-    cells: dict[tuple[int, int], np.ndarray]
-    counts: dict[tuple[int, int], int]
+    keys: np.ndarray    # (C, 2) int64
+    means: np.ndarray   # (C, D) float64
+    counts: np.ndarray  # (C,) int64
 
     def __post_init__(self):
         if self.resolution <= 0.0:
             raise ValueError(f"resolution must be > 0, got {self.resolution}")
 
     def __len__(self) -> int:
-        return len(self.cells)
-
-    def cell_center(self, ix: int, iy: int) -> Position2D:
-        return Position2D((ix + 0.5) * self.resolution, (iy + 0.5) * self.resolution)
+        return len(self.keys)
 
 
 def build_map(stream: AlignedStream, resolution: float = DEFAULT_RESOLUTION) -> RadioMap:
@@ -64,74 +71,39 @@ def build_map(stream: AlignedStream, resolution: float = DEFAULT_RESOLUTION) -> 
     np.add.at(sums, cell, stream.features)
     counts = np.bincount(cell, minlength=len(keys))
     means = sums / counts[:, None]
-    means.setflags(write=False)
-    keys = [tuple(k) for k in keys.tolist()]
-    return RadioMap(resolution, stream.modality, len(stream.columns),
-                    dict(zip(keys, means)), dict(zip(keys, counts.tolist())))
+    for array in (keys, means, counts):
+        array.setflags(write=False)
+    return RadioMap(resolution, stream.modality, keys, means, counts)
 
 
-def locate(query: np.ndarray, radio_map: RadioMap, k: int = DEFAULT_K) -> Position2D:
-    """Inverse-distance-weighted average of the k nearest cell centers.
+def locate(queries: np.ndarray, radio_map: RadioMap, k: int = DEFAULT_K) -> np.ndarray:
+    """(Q, 2) positions for (Q, D) query fingerprints, one row per query.
 
-    Nearness is Euclidean distance in feature space with weight
+    Each is the inverse-distance-weighted average of the k nearest cell
+    centers.  Nearness is Euclidean distance in feature space with weight
     1/(1e-9 + distance), so an exact fingerprint match dominates; k=1
     degenerates to the nearest cell center.  Ties break by cell index.
     """
-    if len(radio_map.cells) == 0:
+    if len(radio_map) == 0:
         raise EmptyMap("radio map holds no cells")
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (radio_map.feature_dim,):
-        raise DimensionMismatch(f"query has shape {query.shape}, map stores "
-                                f"{radio_map.feature_dim}-dim fingerprints")
+    queries = np.asarray(queries, dtype=np.float64)
+    width = radio_map.means.shape[1]
+    if queries.ndim != 2 or queries.shape[1] != width:
+        raise DimensionMismatch(f"queries have shape {queries.shape}, map stores "
+                                f"{width}-dim fingerprints")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    keys = sorted(radio_map.cells)
-    stack = np.stack([radio_map.cells[key] for key in keys])
-    dists = np.linalg.norm(stack - query, axis=1)
-    order = np.argsort(dists, kind="stable")[: min(k, len(keys))]
-    weights = 1.0 / (1e-9 + dists[order])
-    weights /= weights.sum()
-    centers = np.asarray([[(keys[i][0] + 0.5) * radio_map.resolution,
-                           (keys[i][1] + 0.5) * radio_map.resolution] for i in order])
-    x, y = weights @ centers
-    return Position2D(float(x), float(y))
-
-
-def save_radio_map(path, radio_map: RadioMap) -> None:
-    """Persist as JSON with cells keyed "ix,iy"."""
-    doc = {
-        "resolution": radio_map.resolution,
-        "modality": radio_map.modality,
-        "feature_dim": radio_map.feature_dim,
-        "cells": {f"{ix},{iy}": radio_map.cells[(ix, iy)].tolist()
-                  for ix, iy in sorted(radio_map.cells)},
-        "counts": {f"{ix},{iy}": radio_map.counts[(ix, iy)]
-                   for ix, iy in sorted(radio_map.counts)},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def load_radio_map(path) -> RadioMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-
-    def parse_key(key: str) -> tuple[int, int]:
-        ix, iy = key.split(",")
-        return int(ix), int(iy)
-
-    cells = {parse_key(k): np.asarray(v, dtype=np.float64) for k, v in doc["cells"].items()}
-    for v in cells.values():
-        v.setflags(write=False)
-    return RadioMap(
-        resolution=doc["resolution"],
-        modality=doc["modality"],
-        feature_dim=doc["feature_dim"],
-        cells=cells,
-        counts={parse_key(k): v for k, v in doc["counts"].items()},
-    )
+    centers = (radio_map.keys + 0.5) * radio_map.resolution
+    k = min(k, len(radio_map))
+    positions = np.empty((len(queries), 2))
+    for i, query in enumerate(queries):
+        dists = np.linalg.norm(radio_map.means - query, axis=1)
+        order = np.argsort(dists, kind="stable")[:k]
+        weights = 1.0 / (1e-9 + dists[order])
+        weights /= weights.sum()
+        positions[i] = weights @ centers[order]
+    return positions
 
 
 # ---------------------------------------------------------------------------

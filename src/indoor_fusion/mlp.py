@@ -4,9 +4,10 @@ Float64 end to end so the analytic gradients can be checked against central
 finite differences to tight tolerance.  Training is plain minibatch SGD or
 Adam on mean squared position error over fusion frames, with feature
 normalization frozen from the training split and the best-so-far weights
-(by held-out median position error) restored at the end.  ``train`` and
-``predict_stream`` take ``Frames``; ``train_arrays`` takes the (X, y)
-matrices of ``frames_to_arrays``: features with the mask bits appended.
+(by held-out median position error) restored at the end.  ``train`` takes
+``Frames``; ``train_arrays`` takes the (X, y) matrices of
+``frames_to_arrays``: features with the mask bits appended.  A model's
+estimates are the (N, 2) array ``Mlp.forward`` returns.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, Divergence, InsufficientData, TooFewFrames
 from .ingest import Frames, frames_to_arrays
-from .records import Position2D
 
 _ACTIVATIONS = ("relu", "tanh")
 _OPTIMIZERS = ("adam", "sgd")
@@ -314,6 +314,7 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
                     a *= lr
                     a /= g
                 p -= a
+            del grad_w, grad_b  # spent: not held while the next batch's are computed
         train_mse = total / len(x_train)
         test_err = median_position_error(model, x_test, y_test) if len(x_test) \
             else math.nan
@@ -346,14 +347,6 @@ def train(frames: Frames, config: MlpConfig | None = None,
     if config is None:
         config = MlpConfig.for_input(x_train.shape[1])
     return train_arrays(x_train, y_train, x_test, y_test, config)
-
-
-def predict_stream(mlp: Mlp, frames: Frames) -> list[tuple[float, Position2D]]:
-    """One (t, estimate) per frame; masks appended exactly as in training."""
-    if not len(frames):
-        return []
-    pred = mlp.forward(frames_to_arrays(frames)[0])
-    return [(t, Position2D(x, y)) for t, (x, y) in zip(frames.t.tolist(), pred.tolist())]
 
 
 # ---------------------------------------------------------------------------

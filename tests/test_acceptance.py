@@ -248,10 +248,9 @@ def test_criterion_7_generalization_separates_magnitude_from_phase():
 # 8. Invariant property suites, >= 100 cases each, under a minute total.
 
 def _report_from(errors):
-    estimates = [(float(i), Position2D(float(e), 0.0))
-                 for i, e in enumerate(errors)]
-    labels = [(float(i), Position2D(0.0, 0.0)) for i in range(len(errors))]
-    return error_report(estimates, labels)
+    estimates = np.zeros((len(errors), 2))
+    estimates[:, 0] = errors
+    return error_report(estimates, np.zeros((len(errors), 2)))
 
 
 _error_lists = st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40)

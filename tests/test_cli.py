@@ -36,7 +36,7 @@ from indoor_fusion.evaluate import (emit_plot, error_report, model_report, read_
                                  report_from_errors)
 from indoor_fusion.ingest import IngestResult, frames_to_arrays, read_frames
 from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset, train_arrays
-from indoor_fusion.records import Position2D, SensorTable
+from indoor_fusion.records import SensorTable
 from indoor_fusion.simulate import NoiseConfig, read_sidecar
 
 
@@ -135,7 +135,11 @@ def test_config_file_bool_forms(tmp_path, text, value):
     {"duration": 0.0},
     {"duration": float("nan")},
     {"window": 0.0},
+    {"window": float("nan")},
+    {"window": float("inf")},
     {"grid": -0.25},
+    {"grid": float("nan")},
+    {"grid": float("inf")},
     {"k": 0},
     {"epochs": 0},
 ])
@@ -175,6 +179,28 @@ def test_unknown_fusion_block_exits_config(tmp_path):
 ])
 def test_missing_artifacts_exit_io(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "nowhere")]) == 3
+
+
+@pytest.mark.parametrize("command, key", [("ingest", "window"), ("run", "window"),
+                                          ("run", "grid")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_window_or_grid_exits_config(tmp_path, capsys, command, key, value):
+    assert main([command, f"--{key}={value}", "--out", str(tmp_path)]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    path = tmp_path / "opts.cfg"
+    path.write_text(f"{key} = {value}\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "ingest.json").exists()
+
+
+def test_config_file_that_is_not_utf8_exits_config_naming_it(tmp_path, capsys):
+    path = tmp_path / "opts.cfg"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConfigError, match="opts.cfg: not UTF-8 text"):
+        read_config_file(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_io(tmp_path):
@@ -416,7 +442,7 @@ def test_nn_path_holds_one_copy_of_each_input(short_campaign):
                                 MlpConfig.for_input(width, epochs=cfg.epochs, seed=cfg.seed))
         training = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        model_report(model, x_transfer, y_transfer, frames.t)
+        model_report(model, x_transfer, y_transfer)
         scoring = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -516,20 +542,18 @@ def _two_column_row(path):
     (_two_column_row, "cdf.csv:10: expected 3 fields, got 2"),
 ])
 def test_malformed_cdf_csv_exits_io_naming_the_file(tmp_path, capsys, damage, message):
-    frames = [(float(i), Position2D(float(i), 0.0)) for i in range(8)]
-    emit_plot([("near", error_report(frames, frames))], tmp_path / "cdf")
+    xy = np.column_stack([np.arange(8.0), np.zeros(8)])
+    emit_plot([("near", error_report(xy, xy))], tmp_path / "cdf")
     damage(tmp_path / "cdf.csv")
     assert main(["plot", "--out", str(tmp_path)]) == 3
     assert message in capsys.readouterr().err
 
 
 def test_plot_rerenders_the_same_svg(tmp_path):
-    frames = [(float(i), Position2D(float(i), 0.0)) for i in range(8)]
-    truth = [(t, Position2D(p.x + 0.1 * (i + 1), p.y))
-             for i, (t, p) in enumerate(frames)]
-    named = [("near", error_report(frames, truth)),
-             ("far", error_report([(t, Position2D(p.x + 1.0, p.y))
-                                   for t, p in frames], truth))]
+    xy = np.column_stack([np.arange(8.0), np.zeros(8)])
+    truth = xy + np.column_stack([0.1 * np.arange(1.0, 9.0), np.zeros(8)])
+    named = [("near", error_report(xy, truth)),
+             ("far", error_report(xy + [1.0, 0.0], truth))]
     emit_plot(named, tmp_path / "cdf")
     original = (tmp_path / "cdf.svg").read_bytes()
     (tmp_path / "cdf.svg").unlink()

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indoor_fusion.errors import (EmptyReport, LayoutMismatch, LengthMismatch,
-                                  SchemaViolation, UndefinedDegradation)
+from indoor_fusion.errors import (DimensionMismatch, EmptyReport, LayoutMismatch,
+                                  LengthMismatch, SchemaViolation, UndefinedDegradation)
 from indoor_fusion.evaluate import (
     MODALITIES,
     ErrorReport,
@@ -29,7 +29,6 @@ from indoor_fusion.evaluate import (
 )
 from indoor_fusion.ingest import BlockDef, FrameLayout, Frames
 from indoor_fusion.mlp import MlpConfig, SplitSpec
-from indoor_fusion.records import Position2D
 
 error_lists = st.lists(st.floats(min_value=0.0, max_value=1e6,
                                  allow_nan=False), min_size=1, max_size=60)
@@ -58,7 +57,8 @@ _FAST = MlpConfig(layer_sizes=(3, 8, 2), activation="tanh", optimizer="adam",
 
 def test_report_oracle_on_one_to_four():
     r = report_from_errors([4.0, 1.0, 3.0, 2.0])
-    assert r.errors == (1.0, 2.0, 3.0, 4.0)
+    assert r.errors.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert r.errors.dtype == np.float64 and not r.errors.flags.writeable
     assert r.count == 4
     assert r.mean == 2.5
     # nearest-rank on n=4: p50 -> 2nd, p95/p99 -> 4th (1-based)
@@ -124,19 +124,26 @@ def test_fraction_within_boundary_is_inclusive():
     assert r.fraction_within(3.0) == 1.0
 
 
-def test_error_report_matches_series_by_timestamp():
-    estimates = [(0.1, Position2D(1.0, 1.0)), (0.2, Position2D(2.0, 2.0))]
-    labels = [(0.1, Position2D(1.0, 2.0)), (0.2, Position2D(2.0, 2.0))]
+def test_error_report_pairs_rows_in_order():
+    estimates = np.asarray([[1.0, 1.0], [2.0, 2.0]])
+    labels = np.asarray([[1.0, 2.0], [2.0, 2.0]])
     r = error_report(estimates, labels)
-    assert r.errors == (0.0, 1.0)
+    assert r.errors.tolist() == [0.0, 1.0]
 
     with pytest.raises(LengthMismatch):
         error_report(estimates, labels[:1])
-    skewed = [(0.1, Position2D(1, 2)), (0.3, Position2D(2, 2))]
-    with pytest.raises(LengthMismatch):
-        error_report(estimates, skewed)
     with pytest.raises(EmptyReport):
-        error_report([], [])
+        error_report(np.zeros((0, 2)), np.zeros((0, 2)))
+    with pytest.raises(DimensionMismatch):
+        error_report(estimates[0], labels[0])  # one position is a (1, 2) array
+
+    # the same pairing on random positions: each error is math.hypot of the
+    # row differences (np.hypot differs from it in the last ulp on some pairs)
+    rng = np.random.default_rng(5)
+    estimates, labels = rng.normal(size=(2, 4000, 2))
+    want = sorted(math.hypot(ex - lx, ey - ly) for (ex, ey), (lx, ly)
+                  in zip(estimates.tolist(), labels.tolist()))
+    assert error_report(estimates, labels).errors.tobytes() == np.asarray(want).tobytes()
 
 
 def test_meets_requirement_is_the_p99_submeter_check():
@@ -187,7 +194,7 @@ def test_generalization_transfer_set_never_touches_training():
     train, test = np.arange(70), np.arange(70, 80)
     r1 = run_generalization(frames_a, train, test, b1, _FAST)
     r2 = run_generalization(frames_a, train, test, b2, _FAST)
-    assert r1.self_report.errors == r2.self_report.errors
+    assert r1.self_report.errors.tobytes() == r2.self_report.errors.tobytes()
     assert r1.history == r2.history
 
 

@@ -16,11 +16,9 @@ from indoor_fusion.fingerprint import (
     RadioMap,
     build_map,
     calibrate_rssi_offset,
-    load_radio_map,
     locate,
     rssi_snapshot_fixes,
     rssi_snapshot_positions,
-    save_radio_map,
 )
 from indoor_fusion.ingest import AlignedStream
 from indoor_fusion.records import Anchor, Position2D
@@ -58,17 +56,24 @@ def _survey_points(n):
     return pts
 
 
+def _empty_map(resolution):
+    return RadioMap(resolution, "rssi", np.zeros((0, 2), dtype=np.int64), np.zeros((0, 1)),
+                    np.zeros(0, dtype=np.int64))
+
+
 def test_build_map_running_means_and_counts():
     stream = _stream([[1.0, 3.0], [3.0, 5.0], [10.0, 10.0]],
                      [(0.2, 0.2), (0.8, 0.4), (1.5, 0.5)], ["a", "b"])
     m = build_map(stream, resolution=1.0)
     assert len(m) == 2
-    np.testing.assert_array_equal(m.cells[(0, 0)], [2.0, 4.0])
-    assert m.counts[(0, 0)] == 2
-    np.testing.assert_array_equal(m.cells[(1, 0)], [10.0, 10.0])
-    assert m.feature_dim == 2
-    center = m.cell_center(0, 0)
-    assert (center.x, center.y) == (0.5, 0.5)
+    assert m.keys.tolist() == [[0, 0], [1, 0]]
+    np.testing.assert_array_equal(m.means[0], [2.0, 4.0])
+    assert m.counts[0] == 2
+    np.testing.assert_array_equal(m.means[1], [10.0, 10.0])
+    assert m.means.shape[1] == 2
+    assert not any(a.flags.writeable for a in (m.keys, m.means, m.counts))
+    # the nearest cell's center: (0, 0) -> (0.5, 0.5)
+    assert locate(m.means[:1], m, k=1).tolist() == [[0.5, 0.5]]
 
 
 def test_build_map_validates_input():
@@ -78,7 +83,7 @@ def test_build_map_validates_input():
     with pytest.raises(DimensionMismatch):
         build_map(AlignedStream("rssi", [0.0], [[1.0, 2.0, 3.0]], [[0.0, 0.0]], ("a", "b")))
     with pytest.raises(ValueError):
-        RadioMap(0.0, "rssi", 1, {}, {})
+        _empty_map(0.0)
 
 
 def test_locate_exact_match_returns_its_cell_center():
@@ -86,39 +91,40 @@ def test_locate_exact_match_returns_its_cell_center():
     m = build_map(stream, resolution=0.5)
     # pick a sample whose cell saw only itself, so its stored fingerprint
     # is exact; that match carries weight 1/1e-9 and swamps the other cells
+    cells = {tuple(key): count for key, count in zip(m.keys.tolist(), m.counts.tolist())}
     i = next(
         i for i, (x, y) in enumerate(stream.labels)
-        if m.counts[(int(np.floor(x / 0.5)), int(np.floor(y / 0.5)))] == 1)
+        if cells[(int(np.floor(x / 0.5)), int(np.floor(y / 0.5)))] == 1)
     ix = int(np.floor(stream.labels[i, 0] / 0.5))
     iy = int(np.floor(stream.labels[i, 1] / 0.5))
-    pos = locate(stream.features[i], m)
-    center = m.cell_center(ix, iy)
-    assert math.hypot(pos.x - center.x, pos.y - center.y) < 1e-6
+    (x, y), = locate(stream.features[i:i + 1], m)
+    assert math.hypot(x - (ix + 0.5) * 0.5, y - (iy + 0.5) * 0.5) < 1e-6
 
 
 def test_locate_k1_is_nearest_cell_center():
     m = build_map(_stream([[0.0], [10.0]], [(0.5, 0.5), (2.5, 0.5)], ["a"]), resolution=1.0)
-    pos = locate(np.asarray([2.0]), m, k=1)
-    assert (pos.x, pos.y) == (0.5, 0.5)
-    pos = locate(np.asarray([8.0]), m, k=1)
-    assert (pos.x, pos.y) == (2.5, 0.5)
+    pos = locate(np.asarray([[2.0], [8.0]]), m, k=1)
+    assert pos.tolist() == [[0.5, 0.5], [2.5, 0.5]]
 
 
 def test_locate_equidistant_query_lands_midway():
     m = build_map(_stream([[0.0], [10.0]], [(0.5, 0.5), (3.5, 2.5)], ["a"]), resolution=1.0)
-    pos = locate(np.asarray([5.0]), m, k=2)
-    assert pos.x == pytest.approx(2.0, abs=1e-6)
-    assert pos.y == pytest.approx(1.5, abs=1e-6)
+    (x, y), = locate(np.asarray([[5.0]]), m, k=2)
+    assert x == pytest.approx(2.0, abs=1e-6)
+    assert y == pytest.approx(1.5, abs=1e-6)
 
 
 def test_locate_validates_query_and_k():
     m = build_map(_rssi_stream(_survey_points(10)), resolution=0.5)
     with pytest.raises(DimensionMismatch):
-        locate(np.zeros(3), m)
+        locate(np.zeros((1, 3)), m)
+    with pytest.raises(DimensionMismatch):
+        locate(np.zeros(4), m)  # one query is a (1, 4) batch, not a row
     with pytest.raises(ValueError):
-        locate(np.zeros(4), m, k=0)
+        locate(np.zeros((1, 4)), m, k=0)
     with pytest.raises(EmptyMap):
-        locate(np.zeros(1), RadioMap(1.0, "rssi", 1, {}, {}))
+        locate(np.zeros((1, 1)), _empty_map(1.0))
+    assert locate(np.zeros((0, 4)), m).shape == (0, 2)
 
 
 def test_self_queries_stay_within_a_cell_radius():
@@ -126,10 +132,8 @@ def test_self_queries_stay_within_a_cell_radius():
     res = 0.5
     m = build_map(stream, resolution=res)
     half_diag = res * math.sqrt(2.0) / 2.0
-    errs = []
-    for features, (x, y) in zip(stream.features, stream.labels):
-        pos = locate(features, m, k=1)
-        errs.append(math.hypot(pos.x - x, pos.y - y))
+    pos = locate(stream.features, m, k=1)
+    errs = np.hypot(*(pos - stream.labels).T)
     assert max(errs) <= half_diag + 1e-9
 
 
@@ -139,24 +143,9 @@ def test_noiseless_survey_localizes_to_the_grid(noiseless_campaign):
     train = stream.take(slice(None, n_train))
     test = stream.take(slice(n_train, None))
     m = build_map(train, resolution=DEFAULT_RESOLUTION)
-    errs = [math.hypot(locate(features, m, k=DEFAULT_K).x - x,
-                       locate(features, m, k=DEFAULT_K).y - y)
-            for features, (x, y) in zip(test.features, test.labels)]
+    pos = locate(test.features, m, k=DEFAULT_K)
+    errs = np.hypot(*(pos - test.labels).T)
     assert float(np.median(errs)) <= DEFAULT_RESOLUTION
-
-
-def test_radio_map_roundtrip(tmp_path):
-    m = build_map(_rssi_stream(_survey_points(25)), resolution=0.5)
-    path = tmp_path / "map.json"
-    save_radio_map(path, m)
-    back = load_radio_map(path)
-    assert back.resolution == m.resolution
-    assert back.modality == m.modality
-    assert back.feature_dim == m.feature_dim
-    assert set(back.cells) == set(m.cells)
-    for key in m.cells:
-        np.testing.assert_array_equal(back.cells[key], m.cells[key])
-        assert back.counts[key] == m.counts[key]
 
 
 def _reference_map(stream, resolution):
@@ -175,16 +164,19 @@ def _reference_map(stream, resolution):
 
 
 _values = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.0 / 3.0]) | st.floats(-100.0, 100.0)
+# few distinct values: cells share a mean, and distances tie exactly
+_tie_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])
 
 
 @st.composite
-def survey_streams(draw):
-    """Rows crowded into few cells, with signed zeros and tiny values."""
+def survey_streams(draw, values=_values):
+    """Rows crowded into few cells, some at negative indices, with signed
+    zeros and tiny values."""
     n = draw(st.integers(1, 30))
     width = draw(st.integers(1, 3))
     labels = draw(st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
                            min_size=n, max_size=n))
-    features = draw(st.lists(_values, min_size=n * width, max_size=n * width))
+    features = draw(st.lists(values, min_size=n * width, max_size=n * width))
     return _stream(features, labels, [f"a{j}" for j in range(width)])
 
 
@@ -194,10 +186,53 @@ def survey_streams(draw):
 def test_build_map_matches_the_per_sample_fold_bit_for_bit(stream, resolution):
     m = build_map(stream, resolution)
     cells, counts = _reference_map(stream, resolution)
-    assert m.counts == counts
-    assert sorted(m.cells) == sorted(cells)
+    keys = [tuple(key) for key in m.keys.tolist()]
+    assert dict(zip(keys, m.counts.tolist())) == counts
+    assert keys == sorted(cells)
+    means = dict(zip(keys, m.means))
     for key, mean in cells.items():
-        assert m.cells[key].tobytes() == mean.tobytes(), key
+        assert means[key].tobytes() == mean.tobytes(), key
+
+
+def _reference_locate(query, cells, resolution, k):
+    """One query against a dict of cell means, as the per-query search did
+    it: sort the keys, stack the means, stable argsort of the distances."""
+    keys = sorted(cells)
+    stack = np.stack([cells[key] for key in keys])
+    dists = np.linalg.norm(stack - query, axis=1)
+    order = np.argsort(dists, kind="stable")[: min(k, len(keys))]
+    weights = 1.0 / (1e-9 + dists[order])
+    weights /= weights.sum()
+    centers = np.asarray([[(keys[i][0] + 0.5) * resolution,
+                           (keys[i][1] + 0.5) * resolution] for i in order])
+    return weights @ centers
+
+
+@st.composite
+def maps_and_queries(draw):
+    """A survey, and queries that equal a cell mean or are drawn like one;
+    k runs past the number of cells."""
+    stream = draw(survey_streams(_tie_values | _values))
+    resolution = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    means = list(_reference_map(stream, resolution)[0].values())
+    width = len(stream.columns)
+    queries = [means[draw(st.integers(0, len(means) - 1))] if draw(st.booleans())
+               else np.asarray(draw(st.lists(_tie_values | _values,
+                                             min_size=width, max_size=width)))
+               for _ in range(draw(st.integers(1, 6)))]
+    return stream, resolution, np.stack(queries), draw(st.integers(1, len(means) + 3))
+
+
+@given(maps_and_queries())
+# two cells share a mean at negative indices; 2.0 is equidistant from 1.0 and 3.0
+@example((_stream([[1.0], [1.0], [3.0]], [(-0.5, -0.5), (0.5, 0.5), (1.5, -0.5)], ["a"]),
+          1.0, np.asarray([[1.0], [2.0], [3.0]]), 5))
+@settings(max_examples=150)
+def test_locate_matches_the_per_query_search_bit_for_bit(case):
+    stream, resolution, queries, k = case
+    cells, _ = _reference_map(stream, resolution)
+    want = np.stack([_reference_locate(q, cells, resolution, k) for q in queries])
+    assert locate(queries, build_map(stream, resolution), k).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

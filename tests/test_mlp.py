@@ -20,13 +20,11 @@ from indoor_fusion.mlp import (
     gradient_check,
     load_checkpoint,
     median_position_error,
-    predict_stream,
     save_checkpoint,
     split_dataset,
     train,
     train_arrays,
 )
-from indoor_fusion.records import Position2D
 
 
 def _identity_frames(n, seed=0):
@@ -396,15 +394,6 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(a, b)
     x = np.random.default_rng(0).normal(size=(7, 3))
     np.testing.assert_array_equal(model.forward(x), back.forward(x))
-
-
-def test_predict_stream_parallels_the_frames():
-    frames = _identity_frames(40)
-    model, _ = train(frames, _tiny_config(layer_sizes=(3, 8, 2), epochs=2))
-    estimates = predict_stream(model, frames.take(slice(5)))
-    assert [t for t, _ in estimates] == frames.t[:5].tolist()
-    assert all(isinstance(p, Position2D) for _, p in estimates)
-    assert predict_stream(model, frames.take(slice(0))) == []
 
 
 def test_median_position_error_matches_numpy():
