@@ -4,7 +4,6 @@ Produces dataset1.jsonl / dataset2.jsonl / scenario.json in ./demo_out and
 prints the per-sensor record counts plus the first few wire lines.
 """
 
-from collections import Counter
 from pathlib import Path
 
 from indoor_fusion.records import read_records
@@ -18,11 +17,10 @@ def main():
                 "--out", str(OUT)])
     assert code == 0
 
-    records = read_records(OUT / "dataset1.jsonl")
-    counts = Counter(r.sensor for r in records)
+    tables = read_records(OUT / "dataset1.jsonl")
     print("\nrecords by sensor:")
-    for sensor, n in sorted(counts.items()):
-        print(f"  {sensor:5s} {n:6d}")
+    for sensor, table in sorted(tables.items()):
+        print(f"  {sensor:5s} {len(table):6d}")
 
     print("\nfirst three wire lines:")
     with open(OUT / "dataset1.jsonl", "r", encoding="utf-8") as fh:

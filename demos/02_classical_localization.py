@@ -52,8 +52,8 @@ def fingerprint(result, modality):
 def main():
     scenario = build_scenario(7)
     config = SimConfig(duration=120.0)
-    records = simulate_run(scenario, config)
-    result = ingest_run(records, scenario.sensor_offsets, config.rates,
+    tables = simulate_run(scenario, config)
+    result = ingest_run(tables, scenario.sensor_offsets, config.rates,
                         config.duration)
 
     reports = {

@@ -23,8 +23,8 @@ SUBSETS = {
 def main():
     scenario = build_scenario(7)
     config = SimConfig(duration=480.0)
-    records = simulate_run(scenario, config)
-    result = ingest_run(records, scenario.sensor_offsets, config.rates,
+    tables = simulate_run(scenario, config)
+    result = ingest_run(tables, scenario.sensor_offsets, config.rates,
                         config.duration)
     print(f"{len(result.frames)} frames, layout "
           f"{[(b.modality, b.width) for b in result.frames.layout.blocks]}")

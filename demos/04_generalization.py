@@ -9,6 +9,7 @@ survive; phase features collapse.
 from indoor_fusion.evaluate import split_and_run
 from indoor_fusion.ingest import (
     build_fusion_frames,
+    groundtruth_interpolator,
     ingest_run,
     label_with_groundtruth,
     select_blocks,
@@ -24,12 +25,13 @@ from indoor_fusion.simulate import (
 
 
 def csi_frames(scenario, config):
-    records = simulate_run(scenario, config)
-    result = ingest_run(records, scenario.sensor_offsets, config.rates,
+    tables = simulate_run(scenario, config)
+    result = ingest_run(tables, scenario.sensor_offsets, config.rates,
                         config.duration)
     magnitude = select_blocks(result.frames, ["csi"])
-    csi_records = [r for r in result.corrected if r.sensor == "csi"]
-    stream = label_with_groundtruth(csi_records, result.gt_records,
+    # relabel the clock-corrected csi table with phase features
+    stream = label_with_groundtruth(result.tables["csi"],
+                                    groundtruth_interpolator(result.tables["gt"]),
                                     scenario.sensor_offsets["csi"],
                                     csi_features="phase")
     return magnitude, build_fusion_frames([stream])

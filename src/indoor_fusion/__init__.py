@@ -37,24 +37,14 @@ from .errors import (
 from .records import (
     Anchor,
     ClockModel,
-    CsiPayload,
-    GtPayload,
-    ImuPayload,
     Pose,
     Position2D,
-    Record,
-    RssiPayload,
     SensorOffset,
     SensorTable,
-    UwbPayload,
     angle_difference,
     interpolate_heading,
     normalize_angle,
-    parse_record,
     read_records,
-    read_tables,
-    serialize_record,
-    tables_from_records,
     write_records,
 )
 from .geometry import (
@@ -87,7 +77,6 @@ from .simulate import (
     read_sidecar,
     sample_sensors,
     simulate_run,
-    write_dataset,
     write_sidecar,
 )
 from .ingest import (
@@ -96,17 +85,12 @@ from .ingest import (
     FrameLayout,
     Frames,
     IngestResult,
-    align_all,
     build_fusion_frames,
     correct_clock,
-    correct_table,
     estimate_clock_offset,
-    fit_clock,
     frame_layout,
     frames_to_arrays,
     ingest_run,
-    ingest_tables,
-    label_table,
     label_with_groundtruth,
     read_frames,
     select_blocks,

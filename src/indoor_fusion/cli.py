@@ -62,12 +62,12 @@ from .ingest import (
     IngestResult,
     build_fusion_frames,
     groundtruth_interpolator,
-    ingest_tables,
-    label_table,
+    ingest_run,
+    label_with_groundtruth,
     write_frames,
 )
 from .mlp import MlpConfig, SplitSpec, split_dataset
-from .records import SensorOffset, read_tables
+from .records import SensorOffset, read_records, write_records
 from .simulate import (
     DEFAULT_PERTURBATION,
     NoiseConfig,
@@ -78,7 +78,6 @@ from .simulate import (
     read_sidecar,
     sim_config_to_dict,
     simulate_run,
-    write_dataset,
     write_sidecar,
 )
 
@@ -252,8 +251,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     scenario2 = replace(perturb_scenario(scenario, DEFAULT_PERTURBATION, cfg.seed + 1),
                         seed=cfg.seed + 1)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    n1 = write_dataset(cfg.out / "dataset1.jsonl", simulate_run(scenario, sim_config))
-    n2 = write_dataset(cfg.out / "dataset2.jsonl", simulate_run(scenario2, sim_config))
+    n1 = write_records(cfg.out / "dataset1.jsonl", simulate_run(scenario, sim_config))
+    n2 = write_records(cfg.out / "dataset2.jsonl", simulate_run(scenario2, sim_config))
     write_sidecar(cfg.out / "scenario.json", scenario, sim_config, scenario2)
     print(f"wrote {n1} records to dataset1.jsonl, {n2} to dataset2.jsonl "
           f"(seed {cfg.seed}, {cfg.duration:g} s) in {cfg.out}")
@@ -271,9 +270,9 @@ def _load_campaign(cfg: RunConfig, sidecar: tuple[Scenario, SimConfig, Scenario 
             raise ConfigError("scenario.json records no second campaign; "
                               "re-run simulate")
         scenario = scenario2
-    tables = read_tables(cfg.out / f"dataset{which}.jsonl")
-    result = ingest_tables(tables, scenario.sensor_offsets, sim_config.rates,
-                           sim_config.duration, window=cfg.window)
+    tables = read_records(cfg.out / f"dataset{which}.jsonl")
+    result = ingest_run(tables, scenario.sensor_offsets, sim_config.rates,
+                        sim_config.duration, window=cfg.window)
     return scenario, result
 
 
@@ -333,7 +332,7 @@ def _prepare_campaign(cfg: RunConfig, sidecar: tuple[Scenario, SimConfig, Scenar
     scenario, result = _load_campaign(cfg, sidecar, which)
     phase = None
     if need_phase and "csi" in result.tables:
-        stream = label_table(
+        stream = label_with_groundtruth(
             result.tables["csi"], groundtruth_interpolator(result.tables["gt"]),
             scenario.sensor_offsets.get("csi", SensorOffset()), csi_features="phase")
         phase = build_fusion_frames([stream], window=cfg.window)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMap, InsufficientData
+from .errors import ConfigError, DimensionMismatch, EmptyMap, InsufficientData
 from .geometry import rssi_to_distance, trilaterate_batch
 from .ingest import AlignedStream
 from .records import Anchor
@@ -62,7 +62,12 @@ def build_map(stream: AlignedStream, resolution: float = DEFAULT_RESOLUTION) -> 
     """Fold a survey stream into per-cell means, adding rows in stream order."""
     if len(stream) == 0:
         raise InsufficientData("no survey samples to build a map from")
-    cell_xy = np.floor(stream.labels / resolution).astype(np.int64)
+    with np.errstate(over="ignore"):  # an overflow to inf is caught below
+        cells = np.floor(stream.labels / resolution)
+    # an int64 holds exactly the floats in [-2**63, 2**63); NaN fails both tests
+    if not ((cells >= -2.0**63) & (cells < 2.0**63)).all():
+        raise ConfigError(f"grid {resolution!r} m puts cell indices outside the int64 range")
+    cell_xy = cells.astype(np.int64)
     keys, cell = np.unique(cell_xy, axis=0, return_inverse=True)
     cell = cell.reshape(-1)
     # start from -0.0, the exact additive identity (+0.0 would turn a -0.0

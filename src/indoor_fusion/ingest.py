@@ -3,14 +3,15 @@
 The stream arrives as one column table per sensor (``records.SensorTable``)
 and every stage works on its arrays.  Stages, in pipeline order:
 
-1. clock estimation (``fit_clock``): each sensor stamps records with its
-   own skewed clock; fitting the recorded timestamps against the sensor's
-   expected emission grid recovers offset and drift,
-2. clock correction (``correct_table``): map recorded time back to
+1. clock estimation (``estimate_clock_offset``): each sensor stamps
+   records with its own skewed clock; fitting the recorded timestamps
+   against the sensor's expected emission grid recovers offset and drift,
+2. clock correction (``correct_clock``): map recorded time back to
    reference (robot) time, drop pre-epoch rows, sort by (time, source id),
-3. ground-truth labeling (``label_table``): group one sensor's rows into
-   emission ticks (equal times), scatter each tick's readings into one row
-   of a (ticks, width) feature matrix, and label every tick in one call:
+3. ground-truth labeling (``label_with_groundtruth``): group one sensor's
+   rows into emission ticks (equal times), scatter each tick's readings
+   into one row of a (ticks, width) feature matrix, and label every tick
+   in one call:
    the 5 Hz robot pose interpolated at the tick (position componentwise
    linear, heading shortest-arc) and translated to the sensor's mount.
    The result is an ``AlignedStream``: ``t`` (N,), ``features`` (N, W) and
@@ -22,9 +23,8 @@ and every stage works on its arrays.  Stages, in pipeline order:
    anchor ticks: zero-filled when absent, and held to a causal freshness
    window for the non-anchoring modalities.
 
-``ingest_tables`` runs all four.  ``ingest_run``, ``estimate_clock_offset``,
-``correct_clock``, ``label_with_groundtruth`` and ``align_all`` take
-Records instead; they turn them into tables and call the same functions.
+``ingest_run`` runs all four on the tables of one stream, as
+``records.read_records`` or ``simulate.simulate_run`` return them.
 
 Per-tick feature layouts (column meaning is fixed and documented here):
 
@@ -50,15 +50,7 @@ from .errors import (
     LayoutMismatch,
     MalformedLine,
 )
-from .records import (
-    ClockModel,
-    Pose,
-    Position2D,
-    Record,
-    SensorOffset,
-    SensorTable,
-    tables_from_records,
-)
+from .records import ClockModel, Pose, Position2D, SensorOffset, SensorTable
 from .simulate import TrajectoryInterpolator
 
 MIN_OVERLAP_S = 10.0
@@ -77,18 +69,13 @@ def sensor_rate(rates: dict[str, float], sensor: str) -> float:
     raise KeyError(f"no rate known for sensor {sensor!r}")
 
 
-def correct_times(t: np.ndarray, clock: ClockModel) -> np.ndarray:
-    """Map recorded timestamps to reference time: t_ref = (t - offset) / (1 + drift)."""
-    return (t - clock.offset) / (1.0 + clock.drift)
-
-
-def correct_table(table: SensorTable, clock: ClockModel) -> SensorTable:
-    """Clock-correct one sensor's table.
+def correct_clock(table: SensorTable, clock: ClockModel) -> SensorTable:
+    """Clock-correct one sensor's table: t_ref = (t - offset) / (1 + drift).
 
     Rows whose corrected time lands before the reference epoch are dropped;
     the rest are sorted by (t_ref, source id), ties kept in table order.
     """
-    t_ref = correct_times(table.t, clock)
+    t_ref = (table.t - clock.offset) / (1.0 + clock.drift)
     keep = np.flatnonzero(t_ref >= 0.0)
     ids = table.source_ids
     rank = np.empty(len(ids), dtype=np.intp)
@@ -99,15 +86,8 @@ def correct_table(table: SensorTable, clock: ClockModel) -> SensorTable:
     return replace(table, t=t_ref).take(order)
 
 
-def correct_clock(records: list[Record], clock: ClockModel) -> list[Record]:
-    """Record-list form of :func:`correct_times`: order kept, pre-epoch records dropped."""
-    t_ref = correct_times(np.asarray([r.t for r in records], dtype=np.float64), clock)
-    return [Record(t, r.sensor, r.source_id, r.payload)
-            for r, t in zip(records, t_ref.tolist()) if t >= 0.0]
-
-
-def fit_clock(t: np.ndarray, gt_t: np.ndarray, rate: float,
-              duration: float | None = None) -> ClockModel:
+def estimate_clock_offset(t: np.ndarray, gt_t: np.ndarray, rate: float,
+                          duration: float | None = None) -> ClockModel:
     """Recover a sensor's clock model from its timestamps alone.
 
     The sensor emits on the grid (k+1)/rate in reference time; recorded
@@ -149,14 +129,6 @@ def fit_clock(t: np.ndarray, gt_t: np.ndarray, rate: float,
             raise MalformedLine(f"estimated drift {drift:.3e} exceeds the clock model range")
         drift = math.copysign(1e-4, drift)
     return ClockModel(offset=float(offset), drift=float(drift))
-
-
-def estimate_clock_offset(sensor_records: list[Record], gt_records: list[Record],
-                          rate: float, duration: float | None = None) -> ClockModel:
-    """Record-list form of :func:`fit_clock`."""
-    return fit_clock(np.asarray([r.t for r in sensor_records], dtype=np.float64),
-                     np.asarray([r.t for r in gt_records], dtype=np.float64),
-                     rate, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +188,12 @@ def _frozen(obj, *names: str) -> list[np.ndarray]:
 
 
 def groundtruth_interpolator(gt) -> TrajectoryInterpolator:
-    """Accepts a gt SensorTable, ground-truth Records or (t, Pose) pairs."""
+    """Accepts a gt SensorTable or (t, Pose) pairs."""
     if isinstance(gt, SensorTable):
         pairs = [(t, Pose(x, y, phi))
                  for t, (x, y, phi) in zip(gt.t.tolist(), gt.values.tolist())]
     else:
-        pairs = []
-        for item in gt:
-            if isinstance(item, Record):
-                if item.sensor != "gt":
-                    continue
-                pairs.append((item.t, Pose(item.payload.x, item.payload.y, item.payload.phi)))
-            else:
-                t, pose = item
-                pairs.append((float(t), pose))
+        pairs = [(float(t), pose) for t, pose in gt]
     pairs.sort(key=lambda p: p[0])
     if len(pairs) < 2:
         raise EmptyGroundTruth("need >= 2 ground-truth poses to interpolate")
@@ -247,9 +211,9 @@ def _check_csi_features(csi_features: str) -> None:
         raise ValueError(f"csi_features must be magnitude/phase/both, got {csi_features!r}")
 
 
-def label_table(table: SensorTable, interp: TrajectoryInterpolator,
-                sensor_offset: SensorOffset, csi_features: str = "magnitude",
-                ) -> AlignedStream:
+def label_with_groundtruth(table: SensorTable, interp: TrajectoryInterpolator,
+                           sensor_offset: SensorOffset, csi_features: str = "magnitude",
+                           ) -> AlignedStream:
     """Label one sensor's clock-corrected table against ground truth.
 
     Rows are grouped by exact emission tick (equal ``t``); each tick becomes
@@ -292,39 +256,6 @@ def label_table(table: SensorTable, interp: TrajectoryInterpolator,
     return AlignedStream(modality, times, features.reshape(len(times), slots * width),
                          interp.sensor_position_at(times, sensor_offset), columns,
                          dropped=len(table) - len(kept), record_count=len(kept))
-
-
-def label_with_groundtruth(records: list[Record], gt, sensor_offset: SensorOffset,
-                           csi_features: str = "magnitude") -> AlignedStream:
-    """Record-list form of :func:`label_table`; ``gt`` as for
-    :func:`groundtruth_interpolator`.  The records must share one modality."""
-    _check_csi_features(csi_features)
-    interp = groundtruth_interpolator(gt)
-    tables = tables_from_records([r for r in records if r.sensor != "gt"])
-    if len(tables) > 1:
-        raise ValueError(f"records mix modalities {sorted(tables)}; label one at a time")
-    if not tables:
-        return AlignedStream("uwb", np.zeros(0), np.zeros((0, 0)), np.zeros((0, 2)), ())
-    (table,) = tables.values()
-    return label_table(table, interp, sensor_offset, csi_features)
-
-
-def _label_all(tables: dict[str, SensorTable], sensor_offsets: dict[str, SensorOffset],
-               csi_features: str) -> dict[str, AlignedStream]:
-    _check_csi_features(csi_features)
-    modalities = sorted(set(tables) - {"gt"})
-    if not modalities:
-        return {}
-    interp = groundtruth_interpolator(tables.get("gt", ()))
-    return {m: label_table(tables[m], interp, sensor_offsets.get(m, SensorOffset()),
-                           csi_features)
-            for m in modalities}
-
-
-def align_all(records: list[Record], sensor_offsets: dict[str, SensorOffset],
-              csi_features: str = "magnitude") -> dict[str, AlignedStream]:
-    """Label every non-gt modality present in a corrected record stream."""
-    return _label_all(tables_from_records(records), sensor_offsets, csi_features)
 
 
 # ---------------------------------------------------------------------------
@@ -575,22 +506,11 @@ class IngestResult:
     clock_estimates: dict[str, ClockModel]
     dropped: int
 
-    @property
-    def gt_records(self) -> list[Record]:
-        return self.tables["gt"].records()
 
-    @property
-    def corrected(self) -> list[Record]:
-        """Every corrected record, ordered by (t, sensor, source id)."""
-        out = [rec for table in self.tables.values() for rec in table.records()]
-        out.sort(key=lambda r: (r.t, r.sensor, r.source_id))
-        return out
-
-
-def ingest_tables(tables: dict[str, SensorTable], sensor_offsets: dict[str, SensorOffset],
-                  rates: dict[str, float], duration: float | None,
-                  window: float = DEFAULT_WINDOW_S,
-                  csi_features: str = "magnitude") -> IngestResult:
+def ingest_run(tables: dict[str, SensorTable], sensor_offsets: dict[str, SensorOffset],
+               rates: dict[str, float], duration: float | None,
+               window: float = DEFAULT_WINDOW_S,
+               csi_features: str = "magnitude") -> IngestResult:
     """Run the full alignment pipeline on one recorded stream's tables."""
     gt = tables.get("gt")
     if gt is None or len(gt) < 2:
@@ -599,25 +519,22 @@ def ingest_tables(tables: dict[str, SensorTable], sensor_offsets: dict[str, Sens
     corrected = {"gt": gt}
     estimates: dict[str, ClockModel] = {}
     for sensor in sorted(set(tables) - {"gt"}):
-        clock = fit_clock(tables[sensor].t, gt.t, sensor_rate(rates, sensor), duration)
+        clock = estimate_clock_offset(tables[sensor].t, gt.t, sensor_rate(rates, sensor),
+                                      duration)
         estimates[sensor] = clock
-        table = correct_table(tables[sensor], clock)
+        table = correct_clock(tables[sensor], clock)
         if len(table):
             corrected[sensor] = table
 
-    streams = _label_all(corrected, sensor_offsets, csi_features)
+    _check_csi_features(csi_features)
+    modalities = sorted(set(corrected) - {"gt"})
+    interp = groundtruth_interpolator(gt) if modalities else None
+    streams = {m: label_with_groundtruth(corrected[m], interp,
+                                         sensor_offsets.get(m, SensorOffset()), csi_features)
+               for m in modalities}
     frames = build_fusion_frames(list(streams.values()), window=window)
     if "csi" in streams:  # the anchor block holds the csi stream: keep one copy
         streams["csi"] = replace(streams["csi"], features=frames.features[
             :, frames.layout.feature_slice("csi")])
     dropped = sum(s.dropped for s in streams.values())
     return IngestResult(corrected, streams, frames, estimates, dropped)
-
-
-def ingest_run(records: list[Record], sensor_offsets: dict[str, SensorOffset],
-               rates: dict[str, float], duration: float | None,
-               window: float = DEFAULT_WINDOW_S,
-               csi_features: str = "magnitude") -> IngestResult:
-    """Record-list form of :func:`ingest_tables`."""
-    return ingest_tables(tables_from_records(records), sensor_offsets, rates, duration,
-                         window, csi_features)

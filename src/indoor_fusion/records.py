@@ -1,4 +1,4 @@
-"""Domain types and the JSON-Lines wire schema.
+"""The JSON-Lines wire schema, its column tables, and the value types.
 
 Every stream in the toolkit is a sequence of timestamped sensor records,
 one JSON object per line, UTF-8, LF terminated::
@@ -13,18 +13,19 @@ Payload layout per sensor kind:
 * ``imu``  -- flat array of 9 floats in accel(3), gyro(3), mag(3) order
 * ``gt``   -- ``{"x": f, "y": f, "phi": f}``
 
-Floats are rendered in scientific notation with 17 significant digits, so
-``parse_record(serialize_record(r)) == r`` holds bit-exactly.  Units are
-meters, seconds, radians and dBm throughout; ``t`` is the sender's clock.
+Units are meters, seconds, radians and dBm throughout; ``t`` is the
+sender's clock.
 
-Reading builds column tables, not objects: ``read_tables`` turns a file
-into one ``SensorTable`` per sensor kind in a single pass (times, source and
-anchor indices, a float64 payload matrix, the line of each row).  Each line
-goes through one row validator (JSON shape, keys, types, arities, the sign
-of ``t``); payload finiteness is checked once per table with
-``np.isfinite``.  Every failure is reported as ``path:line:`` of the first
-faulty line.  ``parse_record`` is a one-line table read, and
-``read_records`` turns the tables into Records in file order.
+In memory a stream is one ``SensorTable`` per sensor kind: times, source
+and anchor indices, a float64 payload matrix and the line of each row.
+``write_records`` writes tables as lines in ``line`` order, floats in
+scientific notation with 17 significant digits; ``read_records`` parses a
+file into tables in a single pass.  Tables written and read back are
+bit-identical, and rewriting the tables of a written file reproduces its
+bytes.  Each line goes through one row validator (JSON shape, keys, types,
+arities, the sign of ``t``); payload finiteness is checked once per table
+with ``np.isfinite``.  Every failure is reported as ``path:line:`` of the
+first faulty line.
 
 All types here are immutable values and safe to share between threads.
 """
@@ -142,154 +143,6 @@ class ClockModel:
             raise ValueError(f"|drift| must be <= 1e-4, got {self.drift}")
 
 
-@dataclass(frozen=True)
-class UwbPayload:
-    anchor_id: str
-    range_m: float
-    power_db: float
-
-
-@dataclass(frozen=True)
-class RssiPayload:
-    anchor_id: str
-    rssi_db: float
-
-
-@dataclass(frozen=True, eq=False)
-class CsiPayload:
-    """Per-subcarrier channel magnitudes and phases for one WiFi anchor."""
-
-    anchor_id: str
-    magnitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        for name in ("magnitudes", "phases"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.magnitudes.shape != self.phases.shape or self.magnitudes.ndim != 1:
-            raise ValueError("CSI magnitudes and phases must be 1D and equally long")
-        if self.magnitudes.size == 0:
-            raise ValueError("CSI payload must have at least one subcarrier")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CsiPayload)
-            and self.anchor_id == other.anchor_id
-            and np.array_equal(self.magnitudes, other.magnitudes)
-            and np.array_equal(self.phases, other.phases)
-        )
-
-
-@dataclass(frozen=True)
-class ImuPayload:
-    """9-DoF inertial reading: accelerometer, gyroscope, magnetometer."""
-
-    accel: tuple[float, float, float]
-    gyro: tuple[float, float, float]
-    mag: tuple[float, float, float]
-
-    def __post_init__(self):
-        for name in ("accel", "gyro", "mag"):
-            vec = tuple(float(v) for v in getattr(self, name))
-            if len(vec) != 3:
-                raise ValueError(f"imu {name} must have 3 components")
-            object.__setattr__(self, name, vec)
-
-
-@dataclass(frozen=True)
-class GtPayload:
-    x: float
-    y: float
-    phi: float
-
-
-_PAYLOAD_TYPES = {
-    "uwb": UwbPayload,
-    "rssi": RssiPayload,
-    "csi": CsiPayload,
-    "imu": ImuPayload,
-    "gt": GtPayload,
-}
-
-Payload = UwbPayload | RssiPayload | CsiPayload | ImuPayload | GtPayload
-
-
-@dataclass(frozen=True, eq=False)
-class Record:
-    """One timestamped sensor reading on the wire."""
-
-    t: float
-    sensor: str
-    source_id: str
-    payload: Payload
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        if not math.isfinite(self.t) or self.t < 0.0:
-            raise ValueError(f"record time must be finite and >= 0, got {self.t}")
-        expected = _PAYLOAD_TYPES.get(self.sensor)
-        if expected is None:
-            raise ValueError(f"unknown sensor kind {self.sensor!r}")
-        if not isinstance(self.payload, expected):
-            raise ValueError(f"payload {type(self.payload).__name__} does not match sensor {self.sensor!r}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Record)
-            and self.t == other.t
-            and self.sensor == other.sensor
-            and self.source_id == other.source_id
-            and self.payload == other.payload
-        )
-
-
-@lru_cache(maxsize=None)
-def _vec_template(n: int) -> str:
-    return "[" + ",".join([_F] * n) + "]"
-
-
-def _fmt_vec(values) -> str:
-    """``[v,...]`` with 17 significant digits; one ``%`` call per vector."""
-    values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
-    return _vec_template(len(values)) % values
-
-
-def serialize_record(record: Record) -> str:
-    """Render a record as one JSON line (no trailing newline).
-
-    Key order is fixed (t, sensor, id, payload) and floats carry 17
-    significant digits so the line re-parses to a bit-identical record.
-    """
-    p = record.payload
-    if record.sensor == "uwb":
-        body = '{"anchor_id":%s,"range_m":%s,"power_db":%s}' % (
-            json.dumps(p.anchor_id), _F % p.range_m, _F % p.power_db)
-    elif record.sensor == "rssi":
-        body = '{"anchor_id":%s,"rssi_db":%s}' % (json.dumps(p.anchor_id), _F % p.rssi_db)
-    elif record.sensor == "csi":
-        body = '{"anchor_id":%s,"magnitudes":%s,"phases":%s}' % (
-            json.dumps(p.anchor_id), _fmt_vec(p.magnitudes), _fmt_vec(p.phases))
-    elif record.sensor == "imu":
-        body = _fmt_vec(p.accel + p.gyro + p.mag)
-    else:  # gt
-        body = '{"x":%s,"y":%s,"phi":%s}' % (_F % p.x, _F % p.y, _F % p.phi)
-    return '{"t":%s,"sensor":"%s","id":%s,"payload":%s}' % (
-        _F % record.t, record.sensor, json.dumps(record.source_id), body)
-
-
-def write_records(path, records) -> int:
-    """Write records as JSONL (UTF-8, LF). Returns the number of lines."""
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(serialize_record(rec))
-            fh.write("\n")
-            n += 1
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Column tables
 
@@ -301,8 +154,9 @@ class SensorTable:
     ``[rssi_db]``, csi ``[magnitudes..., phases...]``, imu the 9 floats in
     wire order, gt ``[x, y, phi]``.  ``source`` and ``anchor`` index
     ``source_ids`` and ``anchor_ids`` (``anchor`` is -1 for imu and gt).
-    ``line`` is each row's 1-based line in its file, or its position in the
-    record list the table was built from.  The arrays are read-only.
+    ``line`` is each row's 1-based line in its file: where ``read_records``
+    found the row, or where ``write_records`` puts it.  The arrays are
+    read-only.
     """
 
     sensor: str
@@ -327,27 +181,81 @@ class SensorTable:
                        source=self.source[rows], anchor=self.anchor[rows],
                        line=self.line[rows])
 
-    def records(self) -> list[Record]:
-        """The rows as Records, in table order."""
-        rows = self.values.tolist()
-        out = []
-        for i, (t, s, a) in enumerate(zip(self.t.tolist(), self.source.tolist(),
-                                          self.anchor.tolist())):
-            v = rows[i]
-            anchor_id = self.anchor_ids[a] if a >= 0 else ""
-            if self.sensor == "uwb":
-                payload: Payload = UwbPayload(anchor_id, v[0], v[1])
-            elif self.sensor == "rssi":
-                payload = RssiPayload(anchor_id, v[0])
-            elif self.sensor == "csi":
-                half = len(v) // 2
-                payload = CsiPayload(anchor_id, self.values[i, :half], self.values[i, half:])
-            elif self.sensor == "imu":
-                payload = ImuPayload(tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]))
-            else:
-                payload = GtPayload(v[0], v[1], v[2])
-            out.append(Record(t, self.sensor, self.source_ids[s], payload))
-        return out
+
+# ---------------------------------------------------------------------------
+# Writing: one ``%`` template per (source, anchor), rows in line order
+
+# Rows formatted per step: bounds the Python floats and strings held at once
+# (256 csi rows are under 1 MB), so writing adds nothing to the peak RSS.
+_WRITE_ROWS = 1 << 8
+
+
+@lru_cache(maxsize=None)
+def _vec_template(n: int) -> str:
+    return "[" + ",".join([_F] * n) + "]"
+
+
+def _json_str(s: str) -> str:
+    """A JSON string literal, escaped for use inside a ``%`` template."""
+    return json.dumps(s).replace("%", "%%")
+
+
+def _payload_template(sensor: str, width: int, anchor_id: str) -> str:
+    if sensor == "uwb":
+        return '{"anchor_id":%s,"range_m":%s,"power_db":%s}' % (_json_str(anchor_id), _F, _F)
+    if sensor == "rssi":
+        return '{"anchor_id":%s,"rssi_db":%s}' % (_json_str(anchor_id), _F)
+    if sensor == "csi":
+        vec = _vec_template(width // 2)
+        return '{"anchor_id":%s,"magnitudes":%s,"phases":%s}' % (_json_str(anchor_id), vec, vec)
+    if sensor == "imu":
+        return _vec_template(width)
+    return '{"x":%s,"y":%s,"phi":%s}' % (_F, _F, _F)
+
+
+def _row_templates(table: SensorTable) -> tuple[np.ndarray, dict[int, str]]:
+    """Each row's template code, and the line template of every code used."""
+    n_anchor = len(table.anchor_ids) + 1  # code 0 of an anchor: none (imu, gt)
+    codes = table.source * n_anchor + table.anchor + 1
+    templates = {}
+    for code in np.unique(codes).tolist():
+        source, anchor = divmod(code, n_anchor)
+        payload = _payload_template(table.sensor, table.values.shape[1],
+                                    table.anchor_ids[anchor - 1] if anchor else "")
+        templates[code] = '{"t":%s,"sensor":"%s","id":%s,"payload":%s}\n' % (
+            _F, table.sensor, _json_str(table.source_ids[source]), payload)
+    return codes, templates
+
+
+def write_records(path, tables: dict[str, SensorTable]) -> int:
+    """Write tables as JSONL (UTF-8, LF); returns the number of lines.
+
+    Rows of all tables go out in ascending ``line`` order, ties in table
+    order.  Floats carry 17 significant digits, so ``read_records`` gives
+    the values back bit for bit.
+    """
+    tables = list(tables.values())
+    lines = np.concatenate([t.line for t in tables]) if tables else np.zeros(0, np.intp)
+    position = np.empty(len(lines), dtype=np.intp)
+    position[np.argsort(lines, kind="stable")] = np.arange(len(lines))
+    parts, start = [], 0
+    for table in tables:  # its rows in output order, their positions, their templates
+        pos = position[start:start + len(table)]
+        start += len(table)
+        rows = np.argsort(pos)
+        parts.append((table, rows, pos[rows], *_row_templates(table)))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for lo in range(0, len(lines), _WRITE_ROWS):
+            out = [""] * min(_WRITE_ROWS, len(lines) - lo)
+            for table, rows, pos, codes, templates in parts:
+                a, b = np.searchsorted(pos, (lo, lo + len(out)))
+                chunk = rows[a:b]
+                for slot, code, t, v in zip((pos[a:b] - lo).tolist(), codes[chunk].tolist(),
+                                            table.t[chunk].tolist(),
+                                            table.values[chunk].tolist()):
+                    out[slot] = templates[code] % (t, *v)
+            fh.write("".join(out))
+    return len(lines)
 
 
 # Rows of pending payload floats are moved into numpy once this many gather.
@@ -411,28 +319,6 @@ class _TableBuilder:
                            np.array(self.source, dtype=np.intp), tuple(self.source_ids),
                            np.array(self.anchor, dtype=np.intp), tuple(self.anchor_ids),
                            np.array(self.line, dtype=np.intp))
-
-
-def tables_from_records(records) -> dict[str, SensorTable]:
-    """Column tables of in-memory Records, rows in list order."""
-    builders: dict[str, _TableBuilder] = {}
-    for i, rec in enumerate(records, start=1):
-        p = rec.payload
-        if rec.sensor == "uwb":
-            anchor_id, values = p.anchor_id, [p.range_m, p.power_db]
-        elif rec.sensor == "rssi":
-            anchor_id, values = p.anchor_id, [p.rssi_db]
-        elif rec.sensor == "csi":
-            anchor_id, values = p.anchor_id, p.magnitudes.tolist() + p.phases.tolist()
-        elif rec.sensor == "imu":
-            anchor_id, values = None, [*p.accel, *p.gyro, *p.mag]
-        else:
-            anchor_id, values = None, [p.x, p.y, p.phi]
-        builder = builders.get(rec.sensor)
-        if builder is None:
-            builder = builders[rec.sensor] = _TableBuilder(rec.sensor)
-        builder.add(i, rec.t, rec.source_id, anchor_id, values)
-    return {s: b.build() for s, b in builders.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -597,20 +483,7 @@ def _tables_from_lines(lines, subcarriers: int | None) -> dict[str, SensorTable]
     return tables
 
 
-def parse_record(line: str, subcarriers: int | None = None) -> Record:
-    """Parse one JSON line into a Record, rejecting anything off-schema.
-
-    ``subcarriers`` pins the expected CSI payload arity when the scenario
-    is known; when None, magnitudes and phases only need matching lengths.
-    A one-row table read.
-
-    Raises MalformedLine, SchemaViolation or NegativeTime.
-    """
-    (table,) = _tables_from_lines((line,), subcarriers).values()
-    return table.records()[0]
-
-
-def read_tables(path, subcarriers: int | None = None) -> dict[str, SensorTable]:
+def read_records(path, subcarriers: int | None = None) -> dict[str, SensorTable]:
     """Read a JSONL record stream into one SensorTable per sensor kind.
 
     Rows keep file order.  Blank lines are rejected, not skipped; every
@@ -625,13 +498,3 @@ def read_tables(path, subcarriers: int | None = None) -> dict[str, SensorTable]:
             raise type(exc)(f"{path}:{exc.line}: {exc}") from exc
         except UnicodeDecodeError as exc:  # raised a decoder chunk ahead of its line
             raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def read_records(path, subcarriers: int | None = None) -> list[Record]:
-    """Read a JSONL record stream as Records, in file order."""
-    tables = read_tables(path, subcarriers)
-    out: list = [None] * sum(len(t) for t in tables.values())
-    for table in tables.values():
-        for line, rec in zip(table.line.tolist(), table.records()):
-            out[line - 1] = rec
-    return out

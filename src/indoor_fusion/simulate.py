@@ -6,7 +6,9 @@ arbitrary per-session carrier phase of each WiFi node, and the mounting
 offsets of the sensors on the robot platform.  A SimConfig pins everything
 operational: run duration, per-sensor update rates, noise levels and clock
 models.  Given both plus a ground-truth trajectory, :func:`sample_sensors`
-emits the merged multi-rate record stream.
+emits the multi-rate record stream as one ``records.SensorTable`` per
+sensor, whose ``line`` columns merge the rows into file order;
+``records.write_records`` writes them as JSONL.
 
 Between ground-truth samples the robot is defined to move linearly (and to
 turn along the shortest arc), so the emitted stream is exactly reproducible
@@ -27,17 +29,12 @@ from .geometry import translate_sensor_pose
 from .records import (
     Anchor,
     ClockModel,
-    CsiPayload,
-    GtPayload,
-    ImuPayload,
     Pose,
     Position2D,
-    Record,
-    RssiPayload,
     SensorOffset,
-    UwbPayload,
+    SensorTable,
     normalize_angle,
-    serialize_record,
+    write_records,
 )
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -502,33 +499,44 @@ def csi_channel(scenario: Scenario, anchor: Anchor, positions: np.ndarray) -> np
     return h
 
 
+# The one source id of each sensor's records.
+_SOURCE_IDS = {"gt": "robot", "uwb": "tag0", "rssi": "esp0", "csi": "esp0", "imu": "imu0"}
+
+
 def sample_sensors(scenario: Scenario, config: SimConfig,
                    trajectory: list[tuple[float, Pose]],
                    return_truth: bool = False):
-    """Emit the merged multi-rate record stream for one run.
+    """Emit one run's record stream as one SensorTable per sensor.
 
     Each sensor samples on its own emission grid and stamps records with its
-    own (possibly offset and drifting) clock.  Output is sorted by
-    ``(recorded t, sensor, source id)`` with generation order as the final
-    tiebreaker, so identical inputs give byte-identical streams.
+    own (possibly offset and drifting) clock.  The tables' ``line`` column
+    merges their rows in file order, sorted by ``(recorded t, sensor, source
+    id)`` with generation order as the final tiebreaker, so identical inputs
+    give byte-identical streams.  Each table's rows are in line order and
+    its anchor ids in order of first appearance, as ``read_records`` gives
+    them; a sensor that emits no rows has no table.
 
-    With ``return_truth`` a parallel list of ``(t_true, x, y)`` tuples is
-    returned: the true emission time and true sensor position per record.
+    With ``return_truth`` a dict of (N, 3) ``(t_true, x, y)`` arrays is
+    returned too, row-aligned with each table: the true emission time and
+    the true sensor position of every row.
     """
     interp = TrajectoryInterpolator(trajectory)
     noise = config.noise
     ss = np.random.SeedSequence(scenario.seed)
     uwb_rng, rssi_rng, csi_rng, imu_rng = (np.random.default_rng(c) for c in ss.spawn(4))
 
-    entries: list[tuple[float, str, str, Record, tuple[float, float, float]]] = []
+    # sensor -> blocks of rows in generation order: (t_rec, values, anchor id, truth)
+    blocks: dict[str, list] = {}
 
-    def add(t_rec: float, record: Record, truth: tuple[float, float, float]):
-        entries.append((t_rec, record.sensor, record.source_id, record, truth))
+    def emit(sensor: str, t_rec, values, anchor_id: str | None, t_true, pos):
+        if len(t_rec):
+            blocks.setdefault(sensor, []).append(
+                (t_rec, values, anchor_id, np.column_stack([t_true, pos])))
 
     # ground truth: the robot's own stream on the reference clock
-    for t, pose in trajectory:
-        add(t, Record(t, "gt", "robot", GtPayload(pose.x, pose.y, pose.phi)),
-            (t, pose.x, pose.y))
+    t_gt = np.asarray([t for t, _ in trajectory], dtype=np.float64)
+    poses = np.asarray([(p.x, p.y, p.phi) for _, p in trajectory], dtype=np.float64)
+    emit("gt", t_gt, poses, None, t_gt, poses[:, :2])
 
     # UWB: per tick one range+power record per anchor, with NLOS and dropout
     t_uwb = _tick_times(config.duration, config.rates["uwb"])
@@ -543,11 +551,8 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
             power = (-40.0 - 20.0 * np.log10(np.maximum(d, 0.1))
                      + uwb_rng.normal(0.0, 1.0, len(d)) * noise.uwb_power_sigma_db)
             keep = uwb_rng.random(len(d)) >= noise.uwb_dropout_prob
-            for i in np.nonzero(keep)[0]:
-                add(float(t_rec[i]),
-                    Record(float(t_rec[i]), "uwb", "tag0",
-                           UwbPayload(anchor.id, float(ranges[i]), float(power[i]))),
-                    (float(t_uwb[i]), float(pos[i, 0]), float(pos[i, 1])))
+            emit("uwb", t_rec[keep], np.column_stack([ranges, power])[keep], anchor.id,
+                 t_uwb[keep], pos[keep])
 
     # ESP node: RSSI and CSI for every WiFi anchor at the CSI rate
     t_csi = _tick_times(config.duration, config.rates["csi"])
@@ -568,15 +573,8 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
             phases = np.angle(h) + scenario.session_phase[anchor.id]
             phases = phases + csi_rng.normal(0.0, 1.0, mags.shape) * noise.csi_phase_sigma
             phases = np.mod(phases + np.pi, 2.0 * np.pi) - np.pi
-            for i in range(len(t_csi)):
-                truth_r = (float(t_csi[i]), float(pos_rssi[i, 0]), float(pos_rssi[i, 1]))
-                add(float(rec_rssi[i]),
-                    Record(float(rec_rssi[i]), "rssi", "esp0",
-                           RssiPayload(anchor.id, float(rssi[i]))), truth_r)
-                truth_c = (float(t_csi[i]), float(pos_csi[i, 0]), float(pos_csi[i, 1]))
-                add(float(rec_csi[i]),
-                    Record(float(rec_csi[i]), "csi", "esp0",
-                           CsiPayload(anchor.id, mags[i], phases[i])), truth_c)
+            emit("rssi", rec_rssi, rssi[:, None], anchor.id, t_csi, pos_rssi)
+            emit("csi", rec_csi, np.hstack([mags, phases]), anchor.id, t_csi, pos_csi)
 
     # IMU: finite-difference kinematics in the body frame plus the local field
     t_imu = _tick_times(config.duration, config.rates["imu"])
@@ -605,22 +603,60 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
         gyro += imu_rng.normal(0.0, 1.0, gyro.shape) * noise.imu_gyro_sigma
         mag = np.stack([mx, my, mag_w[:, 2]], axis=1)
         mag += imu_rng.normal(0.0, 1.0, mag.shape) * noise.mag_sigma
+        emit("imu", _skew(t_imu, config.clock_for("imu")), np.hstack([accel, gyro, mag]),
+             None, t_imu, pos)
 
-        t_rec = _skew(t_imu, config.clock_for("imu"))
-        for i in range(len(t_imu)):
-            add(float(t_rec[i]),
-                Record(float(t_rec[i]), "imu", "imu0",
-                       ImuPayload(tuple(accel[i]), tuple(gyro[i]), tuple(mag[i]))),
-                (float(t_imu[i]), float(pos[i, 0]), float(pos[i, 1])))
-
-    order = sorted(range(len(entries)), key=lambda i: (entries[i][0], entries[i][1], entries[i][2], i))
-    records = [entries[i][3] for i in order]
-    if return_truth:
-        return records, [entries[i][4] for i in order]
-    return records
+    tables, truth = _merge(blocks)
+    return (tables, truth) if return_truth else tables
 
 
-def simulate_run(scenario: Scenario, config: SimConfig) -> list[Record]:
+def _merge(blocks: dict[str, list]) -> tuple[dict[str, SensorTable], dict[str, np.ndarray]]:
+    """One table and one truth array per sensor, ``line`` set by one lexsort.
+
+    ``blocks`` is emptied: each sensor's blocks are freed once joined.
+    """
+    # (sensor, source id) order; each sensor's blocks are in generation order
+    sensors = sorted(blocks, key=lambda s: (s, _SOURCE_IDS[s]))
+    joined = {}
+    for s in sensors:
+        t_rec, values, anchor_ids, truth = zip(*blocks.pop(s))
+        anchor = np.repeat(np.arange(len(anchor_ids)), [len(t) for t in t_rec])
+        joined[s] = (np.concatenate(t_rec), np.concatenate(values), anchor, anchor_ids,
+                     np.concatenate(truth))
+    t = np.concatenate([joined[s][0] for s in sensors])
+    sensor_source = np.repeat(np.arange(len(sensors)), [len(joined[s][0]) for s in sensors])
+    line = np.empty(len(t), dtype=np.intp)
+    line[np.lexsort((np.arange(len(t)), sensor_source, t))] = np.arange(1, len(t) + 1)
+
+    tables, truths, start = {}, {}, 0
+    for s in sensors:
+        t_rec, values, anchor, anchor_ids, truth = joined.pop(s)
+        lines = line[start:start + len(t_rec)]
+        start += len(t_rec)
+        rows = np.argsort(lines)
+        anchor, anchor_ids = _by_first_appearance(anchor[rows], anchor_ids)
+        tables[s] = SensorTable(s, t_rec[rows], values[rows], np.zeros(len(rows), dtype=np.intp),
+                                (_SOURCE_IDS[s],), anchor, anchor_ids, lines[rows])
+        truths[s] = truth[rows]
+    order = sorted(tables, key=lambda s: tables[s].line[0])  # sensors in file order
+    return {s: tables[s] for s in order}, {s: truths[s] for s in order}
+
+
+def _by_first_appearance(codes: np.ndarray, ids: tuple) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Renumber ``codes`` (indices into ``ids``) in order of first appearance.
+
+    A None id (imu, gt) becomes anchor -1 with no anchor ids.
+    """
+    if ids[0] is None:
+        return np.full(len(codes), -1, dtype=np.intp), ()
+    present, first = np.unique(codes, return_index=True)
+    seen = present[np.argsort(first)]
+    renumber = np.empty(len(ids), dtype=np.intp)
+    renumber[seen] = np.arange(len(seen))
+    return renumber[codes], tuple(ids[i] for i in seen)
+
+
+def simulate_run(scenario: Scenario, config: SimConfig) -> dict[str, SensorTable]:
     """Trajectory plus sensor sampling in one call."""
     trajectory = generate_trajectory(scenario, config.duration, config.speed,
                                      rate=config.rates["gt"])
@@ -737,12 +773,5 @@ def read_sidecar(path) -> tuple[Scenario, SimConfig, Scenario | None]:
         raise SchemaViolation(f"{path}: {exc}") from exc
 
 
-def write_dataset(path, records: list[Record]) -> int:
-    """Write a record stream as JSONL; returns the line count."""
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(serialize_record(rec))
-            fh.write("\n")
-            n += 1
-    return n
+# ``perfbench/tracer.py`` wraps this name, so it stays: ``write_records`` itself
+write_dataset = write_records

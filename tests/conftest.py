@@ -31,10 +31,10 @@ def short_campaign():
     """20 s default-noise run, simulated and ingested in memory."""
     scenario = build_scenario(3)
     config = SimConfig(duration=20.0)
-    records = simulate_run(scenario, config)
-    result = ingest_run(records, scenario.sensor_offsets, config.rates,
+    tables = simulate_run(scenario, config)
+    result = ingest_run(tables, scenario.sensor_offsets, config.rates,
                         config.duration)
-    return SimpleNamespace(scenario=scenario, config=config, records=records,
+    return SimpleNamespace(scenario=scenario, config=config, tables=tables,
                            result=result)
 
 
@@ -43,9 +43,9 @@ def noiseless_campaign():
     """60 s zero-noise run: payloads are exact functions of position."""
     scenario = build_scenario(11)
     config = SimConfig(duration=60.0, noise=NoiseConfig.zero())
-    records = simulate_run(scenario, config)
-    result = ingest_run(records, scenario.sensor_offsets, config.rates, config.duration)
-    return SimpleNamespace(scenario=scenario, config=config, records=records, result=result)
+    tables = simulate_run(scenario, config)
+    result = ingest_run(tables, scenario.sensor_offsets, config.rates, config.duration)
+    return SimpleNamespace(scenario=scenario, config=config, tables=tables, result=result)
 
 
 @pytest.fixture(scope="session")

@@ -8,13 +8,16 @@ change, not a test fix.
 from __future__ import annotations
 
 import json
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensor_rows import assert_same_tables, tables_of
 from test_records import records as record_strategy
 
 from indoor_fusion.cli import main as cli_main
@@ -26,6 +29,7 @@ from indoor_fusion.ingest import (
     build_fusion_frames,
     estimate_clock_offset,
     frame_layout,
+    groundtruth_interpolator,
     ingest_run,
     label_with_groundtruth,
     select_blocks,
@@ -41,8 +45,8 @@ from indoor_fusion.records import (
     Anchor,
     ClockModel,
     Position2D,
-    parse_record,
-    serialize_record,
+    read_records,
+    write_records,
 )
 from indoor_fusion.simulate import (
     NoiseConfig,
@@ -87,21 +91,16 @@ def test_criterion_2_noiseless_ingest_reproduces_sensor_positions():
     config = SimConfig(duration=600.0, noise=NoiseConfig.zero())
     trajectory = generate_trajectory(scenario, config.duration, config.speed,
                                      rate=config.rates["gt"])
-    records, truth = sample_sensors(scenario, config, trajectory,
-                                    return_truth=True)
-    result = ingest_run(records, scenario.sensor_offsets, config.rates,
+    tables, truth = sample_sensors(scenario, config, trajectory,
+                                   return_truth=True)
+    result = ingest_run(tables, scenario.sensor_offsets, config.rates,
                         config.duration)
-
-    truth_by_sensor: dict[str, dict[float, tuple[float, float]]] = {}
-    for rec, (t_true, x, y) in zip(records, truth):
-        if rec.sensor != "gt":
-            truth_by_sensor.setdefault(rec.sensor, {})[t_true] = (x, y)
 
     checked = 0
     for modality, stream in result.streams.items():
-        table = truth_by_sensor[modality]
-        times = np.asarray(sorted(table))
-        where = np.asarray([table[t] for t in times])
+        # one true (x, y) per emission tick; every anchor of a tick shares it
+        times, first = np.unique(truth[modality][:, 0], return_index=True)
+        where = truth[modality][first, 1:]
         t_ref = stream.t
         labels = stream.labels
         # nearest true emission tick to each reconstructed tick
@@ -143,8 +142,8 @@ def test_criterion_4_rssi_calibration_recovers_injected_gain():
     config = SimConfig(duration=240.0)
     for injected in (10.0, 20.0):
         scenario = build_scenario(17, rssi_p0_dbm=-40.0 - injected)
-        records = simulate_run(scenario, config)
-        result = ingest_run(records, scenario.sensor_offsets, config.rates,
+        tables = simulate_run(scenario, config)
+        result = ingest_run(tables, scenario.sensor_offsets, config.rates,
                             config.duration)
         cal = calibrate_rssi_offset(result.streams["rssi"],
                                     list(scenario.wifi_anchors))
@@ -162,12 +161,10 @@ def test_criterion_5_clock_offsets_recovered_within_a_millisecond():
         config = SimConfig(duration=60.0,
                            clocks={"uwb": ClockModel(offset=injected),
                                    "imu": ClockModel(offset=injected)})
-        records = simulate_run(scenario, config)
-        gt = [r for r in records if r.sensor == "gt"]
+        tables = simulate_run(scenario, config)
         for sensor in ("uwb", "imu"):
-            stream = [r for r in records if r.sensor == sensor]
-            est = estimate_clock_offset(stream, gt, config.rates[sensor],
-                                        config.duration)
+            est = estimate_clock_offset(tables[sensor].t, tables["gt"].t,
+                                        config.rates[sensor], config.duration)
             assert abs(est.offset - injected) <= 1e-3, (sensor, injected)
 
 
@@ -214,14 +211,14 @@ def test_criterion_7_generalization_separates_magnitude_from_phase():
         scenario, Perturbation(session_phase_reseed=True), 4321)
 
     def csi_frames(sc, want_phase):
-        records = simulate_run(sc, config)
-        result = ingest_run(records, sc.sensor_offsets, config.rates,
+        tables = simulate_run(sc, config)
+        result = ingest_run(tables, sc.sensor_offsets, config.rates,
                             config.duration)
         mag = select_blocks(result.frames, ["csi"])
         if not want_phase:
             return mag, None
-        csi_records = [r for r in result.corrected if r.sensor == "csi"]
-        stream = label_with_groundtruth(csi_records, result.gt_records,
+        stream = label_with_groundtruth(result.tables["csi"],
+                                        groundtruth_interpolator(result.tables["gt"]),
                                         sc.sensor_offsets["csi"],
                                         csi_features="phase")
         return mag, build_fusion_frames([stream])
@@ -257,9 +254,13 @@ _error_lists = st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40)
 
 
 @settings(max_examples=100)
-@given(record=record_strategy())
-def _record_roundtrip_suite(record):
-    assert parse_record(serialize_record(record)) == record
+@given(rows=st.lists(record_strategy(), min_size=1, max_size=8))
+def _record_roundtrip_suite(rows):
+    tables = tables_of(rows)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "stream.jsonl"
+        write_records(path, tables)
+        assert_same_tables(read_records(path), tables)
 
 
 @settings(max_examples=100)
@@ -317,9 +318,11 @@ def _frame_causality_suite(anchor_ticks, other_times, window):
 def _simulate_determinism_suite(seed, duration):
     scenario = build_scenario(seed)
     config = SimConfig(duration=duration)
-    first = "\n".join(serialize_record(r) for r in simulate_run(scenario, config))
-    again = "\n".join(serialize_record(r) for r in simulate_run(scenario, config))
-    assert first == again
+    with tempfile.TemporaryDirectory() as folder:
+        first, again = Path(folder) / "first.jsonl", Path(folder) / "again.jsonl"
+        write_records(first, simulate_run(scenario, config))
+        write_records(again, simulate_run(scenario, config))
+        assert first.read_bytes() == again.read_bytes()
 
 
 @settings(max_examples=100)

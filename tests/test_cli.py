@@ -396,6 +396,17 @@ def test_run_survives_a_failing_method(imu_free_campaign, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_run_reports_a_grid_too_fine_for_the_cell_indices(cli_campaign, tmp_path):
+    for name in ("dataset1.jsonl", "dataset2.jsonl", "scenario.json"):
+        shutil.copy(cli_campaign / name, tmp_path / name)
+    assert main(["run", "--out", str(tmp_path), "--grid", "1e-300",
+                 "--methods", "uwb-trilat,rssi-fp,csi-fp"]) == 0
+    report = _load(tmp_path / "report.json")
+    assert set(report["methods"]) == {"uwb-trilat"}
+    for method in ("rssi-fp", "csi-fp"):
+        assert report["failures"][method].startswith("ConfigError: grid 1e-300 m")
+
+
 def test_run_with_no_surviving_method_exits_numeric(imu_free_campaign, capsys):
     assert main(["run", "--out", str(imu_free_campaign),
                  "--methods", "nn:imu", "--epochs", "1"]) == 4

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indoor_fusion.errors import DimensionMismatch, EmptyMap, InsufficientData
+from indoor_fusion.errors import ConfigError, DimensionMismatch, EmptyMap, InsufficientData
 from indoor_fusion.fingerprint import (
     DEFAULT_K,
     DEFAULT_RESOLUTION,
@@ -84,6 +84,14 @@ def test_build_map_validates_input():
         build_map(AlignedStream("rssi", [0.0], [[1.0, 2.0, 3.0]], [[0.0, 0.0]], ("a", "b")))
     with pytest.raises(ValueError):
         _empty_map(0.0)
+
+
+def test_build_map_rejects_a_grid_whose_cell_indices_leave_int64():
+    stream = _stream([[1.0], [2.0]], [(0.0, 0.5), (3.0, 2.0)], ["a"])
+    assert len(build_map(stream, resolution=1e-18)) == 2  # 3e18 cells: in range
+    for grid in (1e-19, 1e-300, 5e-324):
+        with pytest.raises(ConfigError, match=f"grid {grid!r} m puts cell indices"):
+            build_map(stream, resolution=grid)
 
 
 def test_locate_exact_match_returns_its_cell_center():

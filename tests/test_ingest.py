@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sensor_rows import tables_of
+
 from indoor_fusion import ingest
 from indoor_fusion.errors import (
     EmptyGroundTruth,
@@ -25,17 +27,13 @@ from indoor_fusion.ingest import (
     BlockDef,
     FrameLayout,
     Frames,
-    align_all,
     build_fusion_frames,
     correct_clock,
-    correct_table,
     estimate_clock_offset,
     frame_layout,
     frames_to_arrays,
     groundtruth_interpolator,
     ingest_run,
-    ingest_tables,
-    label_table,
     label_with_groundtruth,
     read_frames,
     select_blocks,
@@ -45,31 +43,36 @@ from indoor_fusion.ingest import (
 from indoor_fusion.mlp import SplitSpec, split_dataset
 from indoor_fusion.records import (
     ClockModel,
-    CsiPayload,
-    GtPayload,
-    ImuPayload,
     Pose,
-    Position2D,
-    Record,
-    RssiPayload,
     SensorOffset,
-    UwbPayload,
-    read_tables,
-    tables_from_records,
+    read_records,
     write_records,
 )
 from indoor_fusion.simulate import generate_trajectory
 
 
-def _uwb(t, anchor="u0", rng=1.0):
-    return Record(t, "uwb", "tag0", UwbPayload(anchor, rng, -50.0))
+def _uwb(t, anchor="u0", rng=1.0, source="tag0"):
+    return ("uwb", t, source, anchor, [rng, -50.0])
 
 
 def _gt_line(duration, rate=5.0, speed=0.1):
     """Robot walking +x from the origin at constant heading 0."""
     n = int(duration * rate)
-    return [Record(k / rate, "gt", "robot", GtPayload(speed * k / rate, 0.0, 0.0))
-            for k in range(n)]
+    return [("gt", k / rate, "robot", None, [speed * k / rate, 0.0, 0.0]) for k in range(n)]
+
+
+def _gt_times(duration):
+    return tables_of(_gt_line(duration))["gt"].t
+
+
+def _interp(duration):
+    return groundtruth_interpolator(tables_of(_gt_line(duration))["gt"])
+
+
+def _label(rows, duration, offset=SensorOffset(), csi_features="magnitude"):
+    """The stream of one sensor's rows against ``_gt_line(duration)``."""
+    (table,) = tables_of(rows).values()
+    return label_with_groundtruth(table, _interp(duration), offset, csi_features)
 
 
 def _ticks(duration, rate):
@@ -87,12 +90,12 @@ def test_sensor_rate_rssi_rides_on_csi():
 
 def test_correct_clock_inverts_the_skew_and_drops_negative_times():
     clock = ClockModel(offset=0.005, drift=5e-5)
-    recs = [_uwb(t * (1.0 + clock.drift) + clock.offset) for t in (0.0, 1.0, 2.0)]
-    recs.insert(0, _uwb(0.001))  # corrects to a pre-epoch time
-    out = correct_clock(recs, clock)
+    rows = [_uwb(t * (1.0 + clock.drift) + clock.offset) for t in (0.0, 1.0, 2.0)]
+    rows.insert(0, _uwb(0.001))  # corrects to a pre-epoch time
+    out = correct_clock(tables_of(rows)["uwb"], clock)
     assert len(out) == 3
-    for rec, t_true in zip(out, (0.0, 1.0, 2.0)):
-        assert rec.t == pytest.approx(t_true, abs=1e-12)
+    np.testing.assert_allclose(out.t, [0.0, 1.0, 2.0], rtol=0.0, atol=1e-12)
+    assert out.line.tolist() == [2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +104,8 @@ def test_correct_clock_inverts_the_skew_and_drops_negative_times():
 @pytest.mark.parametrize("offset", [-0.010, -0.004, 0.0, 0.003, 0.010])
 def test_clock_offset_sweep_on_a_complete_stream(offset):
     rate, duration = 9.0, 60.0
-    recs = [_uwb(t + offset) for t in _ticks(duration, rate)]
-    clock = estimate_clock_offset(recs, _gt_line(duration), rate, duration)
+    clock = estimate_clock_offset(_ticks(duration, rate) + offset, _gt_times(duration), rate,
+                                  duration)
     assert clock.offset == pytest.approx(offset, abs=1e-9)
     assert clock.drift == pytest.approx(0.0, abs=1e-9)
 
@@ -112,87 +115,85 @@ def test_clock_offset_beyond_half_period_needs_completeness(offset):
     # 76.93 Hz: a 10 ms offset exceeds half the 13 ms tick period, so the
     # absolute grid position is only recoverable from stream completeness
     rate, duration = 76.93, 30.0
-    recs = [_uwb(t + offset) for t in _ticks(duration, rate)]
-    clock = estimate_clock_offset(recs, _gt_line(duration), rate, duration)
+    clock = estimate_clock_offset(_ticks(duration, rate) + offset, _gt_times(duration), rate,
+                                  duration)
     assert clock.offset == pytest.approx(offset, abs=1e-9)
 
 
 def test_clock_offset_survives_dropout():
     rate, duration, offset = 9.0, 60.0, 0.007
     ts = _ticks(duration, rate)
-    kept = [t for i, t in enumerate(ts) if i % 5 != 2]  # drop every fifth tick
-    recs = [_uwb(t + offset) for t in kept]
-    clock = estimate_clock_offset(recs, _gt_line(duration), rate, duration)
+    kept = ts[np.arange(len(ts)) % 5 != 2]  # drop every fifth tick
+    clock = estimate_clock_offset(kept + offset, _gt_times(duration), rate, duration)
     assert clock.offset == pytest.approx(offset, abs=1e-9)
 
 
 def test_clock_offset_survives_losing_the_first_ticks():
     rate, duration, offset = 9.0, 60.0, -0.006
-    recs = [_uwb(t + offset) for t in _ticks(duration, rate)[3:]]
-    clock = estimate_clock_offset(recs, _gt_line(duration), rate, duration)
+    clock = estimate_clock_offset(_ticks(duration, rate)[3:] + offset, _gt_times(duration),
+                                  rate, duration)
     assert clock.offset == pytest.approx(offset, abs=1e-9)
 
 
 def test_clock_drift_recovery():
     rate, duration, offset, drift = 9.0, 120.0, 0.002, 5e-5
-    recs = [_uwb(t * (1.0 + drift) + offset) for t in _ticks(duration, rate)]
-    clock = estimate_clock_offset(recs, _gt_line(duration), rate, duration)
+    t = _ticks(duration, rate) * (1.0 + drift) + offset
+    clock = estimate_clock_offset(t, _gt_times(duration), rate, duration)
     assert clock.drift == pytest.approx(drift, abs=1e-9)
     assert clock.offset == pytest.approx(offset, abs=1e-7)
 
 
 def test_clock_drift_at_the_model_boundary_is_clamped():
     rate, duration = 9.0, 60.0
-    recs = [_uwb(t * (1.0 + 1e-4)) for t in _ticks(duration, rate)]
-    clock = estimate_clock_offset(recs, _gt_line(duration), rate, duration)
+    t = _ticks(duration, rate) * (1.0 + 1e-4)
+    clock = estimate_clock_offset(t, _gt_times(duration), rate, duration)
     assert abs(clock.drift) <= 1e-4
 
 
 def test_clock_drift_beyond_the_model_is_rejected():
     rate, duration = 9.0, 60.0
-    recs = [_uwb(t * (1.0 + 2e-4)) for t in _ticks(duration, rate)]
+    t = _ticks(duration, rate) * (1.0 + 2e-4)
     with pytest.raises(MalformedLine):
-        estimate_clock_offset(recs, _gt_line(duration), rate, duration)
+        estimate_clock_offset(t, _gt_times(duration), rate, duration)
 
 
 def test_clock_estimation_needs_overlap_and_ticks():
     rate = 9.0
     with pytest.raises(InsufficientOverlap):
-        estimate_clock_offset([], _gt_line(60.0), rate)
+        estimate_clock_offset(np.zeros(0), _gt_times(60.0), rate)
     with pytest.raises(InsufficientOverlap):
-        estimate_clock_offset([_uwb(t) for t in _ticks(5.0, rate)], _gt_line(5.0), rate)
+        estimate_clock_offset(_ticks(5.0, rate), _gt_times(5.0), rate)
     # three ticks spread over a long span is still too sparse
     with pytest.raises(InsufficientOverlap):
-        estimate_clock_offset([_uwb(1.0), _uwb(20.0), _uwb(40.0)], _gt_line(60.0), rate)
+        estimate_clock_offset(np.asarray([1.0, 20.0, 40.0]), _gt_times(60.0), rate)
 
 
 def test_clock_estimation_rejects_sub_period_spacing():
-    recs = [_uwb(1.0), _uwb(1.0001), _uwb(2.0)] + [_uwb(float(t)) for t in range(3, 40)]
+    t = np.asarray([1.0, 1.0001, 2.0] + [float(t) for t in range(3, 40)])
     with pytest.raises(MalformedLine):
-        estimate_clock_offset(recs, _gt_line(40.0), 1.0)
+        estimate_clock_offset(t, _gt_times(40.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Labeling
 
 def test_groundtruth_interpolator_accepts_records_and_pairs():
-    recs = _gt_line(10.0)
-    interp = groundtruth_interpolator(recs)
+    # a gt table's records, in any row order, or (t, Pose) pairs
+    table = tables_of(_gt_line(10.0))["gt"]
+    interp = groundtruth_interpolator(table.take(np.arange(len(table))[::-1]))
     np.testing.assert_allclose(interp.position_at([1.0]), [[0.1, 0.0]], atol=1e-12)
     pairs = [(0.0, Pose(0, 0, 0)), (1.0, Pose(1, 0, 0))]
     interp2 = groundtruth_interpolator(pairs)
     np.testing.assert_allclose(interp2.position_at([0.5]), [[0.5, 0.0]], atol=1e-12)
     with pytest.raises(EmptyGroundTruth):
         groundtruth_interpolator(pairs[:1])
-    # non-gt records are ignored, so alone they are not enough
     with pytest.raises(EmptyGroundTruth):
-        groundtruth_interpolator([_uwb(0.0), _uwb(1.0)])
+        groundtruth_interpolator(table.take([0]))
 
 
 def test_labeling_translates_to_the_sensor_mount():
-    gt = _gt_line(20.0, speed=0.1)  # heading 0 along +x
-    recs = [_uwb(t) for t in _ticks(19.0, 2.0)]
-    stream = label_with_groundtruth(recs, gt, SensorOffset(0.0, 0.25, 0.0))
+    # _gt_line: heading 0 along +x at 0.1 m/s
+    stream = _label([_uwb(t) for t in _ticks(19.0, 2.0)], 20.0, SensorOffset(0.0, 0.25, 0.0))
     assert stream.modality == "uwb"
     for t, (x, y) in zip(stream.t, stream.labels):
         assert x == pytest.approx(0.1 * t, abs=1e-12)
@@ -200,108 +201,97 @@ def test_labeling_translates_to_the_sensor_mount():
 
 
 def test_labeling_drops_records_outside_the_groundtruth_span():
-    gt = _gt_line(10.0)  # last pose at t = 1.8
-    recs = [_uwb(1.0), _uwb(5.0), _uwb(25.0)]
-    stream = label_with_groundtruth(recs, gt, SensorOffset())
+    # _gt_line(10.0): last pose at t = 1.8
+    stream = _label([_uwb(1.0), _uwb(5.0), _uwb(25.0)], 10.0)
     assert len(stream) == 2
     assert stream.dropped == 1
     assert stream.record_count == 2
 
 
-def test_labeling_rejects_mixed_modalities():
-    gt = _gt_line(20.0)
-    recs = [_uwb(1.0), Record(1.0, "rssi", "esp0", RssiPayload("w00", -50.0))]
-    with pytest.raises(ValueError, match="mix"):
-        label_with_groundtruth(recs, gt, SensorOffset())
-    with pytest.raises(ValueError, match="csi_features"):
-        label_with_groundtruth([_uwb(1.0)], gt, SensorOffset(), csi_features="bogus")
-
-
 def test_uwb_and_rssi_feature_layout_marks_missing_anchors():
-    gt = _gt_line(20.0)
-    recs = [_uwb(1.0, "u0", 2.0), _uwb(1.0, "u1", 3.0), _uwb(2.0, "u1", 4.0)]
-    stream = label_with_groundtruth(recs, gt, SensorOffset())
+    stream = _label([_uwb(1.0, "u0", 2.0), _uwb(1.0, "u1", 3.0), _uwb(2.0, "u1", 4.0)], 20.0)
     assert stream.columns == ("u0", "u1")
     np.testing.assert_array_equal(stream.features[0], [2.0, 3.0])
     np.testing.assert_array_equal(stream.features[1], [UWB_MISSING_RANGE, 4.0])
 
-    rrecs = [Record(1.0, "rssi", "esp0", RssiPayload("w00", -41.0)),
-             Record(2.0, "rssi", "esp0", RssiPayload("w01", -52.0))]
-    rstream = label_with_groundtruth(rrecs, gt, SensorOffset())
+    rstream = _label([("rssi", 1.0, "esp0", "w00", [-41.0]),
+                      ("rssi", 2.0, "esp0", "w01", [-52.0])], 20.0)
     np.testing.assert_array_equal(rstream.features[0], [-41.0, RSSI_FLOOR_DB])
     np.testing.assert_array_equal(rstream.features[1], [RSSI_FLOOR_DB, -52.0])
 
 
 def test_csi_feature_layout_variants():
-    gt = _gt_line(20.0)
     mags = np.asarray([1.0, 2.0, 3.0])
     phases = np.asarray([0.1, 0.2, 0.3])
-    recs = [Record(1.0, "csi", "esp0", CsiPayload("w00", mags, phases)),
-            Record(2.0, "csi", "esp0", CsiPayload("w01", 2 * mags, -phases))]
+    rows = [("csi", 1.0, "esp0", "w00", [*mags, *phases]),
+            ("csi", 2.0, "esp0", "w01", [*(2 * mags), *(-phases)])]
 
-    mag_stream = label_with_groundtruth(recs, gt, SensorOffset())
+    mag_stream = _label(rows, 20.0)
     assert mag_stream.columns == ("w00",) * 3 + ("w01",) * 3
     np.testing.assert_array_equal(mag_stream.features[0],
                                   [1.0, 2.0, 3.0, 0.0, 0.0, 0.0])
 
-    phase_stream = label_with_groundtruth(recs, gt, SensorOffset(), csi_features="phase")
+    phase_stream = _label(rows, 20.0, csi_features="phase")
     np.testing.assert_array_equal(phase_stream.features[1],
                                   [0.0, 0.0, 0.0, -0.1, -0.2, -0.3])
 
-    both = label_with_groundtruth(recs, gt, SensorOffset(), csi_features="both")
+    both = _label(rows, 20.0, csi_features="both")
     assert len(both.columns) == 12
     np.testing.assert_array_equal(both.features[0],
                                   [1, 2, 3, 0.1, 0.2, 0.3, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="csi_features"):
+        _label(rows, 20.0, csi_features="bogus")
 
 
 def test_imu_features_take_the_newest_record_in_a_tick():
-    gt = _gt_line(20.0)
-    first = Record(1.0, "imu", "imu0", ImuPayload((1, 0, 9.81), (0, 0, 0.1), (19, 4, -45)))
-    second = Record(1.0, "imu", "imu0", ImuPayload((2, 0, 9.81), (0, 0, 0.2), (19, 4, -45)))
-    stream = label_with_groundtruth([first, second], gt, SensorOffset())
+    first = ("imu", 1.0, "imu0", None, [1, 0, 9.81, 0, 0, 0.1, 19, 4, -45])
+    second = ("imu", 1.0, "imu0", None, [2, 0, 9.81, 0, 0, 0.2, 19, 4, -45])
+    stream = _label([first, second], 20.0)
     assert stream.columns[:3] == ("accel_x", "accel_y", "accel_z")
     assert stream.features[0, 0] == 2.0
     assert stream.features[0, 5] == 0.2
 
 
 def test_align_all_splits_by_modality():
-    gt = _gt_line(20.0)
-    recs = gt + [_uwb(1.0), Record(1.5, "rssi", "esp0", RssiPayload("w00", -50.0))]
-    streams = align_all(recs, {"uwb": SensorOffset(0.1, 0, 0)})
-    assert set(streams) == {"uwb", "rssi"}
-    assert streams["uwb"].labels[0, 0] == pytest.approx(0.2, abs=1e-12)
+    # ingest labels each sensor's table on its own, against the one gt table
+    rows = (_gt_line(20.0) + [_uwb(t) for t in _ticks(20.0, 9.0)]
+            + [("rssi", t, "esp0", "w00", [-50.0]) for t in _ticks(20.0, 7.5)])
+    result = ingest_run(tables_of(rows), {"uwb": SensorOffset(0.1, 0, 0)},
+                        {"uwb": 9.0, "csi": 7.5}, 20.0)
+    assert set(result.streams) == {"uwb", "rssi"}
+    uwb, rssi = result.streams["uwb"], result.streams["rssi"]
+    # 0.1 m/s along +x; the uwb mount sits 0.1 m ahead of the robot center
+    np.testing.assert_allclose(uwb.labels[:, 0], 0.1 * uwb.t + 0.1, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(rssi.labels[:, 0], 0.1 * rssi.t, rtol=0.0, atol=1e-12)
 
 
-def _reference_label(records, interp, offset, csi_features):
-    """Per-record labeling: ticks in a dict keyed by exact time, anchors in
-    per-tick dicts (so the last record of an anchor wins), one feature
+def _reference_label(rows, interp, offset, csi_features):
+    """Per-row labeling: ticks in a dict keyed by exact time, anchors in
+    per-tick dicts (so the last row of an anchor wins), one feature
     vector per tick."""
     ticks = {}
-    for rec in records:
-        if interp.t[0] <= rec.t <= interp.t[-1]:
-            ticks.setdefault(rec.t, []).append(rec)
-    anchors = sorted({r.payload.anchor_id for recs in ticks.values() for r in recs
-                      if hasattr(r.payload, "anchor_id")})
+    for row in rows:
+        if interp.t[0] <= row[1] <= interp.t[-1]:
+            ticks.setdefault(row[1], []).append(row)
+    anchors = sorted({row[3] for tick in ticks.values() for row in tick if row[3] is not None})
     times = np.asarray(sorted(ticks))
     out = []
     for t, pos in zip(times, interp.sensor_position_at(times, offset)):
-        recs = ticks[float(t)]
-        p = recs[0].payload
-        if isinstance(p, ImuPayload):
-            p = recs[-1].payload
-            features = np.concatenate([p.accel, p.gyro, p.mag])
-        elif isinstance(p, CsiPayload):
-            by = {r.payload.anchor_id: r.payload for r in recs}
-            width = len(p.magnitudes) * (2 if csi_features == "both" else 1)
-            features = np.concatenate([
-                np.zeros(width) if a not in by else
-                {"magnitude": by[a].magnitudes, "phase": by[a].phases,
-                 "both": np.concatenate([by[a].magnitudes, by[a].phases])}[csi_features]
-                for a in anchors])
+        tick = ticks[float(t)]
+        sensor = tick[0][0]
+        if sensor == "imu":
+            features = np.asarray(tick[-1][4], dtype=np.float64)
+        elif sensor == "csi":
+            by = {row[3]: np.asarray(row[4], dtype=np.float64) for row in tick}
+            half = len(tick[0][4]) // 2
+            pick = {"magnitude": slice(0, half), "phase": slice(half, None),
+                    "both": slice(None)}[csi_features]
+            width = half * (2 if csi_features == "both" else 1)
+            features = np.concatenate([by[a][pick] if a in by else np.zeros(width)
+                                       for a in anchors])
         else:
-            field = "range_m" if isinstance(p, UwbPayload) else "rssi_db"
-            missing = UWB_MISSING_RANGE if isinstance(p, UwbPayload) else RSSI_FLOOR_DB
-            by = {r.payload.anchor_id: getattr(r.payload, field) for r in recs}
+            missing = UWB_MISSING_RANGE if sensor == "uwb" else RSSI_FLOOR_DB
+            by = {row[3]: row[4][0] for row in tick}
             features = np.asarray([by.get(a, missing) for a in anchors])
         out.append((float(t), features, float(pos[0]), float(pos[1])))
     return out
@@ -309,7 +299,7 @@ def _reference_label(records, interp, offset, csi_features):
 
 @st.composite
 def tick_records(draw):
-    """One modality's records on few ticks and anchors, so both collide."""
+    """One modality's rows on few ticks and anchors, so both collide."""
     sensor = draw(st.sampled_from(["uwb", "rssi", "csi", "imu"]))
     n = draw(st.integers(1, 25))
     out = []
@@ -318,41 +308,34 @@ def tick_records(draw):
         source = draw(st.sampled_from(["a", "b"]))
         anchor = draw(st.sampled_from(["w2", "w0", "w1"]))
         v = draw(st.floats(-100.0, 100.0))
-        if sensor == "uwb":
-            payload = UwbPayload(anchor, v, -50.0)
-        elif sensor == "rssi":
-            payload = RssiPayload(anchor, v)
-        elif sensor == "csi":
-            payload = CsiPayload(anchor, np.asarray([v, v + 1.0]), np.asarray([-v, 0.5]))
-        else:
-            payload = ImuPayload((v, 0.0, 9.81), (0.0, v, 0.0), (19.0, 4.0, v))
-        out.append(Record(t, sensor, source, payload))
+        values = {"uwb": [v, -50.0], "rssi": [v], "csi": [v, v + 1.0, -v, 0.5],
+                  "imu": [v, 0.0, 9.81, 0.0, v, 0.0, 19.0, 4.0, v]}[sensor]
+        out.append((sensor, t, source, None if sensor == "imu" else anchor, values))
     return out
 
 
 @given(tick_records(), st.sampled_from(["magnitude", "phase", "both"]))
 @settings(max_examples=150)
-def test_label_table_matches_per_record_labeling(records, csi_features):
-    gt = _gt_line(10.0)  # t in [0, 1.8]: later ticks are dropped
-    interp = groundtruth_interpolator(gt)
+def test_label_table_matches_per_record_labeling(rows, csi_features):
+    interp = _interp(10.0)  # t in [0, 1.8]: later ticks are dropped
     offset = SensorOffset(0.1, -0.2, 0.3)
-    stream = label_with_groundtruth(records, gt, offset, csi_features)
-    expected = _reference_label(records, interp, offset, csi_features)
+    (table,) = tables_of(rows).values()
+    stream = label_with_groundtruth(table, interp, offset, csi_features)
+    expected = _reference_label(rows, interp, offset, csi_features)
     assert len(stream) == len(expected)
     for s_t, s_features, s_label, (t, features, x, y) in zip(
             stream.t.tolist(), stream.features, stream.labels.tolist(), expected):
         assert s_t == t and s_label == [x, y]
         np.testing.assert_array_equal(s_features, features)
-    kept = sum(interp.t[0] <= r.t <= interp.t[-1] for r in records)
-    assert (stream.record_count, stream.dropped) == (kept, len(records) - kept)
+    kept = sum(interp.t[0] <= row[1] <= interp.t[-1] for row in rows)
+    assert (stream.record_count, stream.dropped) == (kept, len(rows) - kept)
 
 
 def test_correct_table_sorts_by_time_then_source_keeping_ties_in_order():
-    recs = [_uwb(2.0, "u0", 1.0), Record(1.0, "uwb", "z", UwbPayload("u0", 2.0, 0.0)),
-            Record(1.0, "uwb", "a", UwbPayload("u1", 3.0, 0.0)), _uwb(1.0, "u2", 4.0),
+    rows = [_uwb(2.0, "u0", 1.0), _uwb(1.0, "u0", 2.0, source="z"),
+            _uwb(1.0, "u1", 3.0, source="a"), _uwb(1.0, "u2", 4.0),
             _uwb(1.0, "u3", 5.0), _uwb(0.001, "u4", 6.0)]
-    (table,) = tables_from_records(recs).values()
-    out = correct_table(table, ClockModel(offset=0.002))
+    out = correct_clock(tables_of(rows)["uwb"], ClockModel(offset=0.002))
     # the 0.001 s record corrects to before the epoch
     assert out.values[:, 0].tolist() == [3.0, 4.0, 5.0, 2.0, 1.0]
     assert [out.source_ids[s] for s in out.source] == ["a", "tag0", "tag0", "z", "tag0"]
@@ -361,11 +344,12 @@ def test_correct_table_sorts_by_time_then_source_keeping_ties_in_order():
 
 
 def test_ingest_tables_of_a_file_match_ingest_run_of_its_records(short_campaign, tmp_path):
+    # ingesting the written file gives what ingesting the simulated tables gave
     c = short_campaign
     path = tmp_path / "dataset1.jsonl"
-    write_records(path, c.records)
-    result = ingest_tables(read_tables(path), c.scenario.sensor_offsets, c.config.rates,
-                           c.config.duration)
+    write_records(path, c.tables)
+    result = ingest_run(read_records(path), c.scenario.sensor_offsets, c.config.rates,
+                        c.config.duration)
     expected = c.result
     assert result.clock_estimates == expected.clock_estimates
     assert result.dropped == expected.dropped
@@ -376,23 +360,6 @@ def test_ingest_tables_of_a_file_match_ingest_run_of_its_records(short_campaign,
     for m, stream in result.streams.items():
         assert stream.columns == expected.streams[m].columns
         np.testing.assert_array_equal(stream.features, expected.streams[m].features)
-
-
-def test_ingest_result_materializes_its_records(short_campaign):
-    result, records = short_campaign.result, short_campaign.records
-    assert result.gt_records == [r for r in records if r.sensor == "gt"]
-    corrected = result.corrected
-    keys = [(r.t, r.sensor, r.source_id) for r in corrected]
-    assert keys == sorted(keys)
-    assert len(corrected) == sum(len(t) for t in result.tables.values())
-    # the phase relabel of the corrected CSI records is the table's relabel
-    interp = groundtruth_interpolator(result.tables["gt"])
-    offset = short_campaign.scenario.sensor_offsets["csi"]
-    via_records = label_with_groundtruth([r for r in corrected if r.sensor == "csi"],
-                                         result.gt_records, offset, csi_features="phase")
-    via_table = label_table(result.tables["csi"], interp, offset, csi_features="phase")
-    np.testing.assert_array_equal(via_records.features, via_table.features)
-    np.testing.assert_array_equal(via_records.labels, via_table.labels)
 
 
 def test_aligned_stream_requires_finite_nonempty_features():
@@ -615,8 +582,9 @@ def _bits(a):
 def gather_inputs(short_campaign):
     """The conftest campaign's frames and its csi phase frames."""
     result = short_campaign.result
-    phase = label_table(result.tables["csi"], groundtruth_interpolator(result.tables["gt"]),
-                        short_campaign.scenario.sensor_offsets["csi"], csi_features="phase")
+    phase = label_with_groundtruth(
+        result.tables["csi"], groundtruth_interpolator(result.tables["gt"]),
+        short_campaign.scenario.sensor_offsets["csi"], csi_features="phase")
     return {"frames": result.frames, "phase": build_fusion_frames([phase])}
 
 
@@ -738,4 +706,4 @@ def test_ingest_run_labels_match_true_sensor_positions(short_campaign):
 
 def test_ingest_run_requires_ground_truth():
     with pytest.raises(EmptyGroundTruth):
-        ingest_run([_uwb(t) for t in _ticks(30.0, 9.0)], {}, {"uwb": 9.0}, 30.0)
+        ingest_run(tables_of([_uwb(t) for t in _ticks(30.0, 9.0)]), {}, {"uwb": 9.0}, 30.0)

@@ -1,83 +1,91 @@
 """Wire schema: bit-exact round-trips, strict parsing, column tables, angle helpers."""
 
-import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from sensor_rows import assert_same_tables, bits, rows_of, tables_of
 
 from indoor_fusion.errors import MalformedLine, NegativeTime, SchemaViolation
 from indoor_fusion.records import (
     Anchor,
     ClockModel,
-    CsiPayload,
-    GtPayload,
-    ImuPayload,
     Pose,
     Position2D,
-    Record,
-    RssiPayload,
     SensorOffset,
-    UwbPayload,
     angle_difference,
     interpolate_heading,
     normalize_angle,
-    parse_record,
     read_records,
-    read_tables,
-    serialize_record,
-    tables_from_records,
     write_records,
 )
+from indoor_fusion.simulate import NoiseConfig, SimConfig, build_scenario, simulate_run
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 times = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
-vec3 = st.tuples(finite, finite, finite)
 ids = st.text(alphabet=st.characters(codec="ascii", categories=["L", "N"]),
               min_size=0, max_size=8)
 
 
 @st.composite
 def records(draw):
+    """One row of any sensor, as ``sensor_rows`` spells it."""
     sensor = draw(st.sampled_from(["uwb", "rssi", "csi", "imu", "gt"]))
-    t = draw(times)
-    source = draw(ids)
-    if sensor == "uwb":
-        payload = UwbPayload(draw(ids), draw(finite), draw(finite))
-    elif sensor == "rssi":
-        payload = RssiPayload(draw(ids), draw(finite))
-    elif sensor == "csi":
-        n = draw(st.integers(min_value=1, max_value=8))
-        payload = CsiPayload(draw(ids),
-                             np.asarray(draw(st.lists(finite, min_size=n, max_size=n))),
-                             np.asarray(draw(st.lists(finite, min_size=n, max_size=n))))
-    elif sensor == "imu":
-        payload = ImuPayload(draw(vec3), draw(vec3), draw(vec3))
-    else:
-        payload = GtPayload(draw(finite), draw(finite), draw(finite))
-    return Record(t, sensor, source, payload)
+    width = {"uwb": 2, "rssi": 1, "imu": 9, "gt": 3}.get(sensor, 6)  # csi: 3 subcarriers
+    anchor = draw(ids) if sensor in ("uwb", "rssi", "csi") else None
+    values = draw(st.lists(finite, min_size=width, max_size=width))
+    return sensor, draw(times), draw(ids), anchor, values
 
 
-@given(records())
+def _roundtrip(path, tables):
+    """The tables written to ``path`` and read back."""
+    assert write_records(path, tables) == sum(len(t) for t in tables.values())
+    return read_records(path)
+
+
+@given(st.lists(records(), min_size=1, max_size=8))
 @settings(max_examples=200)
-def test_serialize_parse_roundtrip_is_bit_exact(record):
-    assert parse_record(serialize_record(record)) == record
+def test_serialize_parse_roundtrip_is_bit_exact(tmp_path_factory, rows):
+    tables = tables_of(rows)
+    path = tmp_path_factory.mktemp("roundtrip") / "stream.jsonl"
+    assert_same_tables(_roundtrip(path, tables), tables)
 
 
-def test_serialized_key_order_is_fixed():
-    line = serialize_record(Record(1.5, "gt", "robot", GtPayload(0.0, 1.0, 2.0)))
+@given(seed=st.integers(0, 2**16), duration=st.floats(0.4, 3.0), dropout=st.booleans())
+@example(seed=3, duration=0.4, dropout=False)
+@example(seed=5, duration=2.0, dropout=True)
+@settings(max_examples=40)
+def test_simulated_tables_roundtrip_through_the_file_bit_for_bit(
+        tmp_path_factory, seed, duration, dropout):
+    noise = NoiseConfig(uwb_dropout_prob=1.0) if dropout else NoiseConfig()
+    tables = simulate_run(build_scenario(seed), SimConfig(duration=duration, noise=noise))
+    assert ("uwb" in tables) is not dropout
+    path = tmp_path_factory.mktemp("simulated") / "dataset1.jsonl"
+    back = _roundtrip(path, tables)
+    assert_same_tables(back, tables)
+    again = path.with_name("again.jsonl")
+    write_records(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_serialized_key_order_is_fixed(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    write_records(path, tables_of([("gt", 1.5, "robot", None, [0.0, 1.0, 2.0])]))
+    line = path.read_text(encoding="utf-8")
     assert line.index('"t"') < line.index('"sensor"') < line.index('"id"') \
         < line.index('"payload"')
     # floats carry 17 significant digits
     assert "1.5000000000000000e+00" in line
 
 
-def test_float_rendering_survives_awkward_values():
-    r = Record(0.1, "uwb", "t", UwbPayload("a", 1.0 / 3.0, -123.456789012345678))
-    assert parse_record(serialize_record(r)) == r
+def test_float_rendering_survives_awkward_values(tmp_path):
+    tables = tables_of([("uwb", 0.1, "t", "a", [1.0 / 3.0, -123.456789012345678])])
+    assert_same_tables(_roundtrip(tmp_path / "uwb.jsonl", tables), tables)
 
 
 @pytest.mark.parametrize("line,err", [
@@ -100,32 +108,31 @@ def test_float_rendering_survives_awkward_values():
     ('{"t": 1.0, "sensor": "gt", "id": "r", "payload": {"x":"0","y":0,"phi":0}}',
      SchemaViolation),
 ])
-def test_parse_rejects_off_schema_lines(line, err):
-    with pytest.raises(err):
-        parse_record(line)
+def test_parse_rejects_off_schema_lines(tmp_path, line, err):
+    path = tmp_path / "line.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(err, match=r"line\.jsonl:1: "):
+        read_records(path)
 
 
-def test_parse_pins_subcarrier_count():
-    rec = Record(1.0, "csi", "e", CsiPayload("a", np.ones(4), np.zeros(4)))
-    line = serialize_record(rec)
-    assert parse_record(line, subcarriers=4) == rec
+def test_parse_pins_subcarrier_count(tmp_path):
+    tables = tables_of([("csi", 1.0, "e", "a", [1.0] * 4 + [0.0] * 4)])
+    path = tmp_path / "csi.jsonl"
+    write_records(path, tables)
+    assert_same_tables(read_records(path, subcarriers=4), tables)
     with pytest.raises(SchemaViolation):
-        parse_record(line, subcarriers=52)
+        read_records(path, subcarriers=52)
 
 
 def test_write_read_records_roundtrip(tmp_path):
-    recs = [
-        Record(0.0, "gt", "robot", GtPayload(1.0, 2.0, 0.5)),
-        Record(0.1, "uwb", "tag0", UwbPayload("u0", 3.25, -55.0)),
-        Record(0.2, "rssi", "esp0", RssiPayload("w00", -60.5)),
-        Record(0.2, "csi", "esp0", CsiPayload("w00", np.linspace(0.1, 1, 5),
-                                              np.linspace(-3, 3, 5))),
-        Record(0.3, "imu", "imu0", ImuPayload((0.0, 0.1, 9.81),
-                                              (0.0, 0.0, 0.02), (19.0, 4.0, -45.0))),
-    ]
-    path = tmp_path / "stream.jsonl"
-    assert write_records(path, recs) == len(recs)
-    assert read_records(path) == recs
+    tables = tables_of([
+        ("gt", 0.0, "robot", None, [1.0, 2.0, 0.5]),
+        ("uwb", 0.1, "tag0", "u0", [3.25, -55.0]),
+        ("rssi", 0.2, "esp0", "w00", [-60.5]),
+        ("csi", 0.2, "esp0", "w00", [*np.linspace(0.1, 1, 5), *np.linspace(-3, 3, 5)]),
+        ("imu", 0.3, "imu0", None, [0.0, 0.1, 9.81, 0.0, 0.0, 0.02, 19.0, 4.0, -45.0]),
+    ])
+    assert_same_tables(_roundtrip(tmp_path / "stream.jsonl", tables), tables)
 
 
 def test_read_records_reports_the_offending_line(tmp_path):
@@ -136,9 +143,19 @@ def test_read_records_reports_the_offending_line(tmp_path):
         read_records(path)
 
 
+UWB_ROW = ("uwb", 0.1, "tag0", "u0", [3.25, -55.0])
+
+
+def _uwb_line(tmp_path) -> str:
+    """The line the writer makes of ``UWB_ROW``, without its newline."""
+    path = tmp_path / "one.jsonl"
+    write_records(path, tables_of([UWB_ROW]))
+    return path.read_text(encoding="utf-8").rstrip("\n")
+
+
 def test_read_records_reports_a_truncated_final_line(tmp_path):
     path = tmp_path / "dataset1.jsonl"
-    line = serialize_record(Record(0.1, "uwb", "tag0", UwbPayload("u0", 3.25, -55.0)))
+    line = _uwb_line(tmp_path)
     # a writer cut off mid-line: no closing brace, no final newline
     path.write_text(line + "\n" + line + "\n" + line[:len(line) // 2], encoding="utf-8")
     with pytest.raises(MalformedLine, match=r"dataset1\.jsonl:3:"):
@@ -148,27 +165,24 @@ def test_read_records_reports_a_truncated_final_line(tmp_path):
 @pytest.mark.parametrize("tail", [b"\xff\xfe\n", b"\xc3"])
 def test_bytes_that_are_not_utf8_are_a_malformed_line_naming_the_path(tmp_path, tail):
     path = tmp_path / "dataset1.jsonl"
-    write_records(path, [Record(0.1, "uwb", "tag0", UwbPayload("u0", 3.25, -55.0))] * 3)
+    write_records(path, tables_of([UWB_ROW] * 3))
     with open(path, "ab") as fh:
         fh.write(tail)  # a stray byte pair, or a character cut off at the end
-    for read in (read_tables, read_records):
-        with pytest.raises(MalformedLine, match=r"dataset1\.jsonl: not UTF-8 text"):
-            read(path)
+    with pytest.raises(MalformedLine, match=r"dataset1\.jsonl: not UTF-8 text"):
+        read_records(path)
 
 
 @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-" + "9" * 400, "1" * 5000])
 def test_integer_beyond_float64_is_a_schema_violation(tmp_path, literal):
     # 400 digits overflow float(); 5000 pass the json module's digit limit
     line = '{"t": %s, "sensor": "gt", "id": "r", "payload": {"x":0,"y":0,"phi":0}}'
-    with pytest.raises(SchemaViolation):
-        parse_record(line % literal)
     good = line % "1.0"
     payload = '{"t": 1.0, "sensor": "uwb", "id": "r", "payload": ' \
         '{"anchor_id": "u0", "range_m": %s, "power_db": -50.0}}' % literal
     path = tmp_path / "dataset1.jsonl"
-    for bad in (line % literal, payload):
-        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
-        with pytest.raises(SchemaViolation, match=r"dataset1\.jsonl:2:"):
+    for lines, at in (([line % literal], 1), ([good, line % literal], 2), ([good, payload], 2)):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaViolation, match=rf"dataset1\.jsonl:{at}:"):
             read_records(path)
 
 
@@ -176,17 +190,14 @@ def test_integer_beyond_float64_is_a_schema_violation(tmp_path, literal):
 # double, empty and quoted ids.  The bytes are pinned: the writer's output is
 # the on-disk spec.
 GOLDEN = [
-    Record(1.0 / 3.0, "gt", "", GtPayload(-0.0, 5e-324, 1.7976931348623157e308)),
-    Record(0.0, "uwb", "", UwbPayload("", 1.0 / 3.0, -0.0)),
-    Record(5e-324, "rssi", 'esp"0', RssiPayload("", -1.7976931348623157e308)),
-    Record(1.7976931348623157e308, "csi", "", CsiPayload(
-        "", np.asarray([1.0 / 3.0, -0.0, 5e-324]),
-        np.asarray([1.7976931348623157e308, -1.0 / 3.0, 0.1]))),
-    Record(2.5, "csi", "esp0", CsiPayload("w01", np.asarray([-5e-324, 2.0, 0.5]),
-                                          np.asarray([1e-300, -0.0, 7.0]))),
-    Record(2.5, "imu", "", ImuPayload((1.0 / 3.0, -0.0, 5e-324),
-                                      (1.7976931348623157e308, -1.0, 0.0),
-                                      (1e-300, -2.5e-7, 123456789.0))),
+    ("gt", 1.0 / 3.0, "", None, [-0.0, 5e-324, 1.7976931348623157e308]),
+    ("uwb", 0.0, "", "", [1.0 / 3.0, -0.0]),
+    ("rssi", 5e-324, 'esp"0', "", [-1.7976931348623157e308]),
+    ("csi", 1.7976931348623157e308, "", "",
+     [1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308, -1.0 / 3.0, 0.1]),
+    ("csi", 2.5, "esp0", "w01", [-5e-324, 2.0, 0.5, 1e-300, -0.0, 7.0]),
+    ("imu", 2.5, "", None, [1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308, -1.0, 0.0,
+                            1e-300, -2.5e-7, 123456789.0]),
 ]
 GOLDEN_BYTES = (
     b'{"t":3.3333333333333331e-01,"sensor":"gt","id":"","payload":{"x":-0.0000000000000000e+00,'
@@ -210,15 +221,15 @@ GOLDEN_BYTES = (
 
 def test_written_bytes_are_pinned(tmp_path):
     path = tmp_path / "golden.jsonl"
-    assert write_records(path, GOLDEN) == len(GOLDEN)
+    assert write_records(path, tables_of(GOLDEN)) == len(GOLDEN)
     assert path.read_bytes() == GOLDEN_BYTES
-    assert [_bits(r) for r in read_records(path)] == [_bits(r) for r in GOLDEN]
+    assert [bits(r) for r in rows_of(read_records(path))] == [bits(r) for r in GOLDEN]
 
 
 def test_tables_hold_one_row_per_record_in_file_order(tmp_path):
     path = tmp_path / "golden.jsonl"
-    write_records(path, GOLDEN)
-    tables = read_tables(path)
+    write_records(path, tables_of(GOLDEN))
+    tables = read_records(path)
     assert set(tables) == {"gt", "uwb", "rssi", "csi", "imu"}
     csi = tables["csi"]
     assert csi.values.shape == (2, 6)
@@ -228,27 +239,49 @@ def test_tables_hold_one_row_per_record_in_file_order(tmp_path):
     assert tables["imu"].anchor.tolist() == [-1]
     with pytest.raises(ValueError):
         csi.values[0, 0] = 1.0  # read-only
-    from_records = tables_from_records(GOLDEN)
-    for sensor, table in tables.items():
-        other = from_records[sensor]
-        np.testing.assert_array_equal(table.values.view(np.int64), other.values.view(np.int64))
-        np.testing.assert_array_equal(table.t.view(np.int64), other.t.view(np.int64))
+    assert_same_tables(tables, tables_of(GOLDEN))
+
+
+@pytest.mark.parametrize("step", [1, 2, 4, 256])
+def test_writer_merges_tables_in_line_order(tmp_path, step):
+    # rows leave in ascending line order across tables, whatever their table
+    # order, and however many rows one formatting step takes
+    tables = tables_of(GOLDEN)
+    shuffled = {s: tables[s].take(np.arange(len(tables[s]))[::-1]) for s in reversed(tables)}
+    path = tmp_path / "shuffled.jsonl"
+    with mock.patch("indoor_fusion.records._WRITE_ROWS", step):
+        write_records(path, shuffled)
+    assert path.read_bytes() == GOLDEN_BYTES
+
+
+def _doc(sensor, t, source, anchor, values):
+    if sensor in ("uwb", "rssi", "gt"):
+        fields = {"uwb": ("range_m", "power_db"), "rssi": ("rssi_db",),
+                  "gt": ("x", "y", "phi")}[sensor]
+        payload = dict(zip(fields, values))
+        if anchor is not None:
+            payload = {"anchor_id": anchor, **payload}
+    elif sensor == "csi":
+        half = len(values) // 2
+        payload = {"anchor_id": anchor, "magnitudes": values[:half], "phases": values[half:]}
+    else:
+        payload = values
+    return json.dumps({"t": t, "sensor": sensor, "id": source, "payload": payload})
 
 
 def test_reader_refuses_a_change_of_subcarrier_count(tmp_path):
     path = tmp_path / "dataset1.jsonl"
-    recs = [Record(0.1, "csi", "e", CsiPayload("a", np.ones(4), np.zeros(4))),
-            Record(0.2, "uwb", "t", UwbPayload("u0", 1.0, -50.0)),
-            Record(0.3, "csi", "e", CsiPayload("a", np.ones(5), np.zeros(5)))]
-    write_records(path, recs)
+    lines = [_doc("csi", 0.1, "e", "a", [1.0] * 4 + [0.0] * 4),
+             _doc("uwb", 0.2, "t", "u0", [1.0, -50.0]),
+             _doc("csi", 0.3, "e", "a", [1.0] * 5 + [0.0] * 5)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(SchemaViolation, match=r"dataset1\.jsonl:3: csi payload has 5 subcarriers"):
         read_records(path)
 
 
 def test_a_line_nested_too_deep_is_malformed(tmp_path):
     path = tmp_path / "dataset1.jsonl"
-    good = serialize_record(Record(0.1, "uwb", "tag0", UwbPayload("u0", 3.25, -55.0)))
-    path.write_text(good + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    path.write_text(_uwb_line(tmp_path) + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
     with pytest.raises(MalformedLine, match=r"dataset1\.jsonl:2: invalid JSON"):
         read_records(path)
 
@@ -269,24 +302,10 @@ def test_reader_reports_the_first_faulty_line(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The table reader against the one-line parser
+# The table reader against the documents it reads, and against one-line reads
 
 N_SUB = 3
 _numbers = st.one_of(finite, st.integers(-10**6, 10**6))
-
-
-def _bits(rec):
-    """Every field of a record, floats as their exact bits."""
-    p = rec.payload
-    if isinstance(p, CsiPayload):
-        anchor, values = p.anchor_id, [*p.magnitudes.tolist(), *p.phases.tolist()]
-    elif isinstance(p, ImuPayload):
-        anchor, values = None, [*p.accel, *p.gyro, *p.mag]
-    else:
-        fields = dataclasses.asdict(p)
-        anchor, values = fields.pop("anchor_id", None), list(fields.values())
-    return (type(rec.t), rec.t.hex(), rec.sensor, rec.source_id, anchor,
-            [(type(v), float(v).hex()) for v in values])
 
 
 @st.composite
@@ -374,30 +393,48 @@ def corrupted_line(draw, kind):
     return json.dumps(doc)
 
 
+def _doc_bits(doc):
+    """The row a valid document stands for, floats as their exact bits."""
+    payload = doc["payload"]
+    if isinstance(payload, list):
+        anchor, values = None, payload
+    elif "magnitudes" in payload:
+        anchor, values = payload["anchor_id"], payload["magnitudes"] + payload["phases"]
+    else:
+        fields = {k: v for k, v in payload.items() if k != "anchor_id"}
+        order = {"uwb": ("range_m", "power_db"), "rssi": ("rssi_db",),
+                 "gt": ("x", "y", "phi")}[doc["sensor"]]
+        anchor, values = payload.get("anchor_id"), [fields[k] for k in order]
+    return bits((doc["sensor"], doc["t"], doc["id"], anchor, values))
+
+
 @given(st.lists(wire_docs(), min_size=1, max_size=12))
 @settings(max_examples=150)
 def test_table_reader_agrees_with_parse_record(tmp_path_factory, docs):
     lines = [json.dumps(d) for d in docs]
     path = tmp_path_factory.mktemp("agree") / "stream.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    expected = [_bits(parse_record(line)) for line in lines]
-    assert [_bits(r) for r in read_records(path)] == expected
-    assert [_bits(r) for r in read_records(path, subcarriers=N_SUB)] == expected
+    expected = [_doc_bits(d) for d in docs]
+    assert [bits(r) for r in rows_of(read_records(path))] == expected
+    assert [bits(r) for r in rows_of(read_records(path, subcarriers=N_SUB))] == expected
 
 
 @given(st.lists(wire_docs(), min_size=0, max_size=6), st.data(),
        st.sampled_from(CORRUPTIONS))
 @settings(max_examples=300)
 def test_table_reader_fails_like_parse_record(tmp_path_factory, docs, data, kind):
+    # the faulty line fails the same way alone and among valid lines
     lines = [json.dumps(d) for d in docs]
     bad = data.draw(corrupted_line(kind))
     at = len(lines) if kind == "truncated" else data.draw(st.integers(0, len(lines)))
     lines.insert(at, bad)
-    path = tmp_path_factory.mktemp("fail") / "stream.jsonl"
+    folder = tmp_path_factory.mktemp("fail")
+    path, alone = folder / "stream.jsonl", folder / "alone.jsonl"
     path.write_text("\n".join(lines) + ("" if kind == "truncated" else "\n"),
                     encoding="utf-8")
+    alone.write_text(bad, encoding="utf-8")
     with pytest.raises((MalformedLine, SchemaViolation)) as direct:
-        parse_record(bad, subcarriers=N_SUB)
+        read_records(alone, subcarriers=N_SUB)
     with pytest.raises((MalformedLine, SchemaViolation)) as read:
         read_records(path, subcarriers=N_SUB)
     assert type(direct.value) is EXPECTED[kind]
@@ -458,25 +495,6 @@ def test_clock_model_drift_bound():
     ClockModel(offset=0.01, drift=1e-4)
     with pytest.raises(ValueError):
         ClockModel(drift=2e-4)
-
-
-def test_record_rejects_mismatched_payload_and_negative_time():
-    with pytest.raises(ValueError):
-        Record(1.0, "uwb", "t", GtPayload(0, 0, 0))
-    with pytest.raises(ValueError):
-        Record(-1.0, "gt", "r", GtPayload(0, 0, 0))
-
-
-def test_csi_payload_validation_and_equality():
-    with pytest.raises(ValueError):
-        CsiPayload("a", np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
-        CsiPayload("a", np.ones(0), np.ones(0))
-    p = CsiPayload("a", np.ones(3), np.zeros(3))
-    assert p == CsiPayload("a", np.ones(3), np.zeros(3))
-    assert p != CsiPayload("a", np.ones(3), np.ones(3))
-    with pytest.raises(ValueError):
-        p.magnitudes[0] = 5.0  # read-only
 
 
 def test_sensor_offset_defaults_to_center():

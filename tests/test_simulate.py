@@ -8,8 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensor_rows import rows_of
+
 from indoor_fusion.errors import InvalidOverride
-from indoor_fusion.records import Anchor, ClockModel, Pose, Position2D, SensorOffset
+from indoor_fusion.records import (
+    Anchor,
+    ClockModel,
+    Pose,
+    Position2D,
+    SensorOffset,
+    read_records,
+    write_records,
+)
 from indoor_fusion.simulate import (
     DEFAULT_PERTURBATION,
     SPEED_OF_LIGHT,
@@ -37,7 +47,6 @@ from indoor_fusion.simulate import (
     simulate_run,
     write_sidecar,
 )
-from indoor_fusion.records import serialize_record
 
 
 def test_build_scenario_is_deterministic_and_seed_sensitive():
@@ -257,7 +266,7 @@ def test_csi_channel_depends_on_position():
 
 
 # ---------------------------------------------------------------------------
-# Record stream
+# The emitted tables
 
 def _noiseless(duration, clocks=None):
     return SimConfig(duration=duration, noise=NoiseConfig.zero(),
@@ -266,36 +275,35 @@ def _noiseless(duration, clocks=None):
 
 def test_stream_counts_follow_the_emission_grids():
     s = build_scenario(0)
-    records = simulate_run(s, _noiseless(2.0))
-    by_sensor = {}
-    for r in records:
-        by_sensor[r.sensor] = by_sensor.get(r.sensor, 0) + 1
+    tables = simulate_run(s, _noiseless(2.0))
+    by_sensor = {sensor: len(table) for sensor, table in tables.items()}
     assert by_sensor["gt"] == 10          # floor(2 * 5), starting at t = 0
     assert by_sensor["uwb"] == 18 * 3     # floor(2 * 9) ticks, 3 anchors, no dropout
     assert by_sensor["rssi"] == 15 * 13   # floor(2 * 7.5) ticks, 13 anchors
     assert by_sensor["csi"] == 15 * 13
     assert by_sensor["imu"] == 153        # floor(2 * 76.93)
+    lines = np.concatenate([table.line for table in tables.values()])
+    assert sorted(lines.tolist()) == list(range(1, sum(by_sensor.values()) + 1))
 
 
 def test_stream_first_ticks_skip_time_zero():
     s = build_scenario(0)
-    records = simulate_run(s, _noiseless(2.0))
-    firsts = {}
-    for r in records:
-        firsts.setdefault(r.sensor, r.t)
+    tables = simulate_run(s, _noiseless(2.0))
+    firsts = {sensor: table.t[0] for sensor, table in tables.items()}
     assert firsts["gt"] == 0.0
     assert firsts["uwb"] == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert firsts["csi"] == pytest.approx(1.0 / 7.5, abs=1e-12)
     assert firsts["imu"] == pytest.approx(1.0 / 76.93, abs=1e-12)
 
 
-def test_stream_is_sorted_and_deterministic():
+def test_stream_is_sorted_and_deterministic(tmp_path):
     s = build_scenario(9)
     config = SimConfig(duration=3.0)
-    r1 = simulate_run(s, config)
-    r2 = simulate_run(s, config)
-    assert [serialize_record(a) for a in r1] == [serialize_record(b) for b in r2]
-    keys = [(r.t, r.sensor, r.source_id) for r in r1]
+    write_records(tmp_path / "a.jsonl", simulate_run(s, config))
+    write_records(tmp_path / "b.jsonl", simulate_run(s, config))
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+    keys = [(t, sensor, source) for sensor, t, source, _, _ in
+            rows_of(read_records(tmp_path / "a.jsonl"))]
     assert keys == sorted(keys)
 
 
@@ -304,41 +312,40 @@ def test_recorded_times_follow_the_clock_model():
               "uwb": ClockModel(offset=0.002)}
     s = build_scenario(1)
     traj = generate_trajectory(s, 2.0, 0.2)
-    records, truth = sample_sensors(s, _noiseless(2.0, clocks), traj, return_truth=True)
-    for rec, (t_true, _, _) in zip(records, truth):
-        if rec.sensor == "imu":
-            assert rec.t == t_true * (1.0 + 1e-4) + 0.001
-        elif rec.sensor == "uwb":
-            assert rec.t == t_true * 1.0 + 0.002
+    tables, truth = sample_sensors(s, _noiseless(2.0, clocks), traj, return_truth=True)
+    assert list(truth) == list(tables)
+    for sensor, table in tables.items():
+        t_true = truth[sensor][:, 0]
+        if sensor == "imu":
+            np.testing.assert_array_equal(table.t, t_true * (1.0 + 1e-4) + 0.001)
+        elif sensor == "uwb":
+            np.testing.assert_array_equal(table.t, t_true * 1.0 + 0.002)
         else:
-            assert rec.t == t_true
+            np.testing.assert_array_equal(table.t, t_true)
 
 
 def test_noiseless_measurements_match_the_physics():
     s = build_scenario(2)
     traj = generate_trajectory(s, 2.0, 0.2)
-    records, truth = sample_sensors(s, _noiseless(2.0), traj, return_truth=True)
-    checked = {"uwb": 0, "rssi": 0, "imu": 0}
-    for rec, (_, x, y) in zip(records, truth):
-        if rec.sensor == "uwb":
-            a = s.anchor_by_id(rec.payload.anchor_id)
-            d = math.hypot(x - a.position.x, y - a.position.y)
-            assert rec.payload.range_m == pytest.approx(d, abs=1e-12)
-            assert rec.payload.power_db == pytest.approx(
-                -40.0 - 20.0 * math.log10(max(d, 0.1)), abs=1e-9)
-            checked["uwb"] += 1
-        elif rec.sensor == "rssi":
-            a = s.anchor_by_id(rec.payload.anchor_id)
-            d = math.hypot(x - a.position.x, y - a.position.y)
-            expected = s.rssi_p0_dbm - 10.0 * s.rssi_exponent * math.log10(
-                max(d, 1e-3) / s.rssi_d0_m)
-            assert rec.payload.rssi_db == pytest.approx(expected, abs=1e-9)
-            checked["rssi"] += 1
-        elif rec.sensor == "imu":
-            assert rec.payload.accel[2] == pytest.approx(9.81)
-            assert rec.payload.gyro[0] == 0.0 and rec.payload.gyro[1] == 0.0
-            checked["imu"] += 1
-    assert all(n > 0 for n in checked.values())
+    tables, truth = sample_sensors(s, _noiseless(2.0), traj, return_truth=True)
+    for sensor in ("uwb", "rssi"):
+        table, (_, x, y) = tables[sensor], truth[sensor].T
+        anchors = [s.anchor_by_id(table.anchor_ids[a]) for a in table.anchor]
+        d = np.hypot(x - [a.position.x for a in anchors], y - [a.position.y for a in anchors])
+        if sensor == "uwb":
+            np.testing.assert_allclose(table.values[:, 0], d, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(table.values[:, 1],
+                                       -40.0 - 20.0 * np.log10(np.maximum(d, 0.1)),
+                                       rtol=0.0, atol=1e-9)
+        else:
+            expected = s.rssi_p0_dbm - 10.0 * s.rssi_exponent * np.log10(
+                np.maximum(d, 1e-3) / s.rssi_d0_m)
+            np.testing.assert_allclose(table.values[:, 0], expected, rtol=0.0, atol=1e-9)
+        assert len(table) > 0
+    imu = tables["imu"].values
+    assert len(imu) > 0
+    np.testing.assert_allclose(imu[:, 2], 9.81)
+    assert not imu[:, 3:5].any()  # no roll or pitch rate
 
 
 def test_session_phase_reseed_keeps_magnitudes_bit_identical():
@@ -347,15 +354,13 @@ def test_session_phase_reseed_keeps_magnitudes_bit_identical():
     assert reseeded.seed == s.seed
     config = _noiseless(2.0)
     traj = generate_trajectory(s, 2.0, 0.2)
-    r1 = [r for r in sample_sensors(s, config, traj) if r.sensor == "csi"]
-    r2 = [r for r in sample_sensors(reseeded, config, traj) if r.sensor == "csi"]
-    assert len(r1) == len(r2)
-    phases_moved = 0
-    for a, b in zip(r1, r2):
-        np.testing.assert_array_equal(a.payload.magnitudes, b.payload.magnitudes)
-        if not np.array_equal(a.payload.phases, b.payload.phases):
-            phases_moved += 1
-    assert phases_moved == len(r1)
+    c1 = sample_sensors(s, config, traj)["csi"]
+    c2 = sample_sensors(reseeded, config, traj)["csi"]
+    assert len(c1) == len(c2)
+    half = s.subcarriers
+    assert c1.values[:, :half].tobytes() == c2.values[:, :half].tobytes()
+    phases_moved = (c1.values[:, half:] != c2.values[:, half:]).any(axis=1)
+    assert phases_moved.sum() == len(c1)
 
 
 def test_uwb_dropout_removes_records():
@@ -363,10 +368,14 @@ def test_uwb_dropout_removes_records():
     full = simulate_run(s, SimConfig(duration=4.0, noise=NoiseConfig.zero()))
     lossy = simulate_run(s, SimConfig(
         duration=4.0, noise=dataclasses.replace(NoiseConfig.zero(), uwb_dropout_prob=0.5)))
-    n_full = sum(r.sensor == "uwb" for r in full)
-    n_lossy = sum(r.sensor == "uwb" for r in lossy)
-    assert n_lossy < n_full
-    assert sum(r.sensor == "imu" for r in lossy) == sum(r.sensor == "imu" for r in full)
+    assert len(lossy["uwb"]) < len(full["uwb"])
+    assert len(lossy["imu"]) == len(full["imu"])
+    # a sensor that emits nothing has no table
+    silent = simulate_run(s, SimConfig(
+        duration=4.0, noise=dataclasses.replace(NoiseConfig.zero(), uwb_dropout_prob=1.0)))
+    assert "uwb" not in silent
+    assert {k: len(v) for k, v in silent.items()} == {
+        k: len(v) for k, v in full.items() if k != "uwb"}
 
 
 # ---------------------------------------------------------------------------
