@@ -6,7 +6,9 @@ the radio layout, trajectory and noise stay identical.  Magnitude features
 survive; phase features collapse.
 """
 
-from indoor_fusion.evaluate import split_and_run
+import numpy as np
+
+from indoor_fusion.evaluate import run_generalization
 from indoor_fusion.ingest import (
     build_fusion_frames,
     groundtruth_interpolator,
@@ -14,7 +16,7 @@ from indoor_fusion.ingest import (
     label_with_groundtruth,
     select_blocks,
 )
-from indoor_fusion.mlp import MlpConfig, SplitSpec
+from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset
 from indoor_fusion.simulate import (
     Perturbation,
     SimConfig,
@@ -51,7 +53,8 @@ def main():
     spec = SplitSpec(shuffle_seed=0)
     for name, frames_a, frames_b in (("magnitude", mag_a, mag_b),
                                      ("phase", phase_a, phase_b)):
-        out = split_and_run(frames_a, frames_b, nn_config, spec)
+        train_rows, test_rows = split_dataset(np.arange(len(frames_a)), spec)
+        out = run_generalization(frames_a, train_rows, test_rows, frames_b, nn_config)
         self_p50 = out.self_report.percentiles["p50"]
         transfer_p50 = out.transfer_report.percentiles["p50"]
         print(f"{name:9s} self p50={self_p50:.3f} m   "

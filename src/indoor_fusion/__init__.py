@@ -41,8 +41,6 @@ from .records import (
     Position2D,
     SensorOffset,
     SensorTable,
-    angle_difference,
-    interpolate_heading,
     normalize_angle,
     read_records,
     write_records,
@@ -51,7 +49,6 @@ from .geometry import (
     RangeObservation,
     TrilatResult,
     degenerate_estimate,
-    distance_to_rssi,
     locate_from_ranges,
     rssi_to_distance,
     translate_sensor_pose,
@@ -110,10 +107,7 @@ from .mlp import (
     MlpConfig,
     SplitSpec,
     gradient_check,
-    load_checkpoint,
-    save_checkpoint,
     split_dataset,
-    train,
     train_arrays,
 )
 from .evaluate import (
@@ -124,11 +118,9 @@ from .evaluate import (
     emit_plot,
     error_report,
     fit_and_score,
-    meets_requirement,
     model_report,
     report_from_errors,
     run_generalization,
-    split_and_run,
 )
 
 __version__ = "0.1.0"

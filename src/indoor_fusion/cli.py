@@ -181,6 +181,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.methods:
             raise ConfigError("method set must be non-empty")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.duration) or self.duration <= 0:
             raise ConfigError(f"duration must be a positive duration in seconds, "
                               f"got {self.duration}")
@@ -247,6 +249,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     scenario = build_scenario(cfg.seed)
     noise = NoiseConfig.zero() if cfg.noiseless else NoiseConfig()
     sim_config = SimConfig(duration=cfg.duration, noise=noise)
+    shortest = 2.0 / sim_config.rates["gt"]  # the trajectory needs two poses
+    if cfg.duration < shortest:
+        raise ConfigError(f"duration must be >= {shortest:g} s, two ground-truth periods, "
+                          f"got {cfg.duration:g}")
     # second campaign: perturbed layout, fresh measurement noise
     scenario2 = replace(perturb_scenario(scenario, DEFAULT_PERTURBATION, cfg.seed + 1),
                         seed=cfg.seed + 1)

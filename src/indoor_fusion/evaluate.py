@@ -3,23 +3,24 @@
 Everything downstream of a localizer lands here: an (N, 2) array of
 estimates and the (N, 2) array of true positions, paired row by row,
 become an ErrorReport with an exact empirical CDF and nearest-rank
-percentiles; ``Frames`` split into train and test rows, plus a transfer
-set, become a train-on-A / score-on-A-and-B generalization report;
-reports become a CSV and a self-contained SVG.
+percentiles.  One path trains and scores a network: ``fit_and_score``
+trains on some rows of ``Frames`` and scores others, and
+``run_generalization`` adds a score on a transfer set from the other
+layout.  Reports become a CSV and a self-contained SVG.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionMismatch, EmptyReport, LayoutMismatch, LengthMismatch,
                      MalformedLine, SchemaViolation, UndefinedDegradation)
 from .ingest import FrameLayout, Frames, frames_to_arrays
-from .mlp import Mlp, MlpConfig, SplitSpec, split_dataset, train_arrays
+from .mlp import Mlp, MlpConfig, train_arrays
 
 MODALITIES = ("csi", "rssi", "uwb", "imu")
 
@@ -90,13 +91,6 @@ def error_report(est: np.ndarray, truth: np.ndarray) -> ErrorReport:
     return report_from_errors(list(map(math.hypot, dx, dy)))
 
 
-def meets_requirement(report: ErrorReport, threshold_m: float = 1.0,
-                      fraction: float = 0.99) -> bool:
-    """Sub-meter-at-p99 style check: does `fraction` of errors fall at or
-    under `threshold_m`?"""
-    return report.percentile(fraction) <= threshold_m
-
-
 # ---------------------------------------------------------------------------
 # Generalization across layouts
 
@@ -129,12 +123,6 @@ class GeneralizationReport:
     self_report: ErrorReport
     transfer_report: ErrorReport
     history: tuple[tuple[int, float, float], ...] = ()
-    per_modality: dict[str, "GeneralizationReport"] = field(default_factory=dict)
-
-    @property
-    def degradation(self) -> float:
-        """See :func:`degradation`."""
-        return degradation(self.self_report, self.transfer_report)
 
 
 def degradation(self_report: ErrorReport, transfer_report: ErrorReport) -> float:
@@ -173,7 +161,6 @@ def run_generalization(frames: Frames, train_rows, test_rows, transfer_frames: F
                        config: MlpConfig | None = None,
                        layout: FrameLayout | None = None,
                        transfer_layout: FrameLayout | None = None,
-                       modalities: list[str] | None = None,
                        ) -> GeneralizationReport:
     """Train once on the layout-A ``train_rows`` of ``frames``, report self
     accuracy on its ``test_rows`` and transfer accuracy on all of the
@@ -182,8 +169,6 @@ def run_generalization(frames: Frames, train_rows, test_rows, transfer_frames: F
     ``layout`` and ``transfer_layout`` pick the blocks of each set
     (default: all).  Transfer frames contribute nothing to fitting or
     normalization; they are gathered and scored only after training.
-    With ``modalities`` set, the run repeats per single modality for an
-    ablation breakdown.
     """
     layout = frames.layout if layout is None else layout
     if transfer_layout is None:
@@ -200,24 +185,7 @@ def run_generalization(frames: Frames, train_rows, test_rows, transfer_frames: F
                                                 layout)
     transfer_report = model_report(
         model, *frames_to_arrays(transfer_frames, layout=transfer_layout))
-    breakdown = {}
-    for modality in modalities or ():
-        sub = layout.select([modality])
-        breakdown[modality] = run_generalization(
-            frames, train_rows, test_rows, transfer_frames,
-            config.with_input(sub.feature_width + sub.mask_width),
-            sub, transfer_layout.select([modality]))
-    return GeneralizationReport(self_report, transfer_report, tuple(history), breakdown)
-
-
-def split_and_run(frames_a: Frames, frames_b: Frames,
-                  config: MlpConfig | None = None,
-                  spec: SplitSpec = SplitSpec(),
-                  modalities: list[str] | None = None) -> GeneralizationReport:
-    """Convenience wrapper: split A's rows per ``spec``, evaluate against all of B."""
-    train_rows, test_rows = split_dataset(np.arange(len(frames_a)), spec)
-    return run_generalization(frames_a, train_rows, test_rows, frames_b, config,
-                              modalities=modalities)
+    return GeneralizationReport(self_report, transfer_report, tuple(history))
 
 
 # ---------------------------------------------------------------------------

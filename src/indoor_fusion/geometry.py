@@ -204,11 +204,3 @@ def rssi_to_distance(rssi: float, p0: float = -40.0, d0: float = 1.0,
     if n <= 0.0 or d0 <= 0.0:
         raise ValueError("path-loss exponent and reference distance must be positive")
     return d0 * 10.0 ** ((p0 - (rssi + beta)) / (10.0 * n))
-
-
-def distance_to_rssi(distance: float, p0: float = -40.0, d0: float = 1.0,
-                     n: float = 2.2) -> float:
-    """Forward log-distance model; inverse of :func:`rssi_to_distance` at beta=0."""
-    if n <= 0.0 or d0 <= 0.0:
-        raise ValueError("path-loss exponent and reference distance must be positive")
-    return p0 - 10.0 * n * math.log10(max(distance, 1e-6) / d0)

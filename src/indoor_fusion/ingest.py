@@ -31,7 +31,7 @@ Per-tick feature layouts (column meaning is fixed and documented here):
 - uwb:  one range per anchor id (sorted); missing anchor -> -1.0
 - rssi: one dBm reading per anchor id (sorted); missing anchor -> -100.0
 - csi:  per anchor id (sorted), S contiguous values; "magnitude" features
-  by default, "phase" or "both" on request; missing anchor -> zeros
+  by default, "phase" on request; missing anchor -> zeros
 - imu:  [accel xyz, gyro xyz, mag xyz]
 """
 
@@ -187,13 +187,10 @@ def _frozen(obj, *names: str) -> list[np.ndarray]:
     return out
 
 
-def groundtruth_interpolator(gt) -> TrajectoryInterpolator:
-    """Accepts a gt SensorTable or (t, Pose) pairs."""
-    if isinstance(gt, SensorTable):
-        pairs = [(t, Pose(x, y, phi))
-                 for t, (x, y, phi) in zip(gt.t.tolist(), gt.values.tolist())]
-    else:
-        pairs = [(float(t), pose) for t, pose in gt]
+def groundtruth_interpolator(gt: SensorTable) -> TrajectoryInterpolator:
+    """The robot's trajectory from a gt table, its rows taken in time order."""
+    pairs = [(t, Pose(x, y, phi))
+             for t, (x, y, phi) in zip(gt.t.tolist(), gt.values.tolist())]
     pairs.sort(key=lambda p: p[0])
     if len(pairs) < 2:
         raise EmptyGroundTruth("need >= 2 ground-truth poses to interpolate")
@@ -204,11 +201,6 @@ def groundtruth_interpolator(gt) -> TrajectoryInterpolator:
 _MISSING = {"uwb": UWB_MISSING_RANGE, "rssi": RSSI_FLOOR_DB, "csi": 0.0, "imu": 0.0}
 _IMU_COLUMNS = ("accel_x", "accel_y", "accel_z", "gyro_x", "gyro_y", "gyro_z",
                 "mag_x", "mag_y", "mag_z")
-
-
-def _check_csi_features(csi_features: str) -> None:
-    if csi_features not in ("magnitude", "phase", "both"):
-        raise ValueError(f"csi_features must be magnitude/phase/both, got {csi_features!r}")
 
 
 def label_with_groundtruth(table: SensorTable, interp: TrajectoryInterpolator,
@@ -222,7 +214,8 @@ def label_with_groundtruth(table: SensorTable, interp: TrajectoryInterpolator,
     (of the tick, for imu) wins.  Rows outside the ground-truth span are
     dropped and counted.
     """
-    _check_csi_features(csi_features)
+    if csi_features not in ("magnitude", "phase"):
+        raise ValueError(f"csi_features must be magnitude or phase, got {csi_features!r}")
     modality = table.sensor
     if modality not in _MISSING:
         raise ValueError(f"cannot featurize modality {modality!r}")
@@ -235,8 +228,7 @@ def label_with_groundtruth(table: SensorTable, interp: TrajectoryInterpolator,
     else:
         if modality == "csi":
             half = values.shape[1] // 2
-            values = {"magnitude": values[:, :half], "phase": values[:, half:],
-                      "both": values}[csi_features]
+            values = values[:, :half] if csi_features == "magnitude" else values[:, half:]
         else:
             values = values[:, :1]  # range_m / rssi_db
         # one slot per anchor present, in sorted id order
@@ -365,21 +357,20 @@ class Frames:
 
 
 def build_fusion_frames(streams: list[AlignedStream],
-                        window: float = DEFAULT_WINDOW_S,
-                        anchor_modality: str = "csi") -> Frames:
-    """Assemble stacked frames anchored on one modality's ticks.
+                        window: float = DEFAULT_WINDOW_S) -> Frames:
+    """Assemble stacked frames anchored on the csi stream's ticks.
 
-    Every anchor-stream tick yields a frame labeled with that tick's
-    position.  Each block holds its stream's newest tick from the causal
-    window [t - window, t] (for the anchor block, the tick itself); a stale
-    or absent block is zero-filled with its mask bit cleared.  Without an
-    anchor stream there are no frames.
+    Every csi tick yields a frame labeled with that tick's position.  Each
+    block holds its stream's newest tick from the causal window
+    [t - window, t] (for the csi block, the tick itself); a stale or absent
+    block is zero-filled with its mask bit cleared.  Without a csi stream
+    there are no frames.
     """
     if window <= 0.0:
         raise ValueError(f"window must be > 0, got {window}")
     layout = frame_layout(streams)
     by_modality = {s.modality: s for s in streams}
-    anchor = by_modality.get(anchor_modality)
+    anchor = by_modality.get("csi")
     t = anchor.t if anchor is not None else np.zeros(0)
     features = np.zeros((len(t), layout.feature_width))
     mask = np.zeros((len(t), layout.mask_width))
@@ -509,8 +500,7 @@ class IngestResult:
 
 def ingest_run(tables: dict[str, SensorTable], sensor_offsets: dict[str, SensorOffset],
                rates: dict[str, float], duration: float | None,
-               window: float = DEFAULT_WINDOW_S,
-               csi_features: str = "magnitude") -> IngestResult:
+               window: float = DEFAULT_WINDOW_S) -> IngestResult:
     """Run the full alignment pipeline on one recorded stream's tables."""
     gt = tables.get("gt")
     if gt is None or len(gt) < 2:
@@ -526,11 +516,10 @@ def ingest_run(tables: dict[str, SensorTable], sensor_offsets: dict[str, SensorO
         if len(table):
             corrected[sensor] = table
 
-    _check_csi_features(csi_features)
     modalities = sorted(set(corrected) - {"gt"})
     interp = groundtruth_interpolator(gt) if modalities else None
     streams = {m: label_with_groundtruth(corrected[m], interp,
-                                         sensor_offsets.get(m, SensorOffset()), csi_features)
+                                         sensor_offsets.get(m, SensorOffset()))
                for m in modalities}
     frames = build_fusion_frames(list(streams.values()), window=window)
     if "csi" in streams:  # the anchor block holds the csi stream: keep one copy

@@ -1,29 +1,24 @@
 """Small dense position-regression network, written against numpy only.
 
 Float64 end to end so the analytic gradients can be checked against central
-finite differences to tight tolerance.  Training is plain minibatch SGD or
-Adam on mean squared position error over fusion frames, with feature
+finite differences to tight tolerance.  One configuration: tanh hidden
+layers, minibatch Adam on mean squared position error, feature
 normalization frozen from the training split and the best-so-far weights
-(by held-out median position error) restored at the end.  ``train`` takes
-``Frames``; ``train_arrays`` takes the (X, y) matrices of
-``frames_to_arrays``: features with the mask bits appended.  A model's
-estimates are the (N, 2) array ``Mlp.forward`` returns.
+(by held-out median position error) restored at the end.
+``train_arrays`` takes the (X, y) matrices of ``frames_to_arrays``:
+features with the mask bits appended.  A model's estimates are the (N, 2)
+array ``Mlp.forward`` returns.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, Divergence, InsufficientData, TooFewFrames
-from .ingest import Frames, frames_to_arrays
 
-_ACTIVATIONS = ("relu", "tanh")
-_OPTIMIZERS = ("adam", "sgd")
 DEFAULT_HIDDEN = (256, 128, 64)
 
 
@@ -33,8 +28,6 @@ class MlpConfig:
     input width and the fixed 2-wide (x, y) output."""
 
     layer_sizes: tuple[int, ...]
-    activation: str = "tanh"
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -42,7 +35,6 @@ class MlpConfig:
     epochs: int = 60
     batch_size: int = 64
     patience: int = 10
-    normalization: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -53,10 +45,6 @@ class MlpConfig:
             raise ValueError(f"output layer must be 2-wide, got {self.layer_sizes[-1]}")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("layer sizes must be >= 1")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {_OPTIMIZERS}")
         if self.learning_rate < 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("learning_rate must be >= 0; epochs, batch_size >= 1")
 
@@ -64,9 +52,6 @@ class MlpConfig:
     def for_input(cls, input_dim: int, hidden: tuple[int, ...] = DEFAULT_HIDDEN,
                   **kwargs) -> "MlpConfig":
         return cls(layer_sizes=(input_dim, *hidden, 2), **kwargs)
-
-    def with_input(self, input_dim: int) -> "MlpConfig":
-        return replace(self, layer_sizes=(input_dim, *self.layer_sizes[1:-1], 2))
 
 
 @dataclass(frozen=True)
@@ -98,7 +83,7 @@ def split_dataset(data, spec: SplitSpec = SplitSpec()):
 
 
 class Mlp:
-    """Fully connected net mapping a feature vector to an (x, y) estimate."""
+    """Fully connected tanh net mapping a feature vector to an (x, y) estimate."""
 
     def __init__(self, config: MlpConfig, rng: np.random.Generator | None = None):
         self.config = config
@@ -109,29 +94,16 @@ class Mlp:
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = math.sqrt(2.0 / fan_in) if config.activation == "relu" \
-                else math.sqrt(1.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
+            self.weights.append(rng.normal(0.0, math.sqrt(1.0 / fan_in),
+                                           size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
 
     @property
     def input_dim(self) -> int:
         return self.config.layer_sizes[0]
 
-    def _activate(self, z: np.ndarray) -> np.ndarray:
-        if self.config.activation == "relu":
-            return np.maximum(z, 0.0)
-        return np.tanh(z)
-
-    def _activate_grad(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        if self.config.activation == "relu":
-            return (z > 0.0).astype(np.float64)
-        return 1.0 - a * a
-
     def set_normalization(self, x: np.ndarray) -> None:
         """Freeze per-feature standardization from (training) data."""
-        if not self.config.normalization:
-            return
         x = np.atleast_2d(x)
         self.x_mean = x.mean(axis=0)
         self.x_std = np.maximum(x.std(axis=0), 1e-8)
@@ -144,7 +116,7 @@ class Mlp:
         a = x - self.x_mean  # normalized in place: one temporary
         a /= self.x_std
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = self._activate(a @ w + b)
+            a = np.tanh(a @ w + b)
         return a @ self.weights[-1] + self.biases[-1]
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray,
@@ -160,13 +132,10 @@ class Mlp:
         n = len(x)
         norm = x - self.x_mean
         norm /= self.x_std
-        pre: list[np.ndarray] = []
         acts: list[np.ndarray] = [norm]
         a = norm
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w + b
-            a = self._activate(z)
-            pre.append(z)
+            a = np.tanh(a @ w + b)
             acts.append(a)
         pred = a @ self.weights[-1] + self.biases[-1]
 
@@ -178,67 +147,14 @@ class Mlp:
         grad_w[-1] = acts[-1].T @ delta
         grad_b[-1] = delta.sum(axis=0)
         for layer in range(len(self.weights) - 2, -1, -1):
-            delta = (delta @ self.weights[layer + 1].T) \
-                * self._activate_grad(pre[layer], acts[layer + 1])
+            a = acts[layer + 1]
+            delta = (delta @ self.weights[layer + 1].T) * (1.0 - a * a)  # tanh'
             grad_w[layer] = acts[layer].T @ delta
             grad_b[layer] = delta.sum(axis=0)
         return loss, grad_w, grad_b
 
     def clone_weights(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-
-def _encode(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode(s: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype="<f8").reshape(shape).copy()
-
-
-def save_checkpoint(path, model: Mlp) -> None:
-    """Bit-exact JSON+base64 checkpoint of weights, stats and config."""
-    c = model.config
-    doc = {
-        "config": {
-            "layer_sizes": list(c.layer_sizes),
-            "activation": c.activation,
-            "optimizer": c.optimizer,
-            "learning_rate": c.learning_rate,
-            "beta1": c.beta1,
-            "beta2": c.beta2,
-            "adam_eps": c.adam_eps,
-            "epochs": c.epochs,
-            "batch_size": c.batch_size,
-            "patience": c.patience,
-            "normalization": c.normalization,
-            "seed": c.seed,
-        },
-        "x_mean": _encode(model.x_mean),
-        "x_std": _encode(model.x_std),
-        "layers": [{"shape": list(w.shape), "w": _encode(w), "b": _encode(b)}
-                   for w, b in zip(model.weights, model.biases)],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def load_checkpoint(path) -> Mlp:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    cfg = dict(doc["config"])
-    cfg["layer_sizes"] = tuple(cfg["layer_sizes"])
-    config = MlpConfig(**cfg)
-    model = Mlp(config)
-    model.x_mean = _decode(doc["x_mean"], (config.layer_sizes[0],))
-    model.x_std = _decode(doc["x_std"], (config.layer_sizes[0],))
-    model.weights = [_decode(layer["w"], tuple(layer["shape"])) for layer in doc["layers"]]
-    model.biases = [_decode(layer["b"], (layer["shape"][1],)) for layer in doc["layers"]]
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +216,16 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
             step += 1
             for p, g, m, v in zip(params, grad_w + grad_b, adam_m, adam_v):
                 a = scratch[:g.size].reshape(g.shape)
-                if config.optimizer == "sgd":
-                    np.multiply(lr, g, out=a)
-                else:
-                    m *= b1
-                    m += np.multiply(1.0 - b1, g, out=a)
-                    v *= b2
-                    np.multiply(1.0 - b2, g, out=a)
-                    v += np.multiply(a, g, out=a)
-                    np.divide(m, 1.0 - b1 ** step, out=a)
-                    np.sqrt(np.divide(v, 1.0 - b2 ** step, out=g), out=g)
-                    g += config.adam_eps
-                    a *= lr
-                    a /= g
+                m *= b1
+                m += np.multiply(1.0 - b1, g, out=a)
+                v *= b2
+                np.multiply(1.0 - b2, g, out=a)
+                v += np.multiply(a, g, out=a)
+                np.divide(m, 1.0 - b1 ** step, out=a)
+                np.sqrt(np.divide(v, 1.0 - b2 ** step, out=g), out=g)
+                g += config.adam_eps
+                a *= lr
+                a /= g
                 p -= a
             del grad_w, grad_b  # spent: not held while the next batch's are computed
         train_mse = total / len(x_train)
@@ -331,22 +244,6 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
     if len(x_test):  # without a held-out set the final weights stand
         model.weights, model.biases = best_snapshot
     return model, history
-
-
-def train(frames: Frames, config: MlpConfig | None = None,
-          spec: SplitSpec = SplitSpec(),
-          ) -> tuple[Mlp, list[tuple[int, float, float]]]:
-    """Split frames per ``spec``, fit, and return the best-test snapshot.
-
-    Normalization statistics come from the training split only; the run is
-    deterministic given (config.seed, spec.shuffle_seed).
-    """
-    train_frames, test_frames = split_dataset(frames, spec)
-    x_train, y_train = frames_to_arrays(train_frames)
-    x_test, y_test = frames_to_arrays(test_frames)
-    if config is None:
-        config = MlpConfig.for_input(x_train.shape[1])
-    return train_arrays(x_train, y_train, x_test, y_test, config)
 
 
 # ---------------------------------------------------------------------------

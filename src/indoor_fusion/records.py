@@ -53,16 +53,6 @@ def normalize_angle(phi: float) -> float:
     return (phi + math.pi) % TWO_PI - math.pi
 
 
-def angle_difference(a: float, b: float) -> float:
-    """Shortest signed arc from ``b`` to ``a``, in [-pi, pi)."""
-    return normalize_angle(a - b)
-
-
-def interpolate_heading(phi0: float, phi1: float, w: float) -> float:
-    """Interpolate a heading along the shortest arc (w=0 -> phi0, w=1 -> phi1)."""
-    return normalize_angle(phi0 + w * angle_difference(phi1, phi0))
-
-
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
@@ -78,9 +68,6 @@ class Position2D:
 
     def __post_init__(self):
         _require_finite("Position2D", self.x, self.y)
-
-    def distance_to(self, other: "Position2D") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)

@@ -120,12 +120,6 @@ class Scenario:
         object.__setattr__(self, "session_phase",
                            {k: float(v) % (2.0 * math.pi) for k, v in self.session_phase.items()})
 
-    def anchor_by_id(self, anchor_id: str) -> Anchor:
-        for a in self.uwb_anchors + self.wifi_anchors:
-            if a.id == anchor_id:
-                return a
-        raise KeyError(anchor_id)
-
 
 @dataclass(frozen=True)
 class NoiseConfig:

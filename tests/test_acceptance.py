@@ -21,7 +21,7 @@ from sensor_rows import assert_same_tables, tables_of
 from test_records import records as record_strategy
 
 from indoor_fusion.cli import main as cli_main
-from indoor_fusion.evaluate import error_report, split_and_run
+from indoor_fusion.evaluate import error_report, run_generalization
 from indoor_fusion.fingerprint import calibrate_rssi_offset
 from indoor_fusion.geometry import RangeObservation, trilaterate
 from indoor_fusion.ingest import (
@@ -39,6 +39,7 @@ from indoor_fusion.mlp import (
     MlpConfig,
     SplitSpec,
     gradient_check,
+    split_dataset,
     train_arrays,
 )
 from indoor_fusion.records import (
@@ -126,8 +127,7 @@ def test_criterion_3_backprop_matches_finite_differences():
         d_in = int(rng.integers(2, 9))
         hidden = tuple(int(rng.integers(4, 24))
                        for _ in range(int(rng.integers(1, 3))))
-        config = MlpConfig(layer_sizes=(d_in, *hidden, 2), activation="tanh",
-                           seed=trial)
+        config = MlpConfig(layer_sizes=(d_in, *hidden, 2), seed=trial)
         model = Mlp(config)
         x = rng.normal(0.0, 1.0, (12, d_in))
         y = rng.normal(0.0, 1.0, (12, 2))
@@ -232,7 +232,8 @@ def test_criterion_7_generalization_separates_magnitude_from_phase():
     spec = SplitSpec(shuffle_seed=0)
 
     def degradation(frames_a, frames_b):
-        out = split_and_run(frames_a, frames_b, nn_config, spec)
+        train_rows, test_rows = split_dataset(np.arange(len(frames_a)), spec)
+        out = run_generalization(frames_a, train_rows, test_rows, frames_b, nn_config)
         return (out.transfer_report.percentiles["p50"]
                 / out.self_report.percentiles["p50"])
 
@@ -331,8 +332,7 @@ def _train_determinism_suite(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, (16, 3))
     y = rng.normal(0.0, 1.0, (16, 2))
-    config = MlpConfig(layer_sizes=(3, 6, 2), activation="tanh", epochs=3,
-                       batch_size=8, seed=seed)
+    config = MlpConfig(layer_sizes=(3, 6, 2), epochs=3, batch_size=8, seed=seed)
     model_1, history_1 = train_arrays(x[:12], y[:12], x[12:], y[12:], config)
     model_2, history_2 = train_arrays(x[:12], y[:12], x[12:], y[12:], config)
     assert history_1 == history_2

@@ -142,6 +142,7 @@ def test_config_file_bool_forms(tmp_path, text, value):
     {"grid": float("inf")},
     {"k": 0},
     {"epochs": 0},
+    {"seed": -1},
 ])
 def test_run_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -163,6 +164,11 @@ def test_method_name_validation():
 def test_bad_duration_exits_config(tmp_path, capsys):
     assert main(["simulate", "--duration", "0", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # under two ground-truth periods at 5 Hz the trajectory has one pose
+    assert main(["simulate", "--duration", "0.3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("error: duration must be >= 0.4 s, two "
+                                       "ground-truth periods, got 0.3\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_method_exits_config(tmp_path, capsys):

@@ -12,7 +12,6 @@ from indoor_fusion.geometry import (
     RangeObservation,
     TrilatResult,
     degenerate_estimate,
-    distance_to_rssi,
     locate_from_ranges,
     rssi_to_distance,
     translate_sensor_pose,
@@ -28,8 +27,12 @@ def _anchor(i, x, y):
     return Anchor(f"a{i}", "uwb", Position2D(x, y))
 
 
+def _distance(p, q):
+    return math.hypot(p.x - q.x, p.y - q.y)
+
+
 def _obs_from(point, anchors):
-    return [RangeObservation(a, point.distance_to(a.position)) for a in anchors]
+    return [RangeObservation(a, _distance(point, a.position)) for a in anchors]
 
 
 def _triangle_area(ps):
@@ -44,7 +47,7 @@ def test_trilateration_recovers_the_generating_point(px, py, corners):
     point = Position2D(px, py)
     anchors = [_anchor(i, x, y) for i, (x, y) in enumerate(corners)]
     result = trilaterate(_obs_from(point, anchors))
-    assert result.position.distance_to(point) < 1e-6
+    assert _distance(result.position, point) < 1e-6
     assert result.residual < 1e-6
     assert result.used_anchors == len(anchors)
 
@@ -83,7 +86,7 @@ def test_degenerate_estimate_is_the_anchor_centroid():
 def test_locate_from_ranges_falls_back_on_bad_geometry():
     point = Position2D(2.0, 3.0)
     good = _obs_from(point, [_anchor(0, 0, 0), _anchor(1, 8, 0), _anchor(2, 4, 6)])
-    assert locate_from_ranges(good).position.distance_to(point) < 1e-9
+    assert _distance(locate_from_ranges(good).position, point) < 1e-9
 
     collinear = _obs_from(point, [_anchor(i, float(i), 0.0) for i in range(3)])
     fallback = locate_from_ranges(collinear)
@@ -229,8 +232,6 @@ def test_rssi_to_distance_reference_points():
     # at d0 the model returns p0 exactly; 22 dB below is one decade out
     assert rssi_to_distance(-40.0) == pytest.approx(1.0, abs=1e-12)
     assert rssi_to_distance(-62.0) == pytest.approx(10.0, rel=1e-12)
-    assert distance_to_rssi(1.0) == pytest.approx(-40.0, abs=1e-12)
-    assert distance_to_rssi(10.0) == pytest.approx(-62.0, abs=1e-12)
 
 
 def test_beta_shift_identity_is_bitwise():
@@ -242,7 +243,7 @@ def test_beta_shift_identity_is_bitwise():
        st.floats(min_value=1.5, max_value=4.0))
 @settings(max_examples=200)
 def test_rssi_distance_roundtrip(distance, n):
-    rssi = distance_to_rssi(distance, n=n)
+    rssi = -40.0 - 10.0 * n * math.log10(distance)  # the forward log-distance model
     assert rssi_to_distance(rssi, n=n) == pytest.approx(distance, rel=1e-9)
 
 
@@ -257,9 +258,4 @@ def test_path_loss_validates_parameters():
     with pytest.raises(ValueError):
         rssi_to_distance(-50.0, n=0.0)
     with pytest.raises(ValueError):
-        distance_to_rssi(1.0, d0=-1.0)
-
-
-def test_distance_to_rssi_clamps_tiny_distances():
-    assert math.isfinite(distance_to_rssi(0.0))
-    assert distance_to_rssi(0.0) == distance_to_rssi(1e-6)
+        rssi_to_distance(-50.0, d0=-1.0)

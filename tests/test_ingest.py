@@ -43,7 +43,6 @@ from indoor_fusion.ingest import (
 from indoor_fusion.mlp import SplitSpec, split_dataset
 from indoor_fusion.records import (
     ClockModel,
-    Pose,
     SensorOffset,
     read_records,
     write_records,
@@ -177,16 +176,10 @@ def test_clock_estimation_rejects_sub_period_spacing():
 # ---------------------------------------------------------------------------
 # Labeling
 
-def test_groundtruth_interpolator_accepts_records_and_pairs():
-    # a gt table's records, in any row order, or (t, Pose) pairs
+def test_groundtruth_interpolator_takes_a_gt_table_in_any_row_order():
     table = tables_of(_gt_line(10.0))["gt"]
     interp = groundtruth_interpolator(table.take(np.arange(len(table))[::-1]))
     np.testing.assert_allclose(interp.position_at([1.0]), [[0.1, 0.0]], atol=1e-12)
-    pairs = [(0.0, Pose(0, 0, 0)), (1.0, Pose(1, 0, 0))]
-    interp2 = groundtruth_interpolator(pairs)
-    np.testing.assert_allclose(interp2.position_at([0.5]), [[0.5, 0.0]], atol=1e-12)
-    with pytest.raises(EmptyGroundTruth):
-        groundtruth_interpolator(pairs[:1])
     with pytest.raises(EmptyGroundTruth):
         groundtruth_interpolator(table.take([0]))
 
@@ -235,10 +228,6 @@ def test_csi_feature_layout_variants():
     np.testing.assert_array_equal(phase_stream.features[1],
                                   [0.0, 0.0, 0.0, -0.1, -0.2, -0.3])
 
-    both = _label(rows, 20.0, csi_features="both")
-    assert len(both.columns) == 12
-    np.testing.assert_array_equal(both.features[0],
-                                  [1, 2, 3, 0.1, 0.2, 0.3, 0, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="csi_features"):
         _label(rows, 20.0, csi_features="bogus")
 
@@ -284,10 +273,8 @@ def _reference_label(rows, interp, offset, csi_features):
         elif sensor == "csi":
             by = {row[3]: np.asarray(row[4], dtype=np.float64) for row in tick}
             half = len(tick[0][4]) // 2
-            pick = {"magnitude": slice(0, half), "phase": slice(half, None),
-                    "both": slice(None)}[csi_features]
-            width = half * (2 if csi_features == "both" else 1)
-            features = np.concatenate([by[a][pick] if a in by else np.zeros(width)
+            pick = slice(0, half) if csi_features == "magnitude" else slice(half, None)
+            features = np.concatenate([by[a][pick] if a in by else np.zeros(half)
                                        for a in anchors])
         else:
             missing = UWB_MISSING_RANGE if sensor == "uwb" else RSSI_FLOOR_DB
@@ -314,7 +301,7 @@ def tick_records(draw):
     return out
 
 
-@given(tick_records(), st.sampled_from(["magnitude", "phase", "both"]))
+@given(tick_records(), st.sampled_from(["magnitude", "phase"]))
 @settings(max_examples=150)
 def test_label_table_matches_per_record_labeling(rows, csi_features):
     interp = _interp(10.0)  # t in [0, 1.8]: later ticks are dropped
@@ -447,19 +434,19 @@ def test_fusion_frames_need_a_positive_window_and_an_anchor():
     assert len(build_fusion_frames([_mini_stream("uwb", [1.0], 1, 0.0)])) == 0
 
 
-def _reference_frames(streams, window, anchor_modality="csi"):
-    """The per-tick assembly loop: one frame per anchor tick, each other
+def _reference_frames(streams, window):
+    """The per-tick assembly loop: one frame per csi tick, each other
     block filled from its stream's newest tick in the causal window."""
     layout = frame_layout(streams)
     by_modality = {s.modality: s for s in streams}
-    anchor = by_modality.get(anchor_modality)
+    anchor = by_modality.get("csi")
     rows = []
     for i, t in enumerate([] if anchor is None else anchor.t.tolist()):
         features = np.zeros(layout.feature_width)
         mask = np.zeros(layout.mask_width)
         for block in layout.blocks:
             stream = by_modality[block.modality]
-            if block.modality == anchor_modality:
+            if block.modality == "csi":
                 j = i
             else:
                 j = int(np.searchsorted(stream.t, t, side="right")) - 1

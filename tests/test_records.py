@@ -18,8 +18,6 @@ from indoor_fusion.records import (
     Pose,
     Position2D,
     SensorOffset,
-    angle_difference,
-    interpolate_heading,
     normalize_angle,
     read_records,
     write_records,
@@ -457,21 +455,6 @@ def test_normalize_angle_range_and_idempotence(phi):
 def test_normalize_angle_is_2pi_periodic(phi, k):
     assert normalize_angle(phi + 2.0 * math.pi * k) == pytest.approx(
         normalize_angle(phi), abs=1e-9)
-
-
-@given(st.floats(min_value=-10, max_value=10), st.floats(min_value=-10, max_value=10))
-def test_angle_difference_is_shortest_arc(a, b):
-    d = angle_difference(a, b)
-    assert -math.pi <= d < math.pi
-    assert normalize_angle(b + d) == pytest.approx(normalize_angle(a), abs=1e-9)
-
-
-def test_interpolate_heading_crosses_the_wrap():
-    # from +3 rad to -3 rad the short way is through pi, not through zero
-    mid = interpolate_heading(3.0, -3.0, 0.5)
-    assert abs(normalize_angle(mid - math.pi)) < 1e-12
-    assert interpolate_heading(3.0, -3.0, 0.0) == pytest.approx(3.0)
-    assert interpolate_heading(3.0, -3.0, 1.0) == pytest.approx(-3.0)
 
 
 # ---------------------------------------------------------------------------

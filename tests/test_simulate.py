@@ -330,7 +330,8 @@ def test_noiseless_measurements_match_the_physics():
     tables, truth = sample_sensors(s, _noiseless(2.0), traj, return_truth=True)
     for sensor in ("uwb", "rssi"):
         table, (_, x, y) = tables[sensor], truth[sensor].T
-        anchors = [s.anchor_by_id(table.anchor_ids[a]) for a in table.anchor]
+        by_id = {a.id: a for a in s.uwb_anchors + s.wifi_anchors}
+        anchors = [by_id[table.anchor_ids[a]] for a in table.anchor]
         d = np.hypot(x - [a.position.x for a in anchors], y - [a.position.y for a in anchors])
         if sensor == "uwb":
             np.testing.assert_allclose(table.values[:, 0], d, rtol=0.0, atol=1e-12)
