@@ -10,6 +10,13 @@ may come from a flat ``key=value`` config file (``--config``); explicit
 flags win.  ``INDOOR_FUSION_THREADS`` caps how many methods ``run``
 evaluates concurrently; importing the package sets OpenBLAS to one thread
 unless ``OPENBLAS_NUM_THREADS`` is set, so the report is the same on any core count.
+
+``ingest``, ``calibrate`` and ``run`` read each dataset's sensor tables
+through ``_read_tables``: the first read parses the JSONL and leaves the
+tables in ``datasetN.tables.npz`` beside it, keyed on a SHA-256 of the
+file's bytes and of the ``records`` module's source; later reads of the
+same bytes by the same parser load that file instead.  A stale, damaged or
+unwritable cache only costs a parse, and deleting it is always safe.
 """
 
 from __future__ import annotations
@@ -67,7 +74,8 @@ from .ingest import (
     write_frames,
 )
 from .mlp import MlpConfig, SplitSpec, split_dataset
-from .records import SensorOffset, read_records, write_records
+from .records import (SensorOffset, SensorTable, load_table_cache, read_records,
+                      save_table_cache, write_records)
 from .simulate import (
     DEFAULT_PERTURBATION,
     NoiseConfig,
@@ -265,6 +273,35 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _read_tables(path: Path) -> dict[str, SensorTable]:
+    """``read_records(path)``, served from ``<dataset>.tables.npz`` beside it when
+    that cache holds the tables of this very content.
+
+    The key is a SHA-256 of the file's bytes, so an edited dataset is parsed
+    again however its size or mtime look; ``records`` adds a digest of its
+    own source, so a changed parser parses again too.  A miss parses the
+    file, which validates every line, and caches the tables only if the
+    file still hashes to the key afterwards.
+    """
+    import hashlib  # loads OpenSSL: only commands that read a dataset pay for it
+
+    def key() -> str:
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+        return digest.hexdigest()
+
+    cache = path.with_suffix(".tables.npz")
+    before = key()
+    tables = load_table_cache(cache, before)
+    if tables is None:
+        tables = read_records(path)
+        if key() == before:
+            save_table_cache(cache, before, tables)
+    return tables
+
+
 def _load_campaign(cfg: RunConfig, sidecar: tuple[Scenario, SimConfig, Scenario | None],
                    which: int) -> tuple[Scenario, IngestResult]:
     """Read and ingest one campaign; ``sidecar`` is what read_sidecar returns."""
@@ -276,7 +313,7 @@ def _load_campaign(cfg: RunConfig, sidecar: tuple[Scenario, SimConfig, Scenario 
             raise ConfigError("scenario.json records no second campaign; "
                               "re-run simulate")
         scenario = scenario2
-    tables = read_records(cfg.out / f"dataset{which}.jsonl")
+    tables = _read_tables(cfg.out / f"dataset{which}.jsonl")
     result = ingest_run(tables, scenario.sensor_offsets, sim_config.rates,
                         sim_config.duration, window=cfg.window)
     return scenario, result

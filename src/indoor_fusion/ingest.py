@@ -509,8 +509,15 @@ def ingest_run(tables: dict[str, SensorTable], sensor_offsets: dict[str, SensorO
     corrected = {"gt": gt}
     estimates: dict[str, ClockModel] = {}
     for sensor in sorted(set(tables) - {"gt"}):
-        clock = estimate_clock_offset(tables[sensor].t, gt.t, sensor_rate(rates, sensor),
-                                      duration)
+        try:
+            clock = estimate_clock_offset(tables[sensor].t, gt.t, sensor_rate(rates, sensor),
+                                          duration)
+        except InsufficientOverlap as exc:
+            short = duration is not None and duration < MIN_OVERLAP_S
+            raise InsufficientOverlap(
+                f"{sensor}: {exc}" + (f"; the campaign lasts {duration:g} s, shorter than "
+                                      f"the {MIN_OVERLAP_S:g} s that ingest needs"
+                                      if short else "")) from exc
         estimates[sensor] = clock
         table = correct_clock(tables[sensor], clock)
         if len(table):

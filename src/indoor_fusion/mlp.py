@@ -172,6 +172,12 @@ def median_position_error(model: Mlp, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.median(np.hypot(pred[:, 0] - y[:, 0], pred[:, 1] - y[:, 1])))
 
 
+# Floats per Adam slice: 256 KiB of scratch, which stays in cache while the
+# slice's eleven passes run over it, where one sized for the largest weight
+# is 1.4 MB at input width 677.
+_ADAM_SLICE = 1 << 15
+
+
 def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
                  x_test: np.ndarray, y_test: np.ndarray,
                  config: MlpConfig) -> tuple[Mlp, list[tuple[int, float, float]]]:
@@ -191,12 +197,12 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
     model = Mlp(config, rng=rng)
     model.set_normalization(x_train)
 
-    # updated in place until the best snapshot replaces them; the update's
-    # step is a view of one vector sized for the largest parameter, and the
-    # Adam divisor reuses the gradient, which is spent by then
+    # updated in place until the best snapshot replaces them; Adam walks each
+    # parameter in slices that fit a small scratch, and its divisor reuses
+    # the gradient, which is spent by then
     params = model.weights + model.biases
     adam_m, adam_v = ([np.zeros_like(p) for p in params] for _ in range(2))
-    scratch = np.empty(max(p.size for p in params))
+    scratch = np.empty(_ADAM_SLICE)
     lr, b1, b2 = config.learning_rate, config.beta1, config.beta2
     step = 0
     history: list[tuple[int, float, float]] = []
@@ -214,19 +220,23 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
                 raise Divergence(f"non-finite loss at epoch {epoch}", history=history)
             total += loss * len(idx)
             step += 1
-            for p, g, m, v in zip(params, grad_w + grad_b, adam_m, adam_v):
-                a = scratch[:g.size].reshape(g.shape)
-                m *= b1
-                m += np.multiply(1.0 - b1, g, out=a)
-                v *= b2
-                np.multiply(1.0 - b2, g, out=a)
-                v += np.multiply(a, g, out=a)
-                np.divide(m, 1.0 - b1 ** step, out=a)
-                np.sqrt(np.divide(v, 1.0 - b2 ** step, out=g), out=g)
-                g += config.adam_eps
-                a *= lr
-                a /= g
-                p -= a
+            c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step  # bias corrections
+            for whole in zip(params, grad_w + grad_b, adam_m, adam_v):
+                flat = [x.reshape(-1) for x in whole]  # views: all four are contiguous
+                for lo in range(0, flat[0].size, _ADAM_SLICE):
+                    p, g, m, v = (x[lo:lo + _ADAM_SLICE] for x in flat)
+                    a = scratch[:g.size]
+                    m *= b1
+                    m += np.multiply(1.0 - b1, g, out=a)
+                    v *= b2
+                    np.multiply(1.0 - b2, g, out=a)
+                    v += np.multiply(a, g, out=a)
+                    np.divide(m, c1, out=a)
+                    np.sqrt(np.divide(v, c2, out=g), out=g)
+                    g += config.adam_eps
+                    a *= lr
+                    a /= g
+                    p -= a
             del grad_w, grad_b  # spent: not held while the next batch's are computed
         train_mse = total / len(x_train)
         test_err = median_position_error(model, x_test, y_test) if len(x_test) \

@@ -27,15 +27,21 @@ arities, the sign of ``t``); payload finiteness is checked once per table
 with ``np.isfinite``.  Every failure is reported as ``path:line:`` of the
 first faulty line.
 
+``save_table_cache`` and ``load_table_cache`` keep what ``read_records``
+returned as numpy arrays, keyed also on a digest of this module's source.
+
 All types here are immutable values and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -485,3 +491,73 @@ def read_records(path, subcarriers: int | None = None) -> dict[str, SensorTable]
             raise type(exc)(f"{path}:{exc.line}: {exc}") from exc
         except UnicodeDecodeError as exc:  # raised a decoder chunk ahead of its line
             raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+# ---------------------------------------------------------------------------
+# The table cache: what read_records returned, as uncompressed numpy arrays
+
+# Each table column in a cache, with the dtype and rank read_records gives it.
+_CACHE_COLUMNS = {"t": (np.float64, 1), "values": (np.float64, 2), "source": (np.intp, 1),
+                  "anchor": (np.intp, 1), "line": (np.intp, 1)}
+
+
+@lru_cache(maxsize=None)
+def _format_digest() -> str:
+    """A SHA-256 of this module's source, part of every cache's key: the
+    parser, ``SensorTable`` and the cache layout all live here, so any change
+    to them retires the caches written before it."""
+    import hashlib
+
+    with open(__file__, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def save_table_cache(cache: Path, key: str, tables: dict[str, SensorTable]) -> None:
+    """Store ``tables``, as ``read_records`` returned them, in ``cache`` under ``key``.
+
+    The file is written beside ``cache`` and renamed over it; a cache that
+    cannot be written is skipped and leaves no temp file behind.
+    """
+    arrays = {"key": np.array(f"{_format_digest()}:{key}"),
+              "sensors": np.array(list(tables), dtype=str)}
+    for sensor, table in tables.items():
+        arrays.update({f"{sensor}.{name}": getattr(table, name) for name in _CACHE_COLUMNS})
+        arrays[f"{sensor}.source_ids"] = np.array(table.source_ids, dtype=str)
+        arrays[f"{sensor}.anchor_ids"] = np.array(table.anchor_ids, dtype=str)
+    tmp = cache.with_name(f".{cache.name}.{os.getpid()}.tmp")  # one per writing process
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, cache)
+    except OSError:  # say a read-only directory, or a directory at the cache path
+        with contextlib.suppress(OSError):  # on a read-only mount even this fails
+            tmp.unlink(missing_ok=True)
+
+
+def load_table_cache(cache: Path, key: str) -> dict[str, SensorTable] | None:
+    """The tables ``save_table_cache`` stored in ``cache`` under ``key`` by this
+    very module; None if it holds no sound ones."""
+    import zipfile
+
+    try:
+        # opened here, since np.load leaks the handle of a file that is no sound zip
+        with open(cache, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if (not isinstance(npz, np.lib.npyio.NpzFile)
+                    or npz["key"].item() != f"{_format_digest()}:{key}"):
+                return None  # a lone .npy array, or the tables of other bytes or code
+            tables = {}
+            for sensor in npz["sensors"].tolist():
+                cols = {name: npz[f"{sensor}.{name}"] for name in _CACHE_COLUMNS}
+                ids = [npz[f"{sensor}.{name}"] for name in ("source_ids", "anchor_ids")]
+                if (any(a.dtype != dtype or a.ndim != ndim or len(a) != len(cols["t"])
+                        for a, (dtype, ndim) in zip(cols.values(), _CACHE_COLUMNS.values()))
+                        or any(a.dtype.kind != "U" or a.ndim != 1 for a in ids)):
+                    return None
+                tables[sensor] = SensorTable(sensor, cols["t"], cols["values"],
+                                             cols["source"], tuple(ids[0].tolist()),
+                                             cols["anchor"], tuple(ids[1].tolist()),
+                                             cols["line"])
+            return tables
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None

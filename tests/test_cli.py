@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import re
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import indoor_fusion
-from indoor_fusion import cli
+from indoor_fusion import cli, records
 from indoor_fusion.cli import (
     DEFAULT_METHODS,
     RunConfig,
@@ -34,9 +35,9 @@ from indoor_fusion.cli import (
 from indoor_fusion.errors import ConfigError, IndoorFusionError, UndefinedDegradation
 from indoor_fusion.evaluate import (emit_plot, error_report, model_report, read_cdf_csv,
                                  report_from_errors)
-from indoor_fusion.ingest import IngestResult, frames_to_arrays, read_frames
+from indoor_fusion.ingest import MIN_OVERLAP_S, IngestResult, frames_to_arrays, read_frames
 from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset, train_arrays
-from indoor_fusion.records import SensorTable
+from indoor_fusion.records import SensorTable, read_records
 from indoor_fusion.simulate import NoiseConfig, read_sidecar
 
 
@@ -169,6 +170,17 @@ def test_bad_duration_exits_config(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: duration must be >= 0.4 s, two "
                                        "ground-truth periods, got 0.3\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_ingest_of_a_campaign_too_short_to_fit_clocks_says_so(tmp_path, capsys):
+    # simulate accepts 2 s (two ground-truth poses); ingest needs 10 s of overlap
+    assert main(["simulate", "--duration", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: csi: sensor/ground-truth overlap is ")
+    assert err.rstrip().endswith(f"; the campaign lasts 2 s, shorter than the "
+                                 f"{MIN_OVERLAP_S:g} s that ingest needs")
 
 
 def test_unknown_method_exits_config(tmp_path, capsys):
@@ -537,6 +549,183 @@ def test_noiseless_trilateration_is_exact_end_to_end(tmp_path):
     summary = _load(tmp_path / "report.json")["methods"]["uwb-trilat"]["summary"]
     assert summary["p99_m"] <= 1e-6
     assert summary["fraction_within_0.3m"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the sensor-table cache beside each dataset
+
+_FAST_RUN = ["--methods", "uwb-trilat,rssi-fp", "--seed", "7"]
+
+
+def _fresh_copy(cli_campaign, out):
+    """The CLI campaign's files copied into ``out``, with no table cache yet."""
+    for name in ("dataset1.jsonl", "dataset2.jsonl", "scenario.json"):
+        shutil.copy(cli_campaign / name, out / name)
+    return out
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The names of the datasets the CLI parses, in call order."""
+    calls = []
+
+    def counting(path, *args, **kwargs):
+        calls.append(Path(path).name)
+        return read_records(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_records", counting)
+    return calls
+
+
+def test_a_warm_run_reports_what_the_cold_run_did_without_parsing(cli_campaign, tmp_path,
+                                                                   parses):
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    for out in (cold, warm):
+        out.mkdir()
+    _fresh_copy(cli_campaign, cold)
+    assert main(["run", "--out", str(cold), "--transfer", *_FAST_RUN]) == 0
+    assert parses == ["dataset1.jsonl", "dataset2.jsonl"]
+    for name in ("dataset1.jsonl", "dataset2.jsonl", "scenario.json",
+                 "dataset1.tables.npz", "dataset2.tables.npz"):
+        shutil.copy(cold / name, warm / name)
+    assert main(["run", "--out", str(warm), "--transfer", *_FAST_RUN]) == 0
+    assert parses == ["dataset1.jsonl", "dataset2.jsonl"]  # the warm run parsed nothing
+    reports = [_load(out / "report.json") for out in (cold, warm)]
+    for report in reports:
+        del report["config"]["out"]
+    assert reports[0] == reports[1]
+    assert (cold / "cdf.csv").read_bytes() == (warm / "cdf.csv").read_bytes()
+
+
+def test_ingest_calibrate_and_run_parse_the_dataset_once(cli_campaign, tmp_path, parses):
+    out = _fresh_copy(cli_campaign, tmp_path)
+    for argv in (["ingest"], ["calibrate"], ["run", *_FAST_RUN]):
+        assert main([*argv, "--out", str(out)]) == 0
+    assert parses == ["dataset1.jsonl"]
+    assert not (out / "dataset2.tables.npz").exists()  # no command read dataset2
+
+
+def test_a_flipped_digit_is_parsed_again(cli_campaign, tmp_path, parses):
+    out = _fresh_copy(cli_campaign, tmp_path)
+    path = out / "dataset1.jsonl"
+    assert main(["ingest", "--out", str(out)]) == 0
+    data = bytearray(path.read_bytes())
+    at = data.index(b'"range_m":') + len(b'"range_m":') + 2  # first digit after the point
+    assert chr(data[at]).isdigit()
+    data[at] = ord("5") if data[at] != ord("5") else ord("6")
+    before = path.stat()
+    path.write_bytes(data)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))  # same size, same mtime
+    assert main(["ingest", "--out", str(out)]) == 0
+    assert parses == ["dataset1.jsonl", "dataset1.jsonl"]
+    assert main(["ingest", "--out", str(out)]) == 0  # the cache now holds the new content
+    assert parses == ["dataset1.jsonl", "dataset1.jsonl"]
+
+
+def test_a_changed_parser_parses_again(cli_campaign, tmp_path, parses, monkeypatch):
+    out = _fresh_copy(cli_campaign, tmp_path)
+    assert main(["ingest", "--out", str(out)]) == 0
+    source = Path(records.__file__).read_bytes()
+    assert records._format_digest() == hashlib.sha256(source).hexdigest()
+    monkeypatch.setattr(records, "_format_digest", lambda: "0" * 64)  # records.py edited
+    assert main(["ingest", "--out", str(out)]) == 0
+    assert main(["ingest", "--out", str(out)]) == 0  # cached again, under the new digest
+    assert parses == ["dataset1.jsonl", "dataset1.jsonl"]
+
+
+def test_a_broken_line_behind_a_cache_exits_io_naming_it(cli_campaign, tmp_path, capsys):
+    out = _fresh_copy(cli_campaign, tmp_path)
+    assert main(["ingest", "--out", str(out)]) == 0
+    lines = (out / "dataset1.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[9] = lines[9][:-2]
+    (out / "dataset1.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["ingest", "--out", str(out)]) == 3
+    assert "dataset1.jsonl:10:" in capsys.readouterr().err
+
+
+def _truncated(cache):
+    cache.write_bytes(cache.read_bytes()[:cache.stat().st_size // 2])
+
+
+def _garbage(cache):
+    cache.write_bytes(b"not a cache\n")
+
+
+def _rewrite(cache, change):
+    """Write the cache's arrays back after ``change``, keeping its key."""
+    with np.load(cache) as npz:
+        arrays = dict(npz)
+    change(arrays)
+    with open(cache, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _retyped(cache):
+    _rewrite(cache, lambda a: a.update({"uwb.t": a["uwb.t"].astype(np.float32)}))
+
+
+def _short_column(cache):
+    _rewrite(cache, lambda a: a.update({"gt.line": a["gt.line"][:-1]}))
+
+
+def _missing_column(cache):
+    _rewrite(cache, lambda a: a.pop("csi.values"))
+
+
+def _lone_array(cache):
+    with open(cache, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("damage", [_truncated, _garbage, _retyped, _short_column,
+                                    _missing_column, _lone_array])
+def test_a_damaged_cache_is_parsed_past_and_rewritten(cli_campaign, tmp_path, parses,
+                                                      damage):
+    out = _fresh_copy(cli_campaign, tmp_path)
+    argv = ["run", "--out", str(out), *_FAST_RUN]
+    assert main(argv) == 0
+    want = _load(out / "report.json")
+    damage(out / "dataset1.tables.npz")
+    assert main(argv) == 0
+    assert _load(out / "report.json") == want
+    assert main(argv) == 0  # served from the rewritten cache
+    assert parses == ["dataset1.jsonl", "dataset1.jsonl"]
+
+
+def test_a_directory_at_the_cache_path_is_left_alone(cli_campaign, tmp_path, parses):
+    out = _fresh_copy(cli_campaign, tmp_path)
+    (out / "dataset1.tables.npz").mkdir()
+    for _ in range(2):
+        assert main(["ingest", "--out", str(out)]) == 0
+    assert parses == ["dataset1.jsonl", "dataset1.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "dataset1.jsonl", "dataset1.tables.npz", "dataset2.jsonl", "frames1.jsonl",
+        "ingest.json", "scenario.json"]
+    assert not any((out / "dataset1.tables.npz").iterdir())
+
+
+def test_cached_tables_match_the_parse_bit_for_bit(cli_campaign, tmp_path, monkeypatch):
+    path = _fresh_copy(cli_campaign, tmp_path) / "dataset1.jsonl"
+    want = read_records(path)
+    cli._read_tables(path)  # parses, then writes the cache
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the cache was not used")
+
+    monkeypatch.setattr(cli, "read_records", no_parse)
+    got = cli._read_tables(path)
+    assert list(got) == list(want)
+    assert got["imu"].anchor_ids == () == got["gt"].anchor_ids
+    for sensor, table in want.items():
+        cached = got[sensor]
+        assert (cached.sensor, cached.source_ids, cached.anchor_ids) == (
+            table.sensor, table.source_ids, table.anchor_ids)
+        for name in ("t", "values", "source", "anchor", "line"):
+            a, b = getattr(cached, name), getattr(table, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from indoor_fusion.errors import (
     TooFewFrames,
 )
 from indoor_fusion.ingest import BlockDef, FrameLayout, Frames, frames_to_arrays, select_blocks
+from indoor_fusion import mlp
 from indoor_fusion.mlp import (
     DEFAULT_HIDDEN,
     Mlp,
@@ -249,6 +250,17 @@ def test_in_place_update_restores_an_early_best_epoch_like_the_reference():
     history = _assert_matches_the_reference(x, y, config)
     assert len(history) < config.epochs
     assert min(history, key=lambda row: row[2])[0] < history[-1][0]
+
+
+def test_sliced_update_matches_the_reference_across_slice_boundaries():
+    # the first weight matrix, 300 x 240 floats, spans three Adam slices
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(70, 300))
+    y = np.stack([x[:, 0] + 0.5 * x[:, 1], np.tanh(x[:, 2]) - x[:, 3]], axis=1)
+    config = MlpConfig(layer_sizes=(300, 240, 2), learning_rate=2e-2, epochs=2,
+                       batch_size=16, seed=9)
+    assert 2 * mlp._ADAM_SLICE < 300 * 240 < 3 * mlp._ADAM_SLICE
+    _assert_matches_the_reference(x, y, config)
 
 
 def _assert_matches_the_reference(x, y, config):
