@@ -1,7 +1,8 @@
 """Write a two-campaign dataset pair and peek at the record stream.
 
-Produces dataset1.jsonl / dataset2.jsonl / scenario.json in ./demo_out and
-prints the per-sensor record counts plus the first few wire lines.
+Produces dataset1.jsonl / dataset2.jsonl, each with its parsed-table cache
+datasetN.tables.npz, and scenario.json in ./demo_out, and prints the
+per-sensor record counts plus the first few wire lines.
 """
 
 from pathlib import Path

@@ -12,11 +12,12 @@ evaluates concurrently; importing the package sets OpenBLAS to one thread
 unless ``OPENBLAS_NUM_THREADS`` is set, so the report is the same on any core count.
 
 ``ingest``, ``calibrate`` and ``run`` read each dataset's sensor tables
-through ``_read_tables``: the first read parses the JSONL and leaves the
-tables in ``datasetN.tables.npz`` beside it, keyed on a SHA-256 of the
-file's bytes and of the ``records`` module's source; later reads of the
-same bytes by the same parser load that file instead.  A stale, damaged or
-unwritable cache only costs a parse, and deleting it is always safe.
+through ``_read_tables``: it loads them from ``datasetN.tables.npz`` beside
+the JSONL when that cache is keyed on a SHA-256 of the file's bytes and of
+the ``records`` module's source, and parses the JSONL otherwise.
+``simulate`` leaves such a cache beside each dataset it writes, and a parse
+leaves one too.  A stale, damaged or unwritable cache only costs a parse,
+and deleting it is always safe.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .ingest import (
 )
 from .mlp import MlpConfig, SplitSpec, split_dataset
 from .records import (SensorOffset, SensorTable, load_table_cache, read_records,
-                      save_table_cache, write_records)
+                      round_trips, save_table_cache, write_records)
 from .simulate import (
     DEFAULT_PERTURBATION,
     NoiseConfig,
@@ -265,12 +266,33 @@ def cmd_simulate(cfg: RunConfig) -> int:
     scenario2 = replace(perturb_scenario(scenario, DEFAULT_PERTURBATION, cfg.seed + 1),
                         seed=cfg.seed + 1)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    n1 = write_records(cfg.out / "dataset1.jsonl", simulate_run(scenario, sim_config))
-    n2 = write_records(cfg.out / "dataset2.jsonl", simulate_run(scenario2, sim_config))
+    n1 = _write_tables(cfg.out / "dataset1.jsonl", simulate_run(scenario, sim_config))
+    n2 = _write_tables(cfg.out / "dataset2.jsonl", simulate_run(scenario2, sim_config))
     write_sidecar(cfg.out / "scenario.json", scenario, sim_config, scenario2)
     print(f"wrote {n1} records to dataset1.jsonl, {n2} to dataset2.jsonl "
           f"(seed {cfg.seed}, {cfg.duration:g} s) in {cfg.out}")
     return EXIT_OK
+
+
+def _sha256(path: Path) -> str:
+    """A SHA-256 of the file's bytes: the key of its table cache."""
+    import hashlib  # loads OpenSSL: only commands that hash a dataset pay for it
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _write_tables(path: Path, tables: dict[str, SensorTable]) -> int:
+    """``write_records(path, tables)``, leaving the tables cached beside the
+    file when ``read_records`` would give back exactly them, so that
+    ``_read_tables`` parses nothing."""
+    n = write_records(path, tables)
+    if round_trips(tables):
+        save_table_cache(path.with_suffix(".tables.npz"), _sha256(path), tables)
+    return n
 
 
 def _read_tables(path: Path) -> dict[str, SensorTable]:
@@ -283,21 +305,12 @@ def _read_tables(path: Path) -> dict[str, SensorTable]:
     file, which validates every line, and caches the tables only if the
     file still hashes to the key afterwards.
     """
-    import hashlib  # loads OpenSSL: only commands that read a dataset pay for it
-
-    def key() -> str:
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
-        return digest.hexdigest()
-
     cache = path.with_suffix(".tables.npz")
-    before = key()
+    before = _sha256(path)
     tables = load_table_cache(cache, before)
     if tables is None:
         tables = read_records(path)
-        if key() == before:
+        if _sha256(path) == before:
             save_table_cache(cache, before, tables)
     return tables
 

@@ -28,7 +28,12 @@ with ``np.isfinite``.  Every failure is reported as ``path:line:`` of the
 first faulty line.
 
 ``save_table_cache`` and ``load_table_cache`` keep what ``read_records``
-returned as numpy arrays, keyed also on a digest of this module's source.
+returns as numpy arrays, keyed also on a digest of this module's source.
+``round_trips`` tells, without writing or reading a line, whether
+``read_records`` would give back exactly the tables ``write_records`` was
+handed; the ``simulate`` command caches each campaign it writes when it
+does, so only a dataset that ``simulate`` did not write, or whose bytes
+changed since, is parsed by the first command that reads it.
 
 All types here are immutable values and safe to share between threads.
 """
@@ -494,12 +499,63 @@ def read_records(path, subcarriers: int | None = None) -> dict[str, SensorTable]
 
 
 # ---------------------------------------------------------------------------
-# The table cache: what read_records returned, as uncompressed numpy arrays
+# Which tables a write and a read give back as they were
 
-# Each table column in a cache, with the dtype and rank read_records gives it.
-_CACHE_COLUMNS = {"t": (np.float64, 1), "values": (np.float64, 2), "source": (np.intp, 1),
-                  "anchor": (np.intp, 1), "line": (np.intp, 1)}
+# Each table column, with the dtype and rank read_records gives it.
+_COLUMNS = {"t": (np.float64, 1), "values": (np.float64, 2), "source": (np.intp, 1),
+            "anchor": (np.intp, 1), "line": (np.intp, 1)}
+_WIDTHS = {"uwb": 2, "rssi": 1, "imu": 9, "gt": 3}  # csi: any even width > 0
 
+
+def _numbered_by_first_use(index: np.ndarray, ids: tuple) -> bool:
+    """Whether ``index`` numbers the distinct strings ``ids`` as ``read_records``
+    does: each id used, in order of first appearance."""
+    used, first = np.unique(index, return_index=True)
+    return (type(ids) is tuple and all(type(i) is str for i in ids)
+            and len(set(ids)) == len(ids) and np.array_equal(used, np.arange(len(ids)))
+            and bool(np.all(np.diff(first) > 0)))
+
+
+def _table_round_trips(sensor: str, table: SensorTable) -> bool:
+    columns = [(getattr(table, name), dtype, ndim) for name, (dtype, ndim) in _COLUMNS.items()]
+    if (sensor not in SENSOR_KINDS or table.sensor != sensor
+            or any(a.dtype != dtype or a.ndim != ndim for a, dtype, ndim in columns)
+            or len(table) == 0 or any(len(a) != len(table) for a, _, _ in columns)):
+        return False
+    width = table.values.shape[1]
+    if (width == 0 or width % 2) if sensor == "csi" else width != _WIDTHS[sensor]:
+        return False
+    if sensor in ("imu", "gt"):
+        anchors_ok = table.anchor_ids == () and bool(np.all(table.anchor == -1))
+    else:
+        anchors_ok = _numbered_by_first_use(table.anchor, table.anchor_ids)
+    return (anchors_ok and _numbered_by_first_use(table.source, table.source_ids)
+            and bool(np.all(np.diff(table.line) > 0))
+            and bool(np.all(np.isfinite(table.t) & (table.t >= 0)))
+            and bool(np.all(np.isfinite(table.values))))
+
+
+def round_trips(tables: dict[str, SensorTable]) -> bool:
+    """Whether ``read_records`` gives back exactly ``tables``, bit for bit and
+    in dict order, from the bytes ``write_records`` writes for them.
+
+    That takes non-empty tables of known sensors, keyed in order of their
+    first lines; lines that are 1..N over all tables and rise within each;
+    finite times >= 0 and finite payloads of the wire width; distinct source
+    and anchor ids numbered by first appearance, and anchor -1 with no ids
+    for imu and gt; and the dtypes ``read_records`` gives each column.
+    """
+    if not all(_table_round_trips(sensor, table) for sensor, table in tables.items()):
+        return False
+    if not tables:
+        return True  # an empty file
+    firsts = [int(table.line[0]) for table in tables.values()]
+    lines = np.sort(np.concatenate([table.line for table in tables.values()]))
+    return firsts == sorted(firsts) and np.array_equal(lines, np.arange(1, len(lines) + 1))
+
+
+# ---------------------------------------------------------------------------
+# The table cache: what read_records returns, as uncompressed numpy arrays
 
 @lru_cache(maxsize=None)
 def _format_digest() -> str:
@@ -512,8 +568,23 @@ def _format_digest() -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _write_npz(fh, arrays: dict[str, np.ndarray]) -> None:
+    """What ``np.savez(fh, **arrays)`` writes, each member straight from its
+    array's buffer: ``np.savez`` copies every array out in 16 MiB chunks."""
+    import zipfile
+
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as npz:
+        for name, array in arrays.items():
+            array = np.asarray(array, order="C")  # copies only a strided array
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                if array.size:  # memoryview cannot cast a shape holding a 0
+                    member.write(memoryview(array).cast("B"))
+
+
 def save_table_cache(cache: Path, key: str, tables: dict[str, SensorTable]) -> None:
-    """Store ``tables``, as ``read_records`` returned them, in ``cache`` under ``key``.
+    """Store ``tables``, as ``read_records`` returns them, in ``cache`` under ``key``.
 
     The file is written beside ``cache`` and renamed over it; a cache that
     cannot be written is skipped and leaves no temp file behind.
@@ -521,13 +592,13 @@ def save_table_cache(cache: Path, key: str, tables: dict[str, SensorTable]) -> N
     arrays = {"key": np.array(f"{_format_digest()}:{key}"),
               "sensors": np.array(list(tables), dtype=str)}
     for sensor, table in tables.items():
-        arrays.update({f"{sensor}.{name}": getattr(table, name) for name in _CACHE_COLUMNS})
+        arrays.update({f"{sensor}.{name}": getattr(table, name) for name in _COLUMNS})
         arrays[f"{sensor}.source_ids"] = np.array(table.source_ids, dtype=str)
         arrays[f"{sensor}.anchor_ids"] = np.array(table.anchor_ids, dtype=str)
     tmp = cache.with_name(f".{cache.name}.{os.getpid()}.tmp")  # one per writing process
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+            _write_npz(fh, arrays)
         os.replace(tmp, cache)
     except OSError:  # say a read-only directory, or a directory at the cache path
         with contextlib.suppress(OSError):  # on a read-only mount even this fails
@@ -548,16 +619,15 @@ def load_table_cache(cache: Path, key: str) -> dict[str, SensorTable] | None:
                 return None  # a lone .npy array, or the tables of other bytes or code
             tables = {}
             for sensor in npz["sensors"].tolist():
-                cols = {name: npz[f"{sensor}.{name}"] for name in _CACHE_COLUMNS}
+                cols = {name: npz[f"{sensor}.{name}"] for name in _COLUMNS}
                 ids = [npz[f"{sensor}.{name}"] for name in ("source_ids", "anchor_ids")]
-                if (any(a.dtype != dtype or a.ndim != ndim or len(a) != len(cols["t"])
-                        for a, (dtype, ndim) in zip(cols.values(), _CACHE_COLUMNS.values()))
-                        or any(a.dtype.kind != "U" or a.ndim != 1 for a in ids)):
+                if any(a.dtype.kind != "U" or a.ndim != 1 for a in ids):
                     return None
                 tables[sensor] = SensorTable(sensor, cols["t"], cols["values"],
                                              cols["source"], tuple(ids[0].tolist()),
                                              cols["anchor"], tuple(ids[1].tolist()),
                                              cols["line"])
-            return tables
+            # all that read_records returns round-trips, so a cache that does not is damaged
+            return tables if round_trips(tables) else None
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None

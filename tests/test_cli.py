@@ -542,6 +542,19 @@ def test_importing_the_package_defaults_openblas_to_one_thread(preset, expected)
     assert proc.stdout.strip() == expected
 
 
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # the import is every command's start-up; only commands that hash a
+    # dataset should pay for loading OpenSSL
+    env = dict(os.environ)
+    src = str(Path(indoor_fusion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, indoor_fusion.cli; print(sorted("
+         "m for m in ('hashlib', '_hashlib') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_noiseless_trilateration_is_exact_end_to_end(tmp_path):
     assert main(["simulate", "--seed", "1", "--duration", "40", "--noiseless",
                  "--out", str(tmp_path)]) == 0
@@ -726,6 +739,37 @@ def test_cached_tables_match_the_parse_bit_for_bit(cli_campaign, tmp_path, monke
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes()
             assert not a.flags.writeable
+
+
+def test_nothing_parses_a_campaign_that_simulate_wrote(tmp_path, parses):
+    sim, fresh = tmp_path / "sim", tmp_path / "fresh"
+    assert main(["simulate", "--seed", "7", "--duration", "30", "--out", str(sim)]) == 0
+    fresh.mkdir()
+    _fresh_copy(sim, fresh)
+    for out in (sim, fresh):
+        for argv in (["ingest"], ["calibrate"], ["run", "--transfer", *_FAST_RUN]):
+            assert main([*argv, "--out", str(out)]) == 0
+        if out == sim:
+            assert parses == []
+    assert parses == ["dataset1.jsonl", "dataset2.jsonl"]  # only the copy was parsed
+    for name in ("frames1.jsonl", "ingest.json", "calibration.json", "cdf.csv"):
+        assert (sim / name).read_bytes() == (fresh / name).read_bytes(), name
+    reports = [_load(out / "report.json") for out in (sim, fresh)]
+    for report in reports:
+        del report["config"]["out"]
+    assert reports[0] == reports[1]
+
+
+def test_a_flipped_digit_in_a_simulated_dataset_is_parsed_again(tmp_path, parses):
+    assert main(["simulate", "--seed", "7", "--duration", "30", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "dataset1.jsonl"
+    assert path.with_suffix(".tables.npz").exists()
+    data = bytearray(path.read_bytes())
+    at = data.index(b'"range_m":') + len(b'"range_m":') + 2  # first digit after the point
+    data[at] = ord("5") if data[at] != ord("5") else ord("6")
+    path.write_bytes(data)
+    assert main(["ingest", "--out", str(tmp_path)]) == 0
+    assert parses == ["dataset1.jsonl"]
 
 
 # ---------------------------------------------------------------------------

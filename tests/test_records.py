@@ -2,11 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sensor_rows import assert_same_tables, bits, rows_of, tables_of
@@ -18,8 +19,12 @@ from indoor_fusion.records import (
     Pose,
     Position2D,
     SensorOffset,
+    SensorTable,
+    load_table_cache,
     normalize_angle,
     read_records,
+    round_trips,
+    save_table_cache,
     write_records,
 )
 from indoor_fusion.simulate import NoiseConfig, SimConfig, build_scenario, simulate_run
@@ -30,14 +35,16 @@ ids = st.text(alphabet=st.characters(codec="ascii", categories=["L", "N"]),
               min_size=0, max_size=8)
 
 
+WIDTHS = {"uwb": 2, "rssi": 1, "csi": 6, "imu": 9, "gt": 3}  # csi: 3 subcarriers
+
+
 @st.composite
-def records(draw):
-    """One row of any sensor, as ``sensor_rows`` spells it."""
-    sensor = draw(st.sampled_from(["uwb", "rssi", "csi", "imu", "gt"]))
-    width = {"uwb": 2, "rssi": 1, "imu": 9, "gt": 3}.get(sensor, 6)  # csi: 3 subcarriers
-    anchor = draw(ids) if sensor in ("uwb", "rssi", "csi") else None
-    values = draw(st.lists(finite, min_size=width, max_size=width))
-    return sensor, draw(times), draw(ids), anchor, values
+def records(draw, names=ids):
+    """One row of any sensor, as ``sensor_rows`` spells it; ids drawn from ``names``."""
+    sensor = draw(st.sampled_from(list(WIDTHS)))
+    anchor = draw(names) if sensor in ("uwb", "rssi", "csi") else None
+    values = draw(st.lists(finite, min_size=WIDTHS[sensor], max_size=WIDTHS[sensor]))
+    return sensor, draw(times), draw(names), anchor, values
 
 
 def _roundtrip(path, tables):
@@ -63,6 +70,7 @@ def test_simulated_tables_roundtrip_through_the_file_bit_for_bit(
     noise = NoiseConfig(uwb_dropout_prob=1.0) if dropout else NoiseConfig()
     tables = simulate_run(build_scenario(seed), SimConfig(duration=duration, noise=noise))
     assert ("uwb" in tables) is not dropout
+    assert round_trips(tables)
     path = tmp_path_factory.mktemp("simulated") / "dataset1.jsonl"
     back = _roundtrip(path, tables)
     assert_same_tables(back, tables)
@@ -415,6 +423,7 @@ def test_table_reader_agrees_with_parse_record(tmp_path_factory, docs):
     expected = [_doc_bits(d) for d in docs]
     assert [bits(r) for r in rows_of(read_records(path))] == expected
     assert [bits(r) for r in rows_of(read_records(path, subcarriers=N_SUB))] == expected
+    assert round_trips(read_records(path))  # what the table cache loader relies on
 
 
 @given(st.lists(wire_docs(), min_size=0, max_size=6), st.data(),
@@ -438,6 +447,151 @@ def test_table_reader_fails_like_parse_record(tmp_path_factory, docs, data, kind
     assert type(direct.value) is EXPECTED[kind]
     assert type(read.value) is type(direct.value)
     assert str(read.value).startswith(f"{path}:{at + 1}: ")
+
+
+# ---------------------------------------------------------------------------
+# round_trips: the tables a write and a read give back unchanged, and the cache
+
+def _pick(data, tables, fits=lambda table: True):
+    """A sensor whose table ``fits``, drawn; None if no table does."""
+    sensors = [s for s, table in tables.items() if fits(table)]
+    return data.draw(st.sampled_from(sensors)) if sensors else None
+
+
+def _change(tables, sensor, **columns):
+    """``tables`` with columns of one table replaced, in the same dict order."""
+    return {s: replace(t, **columns) if s == sensor else t for s, t in tables.items()}
+
+
+def _edited(array, at, value):
+    out = array.copy()
+    out[at] = value
+    return out
+
+
+def _swapped_lines(tables, data):
+    sensor = _pick(data, tables, lambda t: len(t) > 1)
+    if sensor is None:
+        return None
+    line = tables[sensor].line
+    return _change(tables, sensor, line=np.concatenate([line[1::-1], line[2:]]))
+
+
+def _shifted_line(tables, data):  # a gap after it, or a clash with another table's line
+    sensor = _pick(data, tables)
+    line = tables[sensor].line
+    return _change(tables, sensor, line=_edited(line, -1, line[-1] + 1))
+
+
+def _unused_id(tables, data):
+    sensor = _pick(data, tables)
+    return _change(tables, sensor, source_ids=(*tables[sensor].source_ids, "unused"))
+
+
+def _duplicate_id(tables, data):
+    sensor = _pick(data, tables, lambda t: len(t.source_ids) > 1)
+    if sensor is None:
+        return None
+    ids = tables[sensor].source_ids
+    return _change(tables, sensor, source_ids=(ids[0], *ids[:-1]))
+
+
+def _renumbered_ids(tables, data):  # the same rows, ids 0 and 1 out of first-use order
+    sensor = _pick(data, tables, lambda t: len(t.source_ids) > 1)
+    if sensor is None:
+        return None
+    source, ids = tables[sensor].source, tables[sensor].source_ids
+    return _change(tables, sensor, source=np.where(source < 2, 1 - source, source),
+                   source_ids=(ids[1], ids[0], *ids[2:]))
+
+
+def _non_finite_value(tables, data):
+    sensor = _pick(data, tables)
+    table = tables[sensor]
+    at = (data.draw(st.integers(0, len(table) - 1)),
+          data.draw(st.integers(0, table.values.shape[1] - 1)))
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return _change(tables, sensor, values=_edited(table.values, at, bad))
+
+
+def _bad_time(tables, data):
+    sensor = _pick(data, tables)
+    at = data.draw(st.integers(0, len(tables[sensor]) - 1))
+    bad = data.draw(st.sampled_from([-1.0, -5e-324, math.nan, math.inf]))
+    return _change(tables, sensor, t=_edited(tables[sensor].t, at, bad))
+
+
+def _empty_table(tables, data):
+    missing = [s for s in WIDTHS if s not in tables]
+    if not missing:
+        return None
+    sensor = data.draw(st.sampled_from(missing))
+    none = np.zeros(0, np.intp)
+    return {**tables, sensor: SensorTable(sensor, np.zeros(0), np.zeros((0, WIDTHS[sensor])),
+                                          none, (), none, (), none)}
+
+
+def _wrong_width(tables, data):
+    sensor = _pick(data, tables)
+    return _change(tables, sensor, values=tables[sensor].values[:, :-1])
+
+
+def _reordered_tables(tables, data):
+    return dict(reversed(tables.items())) if len(tables) > 1 else None
+
+
+def _retyped(tables, data):
+    sensor = _pick(data, tables)
+    name, dtype = data.draw(st.sampled_from([
+        ("t", np.float32), ("values", np.float32), ("line", np.int32),
+        ("t", np.dtype(np.float64).newbyteorder())]))
+    return _change(tables, sensor, **{name: getattr(tables[sensor], name).astype(dtype)})
+
+
+def _wrong_anchor(tables, data):  # an anchor on imu or gt, or none on a radio
+    sensor = _pick(data, tables)
+    table = tables[sensor]
+    if sensor in ("imu", "gt"):
+        return _change(tables, sensor, anchor=np.zeros(len(table), np.intp), anchor_ids=("a",))
+    return _change(tables, sensor, anchor=np.full(len(table), -1, np.intp), anchor_ids=())
+
+
+def _unknown_sensor(tables, data):
+    sensor = _pick(data, tables)
+    return {("sonar" if s == sensor else s): t for s, t in tables.items()}
+
+
+DAMAGES = [_swapped_lines, _shifted_line, _unused_id, _duplicate_id, _renumbered_ids,
+           _non_finite_value, _bad_time, _empty_table, _wrong_width, _reordered_tables,
+           _retyped, _wrong_anchor, _unknown_sensor]
+
+
+@given(st.lists(records(st.sampled_from(["", "a", "b7"])), min_size=1, max_size=10),
+       st.data(), st.sampled_from([None, *DAMAGES]))
+@settings(max_examples=400)
+def test_round_trips_holds_only_for_tables_a_write_and_read_give_back(tmp_path_factory, rows,
+                                                                      data, damage):
+    tables = tables_of(rows)
+    if damage is not None:
+        tables = damage(tables, data)
+        assume(tables is not None)
+    holds = round_trips(tables)
+    assert holds == (damage is None)
+    if holds:
+        path = tmp_path_factory.mktemp("round_trips") / "stream.jsonl"
+        write_records(path, tables)
+        assert_same_tables(read_records(path), tables)
+
+
+def test_table_cache_stores_strided_and_empty_columns(tmp_path):
+    tables = tables_of(GOLDEN)
+    wide = np.repeat(tables["csi"].values, 2, axis=1)
+    tables["csi"] = replace(tables["csi"], values=wide[:, ::2])  # a strided view
+    assert not tables["csi"].values.flags.c_contiguous
+    assert tables["imu"].anchor_ids == ()  # stored as an array of no strings
+    save_table_cache(tmp_path / "golden.tables.npz", "key", tables)
+    assert_same_tables(load_table_cache(tmp_path / "golden.tables.npz", "key"), tables)
+    assert load_table_cache(tmp_path / "golden.tables.npz", "other key") is None
 
 
 # ---------------------------------------------------------------------------
