@@ -29,6 +29,7 @@ from .errors import (
     LengthMismatch,
     MalformedLine,
     NegativeTime,
+    NonFiniteDistance,
     SchemaViolation,
     TooFewAnchors,
     TooFewFrames,

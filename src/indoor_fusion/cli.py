@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    EmptyReport,
     IndoorFusionError,
     InsufficientData,
     InvalidOverride,
@@ -412,9 +413,14 @@ def _solver_counts(est: np.ndarray, fallback: np.ndarray, scenario: Scenario) ->
 def _uwb_trilat_report(camp: _Campaign) -> tuple[ErrorReport, dict]:
     stream = _stream_or_raise(camp, "uwb")
     anchors = {a.id: a.position for a in camp.scenario.uwb_anchors}
+    missing = [c for c in stream.columns if c not in anchors]
+    if missing:
+        raise InsufficientData(f"no anchor positions for {missing}")
     geometry = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
     usable = stream.features >= 0.0
     kept = usable.any(axis=1)
+    if not kept.any():
+        raise EmptyReport(f"none of the {len(stream)} uwb ticks has a usable (>= 0) range")
     used, usable = stream.take(kept), usable[kept]
     est, fallback = trilaterate_batch(np.broadcast_to(geometry, (len(used), *geometry.shape)),
                                       used.features, usable)

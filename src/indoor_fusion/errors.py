@@ -49,6 +49,11 @@ class EmptyMap(IndoorFusionError):
     """A fingerprint query hit a radio map with no cells."""
 
 
+class NonFiniteDistance(IndoorFusionError):
+    """A fingerprint query is an infinite or NaN feature distance from its
+    nearest cells, so their inverse-distance weights are undefined."""
+
+
 class InsufficientData(IndoorFusionError):
     """Calibration needs more labelled snapshots than were supplied."""
 

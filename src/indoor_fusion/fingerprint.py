@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, EmptyMap, InsufficientData
+from .errors import (ConfigError, DimensionMismatch, EmptyMap, InsufficientData,
+                     NonFiniteDistance)
 from .geometry import rssi_to_distance, trilaterate_batch
 from .ingest import AlignedStream
 from .records import Anchor
@@ -87,7 +88,10 @@ def locate(queries: np.ndarray, radio_map: RadioMap, k: int = DEFAULT_K) -> np.n
     Each is the inverse-distance-weighted average of the k nearest cell
     centers.  Nearness is Euclidean distance in feature space with weight
     1/(1e-9 + distance), so an exact fingerprint match dominates; k=1
-    degenerates to the nearest cell center.  Ties break by cell index.
+    degenerates to the nearest cell center.  Ties break by cell index.  A
+    query whose k nearest distances are not all finite, say fingerprints
+    near float64's limit whose squared differences overflow, raises
+    NonFiniteDistance.
     """
     if len(radio_map) == 0:
         raise EmptyMap("radio map holds no cells")
@@ -103,9 +107,15 @@ def locate(queries: np.ndarray, radio_map: RadioMap, k: int = DEFAULT_K) -> np.n
     k = min(k, len(radio_map))
     positions = np.empty((len(queries), 2))
     for i, query in enumerate(queries):
-        dists = np.linalg.norm(radio_map.means - query, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below
+            dists = np.linalg.norm(radio_map.means - query, axis=1)
         order = np.argsort(dists, kind="stable")[:k]
-        weights = 1.0 / (1e-9 + dists[order])
+        nearest = dists[order]
+        if not np.isfinite(nearest).all():
+            raise NonFiniteDistance(
+                f"feature distances {nearest.tolist()} from query {i} to its {k} nearest "
+                f"{radio_map.modality} cells are not all finite")
+        weights = 1.0 / (1e-9 + nearest)
         weights /= weights.sum()
         positions[i] = weights @ centers[order]
     return positions

@@ -19,8 +19,11 @@ sender's clock.
 In memory a stream is one ``SensorTable`` per sensor kind: times, source
 and anchor indices, a float64 payload matrix and the line of each row.
 ``write_records`` writes tables as lines in ``line`` order, floats in
-scientific notation with 17 significant digits; ``read_records`` parses a
-file into tables in a single pass.  Tables written and read back are
+scientific notation with 17 significant digits: the bytes of ``"%.16e"``,
+made for each step of lines in one numpy pass.  Zeros, subnormals, values
+beyond 1e270, values next to a power of ten and values next to a rounding
+tie go to Python's ``%`` instead.  ``read_records`` parses a file into
+tables in a single pass.  Tables written and read back are
 bit-identical, and rewriting the tables of a written file reproduces its
 bytes.  Each line goes through one row validator (JSON shape, keys, types,
 arities, the sign of ``t``); payload finiteness is checked once per table
@@ -53,8 +56,6 @@ import numpy as np
 from .errors import MalformedLine, NegativeTime, SchemaViolation
 
 SENSOR_KINDS = ("uwb", "rssi", "csi", "imu", "gt")
-
-_F = "%.16e"  # 17 significant digits: exact float64 round-trip
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,37 +182,153 @@ class SensorTable:
 
 
 # ---------------------------------------------------------------------------
+# Floats as text: ``b"%.16e" % v`` for a whole array in one numpy pass
+
+# The decimal exponents k = floor(log10|v|) of the fast path, 1e-270 <= |v| <= 1e270,
+# one off either way before the correction
+_K_MIN, _K_MAX = -271, 271
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves
+
+
+@lru_cache(maxsize=None)
+def _by_exponent() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per exponent k in [_K_MIN, _K_MAX]: the scale 10**(16 - k) as a
+    double-double (hi, lo), each rounded once from exact integer ratios,
+    and the text ``e+kk`` in bytes 2 and up of a little-endian word.  Built
+    on the first write, not at import."""
+    hi, lo, tail = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        h = num / den  # int / int: correctly rounded
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+        tail.append(int.from_bytes(b"e%+03d" % k, "little") << 16)
+    tables = np.array(hi), np.array(lo), np.array(tail, dtype=np.uint64)
+    for table in tables:
+        table.setflags(write=False)  # every write shares them
+    return tables
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**(16 - k)`` as ``p + r``: ``p`` the rounded product, ``r`` its
+    error by Dekker's TwoProduct against hi, plus ``a * lo``.  Off the exact
+    value by about 2**-47 where the product lies in [1e16, 1e17)."""
+    hi, lo, _ = _by_exponent()
+    ten = hi[k - _K_MIN]
+    p = a * ten
+    a_hi, a_lo = _split(a)
+    t_hi, t_lo = _split(ten)
+    e = ((a_hi * t_hi - p) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
+    return p, e + a * lo[k - _K_MIN]
+
+
+def _ascii8(x: np.ndarray) -> np.ndarray:
+    """Integers below 10**8 as their 8 zero-padded ASCII digits, the first
+    digit in the low byte of a uint64: split into lanes of 4, 2 and 1
+    digits, 32, 16 and 8 bits wide, each split one multiply and shift."""
+    x = x.astype(np.uint64)
+    high = x // 10000
+    x = high | (x - high * 10000) << 32
+    high = (x * 5243 >> 19) & 0x0000_007F_0000_007F  # // 100, exact below 43 699
+    x = high | (x - high * 100) << 16
+    high = (x * 103 >> 10) & 0x000F_000F_000F_000F  # // 10, exact below 179
+    return (high | (x - high * 10) << 8) + 0x3030_3030_3030_3030
+
+
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """``b"%.16e" % v`` of every value, as a flat ``S24`` array.
+
+    Each value with 1e-270 <= |v| <= 1e270 is scaled to 17 integer digits,
+    ``S = |v| * 10**(16 - k)`` in double-double, and ``S`` is rounded to
+    the nearest integer: the correctly rounded digits dtoa gives.  A value
+    whose ``S`` lies within 16 of 1e16 or 1e17 (powers of ten and their
+    neighbours), or whose fraction lies within 1e-6 of a half (ties, which
+    dtoa rounds to even), goes to Python, as do zeros, subnormals, huge and
+    non-finite values.  That margin is over 10**8 times the error in ``S``.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-270) & (a <= 1e270)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    p, r = _scaled(a, k)
+    shift = (p >= 1e17).astype(np.intp) - (p < 1e16)  # log10 rounded across a power of ten
+    fix = np.flatnonzero(shift)
+    if fix.size:
+        k[fix] += shift[fix]
+        p[fix], r[fix] = _scaled(a[fix], k[fix])
+    whole = np.floor(r)
+    frac = r - whole
+    fast &= (p > 1e16 + 16) & (p < 1e17 - 16) & (np.abs(frac - 0.5) > 1e-6)
+    # p >= 2**53 is an integer, so the digits are p + round(r)
+    digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+
+    # The text in three little-endian words, NUL-padded as S24 reads it:
+    # "d.dddddd" "dddddddd" "dde+kk", the digits as 8, 8 and 1.
+    high = digits // 10 ** 9
+    low = digits - high * 10 ** 9
+    first, second = _ascii8(high), _ascii8(low // 10)
+    last = (low % 10).astype(np.uint64) + ord("0")
+    words = [first & 0xFF | (first & 0x00FF_FFFF_FFFF_FF00) << 8 | ord(".") << 8,
+             first >> 56 | second << 8,
+             second >> 56 | last << 8 | _by_exponent()[2][k - _K_MIN]]
+    # a negative value's text moves one byte up, behind a "-"
+    sign = np.signbit(v).astype(np.uint64)
+    carry = sign * ord("-")
+    text = np.empty((len(v), 3), "<u8")
+    for i, word in enumerate(words):
+        text[:, i] = word << (sign << 3) | carry
+        carry = (word >> 56) * sign
+    out = text.view("S24").ravel()
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = [b"%.16e" % x for x in v[slow].tolist()]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Writing: one ``%`` template per (source, anchor), rows in line order
 
-# Rows formatted per step: bounds the Python floats and strings held at once
-# (256 csi rows are under 1 MB), so writing adds nothing to the peak RSS.
-_WRITE_ROWS = 1 << 8
+# Rows formatted per step: bounds the text and arrays held at once, so
+# writing adds nothing to the peak RSS.  128 simulated rows are about 4 800
+# floats; at 256 the formatter's arrays left the heap 0.4 MiB higher for
+# the second campaign's simulation, the peak of a ``simulate``.
+_WRITE_ROWS = 1 << 7
+
+_SLOT = "%s"  # one float of a template, filled with _format_floats' text
 
 
 @lru_cache(maxsize=None)
 def _vec_template(n: int) -> str:
-    return "[" + ",".join([_F] * n) + "]"
+    return "[" + ",".join([_SLOT] * n) + "]"
 
 
 def _json_str(s: str) -> str:
-    """A JSON string literal, escaped for use inside a ``%`` template."""
+    """A JSON string literal in ASCII, escaped for use inside a ``%`` template."""
     return json.dumps(s).replace("%", "%%")
 
 
 def _payload_template(sensor: str, width: int, anchor_id: str) -> str:
     if sensor == "uwb":
-        return '{"anchor_id":%s,"range_m":%s,"power_db":%s}' % (_json_str(anchor_id), _F, _F)
+        return '{"anchor_id":%s,"range_m":%s,"power_db":%s}' % (_json_str(anchor_id), _SLOT, _SLOT)
     if sensor == "rssi":
-        return '{"anchor_id":%s,"rssi_db":%s}' % (_json_str(anchor_id), _F)
+        return '{"anchor_id":%s,"rssi_db":%s}' % (_json_str(anchor_id), _SLOT)
     if sensor == "csi":
         vec = _vec_template(width // 2)
         return '{"anchor_id":%s,"magnitudes":%s,"phases":%s}' % (_json_str(anchor_id), vec, vec)
     if sensor == "imu":
         return _vec_template(width)
-    return '{"x":%s,"y":%s,"phi":%s}' % (_F, _F, _F)
+    return '{"x":%s,"y":%s,"phi":%s}' % (_SLOT, _SLOT, _SLOT)
 
 
-def _row_templates(table: SensorTable) -> tuple[np.ndarray, dict[int, str]]:
+def _row_templates(table: SensorTable) -> tuple[np.ndarray, dict[int, bytes]]:
     """Each row's template code, and the line template of every code used."""
     n_anchor = len(table.anchor_ids) + 1  # code 0 of an anchor: none (imu, gt)
     codes = table.source * n_anchor + table.anchor + 1
@@ -220,8 +337,8 @@ def _row_templates(table: SensorTable) -> tuple[np.ndarray, dict[int, str]]:
         source, anchor = divmod(code, n_anchor)
         payload = _payload_template(table.sensor, table.values.shape[1],
                                     table.anchor_ids[anchor - 1] if anchor else "")
-        templates[code] = '{"t":%s,"sensor":"%s","id":%s,"payload":%s}\n' % (
-            _F, table.sensor, _json_str(table.source_ids[source]), payload)
+        templates[code] = ('{"t":%s,"sensor":"%s","id":%s,"payload":%s}\n' % (
+            _SLOT, table.sensor, _json_str(table.source_ids[source]), payload)).encode("utf-8")
     return codes, templates
 
 
@@ -230,7 +347,9 @@ def write_records(path, tables: dict[str, SensorTable]) -> int:
 
     Rows of all tables go out in ascending ``line`` order, ties in table
     order.  Floats carry 17 significant digits, so ``read_records`` gives
-    the values back bit for bit.
+    the values back bit for bit.  Each step of ``_WRITE_ROWS`` lines formats
+    its floats, every table's ``t`` and ``values``, in one
+    ``_format_floats`` call.
     """
     tables = list(tables.values())
     lines = np.concatenate([t.line for t in tables]) if tables else np.zeros(0, np.intp)
@@ -242,17 +361,23 @@ def write_records(path, tables: dict[str, SensorTable]) -> int:
         start += len(table)
         rows = np.argsort(pos)
         parts.append((table, rows, pos[rows], *_row_templates(table)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         for lo in range(0, len(lines), _WRITE_ROWS):
-            out = [""] * min(_WRITE_ROWS, len(lines) - lo)
+            out = [b""] * min(_WRITE_ROWS, len(lines) - lo)
+            steps = []  # per table: its rows' slots, codes and (rows, 1 + W) floats
             for table, rows, pos, codes, templates in parts:
                 a, b = np.searchsorted(pos, (lo, lo + len(out)))
                 chunk = rows[a:b]
-                for slot, code, t, v in zip((pos[a:b] - lo).tolist(), codes[chunk].tolist(),
-                                            table.t[chunk].tolist(),
-                                            table.values[chunk].tolist()):
-                    out[slot] = templates[code] % (t, *v)
-            fh.write("".join(out))
+                steps.append((pos[a:b] - lo, codes[chunk], templates,
+                              np.column_stack((table.t[chunk], table.values[chunk]))))
+            text = _format_floats(np.concatenate([floats.ravel() for *_, floats in steps]))
+            at = 0
+            for slots, codes, templates, floats in steps:
+                cells = text[at:at + floats.size].reshape(floats.shape).tolist()
+                at += floats.size
+                for slot, code, row in zip(slots.tolist(), codes.tolist(), cells):
+                    out[slot] = templates[code] % tuple(row)
+            fh.write(b"".join(out))
     return len(lines)
 
 

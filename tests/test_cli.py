@@ -425,6 +425,44 @@ def test_run_reports_a_grid_too_fine_for_the_cell_indices(cli_campaign, tmp_path
         assert report["failures"][method].startswith("ConfigError: grid 1e-300 m")
 
 
+def _rename_u0(payload, line):
+    if payload["anchor_id"] == "u0":
+        payload["anchor_id"] = "zz9"
+
+
+# A fault in every line of one sensor: (sensor, damage to its payload on a
+# line, the method that fails, how its failure starts)
+PAYLOAD_FAULTS = {
+    "uwb anchor unknown to the scenario": (
+        "uwb", _rename_u0, "uwb-trilat", "InsufficientData: no anchor positions for ['zz9']"),
+    "every rssi reading near 1e300 dBm": (  # one apart from the other: no distance is 0
+        "rssi", lambda payload, line: payload.update(rssi_db=1e300 * (1.0 + line / 1e4)),
+        "rssi-fp", "NonFiniteDistance: feature distances [inf, inf, inf] from query 0 to its 3 "
+        "nearest rssi cells"),
+    "every uwb range negative": (
+        "uwb", lambda payload, line: payload.update(range_m=-1.0), "uwb-trilat",
+        "EmptyReport: none of the 402 uwb ticks has a usable (>= 0) range"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning on the way is a failure too
+@pytest.mark.parametrize("fault", list(PAYLOAD_FAULTS))
+def test_a_faulty_sensor_fails_its_method_with_a_typed_error(cli_campaign, tmp_path, fault):
+    sensor, damage, method, message = PAYLOAD_FAULTS[fault]
+    shutil.copy(cli_campaign / "scenario.json", tmp_path / "scenario.json")
+    with open(cli_campaign / "dataset1.jsonl", "r", encoding="utf-8") as fh:
+        docs = [json.loads(line) for line in fh]
+    for line, doc in enumerate(docs, start=1):
+        if doc["sensor"] == sensor:
+            damage(doc["payload"], line)
+    (tmp_path / "dataset1.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in docs),
+                                             encoding="utf-8")
+    assert main(["run", "--out", str(tmp_path), "--methods", "uwb-trilat,rssi-fp"]) == 0
+    failures = _load(tmp_path / "report.json")["failures"]
+    assert list(failures) == [method]
+    assert failures[method].startswith(message)
+
+
 def test_run_with_no_surviving_method_exits_numeric(imu_free_campaign, capsys):
     assert main(["run", "--out", str(imu_free_campaign),
                  "--methods", "nn:imu", "--epochs", "1"]) == 4
@@ -544,15 +582,17 @@ def test_importing_the_package_defaults_openblas_to_one_thread(preset, expected)
 
 def test_importing_the_cli_leaves_hashlib_unloaded():
     # the import is every command's start-up; only commands that hash a
-    # dataset should pay for loading OpenSSL
+    # dataset should pay for loading OpenSSL, and only commands that write
+    # records for the writer's power-of-ten table
     env = dict(os.environ)
     src = str(Path(indoor_fusion.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, indoor_fusion.cli; print(sorted("
-         "m for m in ('hashlib', '_hashlib') if m in sys.modules))"],
+         "m for m in ('hashlib', '_hashlib', 'fractions', 'decimal') if m in sys.modules), "
+         "indoor_fusion.records._by_exponent.cache_info().currsize)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] 0"
 
 
 def test_noiseless_trilateration_is_exact_end_to_end(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indoor_fusion.errors import ConfigError, DimensionMismatch, EmptyMap, InsufficientData
+from indoor_fusion.errors import (ConfigError, DimensionMismatch, EmptyMap, InsufficientData,
+                                  NonFiniteDistance)
 from indoor_fusion.fingerprint import (
     DEFAULT_K,
     DEFAULT_RESOLUTION,
@@ -133,6 +134,30 @@ def test_locate_validates_query_and_k():
     with pytest.raises(EmptyMap):
         locate(np.zeros((1, 1)), _empty_map(1.0))
     assert locate(np.zeros((0, 4)), m).shape == (0, 2)
+
+
+def test_locate_refuses_nearest_distances_that_are_not_finite():
+    # 1e300 dBm readings: squared differences overflow, so the distances
+    # are infinite and their weights would be 0/0
+    m = build_map(_stream([[1e300, -90.0], [-90.0, 1e300]], [(0.5, 0.5), (2.5, 0.5)],
+                          ["a", "b"]), resolution=1.0)
+    with pytest.raises(NonFiniteDistance, match=r"\[inf\] from query 1 to its 1 nearest rssi"):
+        locate(np.asarray([[1e300, -90.0], [1e300, 1e300]]), m, k=1)
+    with pytest.raises(NonFiniteDistance, match=r"\[nan\] from query 0"):
+        locate(np.asarray([[math.nan, 0.0]]), m, k=1)
+
+
+def test_locate_past_an_overflowing_far_cell_keeps_its_bits():
+    # a far cell whose distance overflows, but outside the k nearest, leaves
+    # the estimate as it is without that cell
+    near = _stream([[-50.0], [-60.0], [-70.0]], [(0.5, 0.5), (2.5, 0.5), (0.5, 2.5)], ["a"])
+    far = _stream([[-50.0], [-60.0], [-70.0], [1e300]],
+                  [(0.5, 0.5), (2.5, 0.5), (0.5, 2.5), (3.5, 3.5)], ["a"])
+    queries = np.asarray([[-55.0], [-65.0]])
+    want = locate(queries, build_map(near, 1.0), k=3)
+    assert locate(queries, build_map(far, 1.0), k=3).tobytes() == want.tobytes()
+    with pytest.raises(NonFiniteDistance):
+        locate(queries, build_map(far, 1.0), k=4)
 
 
 def test_self_queries_stay_within_a_cell_radius():

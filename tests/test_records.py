@@ -20,6 +20,7 @@ from indoor_fusion.records import (
     Position2D,
     SensorOffset,
     SensorTable,
+    _format_floats,
     load_table_cache,
     normalize_angle,
     read_records,
@@ -73,6 +74,7 @@ def test_simulated_tables_roundtrip_through_the_file_bit_for_bit(
     assert round_trips(tables)
     path = tmp_path_factory.mktemp("simulated") / "dataset1.jsonl"
     back = _roundtrip(path, tables)
+    assert path.read_bytes() == _reference_bytes(tables)
     assert_same_tables(back, tables)
     again = path.with_name("again.jsonl")
     write_records(again, back)
@@ -258,6 +260,81 @@ def test_writer_merges_tables_in_line_order(tmp_path, step):
     with mock.patch("indoor_fusion.records._WRITE_ROWS", step):
         write_records(path, shuffled)
     assert path.read_bytes() == GOLDEN_BYTES
+
+
+# ---------------------------------------------------------------------------
+# The writer's float text against Python's, and the writer against one
+# ``%.16e`` per float
+
+def _reference_bytes(tables) -> bytes:
+    """The bytes of the per-float writer: one ``%`` template per line, each
+    float through Python's ``"%.16e"``."""
+    def vec(values):
+        return "[" + ",".join("%.16e" % v for v in values) + "]"
+
+    out = []
+    for sensor, t, source, anchor, values in rows_of(tables):
+        if sensor == "uwb":
+            payload = '{"anchor_id":%s,"range_m":%.16e,"power_db":%.16e}' % (
+                json.dumps(anchor), *values)
+        elif sensor == "rssi":
+            payload = '{"anchor_id":%s,"rssi_db":%.16e}' % (json.dumps(anchor), *values)
+        elif sensor == "csi":
+            half = len(values) // 2
+            payload = '{"anchor_id":%s,"magnitudes":%s,"phases":%s}' % (
+                json.dumps(anchor), vec(values[:half]), vec(values[half:]))
+        elif sensor == "imu":
+            payload = vec(values)
+        else:
+            payload = '{"x":%.16e,"y":%.16e,"phi":%.16e}' % tuple(values)
+        out.append('{"t":%.16e,"sensor":"%s","id":%s,"payload":%s}\n' % (
+            t, sensor, json.dumps(source), payload))
+    return "".join(out).encode("utf-8")
+
+
+def test_reference_writer_makes_the_pinned_bytes():
+    assert _reference_bytes(tables_of(GOLDEN)) == GOLDEN_BYTES
+
+
+def _bits_of(*values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+# Zeros, the smallest subnormal and normal, the largest double, the two
+# exact ties of a 17th digit (rounded half to even), and 1e23, which is
+# 9.9999999999999992e+22
+AWKWARD = _bits_of(0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1234567890123456.25, 1234567890123456.75, 1e23)
+
+
+def _at_powers_of_ten(test):
+    """``test`` with an example for each power of ten in float64's range and
+    its two neighbours, where the scaled digits meet 1e16 or 1e17."""
+    for exponent in range(-307, 309):
+        power = float(f"1e{exponent}")
+        test = example(_bits_of(np.nextafter(power, 0.0), power,
+                                np.nextafter(power, math.inf)))(test)
+    return test
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+@example(AWKWARD)
+@_at_powers_of_ten
+@settings(max_examples=500)
+def test_float_text_is_python_percent_e_for_every_bit_pattern(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    assert _format_floats(values).tolist() == [b"%.16e" % v for v in values.tolist()]
+
+
+@given(st.lists(records(st.text(max_size=4)), min_size=1, max_size=8))
+@settings(max_examples=200)
+def test_writer_matches_the_per_float_reference(tmp_path_factory, rows):
+    # any ids, '%' and non-ASCII ones too: they go out JSON-escaped to ASCII
+    tables = tables_of(rows)
+    path = tmp_path_factory.mktemp("reference") / "stream.jsonl"
+    write_records(path, tables)
+    assert path.read_bytes() == _reference_bytes(tables)
 
 
 def _doc(sensor, t, source, anchor, values):
@@ -545,7 +622,9 @@ def _retyped(tables, data):
     name, dtype = data.draw(st.sampled_from([
         ("t", np.float32), ("values", np.float32), ("line", np.int32),
         ("t", np.dtype(np.float64).newbyteorder())]))
-    return _change(tables, sensor, **{name: getattr(tables[sensor], name).astype(dtype)})
+    with np.errstate(over="ignore"):  # a value beyond float32's range casts to inf
+        column = getattr(tables[sensor], name).astype(dtype)
+    return _change(tables, sensor, **{name: column})
 
 
 def _wrong_anchor(tables, data):  # an anchor on imu or gt, or none on a radio
