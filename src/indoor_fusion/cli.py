@@ -18,6 +18,15 @@ the ``records`` module's source, and parses the JSONL otherwise.
 ``simulate`` leaves such a cache beside each dataset it writes, and a parse
 leaves one too.  A stale, damaged or unwritable cache only costs a parse,
 and deleting it is always safe.
+
+Importing this module loads neither numpy nor any stage module (see the
+package docstring), and a command runs only the modules it calls:
+``simulate`` runs ``errors``, ``records``, ``geometry`` and ``simulate``;
+``ingest`` adds ``ingest``; ``calibrate`` adds ``fingerprint`` to that;
+``plot`` runs ``evaluate`` with what it imports (all but ``fingerprint``);
+``run`` runs every module, on the main thread before its pool starts.
+Stage functions are looked up on their modules when called, so a function
+replaced on its defining module is the one the CLI calls.
 """
 
 from __future__ import annotations
@@ -27,69 +36,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-from .errors import (
-    ConfigError,
-    EmptyReport,
-    IndoorFusionError,
-    InsufficientData,
-    InvalidOverride,
-    MalformedLine,
-    NegativeTime,
-    SchemaViolation,
-)
-from .evaluate import (
-    ErrorReport,
-    blocks_for_method,
-    degradation,
-    emit_plot,
-    error_report,
-    fit_and_score,
-    read_cdf_csv,
-    run_generalization,
-    write_cdf_svg,
-)
-from .fingerprint import (
-    DEFAULT_K,
-    DEFAULT_RESOLUTION,
-    build_map,
-    calibrate_rssi_offset,
-    locate,
-    rssi_snapshot_fixes,
-)
-from .geometry import trilaterate_batch
-from .ingest import (
-    DEFAULT_WINDOW_S,
-    AlignedStream,
-    FrameLayout,
-    Frames,
-    IngestResult,
-    build_fusion_frames,
-    groundtruth_interpolator,
-    ingest_run,
-    label_with_groundtruth,
-    write_frames,
-)
-from .mlp import MlpConfig, SplitSpec, split_dataset
-from .records import (SensorOffset, SensorTable, load_table_cache, read_records,
-                      round_trips, save_table_cache, write_records)
-from .simulate import (
-    DEFAULT_PERTURBATION,
-    NoiseConfig,
-    Scenario,
-    SimConfig,
-    perturb_scenario,
-    build_scenario,
-    read_sidecar,
-    sim_config_to_dict,
-    simulate_run,
-    write_sidecar,
-)
+from . import errors, evaluate, fingerprint, geometry, ingest, mlp, records, simulate
+from .defaults import DEFAULT_K, DEFAULT_RESOLUTION, DEFAULT_WINDOW_S
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,12 +59,12 @@ def validate_method(name: str) -> str:
         return name
     if name.startswith("nn-fusion:"):
         try:
-            blocks_for_method(name)
+            evaluate.blocks_for_method(name)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise errors.ConfigError(str(exc)) from exc
         return name
-    raise ConfigError(f"unknown method {name!r}; valid methods: "
-                      f"{', '.join(STANDARD_METHODS)}, nn-fusion:<m1+m2+...>")
+    raise errors.ConfigError(f"unknown method {name!r}; valid methods: "
+                             f"{', '.join(STANDARD_METHODS)}, nn-fusion:<m1+m2+...>")
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +104,7 @@ def read_config_file(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             lines = list(fh)
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        raise errors.ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,14 +112,14 @@ def read_config_file(path) -> dict:
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep or not key:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise errors.ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
-                              f"(valid: {', '.join(sorted(_CONFIG_KEYS))})")
+            raise errors.ConfigError(f"{path}:{lineno}: unknown key {key!r} "
+                                     f"(valid: {', '.join(sorted(_CONFIG_KEYS))})")
         try:
             values[key] = _CONFIG_KEYS[key](value.strip())
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            raise errors.ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -190,20 +141,22 @@ class RunConfig:
 
     def __post_init__(self):
         if not self.methods:
-            raise ConfigError("method set must be non-empty")
+            raise errors.ConfigError("method set must be non-empty")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise errors.ConfigError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.duration) or self.duration <= 0:
-            raise ConfigError(f"duration must be a positive duration in seconds, "
-                              f"got {self.duration}")
+            raise errors.ConfigError(f"duration must be a positive duration in seconds, "
+                                     f"got {self.duration}")
         if not math.isfinite(self.window) or self.window <= 0:
-            raise ConfigError(f"window must be a positive number of seconds, got {self.window}")
+            raise errors.ConfigError(f"window must be a positive number of seconds, "
+                                     f"got {self.window}")
         if not math.isfinite(self.grid) or self.grid <= 0:
-            raise ConfigError(f"grid must be a positive cell size in meters, got {self.grid}")
+            raise errors.ConfigError(f"grid must be a positive cell size in meters, "
+                                     f"got {self.grid}")
         if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+            raise errors.ConfigError(f"k must be >= 1, got {self.k}")
         if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+            raise errors.ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
     def as_dict(self) -> dict:
         return {
@@ -244,10 +197,10 @@ def _max_workers(n_methods: int) -> int:
         try:
             cap = int(env)
         except ValueError as exc:
-            raise ConfigError(f"INDOOR_FUSION_THREADS must be an integer, "
-                              f"got {env!r}") from exc
+            raise errors.ConfigError(f"INDOOR_FUSION_THREADS must be an integer, "
+                                     f"got {env!r}") from exc
         if cap < 1:
-            raise ConfigError(f"INDOOR_FUSION_THREADS must be >= 1, got {cap}")
+            raise errors.ConfigError(f"INDOOR_FUSION_THREADS must be >= 1, got {cap}")
         workers = min(workers, cap)
     return max(workers, 1)
 
@@ -256,20 +209,20 @@ def _max_workers(n_methods: int) -> int:
 # simulate / ingest / calibrate
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    scenario = build_scenario(cfg.seed)
-    noise = NoiseConfig.zero() if cfg.noiseless else NoiseConfig()
-    sim_config = SimConfig(duration=cfg.duration, noise=noise)
+    scenario = simulate.build_scenario(cfg.seed)
+    noise = simulate.NoiseConfig.zero() if cfg.noiseless else simulate.NoiseConfig()
+    sim_config = simulate.SimConfig(duration=cfg.duration, noise=noise)
     shortest = 2.0 / sim_config.rates["gt"]  # the trajectory needs two poses
     if cfg.duration < shortest:
-        raise ConfigError(f"duration must be >= {shortest:g} s, two ground-truth periods, "
-                          f"got {cfg.duration:g}")
+        raise errors.ConfigError(f"duration must be >= {shortest:g} s, two ground-truth periods, "
+                                 f"got {cfg.duration:g}")
     # second campaign: perturbed layout, fresh measurement noise
-    scenario2 = replace(perturb_scenario(scenario, DEFAULT_PERTURBATION, cfg.seed + 1),
-                        seed=cfg.seed + 1)
+    scenario2 = replace(simulate.perturb_scenario(scenario, simulate.DEFAULT_PERTURBATION,
+                                                  cfg.seed + 1), seed=cfg.seed + 1)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    n1 = _write_tables(cfg.out / "dataset1.jsonl", simulate_run(scenario, sim_config))
-    n2 = _write_tables(cfg.out / "dataset2.jsonl", simulate_run(scenario2, sim_config))
-    write_sidecar(cfg.out / "scenario.json", scenario, sim_config, scenario2)
+    n1 = _write_tables(cfg.out / "dataset1.jsonl", simulate.simulate_run(scenario, sim_config))
+    n2 = _write_tables(cfg.out / "dataset2.jsonl", simulate.simulate_run(scenario2, sim_config))
+    simulate.write_sidecar(cfg.out / "scenario.json", scenario, sim_config, scenario2)
     print(f"wrote {n1} records to dataset1.jsonl, {n2} to dataset2.jsonl "
           f"(seed {cfg.seed}, {cfg.duration:g} s) in {cfg.out}")
     return EXIT_OK
@@ -286,17 +239,17 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_tables(path: Path, tables: dict[str, SensorTable]) -> int:
+def _write_tables(path: Path, tables: dict[str, records.SensorTable]) -> int:
     """``write_records(path, tables)``, leaving the tables cached beside the
     file when ``read_records`` would give back exactly them, so that
     ``_read_tables`` parses nothing."""
-    n = write_records(path, tables)
-    if round_trips(tables):
-        save_table_cache(path.with_suffix(".tables.npz"), _sha256(path), tables)
+    n = records.write_records(path, tables)
+    if records.round_trips(tables):
+        records.save_table_cache(path.with_suffix(".tables.npz"), _sha256(path), tables)
     return n
 
 
-def _read_tables(path: Path) -> dict[str, SensorTable]:
+def _read_tables(path: Path) -> dict[str, records.SensorTable]:
     """``read_records(path)``, served from ``<dataset>.tables.npz`` beside it when
     that cache holds the tables of this very content.
 
@@ -308,34 +261,35 @@ def _read_tables(path: Path) -> dict[str, SensorTable]:
     """
     cache = path.with_suffix(".tables.npz")
     before = _sha256(path)
-    tables = load_table_cache(cache, before)
+    tables = records.load_table_cache(cache, before)
     if tables is None:
-        tables = read_records(path)
+        tables = records.read_records(path)
         if _sha256(path) == before:
-            save_table_cache(cache, before, tables)
+            records.save_table_cache(cache, before, tables)
     return tables
 
 
-def _load_campaign(cfg: RunConfig, sidecar: tuple[Scenario, SimConfig, Scenario | None],
-                   which: int) -> tuple[Scenario, IngestResult]:
+def _load_campaign(cfg: RunConfig,
+                   sidecar: tuple[simulate.Scenario, simulate.SimConfig, simulate.Scenario | None],
+                   which: int) -> tuple[simulate.Scenario, ingest.IngestResult]:
     """Read and ingest one campaign; ``sidecar`` is what read_sidecar returns."""
     scenario1, sim_config, scenario2 = sidecar
     if which == 1:
         scenario = scenario1
     else:
         if scenario2 is None:
-            raise ConfigError("scenario.json records no second campaign; "
-                              "re-run simulate")
+            raise errors.ConfigError("scenario.json records no second campaign; "
+                                     "re-run simulate")
         scenario = scenario2
     tables = _read_tables(cfg.out / f"dataset{which}.jsonl")
-    result = ingest_run(tables, scenario.sensor_offsets, sim_config.rates,
-                        sim_config.duration, window=cfg.window)
+    result = ingest.ingest_run(tables, scenario.sensor_offsets, sim_config.rates,
+                               sim_config.duration, window=cfg.window)
     return scenario, result
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    _, result = _load_campaign(cfg, read_sidecar(cfg.out / "scenario.json"), 1)
-    n = write_frames(cfg.out / "frames1.jsonl", result.frames)
+    _, result = _load_campaign(cfg, simulate.read_sidecar(cfg.out / "scenario.json"), 1)
+    n = ingest.write_frames(cfg.out / "frames1.jsonl", result.frames)
     summary = {
         "frames": n,
         "dropped_records": result.dropped,
@@ -356,11 +310,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
-    scenario, result = _load_campaign(cfg, read_sidecar(cfg.out / "scenario.json"), 1)
+    scenario, result = _load_campaign(cfg, simulate.read_sidecar(cfg.out / "scenario.json"), 1)
     stream = result.streams.get("rssi")
     if stream is None:
-        raise InsufficientData("dataset carries no rssi records to calibrate on")
-    cal = calibrate_rssi_offset(stream, list(scenario.wifi_anchors))
+        raise errors.InsufficientData("dataset carries no rssi records to calibrate on")
+    cal = fingerprint.calibrate_rssi_offset(stream, list(scenario.wifi_anchors))
     doc = {"beta_db": cal.beta, "median_error_m": cal.error_m,
            "sweep": [[b, e] for b, e in cal.sweep_errors]}
     with open(cfg.out / "calibration.json", "w", encoding="utf-8") as fh:
@@ -378,53 +332,58 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 class _Campaign:
     """What the methods read of one campaign; no sensor table is kept."""
 
-    scenario: Scenario
-    streams: dict[str, AlignedStream]
-    frames: Frames
-    phase: Frames | None = None  # CSI phase frames, for nn:csi-phase
+    scenario: simulate.Scenario
+    streams: dict[str, ingest.AlignedStream]
+    frames: ingest.Frames
+    phase: ingest.Frames | None = None  # CSI phase frames, for nn:csi-phase
 
 
-def _prepare_campaign(cfg: RunConfig, sidecar: tuple[Scenario, SimConfig, Scenario | None],
+def _prepare_campaign(cfg: RunConfig,
+                      sidecar: tuple[simulate.Scenario, simulate.SimConfig,
+                                     simulate.Scenario | None],
                       which: int, need_phase: bool) -> _Campaign:
     scenario, result = _load_campaign(cfg, sidecar, which)
     phase = None
     if need_phase and "csi" in result.tables:
-        stream = label_with_groundtruth(
-            result.tables["csi"], groundtruth_interpolator(result.tables["gt"]),
-            scenario.sensor_offsets.get("csi", SensorOffset()), csi_features="phase")
-        phase = build_fusion_frames([stream], window=cfg.window)
+        stream = ingest.label_with_groundtruth(
+            result.tables["csi"], ingest.groundtruth_interpolator(result.tables["gt"]),
+            scenario.sensor_offsets.get("csi", records.SensorOffset()), csi_features="phase")
+        phase = ingest.build_fusion_frames([stream], window=cfg.window)
     # the corrected tables are freed with ``result`` once the phase relabel is done
     return _Campaign(scenario, result.streams, result.frames, phase)
 
 
-def _stream_or_raise(camp: _Campaign, modality: str) -> AlignedStream:
+def _stream_or_raise(camp: _Campaign, modality: str) -> ingest.AlignedStream:
     stream = camp.streams.get(modality)
     if stream is None or not len(stream):
-        raise InsufficientData(f"dataset carries no {modality} records")
+        raise errors.InsufficientData(f"dataset carries no {modality} records")
     return stream
 
 
-def _solver_counts(est: np.ndarray, fallback: np.ndarray, scenario: Scenario) -> dict:
+def _solver_counts(est: np.ndarray, fallback: np.ndarray,
+                   scenario: simulate.Scenario) -> dict:
     """Fixes answered with the anchor centroid, and fixes outside the room."""
     inside = scenario.bounds.contains(est[:, 0], est[:, 1])
     return {"fallbacks": int(fallback.sum()), "outside_room": int((~inside).sum())}
 
 
-def _uwb_trilat_report(camp: _Campaign) -> tuple[ErrorReport, dict]:
+def _uwb_trilat_report(camp: _Campaign) -> tuple[evaluate.ErrorReport, dict]:
+    import numpy as np
+
     stream = _stream_or_raise(camp, "uwb")
     anchors = {a.id: a.position for a in camp.scenario.uwb_anchors}
     missing = [c for c in stream.columns if c not in anchors]
     if missing:
-        raise InsufficientData(f"no anchor positions for {missing}")
-    geometry = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
+        raise errors.InsufficientData(f"no anchor positions for {missing}")
+    anchor_xy = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
     usable = stream.features >= 0.0
     kept = usable.any(axis=1)
     if not kept.any():
-        raise EmptyReport(f"none of the {len(stream)} uwb ticks has a usable (>= 0) range")
+        raise errors.EmptyReport(f"none of the {len(stream)} uwb ticks has a usable (>= 0) range")
     used, usable = stream.take(kept), usable[kept]
-    est, fallback = trilaterate_batch(np.broadcast_to(geometry, (len(used), *geometry.shape)),
-                                      used.features, usable)
-    return error_report(est, used.labels), {
+    est, fallback = geometry.trilaterate_batch(
+        np.broadcast_to(anchor_xy, (len(used), *anchor_xy.shape)), used.features, usable)
+    return evaluate.error_report(est, used.labels), {
         "ticks_used": len(used),
         # dropout below three anchors falls back to a degenerate estimate,
         # which is what gives the CDF its two-regime shape
@@ -433,24 +392,27 @@ def _uwb_trilat_report(camp: _Campaign) -> tuple[ErrorReport, dict]:
         **_solver_counts(est, fallback, camp.scenario)}
 
 
-def _rssi_trilat_report(camp: _Campaign, beta: float) -> tuple[ErrorReport, dict]:
+def _rssi_trilat_report(camp: _Campaign, beta: float) -> tuple[evaluate.ErrorReport, dict]:
     stream = _stream_or_raise(camp, "rssi")
     positions = {a.id: a.position for a in camp.scenario.wifi_anchors}
-    est, fallback = rssi_snapshot_fixes(stream, positions, beta)
-    return error_report(est, stream.labels), _solver_counts(est, fallback, camp.scenario)
+    est, fallback = fingerprint.rssi_snapshot_fixes(stream, positions, beta)
+    return evaluate.error_report(est, stream.labels), _solver_counts(est, fallback, camp.scenario)
 
 
-def _fp_errors(stream: AlignedStream, radio_map, k: int) -> ErrorReport:
-    return error_report(locate(stream.features, radio_map, k), stream.labels)
+def _fp_errors(stream: ingest.AlignedStream, radio_map, k: int) -> evaluate.ErrorReport:
+    return evaluate.error_report(fingerprint.locate(stream.features, radio_map, k),
+                                 stream.labels)
 
 
 def _fp_report(camp: _Campaign, camp2: _Campaign | None, modality: str,
-               cfg: RunConfig) -> tuple[ErrorReport, dict, dict | None]:
+               cfg: RunConfig) -> tuple[evaluate.ErrorReport, dict, dict | None]:
+    import numpy as np
+
     stream = _stream_or_raise(camp, modality)
-    train_rows, test_rows = split_dataset(np.arange(len(stream)),
-                                          SplitSpec(shuffle_seed=cfg.seed))
+    train_rows, test_rows = mlp.split_dataset(np.arange(len(stream)),
+                                              mlp.SplitSpec(shuffle_seed=cfg.seed))
     # sorted rows keep tick order: the map sums each cell's rows in time order
-    radio_map = build_map(stream.take(np.sort(train_rows)), cfg.grid)
+    radio_map = fingerprint.build_map(stream.take(np.sort(train_rows)), cfg.grid)
     report = _fp_errors(stream.take(np.sort(test_rows)), radio_map, cfg.k)
     extras = {"cells": len(radio_map), "train_samples": len(train_rows),
               "test_samples": len(test_rows)}
@@ -461,36 +423,38 @@ def _fp_report(camp: _Campaign, camp2: _Campaign | None, modality: str,
     return report, extras, gen
 
 
-def _nn_input(camp: _Campaign, method: str) -> tuple[Frames, FrameLayout]:
+def _nn_input(camp: _Campaign, method: str) -> tuple[ingest.Frames, ingest.FrameLayout]:
     """The frames a neural method reads, and the layout of its blocks."""
     if method == "nn:csi-phase":
         if camp.phase is None:
-            raise InsufficientData("phase-featurized frames were not prepared")
+            raise errors.InsufficientData("phase-featurized frames were not prepared")
         return camp.phase, camp.phase.layout
-    wanted = blocks_for_method(method)
+    wanted = evaluate.blocks_for_method(method)
     if method == "nn-fusion":
         wanted = [m for m in wanted if m in camp.frames.layout.modalities()]
     return camp.frames, camp.frames.layout.select(wanted)
 
 
 def _nn_report(camp: _Campaign, camp2: _Campaign | None, method: str,
-               cfg: RunConfig) -> tuple[ErrorReport, dict, dict | None]:
+               cfg: RunConfig) -> tuple[evaluate.ErrorReport, dict, dict | None]:
+    import numpy as np
+
     # rows are split, then each input is gathered once from the shared frames
     frames, layout = _nn_input(camp, method)
-    train_rows, test_rows = split_dataset(np.arange(len(frames)),
-                                          SplitSpec(shuffle_seed=cfg.seed))
-    model_config = MlpConfig.for_input(layout.feature_width + layout.mask_width,
-                                       epochs=cfg.epochs, seed=cfg.seed)
+    train_rows, test_rows = mlp.split_dataset(np.arange(len(frames)),
+                                              mlp.SplitSpec(shuffle_seed=cfg.seed))
+    model_config = mlp.MlpConfig.for_input(layout.feature_width + layout.mask_width,
+                                           epochs=cfg.epochs, seed=cfg.seed)
     if camp2 is not None:
         frames2, layout2 = _nn_input(camp2, method)
-        result = run_generalization(frames, train_rows, test_rows, frames2,
-                                    model_config, layout, layout2)
+        result = evaluate.run_generalization(frames, train_rows, test_rows, frames2,
+                                             model_config, layout, layout2)
         report = result.self_report
         history = result.history
         gen = _generalization_entry(result.self_report, result.transfer_report)
     else:
-        _, report, history = fit_and_score(frames, train_rows, test_rows,
-                                           model_config, layout)
+        _, report, history = evaluate.fit_and_score(frames, train_rows, test_rows,
+                                                    model_config, layout)
         gen = None
     extras = {"epochs_run": len(history), "train_frames": len(train_rows),
               "test_frames": len(test_rows),
@@ -502,7 +466,7 @@ def _nn_report(camp: _Campaign, camp2: _Campaign | None, method: str,
     return report, extras, gen
 
 
-def _summary(report: ErrorReport) -> dict:
+def _summary(report: evaluate.ErrorReport) -> dict:
     return {
         "count": report.count,
         "mean_m": report.mean,
@@ -514,17 +478,17 @@ def _summary(report: ErrorReport) -> dict:
     }
 
 
-def _generalization_entry(self_report: ErrorReport,
-                          transfer_report: ErrorReport) -> dict:
+def _generalization_entry(self_report: evaluate.ErrorReport,
+                          transfer_report: evaluate.ErrorReport) -> dict:
     return {
         "self": _summary(self_report),
         "transfer": _summary(transfer_report),
-        "degradation": degradation(self_report, transfer_report),
+        "degradation": evaluate.degradation(self_report, transfer_report),
     }
 
 
 def _run_method(method: str, camp1: _Campaign, camp2: _Campaign | None,
-                cfg: RunConfig) -> tuple[ErrorReport, dict, dict | None]:
+                cfg: RunConfig) -> tuple[evaluate.ErrorReport, dict, dict | None]:
     if method == "uwb-trilat":
         report, extras = _uwb_trilat_report(camp1)
         gen = None
@@ -533,8 +497,8 @@ def _run_method(method: str, camp1: _Campaign, camp2: _Campaign | None,
             gen = _generalization_entry(report, transfer)
         return report, extras, gen
     if method == "rssi-trilat":
-        cal = calibrate_rssi_offset(_stream_or_raise(camp1, "rssi"),
-                                    list(camp1.scenario.wifi_anchors))
+        cal = fingerprint.calibrate_rssi_offset(_stream_or_raise(camp1, "rssi"),
+                                                list(camp1.scenario.wifi_anchors))
         report, counts = _rssi_trilat_report(camp1, cal.beta)
         extras = {"beta_db": cal.beta, "calibration_median_m": cal.error_m, **counts}
         gen = None
@@ -548,9 +512,11 @@ def _run_method(method: str, camp1: _Campaign, camp2: _Campaign | None,
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     methods = sorted(set(cfg.methods))
     need_phase = "nn:csi-phase" in methods
-    sidecar = read_sidecar(cfg.out / "scenario.json")
+    sidecar = simulate.read_sidecar(cfg.out / "scenario.json")
     camp1 = _prepare_campaign(cfg, sidecar, 1, need_phase)
     camp2 = _prepare_campaign(cfg, sidecar, 2, need_phase) if cfg.transfer else None
 
@@ -563,6 +529,10 @@ def cmd_run(cfg: RunConfig) -> int:
         except Exception as exc:  # recorded, not fatal to other methods
             failures[name] = f"{type(exc).__name__}: {exc}"
 
+    # LazyLoader's first access is not thread-safe on CPython 3.11: run every
+    # module the methods call into here, before the pool starts
+    for module in (evaluate, fingerprint, geometry, mlp):
+        vars(module)
     with ThreadPoolExecutor(max_workers=_max_workers(len(methods))) as pool:
         list(pool.map(worker, methods))
 
@@ -570,7 +540,7 @@ def cmd_run(cfg: RunConfig) -> int:
                      if name in outcomes]
     report_doc = {
         "config": {**cfg.as_dict(), "methods": methods},
-        "sim_config": sim_config_to_dict(sidecar[1]),
+        "sim_config": simulate.sim_config_to_dict(sidecar[1]),
         "methods": {},
         "failures": dict(sorted(failures.items())),
     }
@@ -589,7 +559,7 @@ def cmd_run(cfg: RunConfig) -> int:
         json.dump(report_doc, fh, indent=1, sort_keys=False)
         fh.write("\n")
     if named_reports:
-        emit_plot(named_reports, cfg.out / "cdf", log_x=cfg.log_x)
+        evaluate.emit_plot(named_reports, cfg.out / "cdf", log_x=cfg.log_x)
 
     for name in methods:
         if name in outcomes:
@@ -602,13 +572,13 @@ def cmd_run(cfg: RunConfig) -> int:
         else:
             print(f"{name:18s} FAILED: {failures[name]}")
     if not outcomes:
-        raise IndoorFusionError(f"all {len(methods)} methods failed: {failures}")
+        raise errors.IndoorFusionError(f"all {len(methods)} methods failed: {failures}")
     return EXIT_OK
 
 
 def cmd_plot(cfg: RunConfig) -> int:
-    series = read_cdf_csv(cfg.out / "cdf.csv")
-    write_cdf_svg(series, cfg.out / "cdf.svg", log_x=cfg.log_x)
+    series = evaluate.read_cdf_csv(cfg.out / "cdf.csv")
+    evaluate.write_cdf_svg(series, cfg.out / "cdf.svg", log_x=cfg.log_x)
     print(f"rendered {cfg.out / 'cdf.svg'} ({len(series)} series)")
     return EXIT_OK
 
@@ -669,19 +639,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _linalg_error() -> tuple[type, ...]:
+    """numpy's LinAlgError once numpy is loaded; before that none can be raised."""
+    linalg = sys.modules.get("numpy.linalg")
+    return () if linalg is None else (linalg.LinAlgError,)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         return args.handler(cfg)
-    except (ConfigError, InvalidOverride) as exc:
+    except (errors.ConfigError, errors.InvalidOverride) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MalformedLine, SchemaViolation, NegativeTime,
+    except (errors.MalformedLine, errors.SchemaViolation, errors.NegativeTime,
             json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (IndoorFusionError, np.linalg.LinAlgError, FloatingPointError,
+    except (errors.IndoorFusionError, *_linalg_error(), FloatingPointError,
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

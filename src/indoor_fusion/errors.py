@@ -63,7 +63,8 @@ class TooFewFrames(IndoorFusionError):
 
 
 class Divergence(IndoorFusionError):
-    """Training produced a non-finite loss; carries the history so far."""
+    """Training produced a non-finite loss, or inputs that cannot be
+    standardized; carries the history so far."""
 
     def __init__(self, message: str, history=None):
         super().__init__(message)

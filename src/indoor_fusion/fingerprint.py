@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .defaults import DEFAULT_K, DEFAULT_RESOLUTION
 from .errors import (ConfigError, DimensionMismatch, EmptyMap, InsufficientData,
                      NonFiniteDistance)
 from .geometry import rssi_to_distance, trilaterate_batch
@@ -29,8 +30,6 @@ from .records import Anchor
 if TYPE_CHECKING:  # the anchors' positions are passed in, none is built here
     from .records import Position2D
 
-DEFAULT_RESOLUTION = 0.25
-DEFAULT_K = 3
 MIN_CALIBRATION_SNAPSHOTS = 50
 SWEEP_BLOCK = 8  # beta values per batched solve: bounds the sweep's temporaries
 
@@ -89,9 +88,10 @@ def locate(queries: np.ndarray, radio_map: RadioMap, k: int = DEFAULT_K) -> np.n
     centers.  Nearness is Euclidean distance in feature space with weight
     1/(1e-9 + distance), so an exact fingerprint match dominates; k=1
     degenerates to the nearest cell center.  Ties break by cell index.  A
-    query whose k nearest distances are not all finite, say fingerprints
-    near float64's limit whose squared differences overflow, raises
-    NonFiniteDistance.
+    query with any distance that is not finite, say to fingerprints near
+    float64's limit whose squared differences overflow, raises
+    NonFiniteDistance: such a distance would only rank last, and the query
+    would be answered from the cells that happen to stay finite.
     """
     if len(radio_map) == 0:
         raise EmptyMap("radio map holds no cells")
@@ -109,12 +109,13 @@ def locate(queries: np.ndarray, radio_map: RadioMap, k: int = DEFAULT_K) -> np.n
     for i, query in enumerate(queries):
         with np.errstate(over="ignore", invalid="ignore"):  # caught below
             dists = np.linalg.norm(radio_map.means - query, axis=1)
+        bad = np.count_nonzero(~np.isfinite(dists))
+        if bad:
+            raise NonFiniteDistance(
+                f"feature distances from query {i} to {bad} of the {len(dists)} "
+                f"{radio_map.modality} cells are not finite")
         order = np.argsort(dists, kind="stable")[:k]
         nearest = dists[order]
-        if not np.isfinite(nearest).all():
-            raise NonFiniteDistance(
-                f"feature distances {nearest.tolist()} from query {i} to its {k} nearest "
-                f"{radio_map.modality} cells are not all finite")
         weights = 1.0 / (1e-9 + nearest)
         weights /= weights.sum()
         positions[i] = weights @ centers[order]

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .defaults import DEFAULT_WINDOW_S
 from .errors import (
     DimensionMismatch,
     EmptyGroundTruth,
@@ -54,7 +55,6 @@ from .records import ClockModel, Pose, Position2D, SensorOffset, SensorTable
 from .simulate import TrajectoryInterpolator
 
 MIN_OVERLAP_S = 10.0
-DEFAULT_WINDOW_S = 0.15
 RSSI_FLOOR_DB = -100.0
 UWB_MISSING_RANGE = -1.0
 MODALITY_ORDER = ("csi", "rssi", "uwb", "imu")

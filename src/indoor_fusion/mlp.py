@@ -103,10 +103,20 @@ class Mlp:
         return self.config.layer_sizes[0]
 
     def set_normalization(self, x: np.ndarray) -> None:
-        """Freeze per-feature standardization from (training) data."""
+        """Freeze per-feature standardization from (training) data.
+
+        Raises Divergence where a feature's spread overflows float64 (an
+        overflowing mean makes it non-finite too).
+        """
         x = np.atleast_2d(x)
-        self.x_mean = x.mean(axis=0)
-        self.x_std = np.maximum(x.std(axis=0), 1e-8)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below
+            mean, std = x.mean(axis=0), x.std(axis=0)
+        bad = np.count_nonzero(~np.isfinite(std))
+        if bad:
+            raise Divergence(f"the spread of {bad} of {x.shape[1]} input features "
+                             f"overflows float64")
+        self.x_mean = mean
+        self.x_std = np.maximum(std, 1e-8)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

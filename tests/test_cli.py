@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import indoor_fusion
-from indoor_fusion import cli, records
+from indoor_fusion import cli, records, simulate
 from indoor_fusion.cli import (
     DEFAULT_METHODS,
     RunConfig,
@@ -305,7 +307,7 @@ def test_run_reads_the_sidecar_once(cli_campaign, tmp_path, monkeypatch):
         calls.append(path)
         return read_sidecar(path)
 
-    monkeypatch.setattr(cli, "read_sidecar", counting)
+    monkeypatch.setattr(simulate, "read_sidecar", counting)
     assert main(["run", "--out", str(tmp_path), "--methods", "uwb-trilat",
                  "--transfer"]) == 0
     assert calls == [tmp_path / "scenario.json"]
@@ -437,8 +439,10 @@ PAYLOAD_FAULTS = {
         "uwb", _rename_u0, "uwb-trilat", "InsufficientData: no anchor positions for ['zz9']"),
     "every rssi reading near 1e300 dBm": (  # one apart from the other: no distance is 0
         "rssi", lambda payload, line: payload.update(rssi_db=1e300 * (1.0 + line / 1e4)),
-        "rssi-fp", "NonFiniteDistance: feature distances [inf, inf, inf] from query 0 to its 3 "
-        "nearest rssi cells"),
+        "rssi-fp", "NonFiniteDistance: feature distances from query 0 to "),
+    "every rssi reading at 1e300 dBm": (  # each query's own cells stay at a finite distance
+        "rssi", lambda payload, line: payload.update(rssi_db=1e300),
+        "rssi-fp", "NonFiniteDistance: feature distances from query 0 to "),
     "every uwb range negative": (
         "uwb", lambda payload, line: payload.update(range_m=-1.0), "uwb-trilat",
         "EmptyReport: none of the 402 uwb ticks has a usable (>= 0) range"),
@@ -461,6 +465,93 @@ def test_a_faulty_sensor_fails_its_method_with_a_typed_error(cli_campaign, tmp_p
     failures = _load(tmp_path / "report.json")["failures"]
     assert list(failures) == [method]
     assert failures[method].startswith(message)
+
+
+# ---------------------------------------------------------------------------
+# ROADMAP item 3's fault matrix: the dataset faults of its probe table whose
+# outcome is known, each written into campaign 1 of one 30 s campaign
+
+@pytest.fixture(scope="module")
+def fault_campaign(tmp_path_factory):
+    """A 30 s seed-42 campaign: its scenario.json and the lines of dataset1.jsonl."""
+    out = tmp_path_factory.mktemp("fault_campaign")
+    assert main(["simulate", "--seed", "42", "--duration", "30", "--out", str(out)]) == 0
+    with open(out / "dataset1.jsonl", "r", encoding="utf-8") as fh:
+        return out / "scenario.json", fh.readlines()
+
+
+def _each(sensor, change):
+    """A fault that calls ``change(doc, i)`` on the i-th record of ``sensor``."""
+    def fault(docs):
+        for i, doc in enumerate(d for d in docs if d["sensor"] == sensor):
+            change(doc, i)
+        return docs
+    return fault
+
+
+def _without(sensor, keep=lambda i: False):
+    """A fault that drops each i-th record of ``sensor`` for which ``keep(i)`` is false."""
+    def fault(docs):
+        count = itertools.count()
+        return [d for d in docs if d["sensor"] != sensor or keep(next(count))]
+    return fault
+
+
+def _swap_two_imu_stamps(docs):
+    a, b = [d for d in docs if d["sensor"] == "imu"][10:12]
+    a["t"], b["t"] = b["t"], a["t"]
+    return docs
+
+
+FAULT_MATRIX = {
+    "1 us of jitter on every uwb stamp": _each(
+        "uwb", lambda doc, i: doc.update(t=doc["t"] + 1e-6 * (-1) ** i)),
+    "3 duplicated lines": lambda docs: [
+        d for i, d in enumerate(docs) for _ in range(2 if i in (100, 2000, 5000) else 1)],
+    "every 7th imu line dropped": _without("imu", lambda i: i % 7 != 6),
+    "two imu stamps swapped": _swap_two_imu_stamps,
+    "imu clock +0.5 s": _each("imu", lambda doc, i: doc.update(t=doc["t"] + 0.5)),
+    "no uwb records": _without("uwb"),
+    "no imu records": _without("imu"),
+    "no csi records": _without("csi"),
+    "no gt records": _without("gt"),
+    "a uwb anchor that scenario.json lacks": _each(
+        "uwb", lambda doc, i: _rename_u0(doc["payload"], i)),
+    "every rssi reading at 1e300 dBm": _each(
+        "rssi", lambda doc, i: doc["payload"].update(rssi_db=1e300)),
+    "every uwb range negated": _each(
+        "uwb", lambda doc, i: doc["payload"].update(range_m=-doc["payload"]["range_m"])),
+}
+
+
+def _error_names(cls=IndoorFusionError):
+    return {cls.__name__}.union(*(_error_names(c) for c in cls.__subclasses__()))
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [n for item in doc for n in _numbers(item)]
+    return [doc] if isinstance(doc, (int, float)) else []
+
+
+@pytest.mark.parametrize("fault", list(FAULT_MATRIX))
+def test_a_damaged_dataset_ends_in_a_result_or_a_typed_error(fault_campaign, tmp_path, fault):
+    scenario, lines = fault_campaign
+    shutil.copy(scenario, tmp_path / "scenario.json")
+    docs = FAULT_MATRIX[fault]([json.loads(line) for line in lines])
+    (tmp_path / "dataset1.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs),
+                                             encoding="utf-8")
+    code = main(["run", "--out", str(tmp_path), "--epochs", "1",
+                 "--methods", "uwb-trilat,rssi-trilat,rssi-fp,csi-fp,nn-fusion"])
+    assert code in (0, 2, 3, 4)
+    if (tmp_path / "report.json").exists():
+        report = _load(tmp_path / "report.json")
+        for failure in report["failures"].values():
+            assert failure.split(":", 1)[0] in _error_names()
+        if code == 0:
+            assert all(math.isfinite(n) for n in _numbers(report))
 
 
 def test_run_with_no_surviving_method_exits_numeric(imu_free_campaign, capsys):
@@ -580,19 +671,82 @@ def test_importing_the_package_defaults_openblas_to_one_thread(preset, expected)
     assert proc.stdout.strip() == expected
 
 
-def test_importing_the_cli_leaves_hashlib_unloaded():
-    # the import is every command's start-up; only commands that hash a
-    # dataset should pay for loading OpenSSL, and only commands that write
-    # records for the writer's power-of-ten table
+# Prints which package modules have run (an unexecuted stage module is still
+# LazyLoader's stand-in, not a plain module) and which costly modules loaded.
+_LOADED = """
+import sys, types
+ran = sorted(n for n, m in sys.modules.items()
+             if n.startswith("indoor_fusion.") and type(m) is types.ModuleType)
+costly = ("numpy", "hashlib", "_hashlib", "fractions", "decimal", "concurrent.futures")
+print(ran, [m for m in costly if m in sys.modules])
+"""
+_STAGES = ["errors", "evaluate", "fingerprint", "geometry", "ingest", "mlp", "records",
+           "simulate"]
+
+
+def _fresh_process(code: str) -> str:
+    """What ``code`` prints, run in a fresh interpreter on this package."""
     env = dict(os.environ)
     src = str(Path(indoor_fusion.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, indoor_fusion.cli; print(sorted("
-         "m for m in ('hashlib', '_hashlib', 'fractions', 'decimal') if m in sys.modules), "
-         "indoor_fusion.records._by_exponent.cache_info().currsize)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[] 0"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout.strip()
+
+
+def _modules(*names: str) -> str:
+    return repr(sorted(f"indoor_fusion.{n}" for n in names))
+
+
+@pytest.mark.parametrize("module, ran", [("indoor_fusion", ()),
+                                         ("indoor_fusion.cli", ("cli", "defaults"))],
+                         ids=["package", "cli"])
+def test_importing_loads_no_stage_module(module, ran):
+    # the import is every command's start-up: numpy, OpenSSL and the
+    # writer's number modules load only in the commands that use them, and
+    # each stage module waits, registered, until a command calls into it
+    out = _fresh_process(f"import sys, {module}\n{_LOADED}\n"
+                         "print(sorted(n for n in sys.modules if n.startswith('indoor_fusion.')))\n"
+                         "print(indoor_fusion.records._by_exponent.cache_info().currsize)")
+    assert out.splitlines() == [f"{_modules(*ran)} []", _modules(*_STAGES, *ran), "0"]
+
+
+def test_each_command_runs_only_the_modules_it_calls(tmp_path):
+    def command(*argv):
+        return _fresh_process(f"from indoor_fusion.cli import main\n"
+                              f"assert main({[*argv, '--out', str(tmp_path)]!r}) == 0\n"
+                              f"{_LOADED}").splitlines()[-1]
+
+    simulated = ("cli", "defaults", "errors", "geometry", "records", "simulate")
+    assert command("simulate", "--duration", "12") == (
+        f"{_modules(*simulated)} ['numpy', 'hashlib', '_hashlib']")
+    assert command("ingest") == (
+        f"{_modules(*simulated, 'ingest')} ['numpy', 'hashlib', '_hashlib']")
+
+
+def test_run_executes_every_stage_module_before_its_pool_starts(cli_campaign, tmp_path):
+    # LazyLoader's first access is not thread-safe on CPython 3.11, so no
+    # stage module may run for the first time on a pool thread
+    _campaign_copy(cli_campaign, tmp_path)
+    out = _fresh_process(
+        "import concurrent.futures, sys, types\n"
+        "from indoor_fusion.cli import main\n"
+        "start = concurrent.futures.ThreadPoolExecutor.__init__\n"
+        "def checked(self, *args, **kwargs):\n"
+        "    print(sorted(n for n, m in sys.modules.items() if n.startswith('indoor_fusion.')\n"
+        "                 and type(m) is not types.ModuleType))\n"
+        "    start(self, *args, **kwargs)\n"
+        "concurrent.futures.ThreadPoolExecutor.__init__ = checked\n"
+        f"assert main(['run', '--out', {str(tmp_path)!r}, '--methods', 'uwb-trilat']) == 0\n")
+    assert out.splitlines()[0] == "[]"
+
+
+def test_a_linalg_error_inside_a_command_exits_numeric(tmp_path, monkeypatch, capsys):
+    def singular(seed):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(simulate, "build_scenario", singular)
+    assert main(["simulate", "--out", str(tmp_path)]) == 4
+    assert "error: Singular matrix" in capsys.readouterr().err
 
 
 def test_noiseless_trilateration_is_exact_end_to_end(tmp_path):
@@ -626,7 +780,7 @@ def parses(monkeypatch):
         calls.append(Path(path).name)
         return read_records(path, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "read_records", counting)
+    monkeypatch.setattr(records, "read_records", counting)
     return calls
 
 
@@ -766,7 +920,7 @@ def test_cached_tables_match_the_parse_bit_for_bit(cli_campaign, tmp_path, monke
     def no_parse(*args, **kwargs):
         raise AssertionError("the cache was not used")
 
-    monkeypatch.setattr(cli, "read_records", no_parse)
+    monkeypatch.setattr(records, "read_records", no_parse)
     got = cli._read_tables(path)
     assert list(got) == list(want)
     assert got["imu"].anchor_ids == () == got["gt"].anchor_ids
