@@ -27,7 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # each public name, by the stage module that defines it
 _EXPORTS = {
     "errors": (
-        "CollinearAnchors", "ConfigError", "DimensionMismatch", "Divergence",
+        "ClockFitError", "CollinearAnchors", "ConfigError", "DimensionMismatch", "Divergence",
         "EmptyGroundTruth", "EmptyMap", "EmptyObservations", "EmptyReport",
         "IndoorFusionError", "InsufficientData", "InsufficientOverlap", "InvalidOverride",
         "LayoutMismatch", "LengthMismatch", "MalformedLine", "NegativeTime",

@@ -15,9 +15,10 @@ unless ``OPENBLAS_NUM_THREADS`` is set, so the report is the same on any core co
 through ``_read_tables``: it loads them from ``datasetN.tables.npz`` beside
 the JSONL when that cache is keyed on a SHA-256 of the file's bytes and of
 the ``records`` module's source, and parses the JSONL otherwise.
-``simulate`` leaves such a cache beside each dataset it writes, and a parse
-leaves one too.  A stale, damaged or unwritable cache only costs a parse,
-and deleting it is always safe.
+``simulate`` leaves such a cache beside each dataset it writes, keyed on
+the bytes as they are written, and a parse leaves one too.  A stale,
+damaged or unwritable cache only costs a parse, and deleting it is always
+safe.
 
 Importing this module loads neither numpy nor any stage module (see the
 package docstring), and a command runs only the modules it calls:
@@ -242,10 +243,14 @@ def _sha256(path: Path) -> str:
 def _write_tables(path: Path, tables: dict[str, records.SensorTable]) -> int:
     """``write_records(path, tables)``, leaving the tables cached beside the
     file when ``read_records`` would give back exactly them, so that
-    ``_read_tables`` parses nothing."""
-    n = records.write_records(path, tables)
+    ``_read_tables`` parses nothing.  The key is hashed from the bytes as
+    they are written: the file is not read back."""
+    import hashlib  # loads OpenSSL: only commands that hash a dataset pay for it
+
+    digest = hashlib.sha256()
+    n = records.write_records(path, tables, digest=digest)
     if records.round_trips(tables):
-        records.save_table_cache(path.with_suffix(".tables.npz"), _sha256(path), tables)
+        records.save_table_cache(path.with_suffix(".tables.npz"), digest.hexdigest(), tables)
     return n
 
 

@@ -37,6 +37,11 @@ class InsufficientOverlap(IndoorFusionError):
     """Too little common time span to estimate a clock model."""
 
 
+class ClockFitError(IndoorFusionError):
+    """A sensor's timestamps fit no clock model: ticks less than a period
+    apart, or a drift beyond the model's range."""
+
+
 class EmptyGroundTruth(IndoorFusionError):
     """Ground-truth labelling requires at least two trajectory samples."""
 

@@ -342,14 +342,15 @@ def _row_templates(table: SensorTable) -> tuple[np.ndarray, dict[int, bytes]]:
     return codes, templates
 
 
-def write_records(path, tables: dict[str, SensorTable]) -> int:
+def write_records(path, tables: dict[str, SensorTable], *, digest=None) -> int:
     """Write tables as JSONL (UTF-8, LF); returns the number of lines.
 
     Rows of all tables go out in ascending ``line`` order, ties in table
     order.  Floats carry 17 significant digits, so ``read_records`` gives
     the values back bit for bit.  Each step of ``_WRITE_ROWS`` lines formats
     its floats, every table's ``t`` and ``values``, in one
-    ``_format_floats`` call.
+    ``_format_floats`` call.  ``digest``, a ``hashlib`` object, is updated
+    with every byte written, so the file need not be read back to hash it.
     """
     tables = list(tables.values())
     lines = np.concatenate([t.line for t in tables]) if tables else np.zeros(0, np.intp)
@@ -377,7 +378,10 @@ def write_records(path, tables: dict[str, SensorTable]) -> int:
                 at += floats.size
                 for slot, code, row in zip(slots.tolist(), codes.tolist(), cells):
                     out[slot] = templates[code] % tuple(row)
-            fh.write(b"".join(out))
+            chunk = b"".join(out)
+            fh.write(chunk)
+            if digest is not None:
+                digest.update(chunk)
     return len(lines)
 
 

@@ -10,6 +10,15 @@ emits the multi-rate record stream as one ``records.SensorTable`` per
 sensor, whose ``line`` columns merge the rows into file order;
 ``records.write_records`` writes them as JSONL.
 
+Each payload is held once, from generator to table.  A sensor's table rows
+are the stable order of its (recorded ``t``, generation index), worked out
+from the times alone before any payload is copied.  CSI, over 90% of a
+campaign's floats, has no dropout, so its rows are known before it is
+generated: each anchor's magnitudes and phases are written straight into
+the table's payload matrix.  Every other sensor's blocks are copied once
+into a payload matrix allocated at its final size, each block dropped as
+it is copied, and one stable sort of all tables' times sets ``line``.
+
 Between ground-truth samples the robot is defined to move linearly (and to
 turn along the shortest arc), so the emitted stream is exactly reproducible
 from the 5 Hz ground truth alone.  Everything is deterministic given
@@ -519,13 +528,17 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
     ss = np.random.SeedSequence(scenario.seed)
     uwb_rng, rssi_rng, csi_rng, imu_rng = (np.random.default_rng(c) for c in ss.spawn(4))
 
+    # sensor -> its columns in table row order: (t_rec, anchor, anchor ids, values, truth)
+    columns: dict[str, tuple] = {}
     # sensor -> blocks of rows in generation order: (t_rec, values, anchor id, truth)
     blocks: dict[str, list] = {}
 
-    def emit(sensor: str, t_rec, values, anchor_id: str | None, t_true, pos):
+    def emit(sensor: str, t_rec, values, anchor_id: str | None, t_true, pos, keep=slice(None)):
+        """Keep the rows ``keep`` of one block; their truth only if it is returned."""
+        t_rec = t_rec[keep]
         if len(t_rec):
-            blocks.setdefault(sensor, []).append(
-                (t_rec, values, anchor_id, np.column_stack([t_true, pos])))
+            truth = np.column_stack([t_true, pos])[keep] if return_truth else None
+            blocks.setdefault(sensor, []).append((t_rec, values[keep], anchor_id, truth))
 
     # ground truth: the robot's own stream on the reference clock
     t_gt = np.asarray([t for t, _ in trajectory], dtype=np.float64)
@@ -545,30 +558,40 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
             power = (-40.0 - 20.0 * np.log10(np.maximum(d, 0.1))
                      + uwb_rng.normal(0.0, 1.0, len(d)) * noise.uwb_power_sigma_db)
             keep = uwb_rng.random(len(d)) >= noise.uwb_dropout_prob
-            emit("uwb", t_rec[keep], np.column_stack([ranges, power])[keep], anchor.id,
-                 t_uwb[keep], pos[keep])
+            emit("uwb", t_rec, np.column_stack([ranges, power]), anchor.id, t_uwb, pos, keep)
 
-    # ESP node: RSSI and CSI for every WiFi anchor at the CSI rate
+    # ESP node: RSSI and CSI for every WiFi anchor at the CSI rate.  CSI has
+    # no dropout, so its table rows are known before it is generated: each
+    # anchor's magnitudes and phases go straight into the payload matrix.
     t_csi = _tick_times(config.duration, config.rates["csi"])
-    if len(t_csi):
+    wifi = sorted(scenario.wifi_anchors, key=lambda a: a.id)
+    if len(t_csi) and wifi:
         pos_rssi = interp.sensor_position_at(t_csi, scenario.sensor_offsets.get("rssi", SensorOffset()))
         pos_csi = interp.sensor_position_at(t_csi, scenario.sensor_offsets.get("csi", SensorOffset()))
         rec_rssi = _skew(t_csi, config.clock_for("rssi"))
-        rec_csi = _skew(t_csi, config.clock_for("csi"))
-        for anchor in sorted(scenario.wifi_anchors, key=lambda a: a.id):
+        rec_csi = np.tile(_skew(t_csi, config.clock_for("csi")), len(wifi))
+        order, rows = _table_order(rec_csi)
+        rows = rows.reshape(len(wifi), len(t_csi))  # each anchor's table rows
+        s = scenario.subcarriers
+        csi = np.empty((len(rec_csi), 2 * s))
+        for anchor, at in zip(wifi, rows):
             d = np.hypot(pos_rssi[:, 0] - anchor.position.x, pos_rssi[:, 1] - anchor.position.y)
             rssi = (scenario.rssi_p0_dbm
                     - 10.0 * scenario.rssi_exponent
                     * np.log10(np.maximum(d, 1e-3) / scenario.rssi_d0_m)
                     + rssi_rng.normal(0.0, 1.0, len(d)) * noise.rssi_sigma_db)
             h = csi_channel(scenario, anchor, pos_csi)
-            mags = np.abs(h) * 10.0 ** (csi_rng.normal(0.0, 1.0, h.shape)
-                                        * noise.csi_mag_sigma_db / 20.0)
+            csi[at, :s] = np.abs(h) * 10.0 ** (csi_rng.normal(0.0, 1.0, h.shape)
+                                              * noise.csi_mag_sigma_db / 20.0)
             phases = np.angle(h) + scenario.session_phase[anchor.id]
-            phases = phases + csi_rng.normal(0.0, 1.0, mags.shape) * noise.csi_phase_sigma
-            phases = np.mod(phases + np.pi, 2.0 * np.pi) - np.pi
+            del h  # complex, as large as the magnitudes and phases together
+            phases += csi_rng.normal(0.0, 1.0, phases.shape) * noise.csi_phase_sigma
+            csi[at, s:] = np.mod(phases + np.pi, 2.0 * np.pi) - np.pi
             emit("rssi", rec_rssi, rssi[:, None], anchor.id, t_csi, pos_rssi)
-            emit("csi", rec_csi, np.hstack([mags, phases]), anchor.id, t_csi, pos_csi)
+        anchor = np.repeat(np.arange(len(wifi)), len(t_csi))
+        truth = (np.tile(np.column_stack([t_csi, pos_csi]), (len(wifi), 1))[order]
+                 if return_truth else None)
+        columns["csi"] = (rec_csi[order], anchor[order], tuple(a.id for a in wifi), csi, truth)
 
     # IMU: finite-difference kinematics in the body frame plus the local field
     t_imu = _tick_times(config.duration, config.rates["imu"])
@@ -600,38 +623,64 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
         emit("imu", _skew(t_imu, config.clock_for("imu")), np.hstack([accel, gyro, mag]),
              None, t_imu, pos)
 
-    tables, truth = _merge(blocks)
+    for sensor in list(blocks):
+        columns[sensor] = _join(blocks.pop(sensor))
+    tables, truth = _merge(columns)
     return (tables, truth) if return_truth else tables
 
 
-def _merge(blocks: dict[str, list]) -> tuple[dict[str, SensorTable], dict[str, np.ndarray]]:
-    """One table and one truth array per sensor, ``line`` set by one lexsort.
+def _table_order(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One sensor's rows, given their recorded times in generation order:
+    the generated row of each table row, which is the stable order of
+    ``(t, generation index)``, and the table row of each generated row."""
+    order = np.argsort(t, kind="stable")
+    rows = np.empty_like(order)
+    rows[order] = np.arange(len(order))
+    return order, rows
 
-    ``blocks`` is emptied: each sensor's blocks are freed once joined.
+
+def _join(blocks: list) -> tuple:
+    """One sensor's blocks ``(t_rec, values, anchor id, truth)``, in
+    generation order, as its columns in table row order: ``(t_rec, anchor,
+    anchor ids, values, truth)``.  The payload is allocated once and each
+    block is copied straight into its rows, then dropped from ``blocks``."""
+    t = np.concatenate([b[0] for b in blocks])
+    anchor = np.repeat(np.arange(len(blocks)), [len(b[0]) for b in blocks])
+    ids = tuple(b[2] for b in blocks)
+    order, rows = _table_order(t)
+    values = np.empty((len(t), blocks[0][1].shape[1]))
+    truth = None if blocks[0][3] is None else np.empty((len(t), 3))
+    start = 0
+    while blocks:
+        block_t, block_values, _, block_truth = blocks.pop(0)
+        at = rows[start:start + len(block_t)]
+        start += len(block_t)
+        values[at] = block_values
+        if truth is not None:
+            truth[at] = block_truth
+    return t[order], anchor[order], ids, values, truth
+
+
+def _merge(columns: dict[str, tuple]) -> tuple[dict[str, SensorTable], dict]:
+    """One table per sensor from its columns in row order, ``line`` set by one
+    stable sort of every sensor's times; and the truth of each.
+
+    ``columns`` is emptied as the tables take its arrays.
     """
-    # (sensor, source id) order; each sensor's blocks are in generation order
-    sensors = sorted(blocks, key=lambda s: (s, _SOURCE_IDS[s]))
-    joined = {}
-    for s in sensors:
-        t_rec, values, anchor_ids, truth = zip(*blocks.pop(s))
-        anchor = np.repeat(np.arange(len(anchor_ids)), [len(t) for t in t_rec])
-        joined[s] = (np.concatenate(t_rec), np.concatenate(values), anchor, anchor_ids,
-                     np.concatenate(truth))
-    t = np.concatenate([joined[s][0] for s in sensors])
-    sensor_source = np.repeat(np.arange(len(sensors)), [len(joined[s][0]) for s in sensors])
+    # (sensor, source id) order breaks ties in t; within a sensor, row order does
+    sensors = sorted(columns, key=lambda s: (s, _SOURCE_IDS[s]))
+    t = np.concatenate([columns[s][0] for s in sensors])
     line = np.empty(len(t), dtype=np.intp)
-    line[np.lexsort((np.arange(len(t)), sensor_source, t))] = np.arange(1, len(t) + 1)
+    line[np.argsort(t, kind="stable")] = np.arange(1, len(t) + 1)
 
     tables, truths, start = {}, {}, 0
     for s in sensors:
-        t_rec, values, anchor, anchor_ids, truth = joined.pop(s)
-        lines = line[start:start + len(t_rec)]
+        t_rec, anchor, anchor_ids, values, truths[s] = columns.pop(s)
+        anchor, anchor_ids = _by_first_appearance(anchor, anchor_ids)
+        tables[s] = SensorTable(s, t_rec, values, np.zeros(len(t_rec), dtype=np.intp),
+                                (_SOURCE_IDS[s],), anchor, anchor_ids,
+                                line[start:start + len(t_rec)])
         start += len(t_rec)
-        rows = np.argsort(lines)
-        anchor, anchor_ids = _by_first_appearance(anchor[rows], anchor_ids)
-        tables[s] = SensorTable(s, t_rec[rows], values[rows], np.zeros(len(rows), dtype=np.intp),
-                                (_SOURCE_IDS[s],), anchor, anchor_ids, lines[rows])
-        truths[s] = truth[rows]
     order = sorted(tables, key=lambda s: tables[s].line[0])  # sensors in file order
     return {s: tables[s] for s in order}, {s: truths[s] for s in order}
 

@@ -23,6 +23,7 @@ import indoor_fusion
 from indoor_fusion import cli, records, simulate
 from indoor_fusion.cli import (
     DEFAULT_METHODS,
+    EXIT_NUMERIC,
     RunConfig,
     _Campaign,
     _generalization_entry,
@@ -524,6 +525,14 @@ FAULT_MATRIX = {
 }
 
 
+# the exit code and the start of the message on stderr of each fault whose
+# outcome is pinned; every other fault may end in any typed way
+FAULT_OUTCOMES = {
+    "1 us of jitter on every uwb stamp": (
+        EXIT_NUMERIC, "error: uwb: duplicate or non-monotonic sensor ticks after dedup"),
+}
+
+
 def _error_names(cls=IndoorFusionError):
     return {cls.__name__}.union(*(_error_names(c) for c in cls.__subclasses__()))
 
@@ -537,7 +546,8 @@ def _numbers(doc):
 
 
 @pytest.mark.parametrize("fault", list(FAULT_MATRIX))
-def test_a_damaged_dataset_ends_in_a_result_or_a_typed_error(fault_campaign, tmp_path, fault):
+def test_a_damaged_dataset_ends_in_a_result_or_a_typed_error(fault_campaign, tmp_path, fault,
+                                                            capsys):
     scenario, lines = fault_campaign
     shutil.copy(scenario, tmp_path / "scenario.json")
     docs = FAULT_MATRIX[fault]([json.loads(line) for line in lines])
@@ -546,6 +556,10 @@ def test_a_damaged_dataset_ends_in_a_result_or_a_typed_error(fault_campaign, tmp
     code = main(["run", "--out", str(tmp_path), "--epochs", "1",
                  "--methods", "uwb-trilat,rssi-trilat,rssi-fp,csi-fp,nn-fusion"])
     assert code in (0, 2, 3, 4)
+    if fault in FAULT_OUTCOMES:
+        want_code, want_message = FAULT_OUTCOMES[fault]
+        err = capsys.readouterr().err
+        assert code == want_code and err.startswith(want_message), (code, err)
     if (tmp_path / "report.json").exists():
         report = _load(tmp_path / "report.json")
         for failure in report["failures"].values():
@@ -952,6 +966,24 @@ def test_nothing_parses_a_campaign_that_simulate_wrote(tmp_path, parses):
     for report in reports:
         del report["config"]["out"]
     assert reports[0] == reports[1]
+
+
+def test_simulate_reads_no_dataset_back(tmp_path, monkeypatch):
+    # the cache key is hashed from the bytes as they are written
+    reads, real_open = [], open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and str(file).startswith(str(tmp_path)):
+            reads.append(Path(file).name)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    monkeypatch.setattr(cli, "_sha256", lambda path: reads.append(f"hash {path.name}"))
+    assert main(["simulate", "--seed", "7", "--duration", "30", "--out", str(tmp_path)]) == 0
+    assert reads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dataset1.jsonl", "dataset1.tables.npz", "dataset2.jsonl", "dataset2.tables.npz",
+        "scenario.json"]
 
 
 def test_a_flipped_digit_in_a_simulated_dataset_is_parsed_again(tmp_path, parses):

@@ -13,6 +13,7 @@ from sensor_rows import tables_of
 
 from indoor_fusion import ingest
 from indoor_fusion.errors import (
+    ClockFitError,
     EmptyGroundTruth,
     InsufficientOverlap,
     LayoutMismatch,
@@ -152,7 +153,7 @@ def test_clock_drift_at_the_model_boundary_is_clamped():
 def test_clock_drift_beyond_the_model_is_rejected():
     rate, duration = 9.0, 60.0
     t = _ticks(duration, rate) * (1.0 + 2e-4)
-    with pytest.raises(MalformedLine):
+    with pytest.raises(ClockFitError, match="exceeds the clock model range"):
         estimate_clock_offset(t, _gt_times(duration), rate, duration)
 
 
@@ -169,7 +170,7 @@ def test_clock_estimation_needs_overlap_and_ticks():
 
 def test_clock_estimation_rejects_sub_period_spacing():
     t = np.asarray([1.0, 1.0001, 2.0] + [float(t) for t in range(3, 40)])
-    with pytest.raises(MalformedLine):
+    with pytest.raises(ClockFitError, match="non-monotonic sensor ticks"):
         estimate_clock_offset(t, _gt_times(40.0), 1.0)
 
 
@@ -638,6 +639,36 @@ def test_frames_jsonl_roundtrip_is_exact(tmp_path):
         np.testing.assert_array_equal(getattr(frames, name), getattr(back, name))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                min_size=6, max_size=6), st.integers(1, 9))
+@example([0.0, -0.0, 5e-324, 1e300, -1e-300, 1e23], 5)
+def test_frames_file_gives_back_every_float_bit_for_bit(tmp_path_factory, values, n):
+    # n frames, more than one write step for n > 4, of the six drawn floats shifted by row
+    layout = FrameLayout((BlockDef("csi", 2, ("w0", "w0")),))
+    grid = np.array([np.roll(values, i) for i in range(n)])
+    frames = Frames(grid[:, 0], grid[:, 1:3], grid[:, 3:4], grid[:, 4:6], layout)
+    path = tmp_path_factory.mktemp("frames") / "frames.jsonl"
+    assert write_frames(path, frames) == n
+    back = read_frames(path)
+    for name, got in zip(("t", "features", "mask", "labels"), back):
+        want = getattr(frames, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    first = path.read_bytes().split(b"\n")[0].decode()
+    assert first == ('{"t": %.16e, "features": [%.16e, %.16e], "mask": [%.16e], '
+                     '"label": [%.16e, %.16e]}' % tuple(grid[0]))
+
+
+def test_frames_file_spells_non_finite_floats_as_json_does(tmp_path):
+    layout = FrameLayout((BlockDef("csi", 2, ("w0", "w0")),))
+    frames = Frames([1.0], [[math.nan, math.inf]], [[-math.inf]], [[0.0, 1.0]], layout)
+    path = tmp_path / "frames.jsonl"
+    write_frames(path, frames)
+    assert b'"features": [NaN, Infinity], "mask": [-Infinity]' in path.read_bytes()
+    _, features, mask, _ = read_frames(path)
+    assert np.isnan(features[0, 0]) and features[0, 1] == math.inf and mask[0, 0] == -math.inf
+
+
 def test_read_frames_rejects_malformed_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": 1.0, "features": [1.0]}\n', encoding="utf-8")
@@ -689,6 +720,14 @@ def test_ingest_run_labels_match_true_sensor_positions(short_campaign):
         true_pos = interp.sensor_position_at(stream.t, scenario.sensor_offsets[modality])
         err = np.hypot(*(stream.labels - true_pos).T)
         assert float(err.max()) < 1e-6, modality
+
+
+def test_ingest_run_names_the_sensor_whose_clock_fits_no_model():
+    # two anchors per tick, their stamps 2 us apart: two distinct ticks 2 us apart
+    stamps = [(t, anchor) for t in _ticks(30.0, 9.0) for anchor in ("u0", "u1")]
+    jittered = [_uwb(t + 1e-6 * (-1) ** i, anchor) for i, (t, anchor) in enumerate(stamps)]
+    with pytest.raises(ClockFitError, match="^uwb: duplicate or non-monotonic sensor ticks"):
+        ingest_run(tables_of(jittered + _gt_line(30.0)), {}, {"uwb": 9.0}, 30.0)
 
 
 def test_ingest_run_requires_ground_truth():
