@@ -48,8 +48,8 @@ _EXPORTS = {
     "ingest": (
         "AlignedStream", "BlockDef", "FrameLayout", "Frames", "IngestResult",
         "build_fusion_frames", "correct_clock", "estimate_clock_offset", "frame_layout",
-        "frames_to_arrays", "ingest_run", "label_with_groundtruth", "read_frames",
-        "select_blocks", "write_frames"),
+        "frames_to_arrays", "ingest_run", "label_with_groundtruth", "select_blocks",
+        "write_frames"),
     "fingerprint": (
         "RadioMap", "RssiCalibration", "build_map", "calibrate_rssi_offset", "locate",
         "rssi_snapshot_fixes", "rssi_snapshot_positions"),
@@ -57,8 +57,8 @@ _EXPORTS = {
             "train_arrays"),
     "evaluate": (
         "ErrorReport", "GeneralizationReport", "blocks_for_method", "degradation",
-        "emit_plot", "error_report", "fit_and_score", "model_report", "report_from_errors",
-        "run_generalization"),
+        "emit_plot", "error_report", "fit_network", "network_estimates",
+        "report_from_errors", "run_generalization"),
 }
 _STAGE_OF = {name: stage for stage, names in _EXPORTS.items() for name in names}
 __all__ = list(_STAGE_OF)

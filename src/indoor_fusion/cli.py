@@ -2,8 +2,9 @@
 
 Subcommands: ``simulate`` (write a two-campaign dataset pair), ``ingest``
 (clock-correct, label and frame one dataset), ``calibrate`` (receiver gain
-sweep), ``run`` (every requested localization method plus reports and
-plots), ``plot`` (re-render the CDF figure from its CSV).
+sweep), ``run`` (one driver fits each requested method on campaign 1 and
+scores its estimates there and, with ``--transfer``, on campaign 2, then
+reports and plots), ``plot`` (re-render the CDF figure from its CSV).
 
 Exit codes: 0 success, 2 usage/config, 3 I/O, 4 numerical failure.  Options
 may come from a flat ``key=value`` config file (``--config``); explicit
@@ -37,7 +38,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import errors, evaluate, fingerprint, geometry, ingest, mlp, records, simulate
@@ -78,21 +79,6 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-_CONFIG_KEYS = {
-    "seed": int,
-    "duration": float,
-    "out": str,
-    "methods": str,
-    "transfer": _parse_bool,
-    "window": float,
-    "grid": float,
-    "k": int,
-    "epochs": int,
-    "noiseless": _parse_bool,
-    "log_x": _parse_bool,
-}
 
 
 def read_config_file(path) -> dict:
@@ -160,19 +146,14 @@ class RunConfig:
             raise errors.ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
     def as_dict(self) -> dict:
-        return {
-            "out": str(self.out),
-            "seed": self.seed,
-            "duration": self.duration,
-            "methods": list(self.methods),
-            "transfer": self.transfer,
-            "window": self.window,
-            "grid": self.grid,
-            "k": self.k,
-            "epochs": self.epochs,
-            "noiseless": self.noiseless,
-            "log_x": self.log_x,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "out": str(self.out), "methods": list(self.methods)}
+
+
+# each option's parser, from its annotation's text (``from __future__ import
+# annotations``); the other options are parsed as text
+_CONFIG_KEYS = {f.name: {"int": int, "float": float, "bool": _parse_bool}.get(f.type, str)
+                for f in fields(RunConfig)}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -358,11 +339,12 @@ def _prepare_campaign(cfg: RunConfig,
     return _Campaign(scenario, result.streams, result.frames, phase)
 
 
-def _stream_or_raise(camp: _Campaign, modality: str) -> ingest.AlignedStream:
+def _stream_or_raise(camp: _Campaign, modality: str, rows=None) -> ingest.AlignedStream:
+    """The ``rows`` of a campaign's stream (default: every tick)."""
     stream = camp.streams.get(modality)
     if stream is None or not len(stream):
         raise errors.InsufficientData(f"dataset carries no {modality} records")
-    return stream
+    return stream if rows is None else stream.take(rows)
 
 
 def _solver_counts(est: np.ndarray, fallback: np.ndarray,
@@ -372,10 +354,23 @@ def _solver_counts(est: np.ndarray, fallback: np.ndarray,
     return {"fallbacks": int(fallback.sum()), "outside_room": int((~inside).sum())}
 
 
-def _uwb_trilat_report(camp: _Campaign) -> tuple[evaluate.ErrorReport, dict]:
+def _split(n: int, cfg: RunConfig):
+    """Train and test row indices of n rows, each in split order."""
     import numpy as np
 
-    stream = _stream_or_raise(camp, "uwb")
+    return mlp.split_dataset(np.arange(n), mlp.SplitSpec(shuffle_seed=cfg.seed))
+
+
+# A method fitted on campaign 1 is ``(estimate, rows, extras)``, as each
+# ``_fit_*`` returns it (``uwb-trilat`` fits nothing): ``estimate(camp,
+# rows)`` gives the (N, 2) estimates for those rows of a campaign (None: all
+# of them), their labels and the solver counts; ``rows`` are the campaign-1
+# rows it is scored on; ``extras`` is what the fit reports.
+
+def _uwb_estimate(camp: _Campaign, rows) -> tuple[np.ndarray, np.ndarray, dict]:
+    import numpy as np
+
+    stream = _stream_or_raise(camp, "uwb", rows)
     anchors = {a.id: a.position for a in camp.scenario.uwb_anchors}
     missing = [c for c in stream.columns if c not in anchors]
     if missing:
@@ -388,7 +383,7 @@ def _uwb_trilat_report(camp: _Campaign) -> tuple[evaluate.ErrorReport, dict]:
     used, usable = stream.take(kept), usable[kept]
     est, fallback = geometry.trilaterate_batch(
         np.broadcast_to(anchor_xy, (len(used), *anchor_xy.shape)), used.features, usable)
-    return evaluate.error_report(est, used.labels), {
+    return est, used.labels, {
         "ticks_used": len(used),
         # dropout below three anchors falls back to a degenerate estimate,
         # which is what gives the CDF its two-regime shape
@@ -397,35 +392,35 @@ def _uwb_trilat_report(camp: _Campaign) -> tuple[evaluate.ErrorReport, dict]:
         **_solver_counts(est, fallback, camp.scenario)}
 
 
-def _rssi_trilat_report(camp: _Campaign, beta: float) -> tuple[evaluate.ErrorReport, dict]:
-    stream = _stream_or_raise(camp, "rssi")
-    positions = {a.id: a.position for a in camp.scenario.wifi_anchors}
-    est, fallback = fingerprint.rssi_snapshot_fixes(stream, positions, beta)
-    return evaluate.error_report(est, stream.labels), _solver_counts(est, fallback, camp.scenario)
+def _fit_rssi_trilat(camp1: _Campaign):
+    cal = fingerprint.calibrate_rssi_offset(_stream_or_raise(camp1, "rssi"),
+                                            list(camp1.scenario.wifi_anchors))
+
+    def estimate(camp: _Campaign, rows):
+        # same receiver, same calibration: every campaign takes campaign-1 beta
+        stream = _stream_or_raise(camp, "rssi", rows)
+        positions = {a.id: a.position for a in camp.scenario.wifi_anchors}
+        est, fallback = fingerprint.rssi_snapshot_fixes(stream, positions, cal.beta)
+        return est, stream.labels, _solver_counts(est, fallback, camp.scenario)
+
+    return estimate, None, {"beta_db": cal.beta, "calibration_median_m": cal.error_m}
 
 
-def _fp_errors(stream: ingest.AlignedStream, radio_map, k: int) -> evaluate.ErrorReport:
-    return evaluate.error_report(fingerprint.locate(stream.features, radio_map, k),
-                                 stream.labels)
-
-
-def _fp_report(camp: _Campaign, camp2: _Campaign | None, modality: str,
-               cfg: RunConfig) -> tuple[evaluate.ErrorReport, dict, dict | None]:
+def _fit_fp(camp1: _Campaign, modality: str, cfg: RunConfig):
     import numpy as np
 
-    stream = _stream_or_raise(camp, modality)
-    train_rows, test_rows = mlp.split_dataset(np.arange(len(stream)),
-                                              mlp.SplitSpec(shuffle_seed=cfg.seed))
+    stream = _stream_or_raise(camp1, modality)
+    train_rows, test_rows = _split(len(stream), cfg)
     # sorted rows keep tick order: the map sums each cell's rows in time order
     radio_map = fingerprint.build_map(stream.take(np.sort(train_rows)), cfg.grid)
-    report = _fp_errors(stream.take(np.sort(test_rows)), radio_map, cfg.k)
-    extras = {"cells": len(radio_map), "train_samples": len(train_rows),
-              "test_samples": len(test_rows)}
-    gen = None
-    if camp2 is not None:
-        transfer = _fp_errors(_stream_or_raise(camp2, modality), radio_map, cfg.k)
-        gen = _generalization_entry(report, transfer)
-    return report, extras, gen
+
+    def estimate(camp: _Campaign, rows):
+        stream = _stream_or_raise(camp, modality, rows)
+        return fingerprint.locate(stream.features, radio_map, cfg.k), stream.labels, {}
+
+    return estimate, np.sort(test_rows), {"cells": len(radio_map),
+                                          "train_samples": len(train_rows),
+                                          "test_samples": len(test_rows)}
 
 
 def _nn_input(camp: _Campaign, method: str) -> tuple[ingest.Frames, ingest.FrameLayout]:
@@ -440,35 +435,25 @@ def _nn_input(camp: _Campaign, method: str) -> tuple[ingest.Frames, ingest.Frame
     return camp.frames, camp.frames.layout.select(wanted)
 
 
-def _nn_report(camp: _Campaign, camp2: _Campaign | None, method: str,
-               cfg: RunConfig) -> tuple[evaluate.ErrorReport, dict, dict | None]:
-    import numpy as np
-
+def _fit_nn(camp1: _Campaign, method: str, cfg: RunConfig):
     # rows are split, then each input is gathered once from the shared frames
-    frames, layout = _nn_input(camp, method)
-    train_rows, test_rows = mlp.split_dataset(np.arange(len(frames)),
-                                              mlp.SplitSpec(shuffle_seed=cfg.seed))
+    frames, layout = _nn_input(camp1, method)
+    train_rows, test_rows = _split(len(frames), cfg)
     model_config = mlp.MlpConfig.for_input(layout.feature_width + layout.mask_width,
                                            epochs=cfg.epochs, seed=cfg.seed)
-    if camp2 is not None:
-        frames2, layout2 = _nn_input(camp2, method)
-        result = evaluate.run_generalization(frames, train_rows, test_rows, frames2,
-                                             model_config, layout, layout2)
-        report = result.self_report
-        history = result.history
-        gen = _generalization_entry(result.self_report, result.transfer_report)
-    else:
-        _, report, history = evaluate.fit_and_score(frames, train_rows, test_rows,
-                                                    model_config, layout)
-        gen = None
-    extras = {"epochs_run": len(history), "train_frames": len(train_rows),
-              "test_frames": len(test_rows),
-              "input_width": model_config.layer_sizes[0],
-              "history": history,
-              # the restored weights are the first epoch with the least test error
-              "best_epoch": min(history, key=lambda row: row[2])[0],
-              "stop_reason": "patience" if len(history) < cfg.epochs else "max_epochs"}
-    return report, extras, gen
+    model, history = evaluate.fit_network(frames, train_rows, test_rows, model_config, layout)
+
+    def estimate(camp: _Campaign, rows):
+        frames, layout = _nn_input(camp, method)
+        return (*evaluate.network_estimates(model, frames, rows, layout), {})
+
+    return estimate, test_rows, {
+        "epochs_run": len(history), "train_frames": len(train_rows),
+        "test_frames": len(test_rows), "input_width": model_config.layer_sizes[0],
+        "history": history,
+        # the restored weights are the first epoch with the least test error
+        "best_epoch": min(history, key=lambda row: row[2])[0],
+        "stop_reason": "patience" if len(history) < cfg.epochs else "max_epochs"}
 
 
 def _summary(report: evaluate.ErrorReport) -> dict:
@@ -483,37 +468,28 @@ def _summary(report: evaluate.ErrorReport) -> dict:
     }
 
 
-def _generalization_entry(self_report: evaluate.ErrorReport,
-                          transfer_report: evaluate.ErrorReport) -> dict:
-    return {
-        "self": _summary(self_report),
-        "transfer": _summary(transfer_report),
-        "degradation": evaluate.degradation(self_report, transfer_report),
-    }
-
-
 def _run_method(method: str, camp1: _Campaign, camp2: _Campaign | None,
                 cfg: RunConfig) -> tuple[evaluate.ErrorReport, dict, dict | None]:
+    """Fit ``method`` once on campaign 1 and score its estimates on its
+    campaign-1 rows (the test split for fp and nn, every tick for the
+    trilaterations) and, when ``camp2`` is given, on all of campaign 2.
+    Returns the self report, the fit's extras with campaign 1's solver
+    counts, and the generalization entry (None without ``camp2``)."""
     if method == "uwb-trilat":
-        report, extras = _uwb_trilat_report(camp1)
-        gen = None
-        if camp2 is not None:
-            transfer, _ = _uwb_trilat_report(camp2)
-            gen = _generalization_entry(report, transfer)
-        return report, extras, gen
-    if method == "rssi-trilat":
-        cal = fingerprint.calibrate_rssi_offset(_stream_or_raise(camp1, "rssi"),
-                                                list(camp1.scenario.wifi_anchors))
-        report, counts = _rssi_trilat_report(camp1, cal.beta)
-        extras = {"beta_db": cal.beta, "calibration_median_m": cal.error_m, **counts}
-        gen = None
-        if camp2 is not None:
-            # same receiver, same calibration: reuse campaign-1 beta
-            gen = _generalization_entry(report, _rssi_trilat_report(camp2, cal.beta)[0])
-        return report, extras, gen
-    if method in ("rssi-fp", "csi-fp"):
-        return _fp_report(camp1, camp2, method.split("-", 1)[0], cfg)
-    return _nn_report(camp1, camp2, method, cfg)
+        estimate, rows, extras = _uwb_estimate, None, {}
+    elif method == "rssi-trilat":
+        estimate, rows, extras = _fit_rssi_trilat(camp1)
+    elif method in ("rssi-fp", "csi-fp"):
+        estimate, rows, extras = _fit_fp(camp1, method.split("-", 1)[0], cfg)
+    else:
+        estimate, rows, extras = _fit_nn(camp1, method, cfg)
+    est, labels, counts = estimate(camp1, rows)
+    report, gen = evaluate.error_report(est, labels), None
+    if camp2 is not None:
+        transfer = evaluate.error_report(*estimate(camp2, None)[:2])
+        gen = {"self": _summary(report), "transfer": _summary(transfer),
+               "degradation": evaluate.degradation(report, transfer)}
+    return report, {**extras, **counts}, gen
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -541,41 +517,34 @@ def cmd_run(cfg: RunConfig) -> int:
     with ThreadPoolExecutor(max_workers=_max_workers(len(methods))) as pool:
         list(pool.map(worker, methods))
 
-    named_reports = [(name, outcomes[name][0]) for name in methods
-                     if name in outcomes]
+    done = [name for name in methods if name in outcomes]
     report_doc = {
         "config": {**cfg.as_dict(), "methods": methods},
         "sim_config": simulate.sim_config_to_dict(sidecar[1]),
-        "methods": {},
+        "methods": {name: {"summary": _summary(outcomes[name][0]), **outcomes[name][1]}
+                    for name in done},
         "failures": dict(sorted(failures.items())),
     }
-    generalization = {}
-    for name in methods:
-        if name not in outcomes:
-            continue
-        report, extras, gen = outcomes[name]
-        report_doc["methods"][name] = {"summary": _summary(report), **extras}
-        if gen is not None:
-            generalization[name] = gen
     if cfg.transfer:
-        report_doc["generalization"] = generalization
+        report_doc["generalization"] = {name: outcomes[name][2] for name in done}
 
     with open(cfg.out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report_doc, fh, indent=1, sort_keys=False)
         fh.write("\n")
-    if named_reports:
-        evaluate.emit_plot(named_reports, cfg.out / "cdf", log_x=cfg.log_x)
+    if done:
+        evaluate.emit_plot([(name, outcomes[name][0]) for name in done], cfg.out / "cdf",
+                           log_x=cfg.log_x)
 
     for name in methods:
-        if name in outcomes:
-            s = _summary(outcomes[name][0])
-            line = (f"{name:18s} p50={s['p50_m']:.3f} m  p95={s['p95_m']:.3f} m  "
-                    f"p99={s['p99_m']:.3f} m  n={s['count']}")
-            if cfg.transfer and name in generalization:
-                line += f"  transfer-p50={generalization[name]['transfer']['p50_m']:.3f} m"
-            print(line)
-        else:
+        if name not in outcomes:
             print(f"{name:18s} FAILED: {failures[name]}")
+            continue
+        s, gen = report_doc["methods"][name]["summary"], outcomes[name][2]
+        line = (f"{name:18s} p50={s['p50_m']:.3f} m  p95={s['p95_m']:.3f} m  "
+                f"p99={s['p99_m']:.3f} m  n={s['count']}")
+        if gen is not None:
+            line += f"  transfer-p50={gen['transfer']['p50_m']:.3f} m"
+        print(line)
     if not outcomes:
         raise errors.IndoorFusionError(f"all {len(methods)} methods failed: {failures}")
     return EXIT_OK

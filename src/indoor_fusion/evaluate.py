@@ -3,10 +3,11 @@
 Everything downstream of a localizer lands here: an (N, 2) array of
 estimates and the (N, 2) array of true positions, paired row by row,
 become an ErrorReport with an exact empirical CDF and nearest-rank
-percentiles.  One path trains and scores a network: ``fit_and_score``
-trains on some rows of ``Frames`` and scores others, and
-``run_generalization`` adds a score on a transfer set from the other
-layout.  Reports become a CSV and a self-contained SVG.
+percentiles.  One path trains and scores a network: ``fit_network``
+trains on some rows of ``Frames``, selecting its epoch on others, and
+``network_estimates`` gives its estimates for any rows, of these frames or
+of a transfer set from the other layout; ``run_generalization`` is the two
+in one call.  Reports become a CSV and a self-contained SVG.
 """
 
 from __future__ import annotations
@@ -136,25 +137,27 @@ def degradation(self_report: ErrorReport, transfer_report: ErrorReport) -> float
     return transfer_report.median / self_report.median
 
 
-def model_report(model: Mlp, x: np.ndarray, y: np.ndarray) -> ErrorReport:
-    """The model's errors on inputs ``x`` labelled ``y``."""
-    return error_report(model.forward(x), y)
-
-
-def fit_and_score(frames: Frames, train_rows, test_rows, config: MlpConfig,
-                  layout: FrameLayout | None = None,
-                  ) -> tuple[Mlp, ErrorReport, list[tuple[int, float, float]]]:
-    """Train on the ``train_rows`` of ``frames`` and score the ``test_rows``.
+def fit_network(frames: Frames, train_rows, test_rows, config: MlpConfig,
+                layout: FrameLayout | None = None,
+                ) -> tuple[Mlp, list[tuple[int, float, float]]]:
+    """Train on the ``train_rows`` of ``frames``, keeping the weights of the
+    epoch with the least median error on the ``test_rows``.
 
     ``layout`` picks the blocks, as ``frames.layout.select`` gives them
-    (default: all).  Each input is gathered once, and the training input
-    is freed as soon as training returns.  Returns the model, its report
-    on the test rows and the per-epoch history.
+    (default: all).  Each input is gathered once and freed when training
+    returns.  Returns the model and the per-epoch history.
     """
     x_test, y_test = frames_to_arrays(frames, test_rows, layout)
-    model, history = train_arrays(*frames_to_arrays(frames, train_rows, layout),
-                                  x_test, y_test, config)
-    return model, model_report(model, x_test, y_test), history
+    return train_arrays(*frames_to_arrays(frames, train_rows, layout), x_test, y_test,
+                        config)
+
+
+def network_estimates(model: Mlp, frames: Frames, rows=None,
+                      layout: FrameLayout | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The model's (N, 2) estimates for ``rows`` of ``frames`` (default:
+    all) in the blocks of ``layout``, and the (N, 2) labels of those rows."""
+    x, labels = frames_to_arrays(frames, rows, layout)
+    return model.forward(x), labels
 
 
 def run_generalization(frames: Frames, train_rows, test_rows, transfer_frames: Frames,
@@ -181,10 +184,10 @@ def run_generalization(frames: Frames, train_rows, test_rows, transfer_frames: F
     if config is None:
         config = MlpConfig.for_input(layout.feature_width + layout.mask_width)
 
-    model, self_report, history = fit_and_score(frames, train_rows, test_rows, config,
-                                                layout)
-    transfer_report = model_report(
-        model, *frames_to_arrays(transfer_frames, layout=transfer_layout))
+    model, history = fit_network(frames, train_rows, test_rows, config, layout)
+    self_report = error_report(*network_estimates(model, frames, test_rows, layout))
+    transfer_report = error_report(
+        *network_estimates(model, transfer_frames, layout=transfer_layout))
     return GeneralizationReport(self_report, transfer_report, tuple(history))
 
 

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .defaults import DEFAULT_K, DEFAULT_RESOLUTION
-from .errors import (ConfigError, DimensionMismatch, EmptyMap, InsufficientData,
-                     NonFiniteDistance)
+from .errors import (ConfigError, DimensionMismatch, EmptyMap, EmptyObservations,
+                     InsufficientData, NonFiniteDistance)
 from .geometry import rssi_to_distance, trilaterate_batch
 from .ingest import AlignedStream
 from .records import Anchor
@@ -137,21 +137,37 @@ class RssiCalibration:
         return min(e for _, e in self.sweep_errors)
 
 
-def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D],
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D], sweep,
+                     p0: float, d0: float, exponent: float,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each snapshot's three strongest raw readings, strongest first (ties in
-    reverse column order), and the (N, 3, 2) positions of their anchors."""
+    reverse column order), the (N, 3, 2) positions of their anchors, and the
+    (N, 3) mask of the readings whose range is finite and > 0 at every beta
+    of ``sweep``.  A snapshot with no such reading raises EmptyObservations.
+    """
     readings = stream.features
     order = np.argsort(readings, axis=1, kind="stable")[:, ::-1][:, :3]
     positions = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
-    return np.take_along_axis(readings, order, axis=1), positions.reshape(-1, 2)[order]
+    strongest = np.take_along_axis(readings, order, axis=1)
+    # the range falls as beta grows, so the two ends of the sweep decide
+    ends = np.asarray([np.min(sweep), np.max(sweep)], dtype=np.float64)[:, None, None]
+    with np.errstate(over="ignore"):  # an overflow to inf is caught below
+        ranges = rssi_to_distance(strongest, p0=p0, d0=d0, n=exponent, beta=ends)
+    usable = (np.isfinite(ranges) & (ranges > 0.0)).all(axis=0)
+    blind = np.flatnonzero(~usable.any(axis=1))
+    if blind.size:
+        raise EmptyObservations(
+            f"rssi: {blind.size} of the {len(usable)} snapshots have no reading whose "
+            f"range is finite and > 0 (the first is snapshot {blind[0]})")
+    return strongest, positions.reshape(-1, 2)[order], usable
 
 
-def _solve_strongest(readings: np.ndarray, geometry: np.ndarray, beta, p0: float,
-                     d0: float, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+def _solve_strongest(readings: np.ndarray, geometry: np.ndarray, usable: np.ndarray, beta,
+                     p0: float, d0: float, exponent: float) -> tuple[np.ndarray, np.ndarray]:
     beta = np.asarray(beta, dtype=np.float64)[..., None, None]
-    distances = rssi_to_distance(readings, p0=p0, d0=d0, n=exponent, beta=beta)
-    return trilaterate_batch(geometry, distances)
+    with np.errstate(over="ignore"):  # only where ``usable`` leaves the reading out
+        distances = rssi_to_distance(readings, p0=p0, d0=d0, n=exponent, beta=beta)
+    return trilaterate_batch(geometry, distances, usable)
 
 
 def rssi_snapshot_fixes(stream: AlignedStream, anchors: dict[str, Position2D],
@@ -161,10 +177,14 @@ def rssi_snapshot_fixes(stream: AlignedStream, anchors: dict[str, Position2D],
 
     Strength ranking uses the raw dBm values; ``beta`` only enters the
     distance inversion.  ``beta`` is a scalar, or a 1-D sweep solved in the
-    same call.  Returns (..., N, 2) positions in tick order and the (..., N)
-    mask of snapshots answered with the anchor centroid (collinear anchors).
+    same call.  A reading whose range is not finite and > 0 at some beta is
+    left out; a snapshot left with fewer than three readings is answered
+    with the centroid of their anchors, and one left with none raises
+    EmptyObservations.  Returns (..., N, 2) positions in tick order and the
+    (..., N) mask of snapshots answered with the anchor centroid.
     """
-    return _solve_strongest(*_strongest_three(stream, anchors), beta, p0, d0, exponent)
+    strongest = _strongest_three(stream, anchors, beta, p0, d0, exponent)
+    return _solve_strongest(*strongest, beta, p0, d0, exponent)
 
 
 def rssi_snapshot_positions(stream: AlignedStream, anchors: dict[str, Position2D],
@@ -184,6 +204,8 @@ def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
     snapshot's three strongest readings (by raw RSSI, before beta) are
     converted to distances through the path-loss model and trilaterated;
     the per-beta score is the median position error against the labels.
+    A reading whose range is not finite and > 0 at some beta of the sweep
+    is left out at every beta, as in :func:`rssi_snapshot_fixes`.
     """
     if len(samples) < MIN_CALIBRATION_SNAPSHOTS:
         raise InsufficientData(f"calibration needs >= {MIN_CALIBRATION_SNAPSHOTS} "
@@ -198,7 +220,7 @@ def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
         raise InsufficientData(f"no anchor positions for {missing}")
 
     labels = samples.labels
-    strongest = _strongest_three(samples, positions)
+    strongest = _strongest_three(samples, positions, sweep, p0, d0, exponent)
     medians = []
     for start in range(0, len(sweep), SWEEP_BLOCK):
         est, _ = _solve_strongest(*strongest, sweep[start:start + SWEEP_BLOCK], p0, d0, exponent)

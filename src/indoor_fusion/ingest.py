@@ -50,9 +50,8 @@ from .errors import (
     EmptyGroundTruth,
     InsufficientOverlap,
     LayoutMismatch,
-    MalformedLine,
 )
-from .records import ClockModel, Pose, Position2D, SensorOffset, SensorTable, _format_floats
+from .records import ClockModel, Pose, SensorOffset, SensorTable, _format_floats
 from .simulate import TrajectoryInterpolator
 
 MIN_OVERLAP_S = 10.0
@@ -451,7 +450,7 @@ def write_frames(path, frames: Frames) -> int:
 
     Floats are written as ``"%.16e"`` gives them, each step of
     ``_FRAME_ROWS`` frames in one ``records._format_floats`` call, so
-    ``read_frames`` gives the arrays back bit for bit.
+    reading each float back with ``float`` gives the arrays bit for bit.
     """
     def floats(n: int) -> str:
         return "[" + ", ".join(["%s"] * n) + "]"
@@ -470,37 +469,6 @@ def write_frames(path, frames: Frames) -> int:
             cells = text.reshape(values.shape).tolist()
             fh.write(b"".join([line % tuple(row) for row in cells]))
     return len(frames)
-
-
-def read_frames(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read a frames file back as its (t, features, mask, labels) arrays.
-
-    The file does not record the layout; ``Frames(*read_frames(path),
-    layout)`` rebuilds the frames when it is known.
-    """
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                    label = Position2D(float(doc["label"][0]), float(doc["label"][1]))
-                    row = (float(doc["t"]), np.asarray(doc["features"], dtype=np.float64),
-                           np.asarray(doc["mask"], dtype=np.float64), (label.x, label.y))
-                    if rows and (row[1].shape, row[2].shape) != (rows[0][1].shape,
-                                                                 rows[0][2].shape):
-                        raise ValueError("frame is not as wide as the first frame")
-                except (KeyError, TypeError, ValueError, IndexError) as exc:
-                    raise MalformedLine(f"{path}:{lineno}: {exc}") from exc
-                rows.append(row)
-    except UnicodeDecodeError as exc:
-        raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    if not rows:
-        return np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 2))
-    t, features, mask, labels = zip(*rows)
-    return np.asarray(t), np.stack(features), np.stack(mask), np.asarray(labels)
 
 
 # ---------------------------------------------------------------------------

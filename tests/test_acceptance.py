@@ -7,7 +7,6 @@ change, not a test fix.
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 from dataclasses import replace
@@ -17,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifacts import load_report
 from sensor_rows import assert_same_tables, tables_of
 from test_records import records as record_strategy
 
@@ -180,8 +180,7 @@ def test_criterion_6_end_to_end_benchmark(tmp_path):
     assert cli_main(["run", "--out", str(tmp_path), "--seed", "42",
                      "--methods", methods]) == 0
 
-    with open(tmp_path / "report.json", "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = load_report(tmp_path / "report.json")
     assert report["failures"] == {}
     entries = report["methods"]
     frames = (entries["nn:csi"]["train_frames"] + entries["nn:csi"]["test_frames"])

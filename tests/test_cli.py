@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from artifacts import load_report, read_frames
+
 import indoor_fusion
 from indoor_fusion import cli, records, simulate
 from indoor_fusion.cli import (
@@ -26,9 +28,8 @@ from indoor_fusion.cli import (
     EXIT_NUMERIC,
     RunConfig,
     _Campaign,
-    _generalization_entry,
-    _nn_report,
     _prepare_campaign,
+    _run_method,
     build_parser,
     main,
     read_config_file,
@@ -36,9 +37,8 @@ from indoor_fusion.cli import (
     validate_method,
 )
 from indoor_fusion.errors import ConfigError, IndoorFusionError, UndefinedDegradation
-from indoor_fusion.evaluate import (emit_plot, error_report, model_report, read_cdf_csv,
-                                 report_from_errors)
-from indoor_fusion.ingest import MIN_OVERLAP_S, IngestResult, frames_to_arrays, read_frames
+from indoor_fusion.evaluate import emit_plot, error_report, read_cdf_csv
+from indoor_fusion.ingest import MIN_OVERLAP_S, AlignedStream, IngestResult, frames_to_arrays
 from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset, train_arrays
 from indoor_fusion.records import SensorTable, read_records
 from indoor_fusion.simulate import NoiseConfig, read_sidecar
@@ -358,7 +358,7 @@ def test_calibrate_writes_the_gain_sweep(cli_campaign):
 def test_run_reports_each_method(cli_campaign, capsys):
     assert main(["run", "--out", str(cli_campaign), "--seed", "7", "--epochs", "3",
                  "--methods", "uwb-trilat,rssi-trilat,csi-fp,nn:uwb"]) == 0
-    report = _load(cli_campaign / "report.json")
+    report = load_report(cli_campaign / "report.json")
     assert report["config"]["methods"] == ["csi-fp", "nn:uwb", "rssi-trilat", "uwb-trilat"]
     assert report["config"]["seed"] == 7
     assert report["sim_config"]["duration"] == 45.0
@@ -410,7 +410,7 @@ def imu_free_campaign(cli_campaign, tmp_path_factory):
 def test_run_survives_a_failing_method(imu_free_campaign, capsys):
     assert main(["run", "--out", str(imu_free_campaign),
                  "--methods", "uwb-trilat,nn:imu", "--epochs", "1"]) == 0
-    report = _load(imu_free_campaign / "report.json")
+    report = load_report(imu_free_campaign / "report.json")
     assert "uwb-trilat" in report["methods"]
     assert "nn:imu" not in report["methods"]
     assert "LayoutMismatch" in report["failures"]["nn:imu"]
@@ -422,10 +422,15 @@ def test_run_reports_a_grid_too_fine_for_the_cell_indices(cli_campaign, tmp_path
         shutil.copy(cli_campaign / name, tmp_path / name)
     assert main(["run", "--out", str(tmp_path), "--grid", "1e-300",
                  "--methods", "uwb-trilat,rssi-fp,csi-fp"]) == 0
-    report = _load(tmp_path / "report.json")
+    report = load_report(tmp_path / "report.json")
     assert set(report["methods"]) == {"uwb-trilat"}
     for method in ("rssi-fp", "csi-fp"):
         assert report["failures"][method].startswith("ConfigError: grid 1e-300 m")
+
+
+# every snapshot of the 45 s seed-7 campaign inverts to ranges of 0 m
+_NO_RSSI_RANGE = ("EmptyObservations: rssi: 336 of the 336 snapshots have no reading whose "
+                  "range is finite and > 0")
 
 
 def _rename_u0(payload, line):
@@ -434,26 +439,28 @@ def _rename_u0(payload, line):
 
 
 # A fault in every line of one sensor: (sensor, damage to its payload on a
-# line, the method that fails, how its failure starts)
+# line, how the failure of each method that fails starts)
 PAYLOAD_FAULTS = {
     "uwb anchor unknown to the scenario": (
-        "uwb", _rename_u0, "uwb-trilat", "InsufficientData: no anchor positions for ['zz9']"),
+        "uwb", _rename_u0, {"uwb-trilat": "InsufficientData: no anchor positions for ['zz9']"}),
     "every rssi reading near 1e300 dBm": (  # one apart from the other: no distance is 0
         "rssi", lambda payload, line: payload.update(rssi_db=1e300 * (1.0 + line / 1e4)),
-        "rssi-fp", "NonFiniteDistance: feature distances from query 0 to "),
+        {"rssi-fp": "NonFiniteDistance: feature distances from query 0 to ",
+         "rssi-trilat": _NO_RSSI_RANGE}),
     "every rssi reading at 1e300 dBm": (  # each query's own cells stay at a finite distance
         "rssi", lambda payload, line: payload.update(rssi_db=1e300),
-        "rssi-fp", "NonFiniteDistance: feature distances from query 0 to "),
+        {"rssi-fp": "NonFiniteDistance: feature distances from query 0 to ",
+         "rssi-trilat": _NO_RSSI_RANGE}),
     "every uwb range negative": (
-        "uwb", lambda payload, line: payload.update(range_m=-1.0), "uwb-trilat",
-        "EmptyReport: none of the 402 uwb ticks has a usable (>= 0) range"),
+        "uwb", lambda payload, line: payload.update(range_m=-1.0),
+        {"uwb-trilat": "EmptyReport: none of the 402 uwb ticks has a usable (>= 0) range"}),
 }
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning on the way is a failure too
 @pytest.mark.parametrize("fault", list(PAYLOAD_FAULTS))
 def test_a_faulty_sensor_fails_its_method_with_a_typed_error(cli_campaign, tmp_path, fault):
-    sensor, damage, method, message = PAYLOAD_FAULTS[fault]
+    sensor, damage, messages = PAYLOAD_FAULTS[fault]
     shutil.copy(cli_campaign / "scenario.json", tmp_path / "scenario.json")
     with open(cli_campaign / "dataset1.jsonl", "r", encoding="utf-8") as fh:
         docs = [json.loads(line) for line in fh]
@@ -462,10 +469,12 @@ def test_a_faulty_sensor_fails_its_method_with_a_typed_error(cli_campaign, tmp_p
             damage(doc["payload"], line)
     (tmp_path / "dataset1.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in docs),
                                              encoding="utf-8")
-    assert main(["run", "--out", str(tmp_path), "--methods", "uwb-trilat,rssi-fp"]) == 0
-    failures = _load(tmp_path / "report.json")["failures"]
-    assert list(failures) == [method]
-    assert failures[method].startswith(message)
+    assert main(["run", "--out", str(tmp_path),
+                 "--methods", "uwb-trilat,rssi-trilat,rssi-fp"]) == 0
+    failures = load_report(tmp_path / "report.json")["failures"]
+    assert list(failures) == sorted(messages)
+    for method, message in messages.items():
+        assert failures[method].startswith(message), failures[method]
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +534,17 @@ FAULT_MATRIX = {
 }
 
 
-# the exit code and the start of the message on stderr of each fault whose
-# outcome is pinned; every other fault may end in any typed way
+# the exit code, the start of the message on stderr and the failures (the
+# start of each failing method's message; None: no report.json) of each
+# fault whose outcome is pinned; every other fault may end in any typed way
 FAULT_OUTCOMES = {
     "1 us of jitter on every uwb stamp": (
-        EXIT_NUMERIC, "error: uwb: duplicate or non-monotonic sensor ticks after dedup"),
+        EXIT_NUMERIC, "error: uwb: duplicate or non-monotonic sensor ticks after dedup", None),
+    "every rssi reading at 1e300 dBm": (0, "", {
+        "nn-fusion": "Divergence: the spread of 13 of 705 input features overflows float64",
+        "rssi-fp": "NonFiniteDistance: feature distances from query 0 to ",
+        "rssi-trilat": ("EmptyObservations: rssi: 223 of the 223 snapshots have no reading "
+                        "whose range is finite and > 0")}),
 }
 
 
@@ -557,11 +572,17 @@ def test_a_damaged_dataset_ends_in_a_result_or_a_typed_error(fault_campaign, tmp
                  "--methods", "uwb-trilat,rssi-trilat,rssi-fp,csi-fp,nn-fusion"])
     assert code in (0, 2, 3, 4)
     if fault in FAULT_OUTCOMES:
-        want_code, want_message = FAULT_OUTCOMES[fault]
+        want_code, want_message, want_failures = FAULT_OUTCOMES[fault]
         err = capsys.readouterr().err
         assert code == want_code and err.startswith(want_message), (code, err)
+        assert (tmp_path / "report.json").exists() == (want_failures is not None)
+        if want_failures is not None:
+            failures = load_report(tmp_path / "report.json")["failures"]
+            assert list(failures) == sorted(want_failures)
+            for method, message in want_failures.items():
+                assert failures[method].startswith(message), failures[method]
     if (tmp_path / "report.json").exists():
-        report = _load(tmp_path / "report.json")
+        report = load_report(tmp_path / "report.json")
         for failure in report["failures"].values():
             assert failure.split(":", 1)[0] in _error_names()
         if code == 0:
@@ -614,7 +635,7 @@ def test_nn_path_holds_one_copy_of_each_input(short_campaign):
                                 MlpConfig.for_input(width, epochs=cfg.epochs, seed=cfg.seed))
         training = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        model_report(model, x_transfer, y_transfer)
+        error_report(model.forward(x_transfer), y_transfer)
         scoring = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -623,7 +644,7 @@ def test_nn_path_holds_one_copy_of_each_input(short_campaign):
 
     tracemalloc.start()
     try:
-        _nn_report(camp, camp, "nn:csi", cfg)
+        _run_method("nn:csi", camp, camp, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -633,7 +654,7 @@ def test_nn_path_holds_one_copy_of_each_input(short_campaign):
 def test_transfer_scores_the_second_campaign(cli_campaign, capsys):
     assert main(["run", "--out", str(cli_campaign), "--seed", "7",
                  "--methods", "nn:uwb", "--epochs", "2", "--transfer"]) == 0
-    report = _load(cli_campaign / "report.json")
+    report = load_report(cli_campaign / "report.json")
     entry = report["generalization"]["nn:uwb"]
     assert set(entry) == {"self", "transfer", "degradation"}
     assert entry["degradation"] == pytest.approx(
@@ -643,9 +664,12 @@ def test_transfer_scores_the_second_campaign(cli_campaign, capsys):
 
 
 def test_generalization_entry_over_a_zero_self_median_is_a_typed_error():
-    zero = report_from_errors([0.0, 0.0])
+    # every tick at the center of one cell with one fingerprint: each fix is exact
+    stream = AlignedStream("rssi", np.arange(20.0), np.full((20, 1), -50.0),
+                           np.full((20, 2), 0.25), ("w0",))
+    camp = _Campaign(None, {"rssi": stream}, None)
     with pytest.raises(UndefinedDegradation) as info:
-        _generalization_entry(zero, report_from_errors([0.5, 1.0]))
+        _run_method("rssi-fp", camp, camp, RunConfig(grid=0.5, k=1))
     assert isinstance(info.value, IndoorFusionError)  # exit code 4 in main
 
 
@@ -654,10 +678,10 @@ def test_thread_cap_does_not_change_the_report(cli_campaign, monkeypatch):
                "--methods", "uwb-trilat,nn:uwb", "--epochs", "2"]
     monkeypatch.setenv("INDOOR_FUSION_THREADS", "1")
     assert main(methods) == 0
-    serial = _load(cli_campaign / "report.json")["methods"]
+    serial = load_report(cli_campaign / "report.json")["methods"]
     monkeypatch.setenv("INDOOR_FUSION_THREADS", "3")
     assert main(methods) == 0
-    threaded = _load(cli_campaign / "report.json")["methods"]
+    threaded = load_report(cli_campaign / "report.json")["methods"]
     assert serial == threaded
 
 
@@ -665,7 +689,7 @@ def test_training_stopped_by_patience_says_so(cli_campaign):
     # phase features stop improving on the held-out split early in training
     assert main(["run", "--out", str(cli_campaign), "--seed", "7", "--epochs", "40",
                  "--methods", "nn:csi-phase"]) == 0
-    nn = _load(cli_campaign / "report.json")["methods"]["nn:csi-phase"]
+    nn = load_report(cli_campaign / "report.json")["methods"]["nn:csi-phase"]
     assert nn["stop_reason"] == "patience"
     # patience (10) epochs without a better test error follow the best one
     assert len(nn["history"]) == nn["epochs_run"] == nn["best_epoch"] + 11 < 40
@@ -767,7 +791,7 @@ def test_noiseless_trilateration_is_exact_end_to_end(tmp_path):
     assert main(["simulate", "--seed", "1", "--duration", "40", "--noiseless",
                  "--out", str(tmp_path)]) == 0
     assert main(["run", "--out", str(tmp_path), "--methods", "uwb-trilat"]) == 0
-    summary = _load(tmp_path / "report.json")["methods"]["uwb-trilat"]["summary"]
+    summary = load_report(tmp_path / "report.json")["methods"]["uwb-trilat"]["summary"]
     assert summary["p99_m"] <= 1e-6
     assert summary["fraction_within_0.3m"] == 1.0
 
@@ -811,7 +835,7 @@ def test_a_warm_run_reports_what_the_cold_run_did_without_parsing(cli_campaign, 
         shutil.copy(cold / name, warm / name)
     assert main(["run", "--out", str(warm), "--transfer", *_FAST_RUN]) == 0
     assert parses == ["dataset1.jsonl", "dataset2.jsonl"]  # the warm run parsed nothing
-    reports = [_load(out / "report.json") for out in (cold, warm)]
+    reports = [load_report(out / "report.json") for out in (cold, warm)]
     for report in reports:
         del report["config"]["out"]
     assert reports[0] == reports[1]
@@ -906,10 +930,10 @@ def test_a_damaged_cache_is_parsed_past_and_rewritten(cli_campaign, tmp_path, pa
     out = _fresh_copy(cli_campaign, tmp_path)
     argv = ["run", "--out", str(out), *_FAST_RUN]
     assert main(argv) == 0
-    want = _load(out / "report.json")
+    want = load_report(out / "report.json")
     damage(out / "dataset1.tables.npz")
     assert main(argv) == 0
-    assert _load(out / "report.json") == want
+    assert load_report(out / "report.json") == want
     assert main(argv) == 0  # served from the rewritten cache
     assert parses == ["dataset1.jsonl", "dataset1.jsonl"]
 
@@ -962,7 +986,7 @@ def test_nothing_parses_a_campaign_that_simulate_wrote(tmp_path, parses):
     assert parses == ["dataset1.jsonl", "dataset2.jsonl"]  # only the copy was parsed
     for name in ("frames1.jsonl", "ingest.json", "calibration.json", "cdf.csv"):
         assert (sim / name).read_bytes() == (fresh / name).read_bytes(), name
-    reports = [_load(out / "report.json") for out in (sim, fresh)]
+    reports = [load_report(out / "report.json") for out in (sim, fresh)]
     for report in reports:
         del report["config"]["out"]
     assert reports[0] == reports[1]

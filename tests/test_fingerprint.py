@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indoor_fusion.errors import (ConfigError, DimensionMismatch, EmptyMap, InsufficientData,
-                                  NonFiniteDistance)
+from indoor_fusion.errors import (ConfigError, DimensionMismatch, EmptyMap, EmptyObservations,
+                                  InsufficientData, NonFiniteDistance)
 from indoor_fusion.fingerprint import (
     DEFAULT_K,
     DEFAULT_RESOLUTION,
@@ -356,15 +356,27 @@ def test_blocked_sweep_equals_the_one_call_sweep_bit_for_bit():
 def test_snapshot_solve_rejects_a_non_finite_distance():
     stream = _rssi_stream(_survey_points(60))
     anchors = {a.id: a.position for a in SQUARE_ANCHORS}
+    clean, clean_fallback = rssi_snapshot_fixes(stream, anchors, 0.0)
     # two readings so weak that their distances overflow to inf; one of
-    # them is among the snapshot's three strongest
+    # them is among the snapshot's three strongest, so it is left out and
+    # the snapshot falls back to the centroid of the other two anchors
     features = np.array(stream.features)
     features[0] = [-1e5, -1e5, -50.0, -50.0]
     bad = _stream(features, stream.labels, stream.columns)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        rssi_snapshot_positions(bad, anchors, beta=0.0)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        calibrate_rssi_offset(bad, SQUARE_ANCHORS)
+    est, fallback = rssi_snapshot_fixes(bad, anchors, 0.0)
+    assert fallback[0] and (fallback[1:] == clean_fallback[1:]).all()
+    np.testing.assert_array_equal(est[0], [2.0, 4.0])  # between a3 and a2
+    assert est[1:].tobytes() == clean[1:].tobytes()
+    calibrate_rssi_offset(bad, SQUARE_ANCHORS)
+    # no usable reading left: each overflows to inf, or underflows to 0 m
+    for reading in (-1e5, 1e300):
+        features[0] = reading
+        bad = _stream(features, stream.labels, stream.columns)
+        with pytest.raises(EmptyObservations, match=r"^rssi: 1 of the 60 snapshots have no "
+                                                    r"reading whose range is finite and > 0"):
+            rssi_snapshot_fixes(bad, anchors, 0.0)
+        with pytest.raises(EmptyObservations, match=r"^rssi: 1 of the 60 snapshots"):
+            calibrate_rssi_offset(bad, SQUARE_ANCHORS)
     # the stream itself refuses a non-finite reading
     features[0] = [np.nan, -50.0, -50.0, -50.0]
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from artifacts import read_frames
 from sensor_rows import tables_of
 
 from indoor_fusion import ingest
@@ -36,7 +37,6 @@ from indoor_fusion.ingest import (
     groundtruth_interpolator,
     ingest_run,
     label_with_groundtruth,
-    read_frames,
     select_blocks,
     sensor_rate,
     write_frames,
