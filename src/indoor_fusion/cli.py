@@ -26,7 +26,8 @@ package docstring), and a command runs only the modules it calls:
 ``simulate`` runs ``errors``, ``records``, ``geometry`` and ``simulate``;
 ``ingest`` adds ``ingest``; ``calibrate`` adds ``fingerprint`` to that;
 ``plot`` runs ``evaluate`` with what it imports (all but ``fingerprint``);
-``run`` runs every module, on the main thread before its pool starts.
+``run`` runs every module on the main thread before its pool starts, and
+prepares each campaign on a pool thread.
 Stage functions are looked up on their modules when called, so a function
 replaced on its defining module is the one the CLI calls.
 """
@@ -41,7 +42,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from . import errors, evaluate, fingerprint, geometry, ingest, mlp, records, simulate
+from . import _EXPORTS, errors, evaluate, fingerprint, geometry, ingest, mlp, records, simulate
 from .defaults import DEFAULT_K, DEFAULT_RESOLUTION, DEFAULT_WINDOW_S
 
 EXIT_OK = 0
@@ -498,11 +499,12 @@ def cmd_run(cfg: RunConfig) -> int:
     methods = sorted(set(cfg.methods))
     need_phase = "nn:csi-phase" in methods
     sidecar = simulate.read_sidecar(cfg.out / "scenario.json")
-    camp1 = _prepare_campaign(cfg, sidecar, 1, need_phase)
-    camp2 = _prepare_campaign(cfg, sidecar, 2, need_phase) if cfg.transfer else None
-
     outcomes: dict[str, tuple] = {}
     failures: dict[str, str] = {}
+
+    def second_campaign() -> _Campaign:
+        first.result()  # one load at a time: two at once cost more CPU than they save
+        return _prepare_campaign(cfg, sidecar, 2, need_phase)
 
     def worker(name: str):
         try:
@@ -511,10 +513,16 @@ def cmd_run(cfg: RunConfig) -> int:
             failures[name] = f"{type(exc).__name__}: {exc}"
 
     # LazyLoader's first access is not thread-safe on CPython 3.11: run every
-    # module the methods call into here, before the pool starts
-    for module in (evaluate, fingerprint, geometry, mlp):
-        vars(module)
+    # stage module here, before the pool starts
+    for stage in _EXPORTS:
+        vars(sys.modules[f"{__package__}.{stage}"])
     with ThreadPoolExecutor(max_workers=_max_workers(len(methods))) as pool:
+        # each campaign is prepared on a pool thread: the memory a preparation
+        # frees stays in that thread's malloc arena, where its trainings reuse it
+        first = pool.submit(_prepare_campaign, cfg, sidecar, 1, need_phase)
+        second = pool.submit(second_campaign) if cfg.transfer else None
+        camp1 = first.result()
+        camp2 = second.result() if second is not None else None
         list(pool.map(worker, methods))
 
     done = [name for name in methods if name in outcomes]

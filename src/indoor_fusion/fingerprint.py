@@ -143,8 +143,12 @@ def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D], swee
     """Each snapshot's three strongest raw readings, strongest first (ties in
     reverse column order), the (N, 3, 2) positions of their anchors, and the
     (N, 3) mask of the readings whose range is finite and > 0 at every beta
-    of ``sweep``.  A snapshot with no such reading raises EmptyObservations.
+    of ``sweep``.  A snapshot with no such reading raises EmptyObservations,
+    and a column without an anchor position InsufficientData.
     """
+    missing = [c for c in stream.columns if c not in anchors]
+    if missing:
+        raise InsufficientData(f"no anchor positions for {missing}")
     readings = stream.features
     order = np.argsort(readings, axis=1, kind="stable")[:, ::-1][:, :3]
     positions = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
@@ -180,8 +184,9 @@ def rssi_snapshot_fixes(stream: AlignedStream, anchors: dict[str, Position2D],
     same call.  A reading whose range is not finite and > 0 at some beta is
     left out; a snapshot left with fewer than three readings is answered
     with the centroid of their anchors, and one left with none raises
-    EmptyObservations.  Returns (..., N, 2) positions in tick order and the
-    (..., N) mask of snapshots answered with the anchor centroid.
+    EmptyObservations; a column that ``anchors`` lacks raises
+    InsufficientData naming it.  Returns (..., N, 2) positions in tick order
+    and the (..., N) mask of snapshots answered with the anchor centroid.
     """
     strongest = _strongest_three(stream, anchors, beta, p0, d0, exponent)
     return _solve_strongest(*strongest, beta, p0, d0, exponent)
@@ -215,10 +220,6 @@ def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
                                f"got {samples.modality!r}")
     sweep = np.arange(-30.0, 31.0) if sweep is None else np.asarray(sweep, dtype=np.float64)
     positions = {a.id: a.position for a in anchors}
-    missing = [c for c in samples.columns if c not in positions]
-    if missing:
-        raise InsufficientData(f"no anchor positions for {missing}")
-
     labels = samples.labels
     strongest = _strongest_three(samples, positions, sweep, p0, d0, exponent)
     medians = []

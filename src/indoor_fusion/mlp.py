@@ -4,7 +4,10 @@ Float64 end to end so the analytic gradients can be checked against central
 finite differences to tight tolerance.  One configuration: tanh hidden
 layers, minibatch Adam on mean squared position error, feature
 normalization frozen from the training split and the best-so-far weights
-(by held-out median position error) restored at the end.
+(by held-out median position error) restored at the end.  A training holds
+four parameter vectors (weights, Adam's moments, the best snapshot), the
+gradients past the first weight matrix and two Adam slices: the first
+layer's gradient is computed a slice at a time, just before its update.
 ``train_arrays`` takes the (X, y) matrices of ``frames_to_arrays``:
 features with the mask bits appended.  A model's estimates are the (N, 2)
 array ``Mlp.forward`` returns.
@@ -82,8 +85,15 @@ def split_dataset(data, spec: SplitSpec = SplitSpec()):
     return data.take(perm[:n_train]), data.take(perm[n_train:])
 
 
+def _views(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``vector``, one of each shape."""
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    return [vector[end - math.prod(s):end].reshape(s) for s, end in zip(shapes, ends)]
+
+
 class Mlp:
-    """Fully connected tanh net mapping a feature vector to an (x, y) estimate."""
+    """Fully connected tanh net mapping a feature vector to an (x, y) estimate.
+    ``weights`` and ``biases`` are views of ``theta``, weight matrices first."""
 
     def __init__(self, config: MlpConfig, rng: np.random.Generator | None = None):
         self.config = config
@@ -91,12 +101,12 @@ class Mlp:
         self.x_mean = np.zeros(sizes[0])
         self.x_std = np.ones(sizes[0])
         rng = rng or np.random.default_rng(config.seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            self.weights.append(rng.normal(0.0, math.sqrt(1.0 / fan_in),
-                                           size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        self._shapes = [*zip(sizes[:-1], sizes[1:]), *((s,) for s in sizes[1:])]
+        self.theta = np.zeros(sum(math.prod(s) for s in self._shapes))
+        views = _views(self.theta, self._shapes)
+        self.weights, self.biases = views[:len(sizes) - 1], views[len(sizes) - 1:]
+        for w in self.weights:
+            w[...] = rng.normal(0.0, math.sqrt(1.0 / w.shape[0]), size=w.shape)
 
     @property
     def input_dim(self) -> int:
@@ -130,9 +140,12 @@ class Mlp:
         return a @ self.weights[-1] + self.biases[-1]
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray,
-                      ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+                      out: np.ndarray | None = None) -> tuple:
         """MSE = mean over the batch of squared position error, plus its
-        gradients by backpropagation (shapes mirror the parameters)."""
+        gradients by backpropagation (shapes mirror the parameters).  With
+        ``out``, laid out as ``theta`` past the first weight matrix, they are
+        written into it, and ``(loss, a, delta)`` returns that matrix's
+        gradient as the factors of ``a.T @ delta``."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         if len(x) == 0:
@@ -152,16 +165,17 @@ class Mlp:
         diff = pred - y
         loss = float(np.sum(diff * diff) / n)
         delta = 2.0 * diff / n
-        grad_w = [np.empty(0)] * len(self.weights)
-        grad_b = [np.empty(0)] * len(self.biases)
-        grad_w[-1] = acts[-1].T @ delta
-        grad_b[-1] = delta.sum(axis=0)
-        for layer in range(len(self.weights) - 2, -1, -1):
-            a = acts[layer + 1]
-            delta = (delta @ self.weights[layer + 1].T) * (1.0 - a * a)  # tanh'
-            grad_w[layer] = acts[layer].T @ delta
-            grad_b[layer] = delta.sum(axis=0)
-        return loss, grad_w, grad_b
+        grads = ([np.empty(s) for s in self._shapes] if out is None
+                 else [None, *_views(out, self._shapes[1:])])
+        grad_w, grad_b = grads[:len(self.weights)], grads[len(self.weights):]
+        for layer in range(len(self.weights) - 1, -1, -1):
+            if layer < len(self.weights) - 1:
+                a = acts[layer + 1]
+                delta = (delta @ self.weights[layer + 1].T) * (1.0 - a * a)  # tanh'
+            if grad_w[layer] is not None:
+                np.matmul(acts[layer].T, delta, out=grad_w[layer])
+            np.sum(delta, axis=0, out=grad_b[layer])
+        return (loss, grad_w, grad_b) if out is None else (loss, norm, delta)
 
     def clone_weights(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
@@ -183,9 +197,16 @@ def median_position_error(model: Mlp, x: np.ndarray, y: np.ndarray) -> float:
 
 
 # Floats per Adam slice: 256 KiB of scratch, which stays in cache while the
-# slice's eleven passes run over it, where one sized for the largest weight
-# is 1.4 MB at input width 677.
+# slice's eleven passes run over it.  It is 128 rows of a 256-wide first
+# weight matrix, whose gradient (1.4 MB at input width 677) is computed one
+# slice of whole rows at a time and never held whole.
 _ADAM_SLICE = 1 << 15
+
+
+def _weight_rows(a: np.ndarray, delta: np.ndarray, rows: slice,
+                 out: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of the weight gradient ``a.T @ delta``, written into ``out``."""
+    return np.matmul(a[:, rows].T, delta, out=out)
 
 
 def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
@@ -207,17 +228,21 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
     model = Mlp(config, rng=rng)
     model.set_normalization(x_train)
 
-    # updated in place until the best snapshot replaces them; Adam walks each
-    # parameter in slices that fit a small scratch, and its divisor reuses
-    # the gradient, which is spent by then
-    params = model.weights + model.biases
-    adam_m, adam_v = ([np.zeros_like(p) for p in params] for _ in range(2))
-    scratch = np.empty(_ADAM_SLICE)
+    # theta is updated in place until the best snapshot replaces it; Adam
+    # walks it in slices, those of the first weight matrix (theta[:first])
+    # in whole rows, and each slice's divisor reuses the spent gradient
+    theta, width = model.theta, config.layer_sizes[1]
+    first, span = config.layer_sizes[0] * width, max(_ADAM_SLICE // width, 1) * width
+    slices = [(lo, min(lo + span, end)) for start, end in ((0, first), (first, theta.size))
+              for lo in range(start, end, span)]
+    grad = np.empty(theta.size - first)  # every gradient but the first weight matrix's
+    adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
+    scratch, block = np.empty(span), np.empty(span)
     lr, b1, b2 = config.learning_rate, config.beta1, config.beta2
     step = 0
     history: list[tuple[int, float, float]] = []
     best_err = math.inf
-    best_snapshot = model.clone_weights()  # overwritten in place on each improvement
+    best = theta.copy()  # overwritten in place on each improvement
     stale = 0
 
     for epoch in range(config.epochs):
@@ -225,44 +250,46 @@ def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
         total = 0.0
         for start in range(0, len(perm), config.batch_size):
             idx = perm[start:start + config.batch_size]
-            loss, grad_w, grad_b = model.loss_and_grad(x_train[idx], y_train[idx])
+            loss, a0, delta0 = model.loss_and_grad(x_train[idx], y_train[idx], out=grad)
             if not math.isfinite(loss):
                 raise Divergence(f"non-finite loss at epoch {epoch}", history=history)
             total += loss * len(idx)
             step += 1
             c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step  # bias corrections
-            for whole in zip(params, grad_w + grad_b, adam_m, adam_v):
-                flat = [x.reshape(-1) for x in whole]  # views: all four are contiguous
-                for lo in range(0, flat[0].size, _ADAM_SLICE):
-                    p, g, m, v = (x[lo:lo + _ADAM_SLICE] for x in flat)
-                    a = scratch[:g.size]
-                    m *= b1
-                    m += np.multiply(1.0 - b1, g, out=a)
-                    v *= b2
-                    np.multiply(1.0 - b2, g, out=a)
-                    v += np.multiply(a, g, out=a)
-                    np.divide(m, c1, out=a)
-                    np.sqrt(np.divide(v, c2, out=g), out=g)
-                    g += config.adam_eps
-                    a *= lr
-                    a /= g
-                    p -= a
-            del grad_w, grad_b  # spent: not held while the next batch's are computed
+            for lo, hi in slices:
+                if hi <= first:  # these rows of the first weight matrix's gradient
+                    g = block[:hi - lo]
+                    _weight_rows(a0, delta0, slice(lo // width, hi // width),
+                                 g.reshape(-1, width))
+                else:
+                    g = grad[lo - first:hi - first]
+                p, m, v, a = theta[lo:hi], adam_m[lo:hi], adam_v[lo:hi], scratch[:hi - lo]
+                m *= b1
+                m += np.multiply(1.0 - b1, g, out=a)
+                v *= b2
+                np.multiply(1.0 - b2, g, out=a)
+                v += np.multiply(a, g, out=a)
+                np.divide(m, c1, out=a)
+                np.sqrt(np.divide(v, c2, out=g), out=g)
+                g += config.adam_eps
+                a *= lr
+                a /= g
+                p -= a
+            del a0, delta0  # spent: not held while the next batch's are computed
         train_mse = total / len(x_train)
         test_err = median_position_error(model, x_test, y_test) if len(x_test) \
             else math.nan
         history.append((epoch, train_mse, test_err))
         if len(x_test) and test_err < best_err:
             best_err = test_err
-            for best, current in zip(best_snapshot[0] + best_snapshot[1], params):
-                np.copyto(best, current)
+            np.copyto(best, theta)
             stale = 0
         else:
             stale += 1
             if len(x_test) and stale >= config.patience:
                 break
     if len(x_test):  # without a held-out set the final weights stand
-        model.weights, model.biases = best_snapshot
+        np.copyto(theta, best)
     return model, history
 
 
@@ -276,29 +303,23 @@ def gradient_check(model: Mlp, x: np.ndarray, y: np.ndarray,
     gradient magnitude.  ``samples`` limits the check to that many randomly
     chosen parameters (all parameters when None)."""
     _, grad_w, grad_b = model.loss_and_grad(x, y)
-    analytic = np.concatenate([g.ravel() for g in grad_w + grad_b])
-    flats = [w.ravel() for w in model.weights] + [b.ravel() for b in model.biases]
-    offsets = np.cumsum([0] + [f.size for f in flats])
-
-    total = offsets[-1]
-    if samples is None or samples >= total:
-        indices = np.arange(total)
+    analytic = np.concatenate([g.ravel() for g in grad_w + grad_b])  # theta's layout
+    theta = model.theta
+    if samples is None or samples >= theta.size:
+        indices = np.arange(theta.size)
     else:
         rng = rng or np.random.default_rng(0)
-        indices = rng.choice(total, size=samples, replace=False)
+        indices = rng.choice(theta.size, size=samples, replace=False)
 
     scale = max(float(np.max(np.abs(analytic))), 1e-12)
     worst = 0.0
-    for global_i in indices:
-        layer = int(np.searchsorted(offsets, global_i, side="right")) - 1
-        flat = flats[layer]
-        i = int(global_i - offsets[layer])
-        original = flat[i]
-        flat[i] = original + epsilon
+    for i in indices:
+        original = theta[i]
+        theta[i] = original + epsilon
         up, *_ = model.loss_and_grad(x, y)
-        flat[i] = original - epsilon
+        theta[i] = original - epsilon
         down, *_ = model.loss_and_grad(x, y)
-        flat[i] = original
+        theta[i] = original
         numeric = (up - down) / (2.0 * epsilon)
-        worst = max(worst, abs(analytic[global_i] - numeric) / scale)
+        worst = max(worst, abs(analytic[i] - numeric) / scale)
     return worst

@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 from pathlib import Path
@@ -314,6 +315,54 @@ def test_run_reads_the_sidecar_once(cli_campaign, tmp_path, monkeypatch):
     assert calls == [tmp_path / "scenario.json"]
 
 
+def _without_campaign_2(scenario):
+    doc = _load(scenario)
+    del doc["scenario2"]
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _truncated_dataset_2(scenario):
+    path = scenario.parent / "dataset2.jsonl"
+    text = path.read_text(encoding="utf-8")
+    path.unlink()  # the copy's own file, with no cache beside it: the load parses it
+    path.with_suffix(".tables.npz").unlink(missing_ok=True)
+    path.write_text(text[:len(text) - 40], encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage, code, message", [
+    (_without_campaign_2, 2, "scenario.json records no second campaign; re-run simulate"),
+    (_truncated_dataset_2, 3, "dataset2.jsonl:"),
+])
+def test_a_campaign_that_fails_on_a_pool_thread_keeps_its_exit_code(cli_campaign, tmp_path,
+                                                                    capsys, damage, code,
+                                                                    message):
+    damage(_campaign_copy(cli_campaign, tmp_path))
+    assert main(["run", "--out", str(tmp_path), "--methods", "uwb-trilat,nn:uwb",
+                 "--epochs", "1", "--transfer"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("cap", ["1", "2"])
+def test_run_prepares_each_campaign_on_a_pool_thread(cli_campaign, tmp_path, monkeypatch,
+                                                     cap):
+    _campaign_copy(cli_campaign, tmp_path)
+    prepare, threads = cli._prepare_campaign, {}
+
+    def recording(cfg, sidecar, which, need_phase):
+        threads[which] = threading.current_thread()
+        return prepare(cfg, sidecar, which, need_phase)
+
+    monkeypatch.setattr(cli, "_prepare_campaign", recording)
+    monkeypatch.setenv("INDOOR_FUSION_THREADS", cap)
+    assert main(["run", "--out", str(tmp_path), "--methods", "uwb-trilat,rssi-fp",
+                 "--transfer"]) == 0
+    assert threading.main_thread() not in threads.values() and len(threads) == 2
+    # on two workers campaign 2 waits for campaign 1 on the other thread
+    assert (threads[1] is threads[2]) == (cli._max_workers(2) == 1)
+
+
 @pytest.mark.parametrize("value", ["zero", "0", "-3"])
 def test_bad_thread_cap_exits_config(cli_campaign, monkeypatch, value):
     monkeypatch.setenv("INDOOR_FUSION_THREADS", value)
@@ -433,8 +482,8 @@ _NO_RSSI_RANGE = ("EmptyObservations: rssi: 336 of the 336 snapshots have no rea
                   "range is finite and > 0")
 
 
-def _rename_u0(payload, line):
-    if payload["anchor_id"] == "u0":
+def _rename(payload, anchor):
+    if payload["anchor_id"] == anchor:
         payload["anchor_id"] = "zz9"
 
 
@@ -442,7 +491,8 @@ def _rename_u0(payload, line):
 # line, how the failure of each method that fails starts)
 PAYLOAD_FAULTS = {
     "uwb anchor unknown to the scenario": (
-        "uwb", _rename_u0, {"uwb-trilat": "InsufficientData: no anchor positions for ['zz9']"}),
+        "uwb", lambda payload, line: _rename(payload, "u0"),
+        {"uwb-trilat": "InsufficientData: no anchor positions for ['zz9']"}),
     "every rssi reading near 1e300 dBm": (  # one apart from the other: no distance is 0
         "rssi", lambda payload, line: payload.update(rssi_db=1e300 * (1.0 + line / 1e4)),
         {"rssi-fp": "NonFiniteDistance: feature distances from query 0 to ",
@@ -483,11 +533,14 @@ def test_a_faulty_sensor_fails_its_method_with_a_typed_error(cli_campaign, tmp_p
 
 @pytest.fixture(scope="module")
 def fault_campaign(tmp_path_factory):
-    """A 30 s seed-42 campaign: its scenario.json and the lines of dataset1.jsonl."""
+    """A 30 s seed-42 campaign: its scenario.json and the lines of each dataset."""
     out = tmp_path_factory.mktemp("fault_campaign")
     assert main(["simulate", "--seed", "42", "--duration", "30", "--out", str(out)]) == 0
-    with open(out / "dataset1.jsonl", "r", encoding="utf-8") as fh:
-        return out / "scenario.json", fh.readlines()
+    lines = {}
+    for which in (1, 2):
+        with open(out / f"dataset{which}.jsonl", "r", encoding="utf-8") as fh:
+            lines[which] = fh.readlines()
+    return out / "scenario.json", lines
 
 
 def _each(sensor, change):
@@ -526,11 +579,13 @@ FAULT_MATRIX = {
     "no csi records": _without("csi"),
     "no gt records": _without("gt"),
     "a uwb anchor that scenario.json lacks": _each(
-        "uwb", lambda doc, i: _rename_u0(doc["payload"], i)),
+        "uwb", lambda doc, i: _rename(doc["payload"], "u0")),
     "every rssi reading at 1e300 dBm": _each(
         "rssi", lambda doc, i: doc["payload"].update(rssi_db=1e300)),
     "every uwb range negated": _each(
         "uwb", lambda doc, i: doc["payload"].update(range_m=-doc["payload"]["range_m"])),
+    "campaign 2: an rssi anchor that its scenario lacks": _each(
+        "rssi", lambda doc, i: _rename(doc["payload"], "w00")),
 }
 
 
@@ -540,6 +595,8 @@ FAULT_MATRIX = {
 FAULT_OUTCOMES = {
     "1 us of jitter on every uwb stamp": (
         EXIT_NUMERIC, "error: uwb: duplicate or non-monotonic sensor ticks after dedup", None),
+    "campaign 2: an rssi anchor that its scenario lacks": (0, "", {
+        "rssi-trilat": "InsufficientData: no anchor positions for ['zz9']"}),
     "every rssi reading at 1e300 dBm": (0, "", {
         "nn-fusion": "Divergence: the spread of 13 of 705 input features overflows float64",
         "rssi-fp": "NonFiniteDistance: feature distances from query 0 to ",
@@ -565,11 +622,15 @@ def test_a_damaged_dataset_ends_in_a_result_or_a_typed_error(fault_campaign, tmp
                                                             capsys):
     scenario, lines = fault_campaign
     shutil.copy(scenario, tmp_path / "scenario.json")
-    docs = FAULT_MATRIX[fault]([json.loads(line) for line in lines])
-    (tmp_path / "dataset1.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs),
-                                             encoding="utf-8")
+    which = 2 if fault.startswith("campaign 2: ") else 1  # campaign 2 is scored by --transfer
+    docs = FAULT_MATRIX[fault]([json.loads(line) for line in lines[which]])
+    (tmp_path / f"dataset{which}.jsonl").write_text(
+        "".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+    if which == 2:
+        (tmp_path / "dataset1.jsonl").write_text("".join(lines[1]), encoding="utf-8")
     code = main(["run", "--out", str(tmp_path), "--epochs", "1",
-                 "--methods", "uwb-trilat,rssi-trilat,rssi-fp,csi-fp,nn-fusion"])
+                 "--methods", "uwb-trilat,rssi-trilat,rssi-fp,csi-fp,nn-fusion",
+                 *(["--transfer"] if which == 2 else [])])
     assert code in (0, 2, 3, 4)
     if fault in FAULT_OUTCOMES:
         want_code, want_message, want_failures = FAULT_OUTCOMES[fault]
@@ -774,7 +835,8 @@ def test_run_executes_every_stage_module_before_its_pool_starts(cli_campaign, tm
         "                 and type(m) is not types.ModuleType))\n"
         "    start(self, *args, **kwargs)\n"
         "concurrent.futures.ThreadPoolExecutor.__init__ = checked\n"
-        f"assert main(['run', '--out', {str(tmp_path)!r}, '--methods', 'uwb-trilat']) == 0\n")
+        f"assert main(['run', '--out', {str(tmp_path)!r}, '--methods', 'uwb-trilat,nn:csi-phase',"
+        f" '--epochs', '1', '--transfer']) == 0\n")
     assert out.splitlines()[0] == "[]"
 
 

@@ -263,6 +263,55 @@ def test_sliced_update_matches_the_reference_across_slice_boundaries():
     _assert_matches_the_reference(x, y, config)
 
 
+@pytest.mark.parametrize("width", [5, 300, 677])
+def test_first_layer_gradient_by_row_blocks_matches_loss_and_grad(monkeypatch, width):
+    # 128 rows of the 256-wide first layer per block: 5, 300 and 677 rows end
+    # in a short block; 100 training rows make a batch of 64 and one of 36
+    assert mlp._ADAM_SLICE // DEFAULT_HIDDEN[0] == 128
+    rng = np.random.default_rng(width)
+    x, y = rng.normal(size=(130, width)), rng.normal(size=(130, 2))
+    loss_and_grad, weight_rows = Mlp.loss_and_grad, mlp._weight_rows
+    whole, batches, blocks = [], [], []
+
+    def spy_loss_and_grad(self, x, y, out=None):
+        batches.append(len(x))
+        whole.append(loss_and_grad(self, x, y)[1][0])  # before this step's update
+        return loss_and_grad(self, x, y, out)
+
+    def spy_weight_rows(a, delta, rows, out):
+        blocks.append((len(whole), weight_rows(a, delta, rows, out).copy()))
+        return out
+
+    monkeypatch.setattr(Mlp, "loss_and_grad", spy_loss_and_grad)
+    monkeypatch.setattr(mlp, "_weight_rows", spy_weight_rows)
+    train_arrays(x[:100], y[:100], x[100:], y[100:], MlpConfig.for_input(width, epochs=2))
+    assert batches == [64, 36, 64, 36]
+    assert len(blocks) == len(whole) * math.ceil(width / 128)
+    for step, want in enumerate(whole, start=1):
+        got = np.concatenate([block for at, block in blocks if at == step])
+        np.testing.assert_array_equal(got, want)
+
+
+def test_training_memory_does_not_grow_with_the_epochs():
+    import tracemalloc
+
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(150, 677)), rng.normal(size=(150, 2))
+    train_arrays(x[:130], y[:130], x[130:], y[130:], MlpConfig.for_input(677, epochs=1))
+    peaks = []
+    for epochs in (2, 6):  # each epoch improves, so each takes a best snapshot
+        config = MlpConfig.for_input(677, epochs=epochs, patience=epochs)
+        tracemalloc.start()
+        try:
+            train_arrays(x[:130], y[:130], x[130:], y[130:], config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a parameter-sized vector is 1.7 MB here; history rows and numpy's own
+    # small caches add a few hundred bytes an epoch
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+
 def _assert_matches_the_reference(x, y, config):
     args = (x[:50], y[:50], x[50:], y[50:], config)
     model, history = train_arrays(*args)
