@@ -13,7 +13,7 @@ from indoor_fusion.fingerprint import (
     locate,
     rssi_snapshot_positions,
 )
-from indoor_fusion.geometry import trilaterate_batch
+from indoor_fusion.geometry import locate_from_ranges
 from indoor_fusion.ingest import ingest_run
 from indoor_fusion.mlp import SplitSpec, split_dataset
 from indoor_fusion.simulate import SimConfig, build_scenario, simulate_run
@@ -26,8 +26,8 @@ def uwb_trilat(result, scenario):
     usable = stream.features >= 0.0  # a dropped-out anchor reports a negative range
     kept = usable.any(axis=1)
     used = stream.take(kept)
-    est, _ = trilaterate_batch(np.broadcast_to(geometry, (len(used), *geometry.shape)),
-                               used.features, usable[kept])
+    est, _ = locate_from_ranges(np.broadcast_to(geometry, (len(used), *geometry.shape)),
+                                used.features, usable[kept])
     return error_report(est, used.labels)
 
 
@@ -36,7 +36,7 @@ def rssi_trilat(result, scenario):
     cal = calibrate_rssi_offset(stream, list(scenario.wifi_anchors))
     print(f"  (calibrated receiver gain: {cal.beta:+.0f} dB)")
     positions = {a.id: a.position for a in scenario.wifi_anchors}
-    est = rssi_snapshot_positions(stream, positions, cal.beta)
+    est, _ = rssi_snapshot_positions(stream, positions, cal.beta)
     return error_report(est, stream.labels)
 
 

@@ -7,6 +7,8 @@ nearest-rank p50 that ``report.json`` summarizes.  Takes 35-42 s on two
 cores: the CSI-bearing models are 677+ inputs wide.
 """
 
+import numpy as np
+
 from indoor_fusion.ingest import frames_to_arrays, ingest_run, select_blocks
 from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset, train_arrays
 from indoor_fusion.simulate import SimConfig, build_scenario, simulate_run
@@ -29,13 +31,14 @@ def main():
     print(f"{len(result.frames)} frames, layout "
           f"{[(b.modality, b.width) for b in result.frames.layout.blocks]}")
 
+    frames = result.frames
+    train_rows, test_rows = split_dataset(np.arange(len(frames)), SplitSpec(shuffle_seed=42))
     for name, blocks in SUBSETS.items():
-        frames = select_blocks(result.frames, blocks)
-        train_f, test_f = split_dataset(frames, SplitSpec(shuffle_seed=42))
-        nn_config = MlpConfig.for_input(
-            frames.layout.feature_width + frames.layout.mask_width, epochs=40, seed=42)
-        model, history = train_arrays(*frames_to_arrays(train_f),
-                                      *frames_to_arrays(test_f), nn_config)
+        layout = select_blocks(frames.layout, blocks)
+        nn_config = MlpConfig.for_input(layout.feature_width + layout.mask_width,
+                                        epochs=40, seed=42)
+        model, history = train_arrays(*frames_to_arrays(frames, train_rows, layout),
+                                      *frames_to_arrays(frames, test_rows, layout), nn_config)
         best = min(h[2] for h in history)
         # np.median over the test frames: not the nearest-rank p50 of report.json
         print(f"{name:15s} width={nn_config.layer_sizes[0]:4d} "

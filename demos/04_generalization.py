@@ -30,13 +30,14 @@ def csi_frames(scenario, config):
     tables = simulate_run(scenario, config)
     result = ingest_run(tables, scenario.sensor_offsets, config.rates,
                         config.duration)
-    magnitude = select_blocks(result.frames, ["csi"])
+    magnitude = (result.frames, select_blocks(result.frames.layout, ["csi"]))
     # relabel the clock-corrected csi table with phase features
     stream = label_with_groundtruth(result.tables["csi"],
                                     groundtruth_interpolator(result.tables["gt"]),
                                     scenario.sensor_offsets["csi"],
                                     csi_features="phase")
-    return magnitude, build_fusion_frames([stream])
+    phase = build_fusion_frames([stream])
+    return magnitude, (phase, phase.layout)
 
 
 def main():
@@ -48,13 +49,13 @@ def main():
     mag_a, phase_a = csi_frames(scenario, config)
     mag_b, phase_b = csi_frames(reseeded, config)
 
-    nn_config = MlpConfig.for_input(mag_a.features.shape[1] + 1, epochs=30,
-                                    seed=0)
+    nn_config = MlpConfig.for_input(mag_a[1].feature_width + 1, epochs=30, seed=0)
     spec = SplitSpec(shuffle_seed=0)
-    for name, frames_a, frames_b in (("magnitude", mag_a, mag_b),
-                                     ("phase", phase_a, phase_b)):
+    for name, (frames_a, layout_a), (frames_b, layout_b) in (("magnitude", mag_a, mag_b),
+                                                             ("phase", phase_a, phase_b)):
         train_rows, test_rows = split_dataset(np.arange(len(frames_a)), spec)
-        out = run_generalization(frames_a, train_rows, test_rows, frames_b, nn_config)
+        out = run_generalization(frames_a, train_rows, test_rows, frames_b, nn_config,
+                                 layout=layout_a, transfer_layout=layout_b)
         self_p50 = out.self_report.percentiles["p50"]
         transfer_p50 = out.transfer_report.percentiles["p50"]
         print(f"{name:9s} self p50={self_p50:.3f} m   "

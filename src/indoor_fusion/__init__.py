@@ -27,18 +27,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # each public name, by the stage module that defines it
 _EXPORTS = {
     "errors": (
-        "ClockFitError", "CollinearAnchors", "ConfigError", "DimensionMismatch", "Divergence",
+        "ClockFitError", "ConfigError", "DimensionMismatch", "Divergence",
         "EmptyGroundTruth", "EmptyMap", "EmptyObservations", "EmptyReport",
         "IndoorFusionError", "InsufficientData", "InsufficientOverlap", "InvalidOverride",
         "LayoutMismatch", "LengthMismatch", "MalformedLine", "NegativeTime",
-        "NonFiniteDistance", "SchemaViolation", "TooFewAnchors", "TooFewFrames",
-        "UndefinedDegradation"),
+        "NonFiniteDistance", "SchemaViolation", "TooFewFrames", "UndefinedDegradation"),
     "records": (
         "Anchor", "ClockModel", "Pose", "Position2D", "SensorOffset", "SensorTable",
         "normalize_angle", "read_records", "write_records"),
     "geometry": (
-        "RangeObservation", "TrilatResult", "degenerate_estimate", "locate_from_ranges",
-        "rssi_to_distance", "translate_sensor_pose", "trilaterate", "trilaterate_batch"),
+        "degenerate_estimate", "locate_from_ranges", "rssi_to_distance",
+        "translate_sensor_pose"),
     "simulate": (
         "DEFAULT_PERTURBATION", "Bounds", "MagneticFieldSpec", "NoiseConfig", "Perturbation",
         "Scenario", "SimConfig", "TrajectoryInterpolator", "build_scenario", "csi_channel",
@@ -52,7 +51,7 @@ _EXPORTS = {
         "write_frames"),
     "fingerprint": (
         "RadioMap", "RssiCalibration", "build_map", "calibrate_rssi_offset", "locate",
-        "rssi_snapshot_fixes", "rssi_snapshot_positions"),
+        "rssi_snapshot_positions"),
     "mlp": ("Mlp", "MlpConfig", "SplitSpec", "gradient_check", "split_dataset",
             "train_arrays"),
     "evaluate": (

@@ -382,7 +382,7 @@ def _uwb_estimate(camp: _Campaign, rows) -> tuple[np.ndarray, np.ndarray, dict]:
     if not kept.any():
         raise errors.EmptyReport(f"none of the {len(stream)} uwb ticks has a usable (>= 0) range")
     used, usable = stream.take(kept), usable[kept]
-    est, fallback = geometry.trilaterate_batch(
+    est, fallback = geometry.locate_from_ranges(
         np.broadcast_to(anchor_xy, (len(used), *anchor_xy.shape)), used.features, usable)
     return est, used.labels, {
         "ticks_used": len(used),
@@ -401,7 +401,7 @@ def _fit_rssi_trilat(camp1: _Campaign):
         # same receiver, same calibration: every campaign takes campaign-1 beta
         stream = _stream_or_raise(camp, "rssi", rows)
         positions = {a.id: a.position for a in camp.scenario.wifi_anchors}
-        est, fallback = fingerprint.rssi_snapshot_fixes(stream, positions, cal.beta)
+        est, fallback = fingerprint.rssi_snapshot_positions(stream, positions, cal.beta)
         return est, stream.labels, _solver_counts(est, fallback, camp.scenario)
 
     return estimate, None, {"beta_db": cal.beta, "calibration_median_m": cal.error_m}
@@ -433,7 +433,7 @@ def _nn_input(camp: _Campaign, method: str) -> tuple[ingest.Frames, ingest.Frame
     wanted = evaluate.blocks_for_method(method)
     if method == "nn-fusion":
         wanted = [m for m in wanted if m in camp.frames.layout.modalities()]
-    return camp.frames, camp.frames.layout.select(wanted)
+    return camp.frames, ingest.select_blocks(camp.frames.layout, wanted)
 
 
 def _fit_nn(camp1: _Campaign, method: str, cfg: RunConfig):

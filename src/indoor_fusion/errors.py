@@ -17,16 +17,8 @@ class NegativeTime(SchemaViolation):
     """A record carries a timestamp before the session start."""
 
 
-class TooFewAnchors(IndoorFusionError):
-    """Trilateration needs at least three range observations."""
-
-
-class CollinearAnchors(IndoorFusionError):
-    """Anchor geometry is rank-deficient; no unique 2D fix exists."""
-
-
 class EmptyObservations(IndoorFusionError):
-    """The degenerate estimator received no observations at all."""
+    """A row to localize has no usable observation at all."""
 
 
 class InvalidOverride(IndoorFusionError):

@@ -143,7 +143,7 @@ def fit_network(frames: Frames, train_rows, test_rows, config: MlpConfig,
     """Train on the ``train_rows`` of ``frames``, keeping the weights of the
     epoch with the least median error on the ``test_rows``.
 
-    ``layout`` picks the blocks, as ``frames.layout.select`` gives them
+    ``layout`` picks the blocks, as ``ingest.select_blocks`` gives them
     (default: all).  Each input is gathered once and freed when training
     returns.  Returns the model and the per-epoch history.
     """

@@ -11,6 +11,9 @@ in a brute-force sweep, every snapshot's three strongest readings are
 inverted to distances and trilaterated, and the offset with the smallest
 median position error wins.  The strongest three do not depend on the
 offset, so the sweep is solved in a few batched blocks of offsets.
+``rssi_snapshot_positions`` gives the fixes and fallback mask at the chosen
+offset.  Every trilateration here is one call of
+``geometry.locate_from_ranges``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .defaults import DEFAULT_K, DEFAULT_RESOLUTION
 from .errors import (ConfigError, DimensionMismatch, EmptyMap, EmptyObservations,
                      InsufficientData, NonFiniteDistance)
-from .geometry import rssi_to_distance, trilaterate_batch
+from .geometry import locate_from_ranges, rssi_to_distance
 from .ingest import AlignedStream
 from .records import Anchor
 
@@ -171,12 +174,12 @@ def _solve_strongest(readings: np.ndarray, geometry: np.ndarray, usable: np.ndar
     beta = np.asarray(beta, dtype=np.float64)[..., None, None]
     with np.errstate(over="ignore"):  # only where ``usable`` leaves the reading out
         distances = rssi_to_distance(readings, p0=p0, d0=d0, n=exponent, beta=beta)
-    return trilaterate_batch(geometry, distances, usable)
+    return locate_from_ranges(geometry, distances, usable)
 
 
-def rssi_snapshot_fixes(stream: AlignedStream, anchors: dict[str, Position2D],
-                        beta, p0: float = -40.0, d0: float = 1.0,
-                        exponent: float = 2.2) -> tuple[np.ndarray, np.ndarray]:
+def rssi_snapshot_positions(stream: AlignedStream, anchors: dict[str, Position2D],
+                            beta, p0: float = -40.0, d0: float = 1.0,
+                            exponent: float = 2.2) -> tuple[np.ndarray, np.ndarray]:
     """Trilaterate every snapshot from its three strongest readings.
 
     Strength ranking uses the raw dBm values; ``beta`` only enters the
@@ -192,13 +195,6 @@ def rssi_snapshot_fixes(stream: AlignedStream, anchors: dict[str, Position2D],
     return _solve_strongest(*strongest, beta, p0, d0, exponent)
 
 
-def rssi_snapshot_positions(stream: AlignedStream, anchors: dict[str, Position2D],
-                            beta: float, p0: float = -40.0, d0: float = 1.0,
-                            exponent: float = 2.2) -> np.ndarray:
-    """The (N, 2) positions of :func:`rssi_snapshot_fixes` at one ``beta``."""
-    return rssi_snapshot_fixes(stream, anchors, beta, p0, d0, exponent)[0]
-
-
 def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
                           sweep: np.ndarray | None = None,
                           p0: float = -40.0, d0: float = 1.0,
@@ -210,7 +206,7 @@ def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
     converted to distances through the path-loss model and trilaterated;
     the per-beta score is the median position error against the labels.
     A reading whose range is not finite and > 0 at some beta of the sweep
-    is left out at every beta, as in :func:`rssi_snapshot_fixes`.
+    is left out at every beta, as in :func:`rssi_snapshot_positions`.
     """
     if len(samples) < MIN_CALIBRATION_SNAPSHOTS:
         raise InsufficientData(f"calibration needs >= {MIN_CALIBRATION_SNAPSHOTS} "

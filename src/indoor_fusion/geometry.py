@@ -10,59 +10,36 @@ in the least-squares sense (coordinates shifted so anchor 0 is the origin).
 With noiseless distances this recovers the generating point exactly; with
 noise it returns the point closest to all radical lines.
 
-One batched solver, :func:`trilaterate_batch`, does this for many rows at
-once through the closed-form 2x2 normal equations; the per-fix functions
-are one-row calls into it.
+One solver, :func:`locate_from_ranges`, does this for many rows of anchor
+and range arrays at once through the closed-form 2x2 normal equations; a
+single fix is a one-row call.  Rows it cannot trilaterate get
+:func:`degenerate_estimate`, the centroid of their usable anchors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearAnchors, EmptyObservations, TooFewAnchors
-from .records import Anchor, Position2D, SensorOffset
+from .errors import EmptyObservations
+from .records import SensorOffset
 
 # Rank test on the 2x2 normal matrix: smallest singular value below this
 # fraction of the largest means the anchors are (numerically) collinear.
 _COLLINEARITY_RTOL = 1e-10
 
 
-def _check_distances(distances: np.ndarray) -> None:
-    bad = ~(np.isfinite(distances) & (distances >= 0.0))
-    if np.any(bad):
-        raise ValueError(f"distance must be finite and >= 0, got {distances[bad][0]}")
-
-
-@dataclass(frozen=True)
-class RangeObservation:
-    """A measured distance to one anchor."""
-
-    anchor: Anchor
-    distance: float
-
-    def __post_init__(self):
-        _check_distances(np.asarray([self.distance], dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class TrilatResult:
-    """A position fix with its RMS range residual and anchor count."""
-
-    position: Position2D
-    residual: float
-    used_anchors: int
-
-
-def _centroid(anchors: np.ndarray, usable: np.ndarray) -> np.ndarray:
-    """(N, 2) mean position of each row's usable anchors."""
+def degenerate_estimate(anchors, usable) -> np.ndarray:
+    """(K, 2) mean position of the usable anchors of each row: ``anchors``
+    is (K, m, 2) and ``usable`` the (K, m) mask of the anchors to average."""
+    anchors = np.asarray(anchors, dtype=np.float64)
+    usable = np.asarray(usable, dtype=bool)
     total = np.where(usable[..., None], anchors, 0.0).sum(axis=1)
     return total / usable.sum(axis=1)[:, None]
 
 
-def trilaterate_batch(anchors, distances, usable=None) -> tuple[np.ndarray, np.ndarray]:
+def locate_from_ranges(anchors, distances, usable=None) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fixes for many rows of range observations at once.
 
     ``anchors`` is (N, m, 2), ``distances`` (..., N, m) and ``usable`` an
@@ -70,8 +47,8 @@ def trilaterate_batch(anchors, distances, usable=None) -> tuple[np.ndarray, np.n
     leading axes of ``distances`` share the row geometry.  Each row takes
     its first usable anchor as the reference and solves the 2x2 normal
     equations of its radical lines.  A row with fewer than three usable
-    anchors, or whose normal matrix fails the rank test, falls back to the
-    centroid of its usable anchors.
+    anchors, or whose normal matrix fails the rank test, falls back to
+    :func:`degenerate_estimate`, which is called for those rows only.
 
     Returns (..., N, 2) positions and an (..., N) mask of the rows answered
     with the centroid.  Raises EmptyObservations when a row has no usable
@@ -86,7 +63,9 @@ def trilaterate_batch(anchors, distances, usable=None) -> tuple[np.ndarray, np.n
     if np.any(count == 0):
         raise EmptyObservations("a row has no usable observation to estimate from")
     distances = np.where(usable, distances, 0.0)
-    _check_distances(distances)
+    bad = ~(np.isfinite(distances) & (distances >= 0.0))
+    if np.any(bad):
+        raise ValueError(f"distance must be finite and >= 0, got {distances[bad][0]}")
 
     rows = np.arange(n)
     first = np.argmax(usable, axis=1)
@@ -123,55 +102,13 @@ def trilaterate_batch(anchors, distances, usable=None) -> tuple[np.ndarray, np.n
     res -= x * sx[..., None]
     res -= y * sy[..., None]
     dx, dy = solve((x * res).sum(axis=-1), (y * res).sum(axis=-1))
-    fix = np.stack([ref[:, 0] + (sx + dx), ref[:, 1] + (sy + dy)], axis=-1)
-    positions = np.where(fallback[:, None], _centroid(anchors, usable), fix)
+    positions = np.stack([ref[:, 0] + (sx + dx), ref[:, 1] + (sy + dy)], axis=-1)
+    # the fallback rows depend on the geometry alone, not on the distances
+    degenerate = np.flatnonzero(fallback)
+    if degenerate.size:
+        positions[..., degenerate, :] = degenerate_estimate(anchors[degenerate],
+                                                            usable[degenerate])
     return positions, np.broadcast_to(fallback, positions.shape[:-1])
-
-
-def _arrays(obs: list[RangeObservation]) -> tuple[np.ndarray, np.ndarray]:
-    if not obs:
-        raise EmptyObservations("no observations to estimate from")
-    anchors = np.asarray([(o.anchor.position.x, o.anchor.position.y) for o in obs])
-    return anchors, np.asarray([o.distance for o in obs])
-
-
-def _result(position: np.ndarray, anchors: np.ndarray, distances: np.ndarray) -> TrilatResult:
-    errs = np.hypot(anchors[:, 0] - position[0], anchors[:, 1] - position[1]) - distances
-    return TrilatResult(Position2D(float(position[0]), float(position[1])),
-                        float(np.sqrt(np.mean(errs * errs))), len(distances))
-
-
-def _solve_one(obs: list[RangeObservation]) -> tuple[TrilatResult, bool]:
-    """One row through :func:`trilaterate_batch`; also says if it fell back."""
-    anchors, distances = _arrays(obs)
-    positions, fallback = trilaterate_batch(anchors[None], distances[None])
-    return _result(positions[0], anchors, distances), bool(fallback[0])
-
-
-def trilaterate(obs: list[RangeObservation]) -> TrilatResult:
-    """Least-squares position from >= 3 range observations.
-
-    Raises TooFewAnchors for fewer than three observations and
-    CollinearAnchors when the anchor geometry has no unique 2D solution.
-    """
-    if len(obs) < 3:
-        raise TooFewAnchors(f"trilateration needs >= 3 observations, got {len(obs)}")
-    result, fallback = _solve_one(obs)
-    if fallback:
-        raise CollinearAnchors("anchor geometry is rank-deficient")
-    return result
-
-
-def degenerate_estimate(obs: list[RangeObservation]) -> TrilatResult:
-    """Fallback fix for 1 or 2 connected anchors: the middle of their positions."""
-    anchors, distances = _arrays(obs)
-    position = _centroid(anchors[None], np.ones((1, len(obs)), dtype=bool))[0]
-    return _result(position, anchors, distances)
-
-
-def locate_from_ranges(obs: list[RangeObservation]) -> TrilatResult:
-    """Trilaterate when possible, fall back to the degenerate estimate otherwise."""
-    return _solve_one(obs)[0]
 
 
 def translate_sensor_pose(xy, phi, offset: SensorOffset) -> np.ndarray:

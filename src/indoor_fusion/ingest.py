@@ -23,6 +23,10 @@ and every stage works on its arrays.  Stages, in pipeline order:
    anchor ticks: zero-filled when absent, and held to a causal freshness
    window for the non-anchoring modalities.
 
+A regressor reads frames through one gather, ``frames_to_arrays(frames,
+rows, layout)``; ``select_blocks`` names a subset of the blocks as a
+``FrameLayout`` and copies nothing.
+
 ``ingest_run`` runs all four on the tables of one stream, as
 ``records.read_records`` or ``simulate.simulate_run`` return them.
 
@@ -306,12 +310,6 @@ class FrameLayout:
     def mask_index(self, modality: str) -> int:
         return self._entry(modality)[0]
 
-    def select(self, modalities) -> "FrameLayout":
-        """The layout of the named blocks alone, in this layout's order."""
-        for m in modalities:
-            self.block(m)  # raises LayoutMismatch on unknown names
-        return FrameLayout(tuple(b for b in self.blocks if b.modality in modalities))
-
 
 def frame_layout(streams: list[AlignedStream]) -> FrameLayout:
     """Canonical layout over the provided streams: csi | rssi | uwb | imu."""
@@ -392,16 +390,15 @@ def build_fusion_frames(streams: list[AlignedStream],
     return Frames(t, features, mask, labels, layout)
 
 
-def select_blocks(frames: Frames, modalities: list[str]) -> Frames:
-    """Restrict frames to a subset of blocks (layout order preserved)."""
-    layout = frames.layout
-    keep = layout.select(modalities)
-    columns = [np.arange(layout.feature_width)[layout.feature_slice(b.modality)]
-               for b in keep.blocks]
-    return Frames(frames.t,
-                  frames.features[:, np.concatenate(columns) if columns else []],
-                  frames.mask[:, [layout.mask_index(b.modality) for b in keep.blocks]],
-                  frames.labels, keep)
+def select_blocks(layout: FrameLayout, modalities) -> FrameLayout:
+    """The layout of the named blocks alone, in ``layout``'s order.
+
+    A name ``layout`` lacks raises LayoutMismatch.  Nothing is copied:
+    ``frames_to_arrays`` gathers the blocks of the result from the frames.
+    """
+    for m in modalities:
+        layout.block(m)  # raises LayoutMismatch on unknown names
+    return FrameLayout(tuple(b for b in layout.blocks if b.modality in modalities))
 
 
 # Rows gathered per step: bounds the temporary that fancy indexing makes.
@@ -413,7 +410,7 @@ def frames_to_arrays(frames: Frames, rows=None,
     """(X, y) for a regressor: block features with the mask bits appended.
 
     ``rows`` picks frames in the given order (default: all), ``layout``
-    the blocks, as ``frames.layout.select`` gives them (default: all).  X
+    the blocks, as ``select_blocks`` gives them (default: all).  X
     is one (rows, F + B) array filled in place, so selecting blocks and
     splitting rows copies each input once.
     """

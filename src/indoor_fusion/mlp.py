@@ -177,9 +177,6 @@ class Mlp:
             np.sum(delta, axis=0, out=grad_b[layer])
         return (loss, grad_w, grad_b) if out is None else (loss, norm, delta)
 
-    def clone_weights(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-
 
 # ---------------------------------------------------------------------------
 # Training

@@ -23,7 +23,7 @@ from test_records import records as record_strategy
 from indoor_fusion.cli import main as cli_main
 from indoor_fusion.evaluate import error_report, run_generalization
 from indoor_fusion.fingerprint import calibrate_rssi_offset
-from indoor_fusion.geometry import RangeObservation, trilaterate
+from indoor_fusion.geometry import locate_from_ranges
 from indoor_fusion.ingest import (
     AlignedStream,
     build_fusion_frames,
@@ -42,13 +42,7 @@ from indoor_fusion.mlp import (
     split_dataset,
     train_arrays,
 )
-from indoor_fusion.records import (
-    Anchor,
-    ClockModel,
-    Position2D,
-    read_records,
-    write_records,
-)
+from indoor_fusion.records import ClockModel, read_records, write_records
 from indoor_fusion.simulate import (
     NoiseConfig,
     Perturbation,
@@ -75,11 +69,10 @@ def test_criterion_1_trilateration_exact_on_noiseless_ranges():
         if area < 1.0:  # redraw near-collinear layouts
             continue
         target = rng.uniform(0.0, 20.0, 2)
-        obs = [RangeObservation(Anchor(f"a{i}", "uwb", Position2D(*c)),
-                                float(np.hypot(*(target - c))))
-               for i, c in enumerate(corners)]
-        est = trilaterate(obs).position
-        assert np.hypot(est.x - target[0], est.y - target[1]) <= 1e-7
+        distances = [float(np.hypot(*(target - c))) for c in corners]
+        est, fallback = locate_from_ranges(corners[None], np.asarray([distances]))
+        assert not fallback[0]
+        assert np.hypot(est[0, 0] - target[0], est[0, 1] - target[1]) <= 1e-7
         solved += 1
     assert time.perf_counter() - start < 1.0
 
@@ -213,26 +206,28 @@ def test_criterion_7_generalization_separates_magnitude_from_phase():
         tables = simulate_run(sc, config)
         result = ingest_run(tables, sc.sensor_offsets, config.rates,
                             config.duration)
-        mag = select_blocks(result.frames, ["csi"])
+        mag = (result.frames, select_blocks(result.frames.layout, ["csi"]))
         if not want_phase:
             return mag, None
         stream = label_with_groundtruth(result.tables["csi"],
                                         groundtruth_interpolator(result.tables["gt"]),
                                         sc.sensor_offsets["csi"],
                                         csi_features="phase")
-        return mag, build_fusion_frames([stream])
+        phase = build_fusion_frames([stream])
+        return mag, (phase, phase.layout)
 
     mag_a, phase_a = csi_frames(scenario, want_phase=True)
     mag_identical, _ = csi_frames(identical, want_phase=False)
     mag_reseeded, phase_reseeded = csi_frames(reseeded, want_phase=True)
 
-    nn_config = MlpConfig.for_input(mag_a.features.shape[1] + 1, epochs=40,
-                                    seed=0)
+    nn_config = MlpConfig.for_input(mag_a[1].feature_width + 1, epochs=40, seed=0)
     spec = SplitSpec(shuffle_seed=0)
 
-    def degradation(frames_a, frames_b):
+    def degradation(a, b):
+        (frames_a, layout_a), (frames_b, layout_b) = a, b
         train_rows, test_rows = split_dataset(np.arange(len(frames_a)), spec)
-        out = run_generalization(frames_a, train_rows, test_rows, frames_b, nn_config)
+        out = run_generalization(frames_a, train_rows, test_rows, frames_b, nn_config,
+                                 layout=layout_a, transfer_layout=layout_b)
         return (out.transfer_report.percentiles["p50"]
                 / out.self_report.percentiles["p50"])
 

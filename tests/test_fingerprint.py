@@ -18,7 +18,6 @@ from indoor_fusion.fingerprint import (
     build_map,
     calibrate_rssi_offset,
     locate,
-    rssi_snapshot_fixes,
     rssi_snapshot_positions,
 )
 from indoor_fusion.ingest import AlignedStream
@@ -272,7 +271,8 @@ def test_locate_matches_the_per_query_search_bit_for_bit(case):
 def test_snapshot_positions_recover_noiseless_geometry():
     stream = _rssi_stream(_survey_points(20))
     anchors = {a.id: a.position for a in SQUARE_ANCHORS}
-    est = rssi_snapshot_positions(stream, anchors, beta=0.0)
+    est, fallback = rssi_snapshot_positions(stream, anchors, beta=0.0)
+    assert not fallback.any()
     labels = stream.labels
     err = np.hypot(est[:, 0] - labels[:, 0], est[:, 1] - labels[:, 1])
     assert float(err.max()) < 1e-6
@@ -331,7 +331,7 @@ def test_one_call_sweep_reproduces_a_per_beta_loop():
     labels = stream.labels
     loop = []
     for beta in np.arange(-30.0, 31.0):
-        est = rssi_snapshot_positions(stream, anchors, float(beta))
+        est, _ = rssi_snapshot_positions(stream, anchors, float(beta))
         err = np.hypot(est[:, 0] - labels[:, 0], est[:, 1] - labels[:, 1])
         loop.append((float(beta), float(np.median(err))))
     assert [b for b, _ in cal.sweep_errors] == [b for b, _ in loop]
@@ -345,7 +345,7 @@ def test_blocked_sweep_equals_the_one_call_sweep_bit_for_bit():
     # two full blocks and a short third one
     sweep = np.linspace(-12.5, 9.0, 2 * SWEEP_BLOCK + 3)
     cal = calibrate_rssi_offset(stream, SQUARE_ANCHORS, sweep=sweep)
-    est, _ = rssi_snapshot_fixes(stream, {a.id: a.position for a in SQUARE_ANCHORS}, sweep)
+    est, _ = rssi_snapshot_positions(stream, {a.id: a.position for a in SQUARE_ANCHORS}, sweep)
     labels = stream.labels
     medians = np.median(np.hypot(est[..., 0] - labels[:, 0], est[..., 1] - labels[:, 1]),
                         axis=-1)
@@ -356,14 +356,14 @@ def test_blocked_sweep_equals_the_one_call_sweep_bit_for_bit():
 def test_snapshot_solve_rejects_a_non_finite_distance():
     stream = _rssi_stream(_survey_points(60))
     anchors = {a.id: a.position for a in SQUARE_ANCHORS}
-    clean, clean_fallback = rssi_snapshot_fixes(stream, anchors, 0.0)
+    clean, clean_fallback = rssi_snapshot_positions(stream, anchors, 0.0)
     # two readings so weak that their distances overflow to inf; one of
     # them is among the snapshot's three strongest, so it is left out and
     # the snapshot falls back to the centroid of the other two anchors
     features = np.array(stream.features)
     features[0] = [-1e5, -1e5, -50.0, -50.0]
     bad = _stream(features, stream.labels, stream.columns)
-    est, fallback = rssi_snapshot_fixes(bad, anchors, 0.0)
+    est, fallback = rssi_snapshot_positions(bad, anchors, 0.0)
     assert fallback[0] and (fallback[1:] == clean_fallback[1:]).all()
     np.testing.assert_array_equal(est[0], [2.0, 4.0])  # between a3 and a2
     assert est[1:].tobytes() == clean[1:].tobytes()
@@ -374,7 +374,7 @@ def test_snapshot_solve_rejects_a_non_finite_distance():
         bad = _stream(features, stream.labels, stream.columns)
         with pytest.raises(EmptyObservations, match=r"^rssi: 1 of the 60 snapshots have no "
                                                     r"reading whose range is finite and > 0"):
-            rssi_snapshot_fixes(bad, anchors, 0.0)
+            rssi_snapshot_positions(bad, anchors, 0.0)
         with pytest.raises(EmptyObservations, match=r"^rssi: 1 of the 60 snapshots"):
             calibrate_rssi_offset(bad, SQUARE_ANCHORS)
     # the stream itself refuses a non-finite reading

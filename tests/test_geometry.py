@@ -7,32 +7,33 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indoor_fusion.errors import CollinearAnchors, EmptyObservations, TooFewAnchors
+from indoor_fusion.errors import EmptyObservations
 from indoor_fusion.geometry import (
-    RangeObservation,
-    TrilatResult,
     degenerate_estimate,
     locate_from_ranges,
     rssi_to_distance,
     translate_sensor_pose,
-    trilaterate,
-    trilaterate_batch,
 )
-from indoor_fusion.records import Anchor, Pose, Position2D, SensorOffset
+from indoor_fusion.records import Pose, SensorOffset
 
 coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
-def _anchor(i, x, y):
-    return Anchor(f"a{i}", "uwb", Position2D(x, y))
+def _ranges(point, corners):
+    """One row: the (1, m, 2) anchors and the (1, m) exact ranges to ``point``."""
+    anchors = np.asarray(corners, dtype=np.float64)[None]
+    return anchors, np.hypot(*np.moveaxis(anchors - np.asarray(point), -1, 0))
 
 
-def _distance(p, q):
-    return math.hypot(p.x - q.x, p.y - q.y)
+def _locate_one(anchors, distances, usable=None):
+    """The position and fallback flag of a one-row solve."""
+    positions, fallback = locate_from_ranges(anchors, distances, usable)
+    return positions[0], bool(fallback[0])
 
 
-def _obs_from(point, anchors):
-    return [RangeObservation(a, _distance(point, a.position)) for a in anchors]
+def _rms_residual(position, anchors, distances):
+    errs = np.hypot(*np.moveaxis(anchors[0] - position, -1, 0)) - distances[0]
+    return float(np.sqrt(np.mean(errs * errs)))
 
 
 def _triangle_area(ps):
@@ -44,63 +45,63 @@ def _triangle_area(ps):
 @settings(max_examples=200)
 def test_trilateration_recovers_the_generating_point(px, py, corners):
     assume(_triangle_area(corners[:3]) > 1.0)
-    point = Position2D(px, py)
-    anchors = [_anchor(i, x, y) for i, (x, y) in enumerate(corners)]
-    result = trilaterate(_obs_from(point, anchors))
-    assert _distance(result.position, point) < 1e-6
-    assert result.residual < 1e-6
-    assert result.used_anchors == len(anchors)
+    anchors, distances = _ranges((px, py), corners)
+    position, fallback = _locate_one(anchors, distances)
+    assert not fallback
+    assert math.hypot(position[0] - px, position[1] - py) < 1e-6
+    assert _rms_residual(position, anchors, distances) < 1e-6
 
 
 def test_trilateration_exact_hand_case():
     # unit right triangle, query at its circumcenter (0.5, 0.5)
-    anchors = [_anchor(0, 0, 0), _anchor(1, 1, 0), _anchor(2, 0, 1)]
-    r = math.sqrt(0.5)
-    result = trilaterate([RangeObservation(a, r) for a in anchors])
-    assert result.position.x == pytest.approx(0.5, abs=1e-12)
-    assert result.position.y == pytest.approx(0.5, abs=1e-12)
+    anchors = np.asarray([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]])
+    position, fallback = _locate_one(anchors, np.full((1, 3), math.sqrt(0.5)))
+    assert not fallback
+    assert position[0] == pytest.approx(0.5, abs=1e-12)
+    assert position[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_trilateration_needs_three_observations():
-    obs = _obs_from(Position2D(1, 1), [_anchor(0, 0, 0), _anchor(1, 4, 0)])
-    with pytest.raises(TooFewAnchors):
-        trilaterate(obs)
+    # two anchors: the row falls back to their centroid
+    anchors, distances = _ranges((1.0, 1.0), [(0.0, 0.0), (4.0, 0.0)])
+    position, fallback = _locate_one(anchors, distances)
+    assert fallback
+    assert position.tolist() == [2.0, 0.0]
 
 
 def test_collinear_anchors_are_rejected():
-    anchors = [_anchor(i, float(i), 2.0 * i) for i in range(3)]
-    with pytest.raises(CollinearAnchors):
-        trilaterate(_obs_from(Position2D(1, 1), anchors))
+    anchors, distances = _ranges((1.0, 1.0), [(float(i), 2.0 * i) for i in range(3)])
+    position, fallback = _locate_one(anchors, distances)
+    assert fallback
+    assert position.tolist() == [1.0, 2.0]
 
 
 def test_degenerate_estimate_is_the_anchor_centroid():
-    obs = [RangeObservation(_anchor(0, 0, 0), 1.0),
-           RangeObservation(_anchor(1, 4, 2), 1.0)]
-    result = degenerate_estimate(obs)
-    assert (result.position.x, result.position.y) == (2.0, 1.0)
-    assert result.used_anchors == 2
+    anchors = np.asarray([[(0.0, 0.0), (4.0, 2.0), (9.0, 9.0)]])
+    usable = np.asarray([[True, True, False]])
+    assert degenerate_estimate(anchors, usable).tolist() == [[2.0, 1.0]]
+    # the solver answers a row of two usable anchors with the same centroid
+    position, fallback = _locate_one(anchors, np.ones((1, 3)), usable)
+    assert fallback and position.tolist() == [2.0, 1.0]
     with pytest.raises(EmptyObservations):
-        degenerate_estimate([])
+        locate_from_ranges(anchors, np.ones((1, 3)), np.zeros((1, 3), dtype=bool))
 
 
 def test_locate_from_ranges_falls_back_on_bad_geometry():
-    point = Position2D(2.0, 3.0)
-    good = _obs_from(point, [_anchor(0, 0, 0), _anchor(1, 8, 0), _anchor(2, 4, 6)])
-    assert _distance(locate_from_ranges(good).position, point) < 1e-9
+    point = (2.0, 3.0)
+    good = [(0.0, 0.0), (8.0, 0.0), (4.0, 6.0)]
+    position, fallback = _locate_one(*_ranges(point, good))
+    assert not fallback
+    assert math.hypot(position[0] - point[0], position[1] - point[1]) < 1e-9
 
-    collinear = _obs_from(point, [_anchor(i, float(i), 0.0) for i in range(3)])
-    fallback = locate_from_ranges(collinear)
-    assert (fallback.position.x, fallback.position.y) == (1.0, 0.0)
+    collinear = [(float(i), 0.0) for i in range(3)]
+    position, fallback = _locate_one(*_ranges(point, collinear))
+    assert fallback and position.tolist() == [1.0, 0.0]
 
-    two = good[:2]
-    assert locate_from_ranges(two).used_anchors == 2
-
-
-def test_range_observation_rejects_bad_distances():
-    with pytest.raises(ValueError):
-        RangeObservation(_anchor(0, 0, 0), -0.1)
-    with pytest.raises(ValueError):
-        RangeObservation(_anchor(0, 0, 0), float("inf"))
+    # two usable anchors of three: the centroid of those two
+    anchors, distances = _ranges(point, good)
+    position, fallback = _locate_one(anchors, distances, np.asarray([[True, True, False]]))
+    assert fallback and position.tolist() == [4.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def test_batched_solver_matches_the_lstsq_reference(case, m):
     anchors, distances, usable = _batch_case(case, m, rng)
     # a leading axis of distance sets shares each row's geometry
     stacked = np.stack([distances, 1.5 * distances])
-    positions, fallback = trilaterate_batch(anchors, stacked, usable)
+    positions, fallback = locate_from_ranges(anchors, stacked, usable)
     assert positions.shape == (2, len(anchors), 2)
     assert fallback.shape == (2, len(anchors))
     for k in range(2):
@@ -176,14 +177,52 @@ def test_batched_solver_matches_the_lstsq_reference(case, m):
 def test_batched_solver_input_checks():
     anchors = np.asarray([[(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]])
     with pytest.raises(EmptyObservations):
-        trilaterate_batch(anchors, np.ones((1, 3)), np.zeros((1, 3), dtype=bool))
+        locate_from_ranges(anchors, np.ones((1, 3)), np.zeros((1, 3), dtype=bool))
     for bad in (-0.1, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            trilaterate_batch(anchors, np.asarray([[1.0, bad, 1.0]]))
+            locate_from_ranges(anchors, np.asarray([[1.0, bad, 1.0]]))
     # a bad distance on an unusable anchor is never read
-    pos, fallback = trilaterate_batch(anchors, np.asarray([[1.0, -1.0, 1.0]]),
-                                      np.asarray([[True, False, True]]))
+    pos, fallback = locate_from_ranges(anchors, np.asarray([[1.0, -1.0, 1.0]]),
+                                       np.asarray([[True, False, True]]))
     assert pos.tolist() == [[0.0, 2.0]] and fallback.tolist() == [True]
+
+
+# kinds of row: solvable, fewer than three usable anchors, collinear anchors
+_ROW_KINDS = ("solvable", "two-usable", "collinear")
+
+
+@given(kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=12),
+       m=st.integers(3, 6), sweep=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_a_mixed_batch_equals_its_one_row_solves_bit_for_bit(kinds, m, sweep, seed):
+    rng = np.random.default_rng(seed)
+    n = len(kinds)
+    anchors = rng.uniform(0.0, 20.0, (n, m, 2))
+    usable = np.ones((n, m), dtype=bool)
+    for i, kind in enumerate(kinds):
+        if kind == "two-usable":
+            usable[i, rng.permutation(m)[2:]] = False
+        elif kind == "collinear":
+            # integer points on y = k x + c are exactly collinear in floating point
+            xs = rng.integers(0, 20, m).astype(np.float64)
+            anchors[i] = np.stack([xs, rng.integers(-2, 3) * xs + rng.integers(0, 20)], -1)
+    truth = rng.uniform(0.0, 20.0, (n, 1, 2))
+    distances = np.abs(np.hypot(*np.moveaxis(anchors - truth, -1, 0))
+                       + rng.normal(0.0, 0.1, (n, m)))
+    distances = np.where(usable, distances, np.nan)
+    if sweep:  # a leading axis of distance sets over the same rows
+        distances = distances * rng.uniform(0.5, 1.5, (sweep, 1, 1))
+    positions, fallback = locate_from_ranges(anchors, distances, usable)
+    assert positions.shape == (*distances.shape[:-1], 2)
+    assert fallback.shape == distances.shape[:-1]
+    for i, kind in enumerate(kinds):
+        one = slice(i, i + 1)
+        want, want_fallback = locate_from_ranges(anchors[one], distances[..., one, :],
+                                                 usable[one])
+        assert positions[..., one, :].tobytes() == want.tobytes()
+        assert (fallback[..., one] == want_fallback).all()
+        if kind != "solvable":
+            assert want_fallback.all()
 
 
 # ---------------------------------------------------------------------------

@@ -512,15 +512,17 @@ def test_select_blocks_restricts_features_and_layout():
     imu = _mini_stream("imu", [0.99], 9, 0.0)
     frames = build_fusion_frames([csi, uwb, imu], window=0.15)
 
-    sub = select_blocks(frames, ["imu", "csi"])
-    assert sub.layout.modalities() == ("csi", "imu")
-    assert sub.features[0].shape == (11,)
-    np.testing.assert_array_equal(sub.features[0, :2], [10.0, 10.0])
-    np.testing.assert_array_equal(sub.mask[0], [1.0, 1.0])
-    assert sub.labels[0, 0] == frames.labels[0, 0]
+    layout = select_blocks(frames.layout, ["imu", "csi"])
+    assert layout.modalities() == ("csi", "imu")
+    assert layout.feature_width == 11
+    x, y = frames_to_arrays(frames, layout=layout)
+    assert x[0].shape == (11 + 2,)  # the blocks' features, then their mask bits
+    np.testing.assert_array_equal(x[0, :2], [10.0, 10.0])
+    np.testing.assert_array_equal(x[0, 11:], [1.0, 1.0])
+    assert y[0, 0] == frames.labels[0, 0]
 
     with pytest.raises(LayoutMismatch):
-        select_blocks(frames, ["rssi"])
+        select_blocks(frames.layout, ["rssi"])
 
 
 def test_frames_to_arrays_appends_mask_bits():
@@ -541,7 +543,7 @@ def test_frames_to_arrays_rejects_a_block_the_frames_do_not_hold():
     with pytest.raises(LayoutMismatch):
         frames_to_arrays(frames, layout=other)
     with pytest.raises(LayoutMismatch):
-        frames.layout.select(["imu"])
+        select_blocks(frames.layout, ["imu"])
 
 
 def _reference_select_blocks(frames, modalities):
@@ -590,7 +592,7 @@ def test_one_copy_gather_matches_select_split_stack_bit_for_bit(
     spec = SplitSpec(train_fraction, shuffle_seed)
     want = [_reference_arrays(part)
             for part in split_dataset(_reference_select_blocks(frames, modalities), spec)]
-    layout = frames.layout.select(modalities)
+    layout = select_blocks(frames.layout, modalities)
     with mock.patch.object(ingest, "_GATHER_ROWS", gather_rows):  # chunk boundaries
         got = [frames_to_arrays(frames, rows, layout)
                for rows in split_dataset(np.arange(len(frames)), spec)]
@@ -605,7 +607,7 @@ def test_one_copy_gather_matches_select_split_stack_bit_for_bit(
 
 def test_gather_holds_one_copy_of_its_output(gather_inputs):
     frames = gather_inputs["frames"]
-    layout = frames.layout.select(["csi", "imu"])
+    layout = select_blocks(frames.layout, ["csi", "imu"])
     rows = np.arange(len(frames))[::-1]
     chunk = 16 * frames.features.shape[1] * 8  # one chunk of every column, at most
     with mock.patch.object(ingest, "_GATHER_ROWS", 16):

@@ -39,11 +39,12 @@ def _tiny_config(**kwargs):
     return MlpConfig(**defaults)
 
 
-def _train(frames, config, spec=SplitSpec()):
-    """Split frames per ``spec`` and train on the arrays of each part."""
+def _train(frames, config, spec=SplitSpec(), layout=None):
+    """Split frames per ``spec`` and train on the arrays of each part, in the
+    blocks of ``layout`` (default: all)."""
     train_frames, test_frames = split_dataset(frames, spec)
-    return train_arrays(*frames_to_arrays(train_frames), *frames_to_arrays(test_frames),
-                        config)
+    return train_arrays(*frames_to_arrays(train_frames, layout=layout),
+                        *frames_to_arrays(test_frames, layout=layout), config)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,10 @@ def test_first_adam_step_moves_by_lr_times_sign():
         np.testing.assert_allclose(delta, -1e-3 * np.sign(g), atol=1e-3 * 1e-4)
 
 
+def _clone_weights(model):
+    return [w.copy() for w in model.weights], [b.copy() for b in model.biases]
+
+
 def _reference_train(x_train, y_train, x_test, y_test, config):
     """The training loop with Adam written out plainly, allocating its
     temporaries on every step: the reference for train_arrays."""
@@ -198,7 +203,7 @@ def _reference_train(x_train, y_train, x_test, y_test, config):
     adam_m = [np.zeros_like(p) for p in model.weights + model.biases]
     adam_v = [np.zeros_like(p) for p in model.weights + model.biases]
     step, history, best_err, stale = 0, [], math.inf, 0
-    best_snapshot = model.clone_weights()
+    best_snapshot = _clone_weights(model)
     for epoch in range(config.epochs):
         perm = rng.permutation(len(x_train))
         total = 0.0
@@ -219,7 +224,7 @@ def _reference_train(x_train, y_train, x_test, y_test, config):
         test_err = median_position_error(model, x_test, y_test)
         history.append((epoch, total / len(x_train), test_err))
         if test_err < best_err:
-            best_err, best_snapshot, stale = test_err, model.clone_weights(), 0
+            best_err, best_snapshot, stale = test_err, _clone_weights(model), 0
         else:
             stale += 1
             if stale >= config.patience:
@@ -404,10 +409,9 @@ def test_median_position_error_matches_numpy():
 
 def test_rssi_frames_are_learnable(noiseless_campaign):
     result = noiseless_campaign.result
-    frames = select_blocks(result.frames, ["rssi"])
-    layout = frames.layout
+    layout = select_blocks(result.frames.layout, ["rssi"])
     config = MlpConfig.for_input(layout.feature_width + layout.mask_width,
                                  hidden=(64, 32), learning_rate=1e-2,
                                  epochs=40, seed=0)
-    model, history = _train(frames, config)
+    model, history = _train(result.frames, config, layout=layout)
     assert min(h[2] for h in history) <= 0.5
