@@ -9,13 +9,7 @@ survive; phase features collapse.
 import numpy as np
 
 from indoor_fusion.evaluate import run_generalization
-from indoor_fusion.ingest import (
-    build_fusion_frames,
-    groundtruth_interpolator,
-    ingest_run,
-    label_with_groundtruth,
-    select_blocks,
-)
+from indoor_fusion.ingest import ingest_run, select_blocks
 from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset
 from indoor_fusion.simulate import (
     Perturbation,
@@ -29,15 +23,9 @@ from indoor_fusion.simulate import (
 def csi_frames(scenario, config):
     tables = simulate_run(scenario, config)
     result = ingest_run(tables, scenario.sensor_offsets, config.rates,
-                        config.duration)
+                        config.duration, phase=True)
     magnitude = (result.frames, select_blocks(result.frames.layout, ["csi"]))
-    # relabel the clock-corrected csi table with phase features
-    stream = label_with_groundtruth(result.tables["csi"],
-                                    groundtruth_interpolator(result.tables["gt"]),
-                                    scenario.sensor_offsets["csi"],
-                                    csi_features="phase")
-    phase = build_fusion_frames([stream])
-    return magnitude, (phase, phase.layout)
+    return magnitude, (result.phase, result.phase.layout)
 
 
 def main():

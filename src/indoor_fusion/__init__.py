@@ -47,7 +47,7 @@ _EXPORTS = {
     "ingest": (
         "AlignedStream", "BlockDef", "FrameLayout", "Frames", "IngestResult",
         "build_fusion_frames", "correct_clock", "estimate_clock_offset", "frame_layout",
-        "frames_to_arrays", "ingest_run", "label_with_groundtruth", "select_blocks",
+        "Ticks", "frames_to_arrays", "ingest_run", "label_with_groundtruth", "select_blocks",
         "write_frames"),
     "fingerprint": (
         "RadioMap", "RssiCalibration", "build_map", "calibrate_rssi_offset", "locate",

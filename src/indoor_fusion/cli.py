@@ -258,19 +258,16 @@ def _read_tables(path: Path) -> dict[str, records.SensorTable]:
 
 def _load_campaign(cfg: RunConfig,
                    sidecar: tuple[simulate.Scenario, simulate.SimConfig, simulate.Scenario | None],
-                   which: int) -> tuple[simulate.Scenario, ingest.IngestResult]:
+                   which: int, phase: bool = False,
+                   ) -> tuple[simulate.Scenario, ingest.IngestResult]:
     """Read and ingest one campaign; ``sidecar`` is what read_sidecar returns."""
     scenario1, sim_config, scenario2 = sidecar
-    if which == 1:
-        scenario = scenario1
-    else:
-        if scenario2 is None:
-            raise errors.ConfigError("scenario.json records no second campaign; "
-                                     "re-run simulate")
-        scenario = scenario2
+    scenario = scenario1 if which == 1 else scenario2
+    if scenario is None:
+        raise errors.ConfigError("scenario.json records no second campaign; re-run simulate")
     tables = _read_tables(cfg.out / f"dataset{which}.jsonl")
     result = ingest.ingest_run(tables, scenario.sensor_offsets, sim_config.rates,
-                               sim_config.duration, window=cfg.window)
+                               sim_config.duration, window=cfg.window, phase=phase)
     return scenario, result
 
 
@@ -315,34 +312,19 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # run: method runners
 
-@dataclass
-class _Campaign:
-    """What the methods read of one campaign; no sensor table is kept."""
-
-    scenario: simulate.Scenario
-    streams: dict[str, ingest.AlignedStream]
-    frames: ingest.Frames
-    phase: ingest.Frames | None = None  # CSI phase frames, for nn:csi-phase
-
-
 def _prepare_campaign(cfg: RunConfig,
                       sidecar: tuple[simulate.Scenario, simulate.SimConfig,
                                      simulate.Scenario | None],
-                      which: int, need_phase: bool) -> _Campaign:
-    scenario, result = _load_campaign(cfg, sidecar, which)
-    phase = None
-    if need_phase and "csi" in result.tables:
-        stream = ingest.label_with_groundtruth(
-            result.tables["csi"], ingest.groundtruth_interpolator(result.tables["gt"]),
-            scenario.sensor_offsets.get("csi", records.SensorOffset()), csi_features="phase")
-        phase = ingest.build_fusion_frames([stream], window=cfg.window)
-    # the corrected tables are freed with ``result`` once the phase relabel is done
-    return _Campaign(scenario, result.streams, result.frames, phase)
+                      which: int, need_phase: bool,
+                      ) -> tuple[simulate.Scenario, ingest.IngestResult]:
+    """A campaign as the methods read it; no sensor table outlives this call."""
+    return _load_campaign(cfg, sidecar, which, phase=need_phase)
 
 
-def _stream_or_raise(camp: _Campaign, modality: str, rows=None) -> ingest.AlignedStream:
+def _stream_or_raise(result: ingest.IngestResult, modality: str,
+                     rows=None) -> ingest.AlignedStream:
     """The ``rows`` of a campaign's stream (default: every tick)."""
-    stream = camp.streams.get(modality)
+    stream = result.streams.get(modality)
     if stream is None or not len(stream):
         raise errors.InsufficientData(f"dataset carries no {modality} records")
     return stream if rows is None else stream.take(rows)
@@ -363,16 +345,17 @@ def _split(n: int, cfg: RunConfig):
 
 
 # A method fitted on campaign 1 is ``(estimate, rows, extras)``, as each
-# ``_fit_*`` returns it (``uwb-trilat`` fits nothing): ``estimate(camp,
-# rows)`` gives the (N, 2) estimates for those rows of a campaign (None: all
+# ``_fit_*`` returns it (``uwb-trilat`` fits nothing): ``estimate(scenario,
+# result, rows)`` gives the (N, 2) estimates for those rows of a campaign (None: all
 # of them), their labels and the solver counts; ``rows`` are the campaign-1
 # rows it is scored on; ``extras`` is what the fit reports.
 
-def _uwb_estimate(camp: _Campaign, rows) -> tuple[np.ndarray, np.ndarray, dict]:
+def _uwb_estimate(scenario: simulate.Scenario, result: ingest.IngestResult,
+                  rows) -> tuple[np.ndarray, np.ndarray, dict]:
     import numpy as np
 
-    stream = _stream_or_raise(camp, "uwb", rows)
-    anchors = {a.id: a.position for a in camp.scenario.uwb_anchors}
+    stream = _stream_or_raise(result, "uwb", rows)
+    anchors = {a.id: a.position for a in scenario.uwb_anchors}
     missing = [c for c in stream.columns if c not in anchors]
     if missing:
         raise errors.InsufficientData(f"no anchor positions for {missing}")
@@ -390,33 +373,33 @@ def _uwb_estimate(camp: _Campaign, rows) -> tuple[np.ndarray, np.ndarray, dict]:
         # which is what gives the CDF its two-regime shape
         "ticks_degenerate": int((usable.sum(axis=1) < 3).sum()),
         "ticks_skipped": int((~kept).sum()),
-        **_solver_counts(est, fallback, camp.scenario)}
+        **_solver_counts(est, fallback, scenario)}
 
 
-def _fit_rssi_trilat(camp1: _Campaign):
-    cal = fingerprint.calibrate_rssi_offset(_stream_or_raise(camp1, "rssi"),
-                                            list(camp1.scenario.wifi_anchors))
+def _fit_rssi_trilat(scenario1: simulate.Scenario, result1: ingest.IngestResult):
+    cal = fingerprint.calibrate_rssi_offset(_stream_or_raise(result1, "rssi"),
+                                            list(scenario1.wifi_anchors))
 
-    def estimate(camp: _Campaign, rows):
+    def estimate(scenario, result, rows):
         # same receiver, same calibration: every campaign takes campaign-1 beta
-        stream = _stream_or_raise(camp, "rssi", rows)
-        positions = {a.id: a.position for a in camp.scenario.wifi_anchors}
+        stream = _stream_or_raise(result, "rssi", rows)
+        positions = {a.id: a.position for a in scenario.wifi_anchors}
         est, fallback = fingerprint.rssi_snapshot_positions(stream, positions, cal.beta)
-        return est, stream.labels, _solver_counts(est, fallback, camp.scenario)
+        return est, stream.labels, _solver_counts(est, fallback, scenario)
 
     return estimate, None, {"beta_db": cal.beta, "calibration_median_m": cal.error_m}
 
 
-def _fit_fp(camp1: _Campaign, modality: str, cfg: RunConfig):
+def _fit_fp(result1: ingest.IngestResult, modality: str, cfg: RunConfig):
     import numpy as np
 
-    stream = _stream_or_raise(camp1, modality)
+    stream = _stream_or_raise(result1, modality)
     train_rows, test_rows = _split(len(stream), cfg)
     # sorted rows keep tick order: the map sums each cell's rows in time order
     radio_map = fingerprint.build_map(stream.take(np.sort(train_rows)), cfg.grid)
 
-    def estimate(camp: _Campaign, rows):
-        stream = _stream_or_raise(camp, modality, rows)
+    def estimate(scenario, result, rows):
+        stream = _stream_or_raise(result, modality, rows)
         return fingerprint.locate(stream.features, radio_map, cfg.k), stream.labels, {}
 
     return estimate, np.sort(test_rows), {"cells": len(radio_map),
@@ -424,28 +407,28 @@ def _fit_fp(camp1: _Campaign, modality: str, cfg: RunConfig):
                                           "test_samples": len(test_rows)}
 
 
-def _nn_input(camp: _Campaign, method: str) -> tuple[ingest.Frames, ingest.FrameLayout]:
+def _nn_input(result: ingest.IngestResult,
+              method: str) -> tuple[ingest.Frames, ingest.FrameLayout]:
     """The frames a neural method reads, and the layout of its blocks."""
-    if method == "nn:csi-phase":
-        if camp.phase is None:
-            raise errors.InsufficientData("phase-featurized frames were not prepared")
-        return camp.phase, camp.phase.layout
-    wanted = evaluate.blocks_for_method(method)
+    frames = result.phase if method == "nn:csi-phase" else result.frames
+    if frames is None:
+        raise errors.InsufficientData("phase-featurized frames were not prepared")
+    wanted = evaluate.blocks_for_method(method)  # nn:csi-phase reads the phases' csi block
     if method == "nn-fusion":
-        wanted = [m for m in wanted if m in camp.frames.layout.modalities()]
-    return camp.frames, ingest.select_blocks(camp.frames.layout, wanted)
+        wanted = [m for m in wanted if m in frames.layout.modalities()]
+    return frames, ingest.select_blocks(frames.layout, wanted)
 
 
-def _fit_nn(camp1: _Campaign, method: str, cfg: RunConfig):
+def _fit_nn(result1: ingest.IngestResult, method: str, cfg: RunConfig):
     # rows are split, then each input is gathered once from the shared frames
-    frames, layout = _nn_input(camp1, method)
+    frames, layout = _nn_input(result1, method)
     train_rows, test_rows = _split(len(frames), cfg)
     model_config = mlp.MlpConfig.for_input(layout.feature_width + layout.mask_width,
                                            epochs=cfg.epochs, seed=cfg.seed)
     model, history = evaluate.fit_network(frames, train_rows, test_rows, model_config, layout)
 
-    def estimate(camp: _Campaign, rows):
-        frames, layout = _nn_input(camp, method)
+    def estimate(scenario, result, rows):
+        frames, layout = _nn_input(result, method)
         return (*evaluate.network_estimates(model, frames, rows, layout), {})
 
     return estimate, test_rows, {
@@ -469,25 +452,28 @@ def _summary(report: evaluate.ErrorReport) -> dict:
     }
 
 
-def _run_method(method: str, camp1: _Campaign, camp2: _Campaign | None,
+def _run_method(method: str, camp1: tuple[simulate.Scenario, ingest.IngestResult],
+                camp2: tuple[simulate.Scenario, ingest.IngestResult] | None,
                 cfg: RunConfig) -> tuple[evaluate.ErrorReport, dict, dict | None]:
     """Fit ``method`` once on campaign 1 and score its estimates on its
     campaign-1 rows (the test split for fp and nn, every tick for the
     trilaterations) and, when ``camp2`` is given, on all of campaign 2.
     Returns the self report, the fit's extras with campaign 1's solver
-    counts, and the generalization entry (None without ``camp2``)."""
+    counts, and the generalization entry (None without ``camp2``).  A
+    campaign is the (scenario, IngestResult) pair ``_prepare_campaign`` gives."""
+    scenario, result = camp1
     if method == "uwb-trilat":
         estimate, rows, extras = _uwb_estimate, None, {}
     elif method == "rssi-trilat":
-        estimate, rows, extras = _fit_rssi_trilat(camp1)
+        estimate, rows, extras = _fit_rssi_trilat(scenario, result)
     elif method in ("rssi-fp", "csi-fp"):
-        estimate, rows, extras = _fit_fp(camp1, method.split("-", 1)[0], cfg)
+        estimate, rows, extras = _fit_fp(result, method.split("-", 1)[0], cfg)
     else:
-        estimate, rows, extras = _fit_nn(camp1, method, cfg)
-    est, labels, counts = estimate(camp1, rows)
+        estimate, rows, extras = _fit_nn(result, method, cfg)
+    est, labels, counts = estimate(scenario, result, rows)
     report, gen = evaluate.error_report(est, labels), None
     if camp2 is not None:
-        transfer = evaluate.error_report(*estimate(camp2, None)[:2])
+        transfer = evaluate.error_report(*estimate(*camp2, None)[:2])
         gen = {"self": _summary(report), "transfer": _summary(transfer),
                "degradation": evaluate.degradation(report, transfer)}
     return report, {**extras, **counts}, gen
@@ -502,7 +488,7 @@ def cmd_run(cfg: RunConfig) -> int:
     outcomes: dict[str, tuple] = {}
     failures: dict[str, str] = {}
 
-    def second_campaign() -> _Campaign:
+    def second_campaign():
         first.result()  # one load at a time: two at once cost more CPU than they save
         return _prepare_campaign(cfg, sidecar, 2, need_phase)
 

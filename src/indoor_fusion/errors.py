@@ -35,7 +35,7 @@ class ClockFitError(IndoorFusionError):
 
 
 class EmptyGroundTruth(IndoorFusionError):
-    """Ground-truth labelling requires at least two trajectory samples."""
+    """Ground-truth labelling needs two or more trajectory samples, one pose per time."""
 
 
 class DimensionMismatch(IndoorFusionError):

@@ -9,13 +9,12 @@ and every stage works on its arrays.  Stages, in pipeline order:
 2. clock correction (``correct_clock``): map recorded time back to
    reference (robot) time, drop pre-epoch rows, sort by (time, source id),
 3. ground-truth labeling (``label_with_groundtruth``): group one sensor's
-   rows into emission ticks (equal times), scatter each tick's readings
-   into one row of a (ticks, width) feature matrix, and label every tick
-   in one call:
+   rows into emission ticks (equal times) and label every tick in one call:
    the 5 Hz robot pose interpolated at the tick (position componentwise
    linear, heading shortest-arc) and translated to the sensor's mount.
-   The result is an ``AlignedStream``: ``t`` (N,), ``features`` (N, W) and
-   ``labels`` (N, 2) arrays,
+   The ``Ticks`` it returns scatter each tick's readings into one row of a
+   (ticks, width) feature matrix: a frame block, or the ``features`` (N, W)
+   of an ``AlignedStream`` beside its ``t`` (N,) and ``labels`` (N, 2),
 4. fusion-frame assembly (``build_fusion_frames``): one ``Frames`` value,
    a stacked (N, F) feature matrix over the CSI ticks with an (N, B)
    per-block presence mask, (N, 2) labels and the ``FrameLayout`` that maps
@@ -27,15 +26,16 @@ A regressor reads frames through one gather, ``frames_to_arrays(frames,
 rows, layout)``; ``select_blocks`` names a subset of the blocks as a
 ``FrameLayout`` and copies nothing.
 
-``ingest_run`` runs all four on the tables of one stream, as
-``records.read_records`` or ``simulate.simulate_run`` return them.
+``ingest_run`` runs all four on one stream's tables, as ``records.read_records``
+or ``simulate.simulate_run`` return them, labelling each sensor once: the CSI
+ticks fill the frames' CSI block and, on request, the phase frames.
 
 Per-tick feature layouts (column meaning is fixed and documented here):
 
 - uwb:  one range per anchor id (sorted); missing anchor -> -1.0
 - rssi: one dBm reading per anchor id (sorted); missing anchor -> -100.0
-- csi:  per anchor id (sorted), S contiguous values; "magnitude" features
-  by default, "phase" on request; missing anchor -> zeros
+- csi:  per anchor id (sorted), S contiguous values: magnitudes in the
+  frames and the stream, phases in the phase frames; missing anchor -> zeros
 - imu:  [accel xyz, gyro xyz, mag xyz]
 """
 
@@ -55,7 +55,7 @@ from .errors import (
     InsufficientOverlap,
     LayoutMismatch,
 )
-from .records import ClockModel, Pose, SensorOffset, SensorTable, _format_floats
+from .records import TWO_PI, ClockModel, SensorOffset, SensorTable, _format_floats
 from .simulate import TrajectoryInterpolator
 
 MIN_OVERLAP_S = 10.0
@@ -181,6 +181,9 @@ class AlignedStream:
         return replace(self, t=self.t[rows], features=self.features[rows],
                        labels=self.labels[rows])
 
+    def scatter(self, out: np.ndarray) -> None:
+        out[...] = self.features
+
 
 def _frozen(obj, *names: str) -> list[np.ndarray]:
     """Set each named field of a frozen dataclass to a read-only float64 array."""
@@ -194,13 +197,20 @@ def _frozen(obj, *names: str) -> list[np.ndarray]:
 
 
 def groundtruth_interpolator(gt: SensorTable) -> TrajectoryInterpolator:
-    """The robot's trajectory from a gt table, its rows taken in time order."""
-    pairs = [(t, Pose(x, y, phi))
-             for t, (x, y, phi) in zip(gt.t.tolist(), gt.values.tolist())]
-    pairs.sort(key=lambda p: p[0])
-    if len(pairs) < 2:
+    """The robot's trajectory from a gt table: its rows in time order, exact
+    repeats folded, headings wrapped as ``records.normalize_angle`` wraps
+    them.  Two different poses at one time raise EmptyGroundTruth."""
+    rows = np.column_stack((gt.t, gt.values))[np.argsort(gt.t, kind="stable")]
+    rows[:, 3] = np.mod(rows[:, 3] + math.pi, TWO_PI) - math.pi
+    # one time's rows are adjacent: a repeat is folded, any other pose clashes
+    repeat = (rows[1:] == rows[:-1]).all(axis=1)
+    clash = np.flatnonzero((rows[1:, 0] == rows[:-1, 0]) & ~repeat)
+    if clash.size:
+        raise EmptyGroundTruth(f"gt: two different poses at t = {float(rows[clash[0], 0])!r} s")
+    rows = np.delete(rows, np.flatnonzero(repeat) + 1, axis=0)
+    if len(rows) < 2:
         raise EmptyGroundTruth("need >= 2 ground-truth poses to interpolate")
-    return TrajectoryInterpolator(pairs)
+    return TrajectoryInterpolator(rows[:, 0], rows[:, 1:3], rows[:, 3])
 
 
 # Feature value of an anchor missing from a tick.
@@ -208,35 +218,65 @@ _MISSING = {"uwb": UWB_MISSING_RANGE, "rssi": RSSI_FLOOR_DB, "csi": 0.0, "imu": 
 _IMU_COLUMNS = ("accel_x", "accel_y", "accel_z", "gyro_x", "gyro_y", "gyro_z",
                 "mag_x", "mag_y", "mag_z")
 
+# Rows gathered or scattered per step: bounds fancy indexing's temporary.
+_GATHER_ROWS = 512
+
+
+@dataclass(frozen=True, eq=False)
+class Ticks:
+    """One sensor's labelled ticks before their features are written: as
+    ``AlignedStream``, but feature cell (``tick[i]``, ``slot[i]``) is the first
+    ``width`` values of table payload row ``values[rows[i]]`` (for csi the
+    magnitudes; the phases follow), every other cell the missing value."""
+
+    modality: str
+    t: np.ndarray
+    labels: np.ndarray
+    columns: tuple[str, ...]
+    dropped: int
+    values: np.ndarray
+    width: int
+    rows: np.ndarray
+    tick: np.ndarray
+    slot: np.ndarray
+
+    def scatter(self, out: np.ndarray) -> None:
+        """Write the (N, W) features into ``out``, ``_GATHER_ROWS`` cells a step."""
+        cells = out.reshape(len(self.t), len(self.columns) // self.width, self.width)
+        cells[...] = _MISSING[self.modality]
+        for lo in range(0, len(self.rows), _GATHER_ROWS):
+            step = slice(lo, lo + _GATHER_ROWS)
+            cells[self.tick[step], self.slot[step]] = self.values[self.rows[step], :self.width]
+
+    def stream(self, features: np.ndarray | None = None) -> AlignedStream:
+        """The stream over ``features`` as ``scatter`` wrote them (default: a new array)."""
+        if features is None:
+            self.scatter(features := np.empty((len(self.t), len(self.columns))))
+        return AlignedStream(self.modality, self.t, features, self.labels, self.columns,
+                             self.dropped, len(self.values) - self.dropped)
+
 
 def label_with_groundtruth(table: SensorTable, interp: TrajectoryInterpolator,
-                           sensor_offset: SensorOffset, csi_features: str = "magnitude",
-                           ) -> AlignedStream:
-    """Label one sensor's clock-corrected table against ground truth.
+                           sensor_offset: SensorOffset) -> Ticks:
+    """Group one sensor's clock-corrected table into ticks and label them.
 
-    Rows are grouped by exact emission tick (equal ``t``); each tick becomes
-    one stream row whose label is the interpolated pose translated to the
-    sensor's mounting point.  Within a tick the last row of each anchor
-    (of the tick, for imu) wins.  Rows outside the ground-truth span are
-    dropped and counted.
+    Rows are grouped by exact emission tick (equal ``t``); each tick's label
+    is the interpolated pose translated to the sensor's mounting point.
+    Within a tick the last row of each anchor (of the tick, for imu) wins.
+    Rows outside the ground-truth span are dropped and counted.
     """
-    if csi_features not in ("magnitude", "phase"):
-        raise ValueError(f"csi_features must be magnitude or phase, got {csi_features!r}")
     modality = table.sensor
     if modality not in _MISSING:
         raise ValueError(f"cannot featurize modality {modality!r}")
     kept = np.flatnonzero((table.t >= interp.t[0]) & (table.t <= interp.t[-1]))
     times, tick = np.unique(table.t[kept], return_inverse=True)
 
-    values = table.values
     if modality == "imu":
-        slots, slot, columns = 1, np.zeros(len(kept), dtype=np.intp), _IMU_COLUMNS
+        width, slots, columns = table.values.shape[1], 1, _IMU_COLUMNS
+        slot = np.zeros(len(kept), dtype=np.intp)
     else:
-        if modality == "csi":
-            half = values.shape[1] // 2
-            values = values[:, :half] if csi_features == "magnitude" else values[:, half:]
-        else:
-            values = values[:, :1]  # range_m / rssi_db
+        # csi: the magnitude half of each reading; uwb, rssi: range_m / rssi_db
+        width = table.values.shape[1] // 2 if modality == "csi" else 1
         # one slot per anchor present, in sorted id order
         anchor = table.anchor[kept]
         codes = {table.anchor_ids[c]: c for c in np.unique(anchor).tolist()}
@@ -244,16 +284,13 @@ def label_with_groundtruth(table: SensorTable, interp: TrajectoryInterpolator,
         slot_of = np.zeros(len(table.anchor_ids), dtype=np.intp)
         slot_of[[codes[a] for a in anchor_ids]] = np.arange(len(anchor_ids))
         slots, slot = len(anchor_ids), slot_of[anchor]
-        columns = tuple(a for a in anchor_ids for _ in range(values.shape[1]))
+        columns = tuple(a for a in anchor_ids for _ in range(width))
 
-    width = values.shape[1]
-    features = np.full((len(times), slots, width), _MISSING[modality])
     key = tick * slots + slot
     last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
-    features[tick[last], slot[last]] = values[kept[last]]
-    return AlignedStream(modality, times, features.reshape(len(times), slots * width),
-                         interp.sensor_position_at(times, sensor_offset), columns,
-                         dropped=len(table) - len(kept), record_count=len(kept))
+    return Ticks(modality, times, interp.sensor_position_at(times, sensor_offset), columns,
+                 len(table) - len(kept), table.values, width, kept[last], tick[last],
+                 slot[last])
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +393,7 @@ class Frames:
                        mask=self.mask[rows], labels=self.labels[rows])
 
 
-def build_fusion_frames(streams: list[AlignedStream],
+def build_fusion_frames(streams: list[AlignedStream | Ticks],
                         window: float = DEFAULT_WINDOW_S) -> Frames:
     """Assemble stacked frames anchored on the csi stream's ticks.
 
@@ -364,7 +401,7 @@ def build_fusion_frames(streams: list[AlignedStream],
     block holds its stream's newest tick from the causal window
     [t - window, t] (for the csi block, the tick itself); a stale or absent
     block is zero-filled with its mask bit cleared.  Without a csi stream
-    there are no frames.
+    there are no frames.  Csi ``Ticks`` are scattered straight into their block.
     """
     if window <= 0.0:
         raise ValueError(f"window must be > 0, got {window}")
@@ -377,8 +414,8 @@ def build_fusion_frames(streams: list[AlignedStream],
     for block in layout.blocks:
         stream = by_modality[block.modality]
         columns = layout.feature_slice(block.modality)
-        if stream is anchor:  # each frame's own tick: copied with no temporary
-            features[:, columns] = stream.features
+        if stream is anchor:  # each frame's own tick: written with no temporary
+            stream.scatter(features[:, columns])
             mask[:, layout.mask_index(block.modality)] = 1.0
             continue
         newest = np.searchsorted(stream.t, t, side="right") - 1
@@ -399,10 +436,6 @@ def select_blocks(layout: FrameLayout, modalities) -> FrameLayout:
     for m in modalities:
         layout.block(m)  # raises LayoutMismatch on unknown names
     return FrameLayout(tuple(b for b in layout.blocks if b.modality in modalities))
-
-
-# Rows gathered per step: bounds the temporary that fancy indexing makes.
-_GATHER_ROWS = 512
 
 
 def frames_to_arrays(frames: Frames, rows=None,
@@ -475,28 +508,30 @@ def write_frames(path, frames: Frames) -> int:
 class IngestResult:
     """Everything downstream stages need from one recorded run.
 
-    ``tables`` holds each sensor's clock-corrected table, sorted by
-    (t, source id), and the ground-truth table as read.  The csi stream's
-    ``features`` is a read-only view of the frames' csi block.
+    The csi stream's ``features`` is a read-only view of the frames' csi
+    block.  ``phase``, when asked for and the run has csi (else None), is the
+    csi phases' frames: one block, sharing the frames' ``t`` and ``labels``.
     """
 
-    tables: dict[str, SensorTable]
     streams: dict[str, AlignedStream]
     frames: Frames
+    phase: Frames | None
     clock_estimates: dict[str, ClockModel]
     dropped: int
 
 
 def ingest_run(tables: dict[str, SensorTable], sensor_offsets: dict[str, SensorOffset],
                rates: dict[str, float], duration: float | None,
-               window: float = DEFAULT_WINDOW_S) -> IngestResult:
-    """Run the full alignment pipeline on one recorded stream's tables."""
+               window: float = DEFAULT_WINDOW_S, phase: bool = False) -> IngestResult:
+    """Run the full alignment pipeline on one recorded stream's tables,
+    with the csi phase frames when ``phase``."""
     gt = tables.get("gt")
     if gt is None or len(gt) < 2:
         raise EmptyGroundTruth("stream carries no usable ground-truth records")
 
-    corrected = {"gt": gt}
     estimates: dict[str, ClockModel] = {}
+    ticks: dict[str, Ticks] = {}
+    interp = groundtruth_interpolator(gt)
     for sensor in sorted(set(tables) - {"gt"}):
         try:
             clock = estimate_clock_offset(tables[sensor].t, gt.t, sensor_rate(rates, sensor),
@@ -512,16 +547,16 @@ def ingest_run(tables: dict[str, SensorTable], sensor_offsets: dict[str, SensorO
         estimates[sensor] = clock
         table = correct_clock(tables[sensor], clock)
         if len(table):
-            corrected[sensor] = table
+            ticks[sensor] = label_with_groundtruth(table, interp,
+                                                   sensor_offsets.get(sensor, SensorOffset()))
 
-    modalities = sorted(set(corrected) - {"gt"})
-    interp = groundtruth_interpolator(gt) if modalities else None
-    streams = {m: label_with_groundtruth(corrected[m], interp,
-                                         sensor_offsets.get(m, SensorOffset()))
-               for m in modalities}
-    frames = build_fusion_frames(list(streams.values()), window=window)
-    if "csi" in streams:  # the anchor block holds the csi stream: keep one copy
-        streams["csi"] = replace(streams["csi"], features=frames.features[
-            :, frames.layout.feature_slice("csi")])
+    csi = ticks.pop("csi", None)
+    # each grouping is let go once its stream is written
+    streams = {m: ticks.pop(m).stream() for m in sorted(ticks)}
+    frames = build_fusion_frames([*streams.values(), *([csi] if csi else [])], window=window)
+    if csi is not None:
+        streams["csi"] = csi.stream(frames.features[:, frames.layout.feature_slice("csi")])
+        csi = replace(csi, values=csi.values[:, csi.width:])  # phases follow magnitudes
+    phase_frames = build_fusion_frames([csi], window=window) if phase and csi else None
     dropped = sum(s.dropped for s in streams.values())
-    return IngestResult(corrected, streams, frames, estimates, dropped)
+    return IngestResult(streams, frames, phase_frames, estimates, dropped)

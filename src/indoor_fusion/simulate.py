@@ -352,16 +352,15 @@ def perturb_scenario(scenario: Scenario, perturbation: Perturbation, seed2: int)
 # Trajectory
 
 class TrajectoryInterpolator:
-    """Piecewise-linear position / shortest-arc heading between GT samples."""
+    """Piecewise-linear position / shortest-arc heading between GT samples: times
+    ``t`` (N,), strictly increasing, positions ``xy`` (N, 2) and headings ``phi`` (N,)."""
 
-    def __init__(self, trajectory: list[tuple[float, Pose]]):
-        if len(trajectory) < 2:
+    def __init__(self, t, xy, phi):
+        self.t, self.xy, self.phi = (np.asarray(a, dtype=np.float64) for a in (t, xy, phi))
+        if len(self.t) < 2:
             raise ValueError("trajectory needs >= 2 samples to interpolate")
-        self.t = np.asarray([t for t, _ in trajectory], dtype=np.float64)
         if np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trajectory timestamps must be strictly increasing")
-        self.xy = np.asarray([(p.x, p.y) for _, p in trajectory], dtype=np.float64)
-        self.phi = np.asarray([p.phi for _, p in trajectory], dtype=np.float64)
 
     def _weights(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.t) - 2)
@@ -523,7 +522,9 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
     returned too, row-aligned with each table: the true emission time and
     the true sensor position of every row.
     """
-    interp = TrajectoryInterpolator(trajectory)
+    t_gt = np.asarray([t for t, _ in trajectory], dtype=np.float64)
+    poses = np.reshape([(p.x, p.y, p.phi) for _, p in trajectory], (-1, 3))
+    interp = TrajectoryInterpolator(t_gt, poses[:, :2], poses[:, 2])
     noise = config.noise
     ss = np.random.SeedSequence(scenario.seed)
     uwb_rng, rssi_rng, csi_rng, imu_rng = (np.random.default_rng(c) for c in ss.spawn(4))
@@ -541,8 +542,6 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
             blocks.setdefault(sensor, []).append((t_rec, values[keep], anchor_id, truth))
 
     # ground truth: the robot's own stream on the reference clock
-    t_gt = np.asarray([t for t, _ in trajectory], dtype=np.float64)
-    poses = np.asarray([(p.x, p.y, p.phi) for _, p in trajectory], dtype=np.float64)
     emit("gt", t_gt, poses, None, t_gt, poses[:, :2])
 
     # UWB: per tick one range+power record per anchor, with NLOS and dropout

@@ -29,9 +29,7 @@ from indoor_fusion.ingest import (
     build_fusion_frames,
     estimate_clock_offset,
     frame_layout,
-    groundtruth_interpolator,
     ingest_run,
-    label_with_groundtruth,
     select_blocks,
 )
 from indoor_fusion.mlp import (
@@ -205,16 +203,11 @@ def test_criterion_7_generalization_separates_magnitude_from_phase():
     def csi_frames(sc, want_phase):
         tables = simulate_run(sc, config)
         result = ingest_run(tables, sc.sensor_offsets, config.rates,
-                            config.duration)
+                            config.duration, phase=want_phase)
         mag = (result.frames, select_blocks(result.frames.layout, ["csi"]))
         if not want_phase:
             return mag, None
-        stream = label_with_groundtruth(result.tables["csi"],
-                                        groundtruth_interpolator(result.tables["gt"]),
-                                        sc.sensor_offsets["csi"],
-                                        csi_features="phase")
-        phase = build_fusion_frames([stream])
-        return mag, (phase, phase.layout)
+        return mag, (result.phase, result.phase.layout)
 
     mag_a, phase_a = csi_frames(scenario, want_phase=True)
     mag_identical, _ = csi_frames(identical, want_phase=False)

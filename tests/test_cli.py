@@ -28,7 +28,6 @@ from indoor_fusion.cli import (
     DEFAULT_METHODS,
     EXIT_NUMERIC,
     RunConfig,
-    _Campaign,
     _prepare_campaign,
     _run_method,
     build_parser,
@@ -566,6 +565,17 @@ def _without(sensor, keep=lambda i: False):
     return fault
 
 
+def _repeat_gt_line(change=lambda payload: None):
+    """A fault that repeats the 10th gt line (t = 2 s) after it, the copy's
+    payload changed by ``change``."""
+    def fault(docs):
+        at = [i for i, d in enumerate(docs) if d["sensor"] == "gt"][10]
+        copy = json.loads(json.dumps(docs[at]))
+        change(copy["payload"])
+        return docs[:at + 1] + [copy] + docs[at + 1:]
+    return fault
+
+
 def _swap_two_imu_stamps(docs):
     a, b = [d for d in docs if d["sensor"] == "imu"][10:12]
     a["t"], b["t"] = b["t"], a["t"]
@@ -578,6 +588,8 @@ FAULT_MATRIX = {
     "3 duplicated lines": lambda docs: [
         d for i, d in enumerate(docs) for _ in range(2 if i in (100, 2000, 5000) else 1)],
     "every 7th imu line dropped": _without("imu", lambda i: i % 7 != 6),
+    "one gt line duplicated": _repeat_gt_line(),
+    "two gt poses at one time": _repeat_gt_line(lambda payload: payload.update(x=1.0)),
     "two imu stamps swapped": _swap_two_imu_stamps,
     "imu clock +0.5 s": _each("imu", lambda doc, i: doc.update(t=doc["t"] + 0.5)),
     "no uwb records": _without("uwb"),
@@ -603,6 +615,9 @@ FAULT_OUTCOMES = {
         EXIT_NUMERIC, "error: uwb: duplicate or non-monotonic sensor ticks after dedup", None),
     "campaign 2: an rssi anchor that its scenario lacks": (0, "", {
         "rssi-trilat": "InsufficientData: no anchor positions for ['zz9']"}),
+    "one gt line duplicated": (0, "", {}),
+    "two gt poses at one time": (
+        EXIT_NUMERIC, "error: gt: two different poses at t = 2.0 s", None),
     "every rssi reading at 1e300 dBm": (0, "", {
         "nn-fusion": "Divergence: the spread of 13 of 705 input features overflows float64",
         "rssi-fp": "NonFiniteDistance: feature distances from query 0 to ",
@@ -677,8 +692,30 @@ def _reachable(root):
 def test_a_prepared_campaign_holds_no_sensor_table(cli_campaign):
     camp = _prepare_campaign(RunConfig(out=cli_campaign),
                              read_sidecar(cli_campaign / "scenario.json"), 1, need_phase=True)
-    assert camp.phase is not None and "csi" in camp.streams
-    assert not any(isinstance(obj, (SensorTable, IngestResult)) for obj in _reachable(camp))
+    _, result = camp
+    assert result.phase is not None and "csi" in result.streams
+    assert not any(isinstance(obj, SensorTable) for obj in _reachable(camp))
+
+
+@pytest.mark.parametrize("duration", ["30", "120"])
+def test_preparing_a_campaign_peaks_near_what_it_loads_and_keeps(tmp_path, duration):
+    # the phase frames are scattered from the one labelling of the csi table,
+    # each block in bounded steps: no table-sized temporary, no second copy
+    assert main(["simulate", "--seed", "42", "--duration", duration, "--out", str(tmp_path)]) == 0
+    sidecar = read_sidecar(tmp_path / "scenario.json")
+    tables = cli._read_tables(tmp_path / "dataset1.jsonl")
+    loaded = sum(getattr(table, name).nbytes for table in tables.values()
+                 for name in ("t", "values", "source", "anchor", "line"))
+    del tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        camp = _prepare_campaign(RunConfig(out=tmp_path), sidecar, 1, need_phase=True)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert camp[1].phase is not None
+    assert peak <= 1.15 * (loaded + kept), (peak, loaded, kept)
 
 
 def test_nn_path_holds_one_copy_of_each_input(short_campaign):
@@ -686,7 +723,7 @@ def test_nn_path_holds_one_copy_of_each_input(short_campaign):
     # allocates alone; then, once training has freed them, the transfer
     # input once plus what scoring it allocates alone
     result = short_campaign.result
-    camp = _Campaign(short_campaign.scenario, result.streams, result.frames)
+    camp = (short_campaign.scenario, result)
     cfg = RunConfig(epochs=3)
     frames = result.frames
     layout = select_blocks(frames.layout, ["csi"])
@@ -734,7 +771,7 @@ def test_generalization_entry_over_a_zero_self_median_is_a_typed_error():
     # every tick at the center of one cell with one fingerprint: each fix is exact
     stream = AlignedStream("rssi", np.arange(20.0), np.full((20, 1), -50.0),
                            np.full((20, 2), 0.25), ("w0",))
-    camp = _Campaign(None, {"rssi": stream}, None)
+    camp = (None, IngestResult({"rssi": stream}, None, None, {}, 0))
     with pytest.raises(UndefinedDegradation) as info:
         _run_method("rssi-fp", camp, camp, RunConfig(grid=0.5, k=1))
     assert isinstance(info.value, IndoorFusionError)  # exit code 4 in main

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -69,10 +70,10 @@ def _interp(duration):
     return groundtruth_interpolator(tables_of(_gt_line(duration))["gt"])
 
 
-def _label(rows, duration, offset=SensorOffset(), csi_features="magnitude"):
-    """The stream of one sensor's rows against ``_gt_line(duration)``."""
+def _label(rows, duration, offset=SensorOffset()):
+    """The ticks of one sensor's rows against ``_gt_line(duration)``."""
     (table,) = tables_of(rows).values()
-    return label_with_groundtruth(table, _interp(duration), offset, csi_features)
+    return label_with_groundtruth(table, _interp(duration), offset)
 
 
 def _ticks(duration, rate):
@@ -185,9 +186,30 @@ def test_groundtruth_interpolator_takes_a_gt_table_in_any_row_order():
         groundtruth_interpolator(table.take([0]))
 
 
+def test_groundtruth_interpolator_folds_repeated_rows_and_names_a_conflict():
+    rows = _gt_line(10.0)
+    interp = groundtruth_interpolator(tables_of(rows[:5] + rows[3:])["gt"])
+    np.testing.assert_array_equal(interp.t, _interp(10.0).t)
+    np.testing.assert_array_equal(interp.xy, _interp(10.0).xy)
+    sensor, t, source, anchor, (x, y, phi) = rows[3]
+    with pytest.raises(EmptyGroundTruth, match=r"^gt: two different poses at t = 0\.6 s$"):
+        groundtruth_interpolator(tables_of(rows + [(sensor, t, source, anchor,
+                                                    [x + 1.0, y, phi])])["gt"])
+    with pytest.raises(EmptyGroundTruth):  # one pose, twice
+        groundtruth_interpolator(tables_of(rows[:1] * 2)["gt"])
+    # headings pi and -pi are one pose once wrapped: they fold, as one -pi
+    turned = [(s, t, src, a, [x, y, math.pi]) for s, t, src, a, (x, y, _) in rows]
+    twice = turned[:4] + [(s, t, src, a, [x, y, -math.pi]) for s, t, src, a, (x, y, _)
+                          in turned[3:]]
+    interp = groundtruth_interpolator(tables_of(twice)["gt"])
+    np.testing.assert_array_equal(interp.t, _interp(10.0).t)
+    np.testing.assert_array_equal(interp.phi, np.full(len(rows), -math.pi))
+
+
 def test_labeling_translates_to_the_sensor_mount():
     # _gt_line: heading 0 along +x at 0.1 m/s
-    stream = _label([_uwb(t) for t in _ticks(19.0, 2.0)], 20.0, SensorOffset(0.0, 0.25, 0.0))
+    stream = _label([_uwb(t) for t in _ticks(19.0, 2.0)], 20.0,
+                    SensorOffset(0.0, 0.25, 0.0)).stream()
     assert stream.modality == "uwb"
     for t, (x, y) in zip(stream.t, stream.labels):
         assert x == pytest.approx(0.1 * t, abs=1e-12)
@@ -196,20 +218,21 @@ def test_labeling_translates_to_the_sensor_mount():
 
 def test_labeling_drops_records_outside_the_groundtruth_span():
     # _gt_line(10.0): last pose at t = 1.8
-    stream = _label([_uwb(1.0), _uwb(5.0), _uwb(25.0)], 10.0)
+    stream = _label([_uwb(1.0), _uwb(5.0), _uwb(25.0)], 10.0).stream()
     assert len(stream) == 2
     assert stream.dropped == 1
     assert stream.record_count == 2
 
 
 def test_uwb_and_rssi_feature_layout_marks_missing_anchors():
-    stream = _label([_uwb(1.0, "u0", 2.0), _uwb(1.0, "u1", 3.0), _uwb(2.0, "u1", 4.0)], 20.0)
+    stream = _label([_uwb(1.0, "u0", 2.0), _uwb(1.0, "u1", 3.0), _uwb(2.0, "u1", 4.0)],
+                    20.0).stream()
     assert stream.columns == ("u0", "u1")
     np.testing.assert_array_equal(stream.features[0], [2.0, 3.0])
     np.testing.assert_array_equal(stream.features[1], [UWB_MISSING_RANGE, 4.0])
 
     rstream = _label([("rssi", 1.0, "esp0", "w00", [-41.0]),
-                      ("rssi", 2.0, "esp0", "w01", [-52.0])], 20.0)
+                      ("rssi", 2.0, "esp0", "w01", [-52.0])], 20.0).stream()
     np.testing.assert_array_equal(rstream.features[0], [-41.0, RSSI_FLOOR_DB])
     np.testing.assert_array_equal(rstream.features[1], [RSSI_FLOOR_DB, -52.0])
 
@@ -220,23 +243,23 @@ def test_csi_feature_layout_variants():
     rows = [("csi", 1.0, "esp0", "w00", [*mags, *phases]),
             ("csi", 2.0, "esp0", "w01", [*(2 * mags), *(-phases)])]
 
-    mag_stream = _label(rows, 20.0)
+    ticks = _label(rows, 20.0)
+    mag_stream = ticks.stream()
     assert mag_stream.columns == ("w00",) * 3 + ("w01",) * 3
     np.testing.assert_array_equal(mag_stream.features[0],
                                   [1.0, 2.0, 3.0, 0.0, 0.0, 0.0])
 
-    phase_stream = _label(rows, 20.0, csi_features="phase")
+    # each reading's phases follow its magnitudes, as ingest_run reads them
+    phase_stream = replace(ticks, values=ticks.values[:, ticks.width:]).stream()
+    assert phase_stream.columns == mag_stream.columns
     np.testing.assert_array_equal(phase_stream.features[1],
                                   [0.0, 0.0, 0.0, -0.1, -0.2, -0.3])
-
-    with pytest.raises(ValueError, match="csi_features"):
-        _label(rows, 20.0, csi_features="bogus")
 
 
 def test_imu_features_take_the_newest_record_in_a_tick():
     first = ("imu", 1.0, "imu0", None, [1, 0, 9.81, 0, 0, 0.1, 19, 4, -45])
     second = ("imu", 1.0, "imu0", None, [2, 0, 9.81, 0, 0, 0.2, 19, 4, -45])
-    stream = _label([first, second], 20.0)
+    stream = _label([first, second], 20.0).stream()
     assert stream.columns[:3] == ("accel_x", "accel_y", "accel_z")
     assert stream.features[0, 0] == 2.0
     assert stream.features[0, 5] == 0.2
@@ -286,9 +309,9 @@ def _reference_label(rows, interp, offset, csi_features):
 
 
 @st.composite
-def tick_records(draw):
+def tick_records(draw, sensors=("uwb", "rssi", "csi", "imu")):
     """One modality's rows on few ticks and anchors, so both collide."""
-    sensor = draw(st.sampled_from(["uwb", "rssi", "csi", "imu"]))
+    sensor = draw(st.sampled_from(sensors))
     n = draw(st.integers(1, 25))
     out = []
     for _ in range(n):
@@ -302,17 +325,32 @@ def tick_records(draw):
     return out
 
 
-@given(tick_records(), st.sampled_from(["magnitude", "phase"]))
+@given(st.data(), st.sampled_from(["magnitude", "phase"]))
 @settings(max_examples=150)
-def test_label_table_matches_per_record_labeling(rows, csi_features):
+def test_label_table_matches_per_record_labeling(data, csi_features):
     interp = _interp(10.0)  # t in [0, 1.8]: later ticks are dropped
     offset = SensorOffset(0.1, -0.2, 0.3)
-    (table,) = tables_of(rows).values()
-    stream = label_with_groundtruth(table, interp, offset, csi_features)
+    step = mock.patch.object(ingest, "_GATHER_ROWS", data.draw(st.integers(1, 4)))
+    if csi_features == "magnitude":
+        rows = data.draw(tick_records())
+        (table,) = tables_of(rows).values()
+        with step:  # cells scattered a few at a time
+            stream = label_with_groundtruth(table, interp, offset).stream()
+        got = (stream.t, stream.features, stream.labels)
+    else:  # ingest_run's phase frames, on a clock that corrects nothing
+        rows = data.draw(tick_records(sensors=("csi",)))
+        tables = tables_of(rows + _gt_line(10.0))
+        with step, mock.patch.object(ingest, "estimate_clock_offset",
+                                     return_value=ClockModel()):
+            result = ingest_run(tables, {"csi": offset}, {"csi": 1.0}, 10.0, phase=True)
+        rows = sorted(rows, key=lambda row: row[1:3])  # corrected order: (t, source id)
+        stream, frames = result.streams["csi"], result.phase
+        assert frames.layout.modalities() == ("csi",) and np.all(frames.mask == 1.0)
+        got = (frames.t, frames.features, frames.labels)
     expected = _reference_label(rows, interp, offset, csi_features)
-    assert len(stream) == len(expected)
+    assert len(got[0]) == len(expected)
     for s_t, s_features, s_label, (t, features, x, y) in zip(
-            stream.t.tolist(), stream.features, stream.labels.tolist(), expected):
+            got[0].tolist(), got[1], got[2].tolist(), expected):
         assert s_t == t and s_label == [x, y]
         np.testing.assert_array_equal(s_features, features)
     kept = sum(interp.t[0] <= row[1] <= interp.t[-1] for row in rows)
@@ -571,11 +609,10 @@ def _bits(a):
 @pytest.fixture(scope="module")
 def gather_inputs(short_campaign):
     """The conftest campaign's frames and its csi phase frames."""
-    result = short_campaign.result
-    phase = label_with_groundtruth(
-        result.tables["csi"], groundtruth_interpolator(result.tables["gt"]),
-        short_campaign.scenario.sensor_offsets["csi"], csi_features="phase")
-    return {"frames": result.frames, "phase": build_fusion_frames([phase])}
+    c = short_campaign
+    result = ingest_run(c.tables, c.scenario.sensor_offsets, c.config.rates,
+                        c.config.duration, phase=True)
+    return {"frames": result.frames, "phase": result.phase}
 
 
 @settings(max_examples=30)
@@ -717,7 +754,8 @@ def test_ingest_run_labels_match_true_sensor_positions(short_campaign):
                                rate=config.rates["gt"])
     from indoor_fusion.simulate import TrajectoryInterpolator
 
-    interp = TrajectoryInterpolator(traj)
+    interp = TrajectoryInterpolator([t for t, _ in traj], [(p.x, p.y) for _, p in traj],
+                                    [p.phi for _, p in traj])
     for modality, stream in short_campaign.result.streams.items():
         true_pos = interp.sensor_position_at(stream.t, scenario.sensor_offsets[modality])
         err = np.hypot(*(stream.labels - true_pos).T)

@@ -15,7 +15,6 @@ from indoor_fusion.errors import InvalidOverride
 from indoor_fusion.records import (
     Anchor,
     ClockModel,
-    Pose,
     Position2D,
     SensorOffset,
     read_records,
@@ -182,9 +181,8 @@ def test_bounds_contains_points_and_arrays():
 
 
 def test_interpolator_exact_at_knots_and_clamped_outside():
-    traj = [(0.0, Pose(0.0, 0.0, 0.0)), (1.0, Pose(2.0, 0.0, 0.0)),
-            (2.0, Pose(2.0, 2.0, 1.0))]
-    interp = TrajectoryInterpolator(traj)
+    interp = TrajectoryInterpolator([0.0, 1.0, 2.0], [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0)],
+                                    [0.0, 0.0, 1.0])
     np.testing.assert_allclose(interp.position_at([0.0, 1.0, 2.0]),
                                [[0, 0], [2, 0], [2, 2]], atol=1e-12)
     np.testing.assert_allclose(interp.position_at([0.5]), [[1.0, 0.0]], atol=1e-12)
@@ -194,7 +192,7 @@ def test_interpolator_exact_at_knots_and_clamped_outside():
 
 
 def test_interpolator_heading_takes_the_short_arc():
-    interp = TrajectoryInterpolator([(0.0, Pose(0, 0, 3.0)), (1.0, Pose(1, 0, -3.0))])
+    interp = TrajectoryInterpolator([0.0, 1.0], [(0, 0), (1, 0)], [3.0, -3.0])
     mid = interp.heading_at([0.5])[0]
     # halfway from +3 to -3 through the wrap is pi (mod 2pi)
     assert abs(abs(mid) - math.pi) < 1e-9 or abs(mid - math.pi) < 1e-9
@@ -202,14 +200,14 @@ def test_interpolator_heading_takes_the_short_arc():
 
 def test_interpolator_rejects_degenerate_input():
     with pytest.raises(ValueError):
-        TrajectoryInterpolator([(0.0, Pose(0, 0, 0))])
+        TrajectoryInterpolator([0.0], [(0, 0)], [0.0])
     with pytest.raises(ValueError):
-        TrajectoryInterpolator([(0.0, Pose(0, 0, 0)), (0.0, Pose(1, 0, 0))])
+        TrajectoryInterpolator([0.0, 0.0], [(0, 0), (1, 0)], [0.0, 0.0])
 
 
 def test_sensor_position_offset_translation():
-    interp = TrajectoryInterpolator([(0.0, Pose(1.0, 2.0, math.pi / 2)),
-                                     (1.0, Pose(1.0, 3.0, math.pi / 2))])
+    interp = TrajectoryInterpolator([0.0, 1.0], [(1.0, 2.0), (1.0, 3.0)],
+                                    [math.pi / 2, math.pi / 2])
     pos = interp.sensor_position_at(np.asarray([0.0]), SensorOffset(0.1, 0.0, 0.0))
     np.testing.assert_allclose(pos, [[1.0, 2.1]], atol=1e-12)
     same = interp.sensor_position_at(np.asarray([0.0]), SensorOffset())
