@@ -33,8 +33,8 @@ _EXPORTS = {
         "LayoutMismatch", "LengthMismatch", "MalformedLine", "NegativeTime",
         "NonFiniteDistance", "SchemaViolation", "TooFewFrames", "UndefinedDegradation"),
     "records": (
-        "Anchor", "ClockModel", "Pose", "Position2D", "SensorOffset", "SensorTable",
-        "normalize_angle", "read_records", "write_records"),
+        "Anchor", "ClockModel", "Position2D", "SensorOffset", "SensorTable", "read_records",
+        "write_records"),
     "geometry": (
         "degenerate_estimate", "locate_from_ranges", "rssi_to_distance",
         "translate_sensor_pose"),

@@ -97,7 +97,11 @@ def error_report(est: np.ndarray, truth: np.ndarray) -> ErrorReport:
 
 def blocks_for_method(method: str) -> list[str]:
     """Modality blocks a neural method consumes (``nn:uwb`` -> ["uwb"],
-    ``nn-fusion:csi+imu`` -> ["csi", "imu"], bare ``nn-fusion`` -> all)."""
+    ``nn-fusion:csi+imu`` -> ["csi", "imu"], bare ``nn-fusion`` -> all).
+    ``nn:csi-phase`` reads the csi block of the phase frames; no other
+    method takes a ``-phase`` suffix."""
+    if method == "nn:csi-phase":
+        return ["csi"]
     if method.startswith("nn-fusion"):
         _, _, combo = method.partition(":")
         if not combo:
@@ -109,7 +113,7 @@ def blocks_for_method(method: str) -> list[str]:
         raise ValueError(f"not a neural method: {method!r}")
     cleaned = []
     for b in blocks:
-        name = b.strip().removesuffix("-phase")
+        name = b.strip()
         if name not in MODALITIES:
             raise ValueError(f"unknown modality {b!r} in {method!r}")
         if name not in cleaned:
@@ -214,8 +218,8 @@ def read_cdf_csv(path) -> list[tuple[str, list[tuple[float, float]]]]:
     """Read :func:`write_cdf_csv` output back as (series, [(error, fraction)]).
 
     Bytes that are not UTF-8 raise MalformedLine naming the path; a wrong
-    header or a row that is not (name, float, float) raises SchemaViolation
-    naming ``path:line:``.
+    header, or a row that is not (name, error, fraction) with a finite error
+    >= 0 and a fraction in (0, 1], raises SchemaViolation naming ``path:line:``.
     """
     series: dict[str, list[tuple[float, float]]] = {}
     order: list[str] = []
@@ -234,6 +238,9 @@ def read_cdf_csv(path) -> list[tuple[str, list[tuple[float, float]]]]:
                     point = (float(error), float(fraction))
                 except ValueError as exc:
                     raise SchemaViolation(f"{path}:{reader.line_num}: {exc}") from exc
+                if not (0.0 <= point[0] < math.inf and 0.0 < point[1] <= 1.0):
+                    raise SchemaViolation(f"{path}:{reader.line_num}: expected an error in [0, inf) "
+                                          f"and a fraction in (0, 1], got {error}, {fraction}")
                 if name not in series:
                     series[name] = []
                     order.append(name)

@@ -55,7 +55,7 @@ from .errors import (
     InsufficientOverlap,
     LayoutMismatch,
 )
-from .records import TWO_PI, ClockModel, SensorOffset, SensorTable, _format_floats
+from .records import ClockModel, SensorOffset, SensorTable, _format_floats
 from .simulate import TrajectoryInterpolator
 
 MIN_OVERLAP_S = 10.0
@@ -198,10 +198,10 @@ def _frozen(obj, *names: str) -> list[np.ndarray]:
 
 def groundtruth_interpolator(gt: SensorTable) -> TrajectoryInterpolator:
     """The robot's trajectory from a gt table: its rows in time order, exact
-    repeats folded, headings wrapped as ``records.normalize_angle`` wraps
-    them.  Two different poses at one time raise EmptyGroundTruth."""
+    repeats folded, headings wrapped to [-pi, pi) as ``simulate.generate_trajectory``
+    wraps them.  Two different poses at one time raise EmptyGroundTruth."""
     rows = np.column_stack((gt.t, gt.values))[np.argsort(gt.t, kind="stable")]
-    rows[:, 3] = np.mod(rows[:, 3] + math.pi, TWO_PI) - math.pi
+    rows[:, 3] = np.mod(rows[:, 3] + np.pi, 2.0 * np.pi) - np.pi
     # one time's rows are adjacent: a repeat is folded, any other pose clashes
     repeat = (rows[1:] == rows[:-1]).all(axis=1)
     clash = np.flatnonzero((rows[1:, 0] == rows[:-1, 0]) & ~repeat)

@@ -57,13 +57,6 @@ from .errors import MalformedLine, NegativeTime, SchemaViolation
 
 SENSOR_KINDS = ("uwb", "rssi", "csi", "imu", "gt")
 
-TWO_PI = 2.0 * math.pi
-
-
-def normalize_angle(phi: float) -> float:
-    """Wrap an angle to [-pi, pi). Idempotent."""
-    return (phi + math.pi) % TWO_PI - math.pi
-
 
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
@@ -80,23 +73,6 @@ class Position2D:
 
     def __post_init__(self):
         _require_finite("Position2D", self.x, self.y)
-
-
-@dataclass(frozen=True)
-class Pose:
-    """2D position plus heading (counter-clockwise from +x, wrapped to [-pi, pi))."""
-
-    x: float
-    y: float
-    phi: float
-
-    def __post_init__(self):
-        _require_finite("Pose", self.x, self.y, self.phi)
-        object.__setattr__(self, "phi", normalize_angle(self.phi))
-
-    @property
-    def position(self) -> Position2D:
-        return Position2D(self.x, self.y)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ indoor magnetic field, per-anchor multipath rays for the WiFi channel, the
 arbitrary per-session carrier phase of each WiFi node, and the mounting
 offsets of the sensors on the robot platform.  A SimConfig pins everything
 operational: run duration, per-sensor update rates, noise levels and clock
-models.  Given both plus a ground-truth trajectory, :func:`sample_sensors`
-emits the multi-rate record stream as one ``records.SensorTable`` per
-sensor, whose ``line`` columns merge the rows into file order;
-``records.write_records`` writes them as JSONL.
+models.  :func:`generate_trajectory` samples the robot's 5 Hz ground truth
+as the arrays ``t``, ``xy`` and ``phi`` of a :class:`TrajectoryInterpolator`.
+Given all three, :func:`sample_sensors` emits the multi-rate record stream
+as one ``records.SensorTable`` per sensor, whose ``line`` columns merge the
+rows into file order; ``records.write_records`` writes them as JSONL.
 
 Each payload is held once, from generator to table.  A sensor's table rows
 are the stable order of its (recorded ``t``, generation index), worked out
@@ -35,16 +36,7 @@ import numpy as np
 
 from .errors import InvalidOverride, MalformedLine, SchemaViolation
 from .geometry import translate_sensor_pose
-from .records import (
-    Anchor,
-    ClockModel,
-    Pose,
-    Position2D,
-    SensorOffset,
-    SensorTable,
-    normalize_angle,
-    write_records,
-)
+from .records import Anchor, ClockModel, Position2D, SensorOffset, SensorTable, write_records
 
 SPEED_OF_LIGHT = 299_792_458.0
 GRAVITY = 9.81
@@ -412,12 +404,12 @@ def _lawnmower_polyline(bounds: Bounds, margin: float, spacing: float,
 def generate_trajectory(scenario: Scenario, duration: float, speed: float,
                         rate: float = 5.0, spacing: float = 0.35,
                         margin: float = 0.5, turn_slowdown: float = 0.7,
-                        ) -> list[tuple[float, Pose]]:
-    """Boustrophedon sweep sampled at the ground-truth rate.
+                        ) -> TrajectoryInterpolator:
+    """Boustrophedon sweep sampled at the ground-truth rate, ticks ``k / rate``.
 
     The robot walks the sweep at ``speed`` (slowed on turn arcs), ping-pongs
     when it exhausts the path, and always stays within bounds.  Heading is
-    the instantaneous direction of motion.
+    the instantaneous direction of motion, wrapped to [-pi, pi).
     """
     if duration <= 0.0 or speed <= 0.0:
         raise ValueError("duration and speed must be > 0")
@@ -431,18 +423,17 @@ def generate_trajectory(scenario: Scenario, duration: float, speed: float,
 
     n = int(math.floor(duration * rate + 1e-9))
     dt = 1.0 / rate
-    out: list[tuple[float, Pose]] = []
+    xy, phi, backward = np.empty((n, 2)), np.empty(n), np.zeros(n, dtype=bool)
     s = 0.0
     direction = 1.0
-    heading = math.atan2(seg[0, 1], seg[0, 0])
     for k in range(n):
         idx = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg_len) - 1)
         idx = max(idx, 0)
         w = (s - cum[idx]) / seg_len[idx]
-        x, y = pts[idx] + w * seg[idx]
+        xy[k] = pts[idx] + w * seg[idx]
         tangent = math.atan2(seg[idx, 1], seg[idx, 0])
-        heading = tangent if direction > 0 else normalize_angle(tangent + math.pi)
-        out.append((k * dt, Pose(float(x), float(y), heading)))
+        backward[k] = direction < 0.0
+        phi[k] = tangent + math.pi if backward[k] else tangent
         step = speed * dt * (turn_slowdown if turn[idx] else 1.0)
         s += direction * step
         if s >= total:
@@ -451,7 +442,10 @@ def generate_trajectory(scenario: Scenario, duration: float, speed: float,
         elif s <= 0.0:
             s = -s
             direction = 1.0
-    return out
+    # wrapped to [-pi, pi) as Python's ``%`` wraps, a backward heading twice
+    phi = np.mod(phi + np.pi, 2.0 * np.pi) - np.pi
+    phi[backward] = np.mod(phi[backward] + np.pi, 2.0 * np.pi) - np.pi
+    return TrajectoryInterpolator(np.arange(n) * dt, xy, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +500,7 @@ _SOURCE_IDS = {"gt": "robot", "uwb": "tag0", "rssi": "esp0", "csi": "esp0", "imu
 
 
 def sample_sensors(scenario: Scenario, config: SimConfig,
-                   trajectory: list[tuple[float, Pose]],
-                   return_truth: bool = False):
+                   trajectory: TrajectoryInterpolator, return_truth: bool = False):
     """Emit one run's record stream as one SensorTable per sensor.
 
     Each sensor samples on its own emission grid and stamps records with its
@@ -522,9 +515,7 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
     returned too, row-aligned with each table: the true emission time and
     the true sensor position of every row.
     """
-    t_gt = np.asarray([t for t, _ in trajectory], dtype=np.float64)
-    poses = np.reshape([(p.x, p.y, p.phi) for _, p in trajectory], (-1, 3))
-    interp = TrajectoryInterpolator(t_gt, poses[:, :2], poses[:, 2])
+    interp, t_gt = trajectory, trajectory.t
     noise = config.noise
     ss = np.random.SeedSequence(scenario.seed)
     uwb_rng, rssi_rng, csi_rng, imu_rng = (np.random.default_rng(c) for c in ss.spawn(4))
@@ -542,7 +533,7 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
             blocks.setdefault(sensor, []).append((t_rec, values[keep], anchor_id, truth))
 
     # ground truth: the robot's own stream on the reference clock
-    emit("gt", t_gt, poses, None, t_gt, poses[:, :2])
+    emit("gt", t_gt, np.column_stack([interp.xy, interp.phi]), None, t_gt, interp.xy)
 
     # UWB: per tick one range+power record per anchor, with NLOS and dropout
     t_uwb = _tick_times(config.duration, config.rates["uwb"])
@@ -712,8 +703,15 @@ def _anchor_to_dict(a: Anchor) -> dict:
     return {"id": a.id, "kind": a.kind, "position": [a.position.x, a.position.y]}
 
 
+def _fixed(values: list, n: int, name: str) -> list:
+    """A sidecar list that must hold exactly ``n`` values."""
+    if len(values) != n:
+        raise ValueError(f"{name} must hold {n} values, got {len(values)}")
+    return values
+
+
 def _anchor_from_dict(d: dict) -> Anchor:
-    return Anchor(d["id"], d["kind"], Position2D(*d["position"]))
+    return Anchor(d["id"], d["kind"], Position2D(*_fixed(d["position"], 2, f"{d['id']} position")))
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -742,20 +740,22 @@ def scenario_to_dict(s: Scenario) -> dict:
 def scenario_from_dict(d: dict) -> Scenario:
     mf = d["magnetic_field"]
     return Scenario(
-        bounds=Bounds(*d["bounds"]),
+        bounds=Bounds(*_fixed(d["bounds"], 2, "bounds")),
         uwb_anchors=tuple(_anchor_from_dict(a) for a in d["uwb_anchors"]),
         wifi_anchors=tuple(_anchor_from_dict(a) for a in d["wifi_anchors"]),
         subcarriers=d["subcarriers"],
         carrier_hz=d["carrier_hz"],
         subcarrier_spacing_hz=d["subcarrier_spacing_hz"],
         magnetic_field=MagneticFieldSpec(
-            earth=tuple(mf["earth"]),
-            bumps=tuple(MagneticBump(tuple(b["center"]), b["sigma"], tuple(b["amplitude"]))
+            earth=tuple(_fixed(mf["earth"], 3, "earth")),
+            bumps=tuple(MagneticBump(tuple(_fixed(b["center"], 2, "bump center")), b["sigma"],
+                                     tuple(_fixed(b["amplitude"], 3, "bump amplitude")))
                         for b in mf["bumps"])),
         multipath={aid: tuple(MultipathRay(r["wall"], r["gain"], r["extra_path_m"]) for r in rays)
                    for aid, rays in d["multipath"].items()},
         session_phase=dict(d["session_phase"]),
-        sensor_offsets={k: SensorOffset(*v) for k, v in d["sensor_offsets"].items()},
+        sensor_offsets={k: SensorOffset(*_fixed(v, 3, f"{k} sensor offset"))
+                        for k, v in d["sensor_offsets"].items()},
         rssi_p0_dbm=d["rssi_model"]["p0_dbm"],
         rssi_d0_m=d["rssi_model"]["d0_m"],
         rssi_exponent=d["rssi_model"]["exponent"],
@@ -781,7 +781,7 @@ def sim_config_from_dict(d: dict) -> SimConfig:
         duration=d["duration"],
         rates=dict(d["rates"]),
         noise=NoiseConfig(**d["noise"]),
-        clocks={k: ClockModel(*v) for k, v in d["clocks"].items()},
+        clocks={k: ClockModel(*_fixed(v, 2, f"{k} clock")) for k, v in d["clocks"].items()},
         speed=d.get("speed", 0.2),
     )
 
@@ -799,7 +799,8 @@ def write_sidecar(path, scenario: Scenario, config: SimConfig,
 
 def read_sidecar(path) -> tuple[Scenario, SimConfig, Scenario | None]:
     """Read scenario.json back.  A file that is not UTF-8 JSON raises
-    MalformedLine, one missing a field or holding a wrong type raises
+    MalformedLine; one missing a field, holding a wrong type, a list of the
+    wrong length or a scenario that breaks an invariant raises
     SchemaViolation; both name the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -811,7 +812,7 @@ def read_sidecar(path) -> tuple[Scenario, SimConfig, Scenario | None]:
         return scenario_from_dict(doc["scenario"]), sim_config_from_dict(doc["config"]), scenario2
     except KeyError as exc:
         raise SchemaViolation(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, InvalidOverride) as exc:
         raise SchemaViolation(f"{path}: {exc}") from exc
 
 

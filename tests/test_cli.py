@@ -164,6 +164,10 @@ def test_method_name_validation():
     assert validate_method("nn-fusion:csi+imu") == "nn-fusion:csi+imu"
     with pytest.raises(ConfigError):
         validate_method("nn-fusion:sonar")
+    # only nn:csi-phase reads the phase frames: the suffix is unknown anywhere else
+    for method in ("nn-fusion:csi-phase", "nn-fusion:uwb-phase"):
+        with pytest.raises(ConfigError, match="unknown modality '(csi|uwb)-phase'"):
+            validate_method(method)
     with pytest.raises(ConfigError, match="valid methods"):
         validate_method("dead-reckoning")
 
@@ -293,10 +297,46 @@ def _not_utf8(path):
         fh.write(b"\xff\xfe")
 
 
+def _sidecar_edit(edit):
+    """A damage that applies ``edit`` to the first campaign's scenario.json entry."""
+    def damage(path):
+        doc = _load(path)
+        edit(doc["scenario"])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    damage.__name__ = edit.__name__
+    return damage
+
+
+def _short_csi_offset(scenario):
+    scenario["sensor_offsets"]["csi"] = [-0.1]
+
+
+def _one_bound(scenario):
+    scenario["bounds"] = [8.0]
+
+
+def _anchor_outside(scenario):
+    scenario["uwb_anchors"][0]["position"] = [-1.0, 1.0]
+
+
+def _no_subcarriers(scenario):
+    scenario["subcarriers"] = 0
+
+
+def _long_bump_center(scenario):
+    scenario["magnetic_field"]["bumps"][0]["center"] = [1.0, 2.0, 3.0]
+
+
 @pytest.mark.parametrize("command", ["ingest", "run"])
 @pytest.mark.parametrize("damage, message", [
     (_not_utf8, "scenario.json: not UTF-8 JSON"),
     (_missing_magnetic_field, "scenario.json: missing key 'magnetic_field'"),
+    (_sidecar_edit(_short_csi_offset),
+     "scenario.json: csi sensor offset must hold 3 values, got 1"),
+    (_sidecar_edit(_one_bound), "scenario.json: bounds must hold 2 values, got 1"),
+    (_sidecar_edit(_anchor_outside), "scenario.json: anchor u0 at (-1.0, 1.0) is outside"),
+    (_sidecar_edit(_no_subcarriers), "scenario.json: subcarriers must be >= 1"),
+    (_sidecar_edit(_long_bump_center), "scenario.json: bump center must hold 2 values, got 3"),
 ])
 def test_malformed_sidecar_exits_io_naming_the_file(cli_campaign, tmp_path, capsys,
                                                     command, damage, message):
@@ -1152,10 +1192,24 @@ def _two_column_row(path):
         fh.write("near,0.5\n")
 
 
+def _cdf_row(error, fraction):
+    def damage(path):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"near,{error},{fraction}\n")
+    damage.__name__ = f"_row_{error}_{fraction}"
+    return damage
+
+
 @pytest.mark.parametrize("damage, message", [
     (_not_utf8, "cdf.csv: not UTF-8 text"),
     (_bad_header, "cdf.csv:1: unexpected CDF CSV header"),
     (_two_column_row, "cdf.csv:10: expected 3 fields, got 2"),
+    (_cdf_row("inf", 1.0), "cdf.csv:10: expected an error in [0, inf) and a fraction "
+                           "in (0, 1], got inf, 1.0"),
+    (_cdf_row("nan", 1.0), "cdf.csv:10: expected an error in [0, inf)"),
+    (_cdf_row(-0.5, 1.0), "cdf.csv:10: expected an error in [0, inf)"),
+    (_cdf_row(0.5, 7.0), "cdf.csv:10: expected an error in [0, inf)"),
+    (_cdf_row(0.5, 0.0), "cdf.csv:10: expected an error in [0, inf)"),
 ])
 def test_malformed_cdf_csv_exits_io_naming_the_file(tmp_path, capsys, damage, message):
     xy = np.column_stack([np.arange(8.0), np.zeros(8)])

@@ -151,7 +151,10 @@ def test_blocks_for_method():
     assert blocks_for_method("nn:csi-phase") == ["csi"]
     assert blocks_for_method("nn-fusion") == list(MODALITIES)
     assert blocks_for_method("nn-fusion:csi+imu") == ["csi", "imu"]
-    assert blocks_for_method("nn-fusion:csi+csi-phase") == ["csi"]
+    # the -phase suffix belongs to nn:csi-phase alone
+    for method in ("nn-fusion:csi+csi-phase", "nn-fusion:csi-phase", "nn:uwb-phase"):
+        with pytest.raises(ValueError, match="unknown modality"):
+            blocks_for_method(method)
     with pytest.raises(ValueError):
         blocks_for_method("uwb-trilat")
     with pytest.raises(ValueError):

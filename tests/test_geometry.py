@@ -14,7 +14,7 @@ from indoor_fusion.geometry import (
     rssi_to_distance,
     translate_sensor_pose,
 )
-from indoor_fusion.records import Pose, SensorOffset
+from indoor_fusion.records import SensorOffset
 
 coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -240,9 +240,8 @@ def test_translate_sensor_pose_quarter_turn():
 
 
 def test_translate_sensor_pose_zero_offset_is_identity():
-    pose = Pose(3.7, -1.2, 0.4)
-    pos = translate_sensor_pose((pose.x, pose.y), pose.phi, SensorOffset())
-    assert (pos[0], pos[1]) == (pose.x, pose.y)
+    pos = translate_sensor_pose((3.7, -1.2), 0.4, SensorOffset())
+    assert (pos[0], pos[1]) == (3.7, -1.2)
 
 
 @given(coords, coords, st.floats(min_value=-4, max_value=4),
@@ -251,9 +250,8 @@ def test_translate_sensor_pose_zero_offset_is_identity():
        st.floats(min_value=-4, max_value=4))
 @settings(max_examples=200)
 def test_translate_preserves_mount_radius(x, y, phi, xo, yo, po):
-    pose = Pose(x, y, phi)
-    pos = translate_sensor_pose((pose.x, pose.y), pose.phi, SensorOffset(xo, yo, po))
-    assert math.hypot(pos[0] - pose.x, pos[1] - pose.y) == pytest.approx(
+    pos = translate_sensor_pose((x, y), phi, SensorOffset(xo, yo, po))
+    assert math.hypot(pos[0] - x, pos[1] - y) == pytest.approx(
         math.hypot(xo, yo), abs=1e-9)
 
 

@@ -750,12 +750,8 @@ def test_ingest_run_labels_match_true_sensor_positions(short_campaign):
     # measurement noise perturbs payloads, never timestamps, so labels must
     # land on the true mount positions up to clock-fit rounding
     scenario, config = short_campaign.scenario, short_campaign.config
-    traj = generate_trajectory(scenario, config.duration, config.speed,
-                               rate=config.rates["gt"])
-    from indoor_fusion.simulate import TrajectoryInterpolator
-
-    interp = TrajectoryInterpolator([t for t, _ in traj], [(p.x, p.y) for _, p in traj],
-                                    [p.phi for _, p in traj])
+    interp = generate_trajectory(scenario, config.duration, config.speed,
+                                 rate=config.rates["gt"])
     for modality, stream in short_campaign.result.streams.items():
         true_pos = interp.sensor_position_at(stream.t, scenario.sensor_offsets[modality])
         err = np.hypot(*(stream.labels - true_pos).T)

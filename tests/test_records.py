@@ -1,4 +1,4 @@
-"""Wire schema: bit-exact round-trips, strict parsing, column tables, angle helpers."""
+"""Wire schema: bit-exact round-trips, strict parsing, column tables, value types."""
 
 import json
 import math
@@ -16,13 +16,11 @@ from indoor_fusion.errors import MalformedLine, NegativeTime, SchemaViolation
 from indoor_fusion.records import (
     Anchor,
     ClockModel,
-    Pose,
     Position2D,
     SensorOffset,
     SensorTable,
     _format_floats,
     load_table_cache,
-    normalize_angle,
     read_records,
     round_trips,
     save_table_cache,
@@ -674,28 +672,7 @@ def test_table_cache_stores_strided_and_empty_columns(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Angles
-
-@given(st.floats(min_value=-1e6, max_value=1e6))
-@settings(max_examples=200)
-def test_normalize_angle_range_and_idempotence(phi):
-    wrapped = normalize_angle(phi)
-    assert -math.pi <= wrapped < math.pi
-    assert normalize_angle(wrapped) == wrapped
-
-
-@given(st.floats(min_value=-20, max_value=20), st.integers(-3, 3))
-def test_normalize_angle_is_2pi_periodic(phi, k):
-    assert normalize_angle(phi + 2.0 * math.pi * k) == pytest.approx(
-        normalize_angle(phi), abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # Value types
-
-def test_pose_normalizes_heading():
-    assert Pose(0.0, 0.0, 3.0 * math.pi).phi == pytest.approx(math.pi - 2 * math.pi)
-
 
 def test_position_rejects_non_finite():
     with pytest.raises(ValueError):

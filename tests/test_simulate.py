@@ -134,9 +134,8 @@ def test_perturbation_changes_fields_but_keeps_seed():
 def test_trajectory_count_and_grid():
     s = build_scenario(1)
     traj = generate_trajectory(s, duration=60.0, speed=0.2)
-    assert len(traj) == 300  # floor(60 * 5)
-    assert traj[0][0] == 0.0
-    assert traj[-1][0] == pytest.approx(59.8)
+    assert len(traj.t) == len(traj.xy) == len(traj.phi) == 300  # floor(60 * 5)
+    assert traj.t.tobytes() == np.asarray([k * 0.2 for k in range(300)]).tobytes()
 
 
 @given(st.integers(0, 20), st.floats(min_value=3.0, max_value=20.0),
@@ -145,8 +144,8 @@ def test_trajectory_count_and_grid():
 def test_trajectory_stays_in_bounds_and_respects_speed(seed, duration, speed):
     s = build_scenario(seed)
     traj = generate_trajectory(s, duration, speed)
-    xs = np.asarray([p.x for _, p in traj])
-    ys = np.asarray([p.y for _, p in traj])
+    xs, ys = traj.xy.T
+    assert np.all((-math.pi <= traj.phi) & (traj.phi < math.pi))
     assert np.all((xs >= 0.0) & (xs <= s.bounds.width))
     assert np.all((ys >= 0.0) & (ys <= s.bounds.height))
     step = np.hypot(np.diff(xs), np.diff(ys))
@@ -156,8 +155,7 @@ def test_trajectory_stays_in_bounds_and_respects_speed(seed, duration, speed):
 def test_trajectory_covers_distance():
     s = build_scenario(2)
     traj = generate_trajectory(s, duration=120.0, speed=0.2)
-    xs = np.asarray([p.x for _, p in traj])
-    ys = np.asarray([p.y for _, p in traj])
+    xs, ys = traj.xy.T
     walked = float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
     # 0.2 m/s for 120 s is 24 m; turns are slower and cut corners
     assert 0.6 * 24.0 <= walked <= 24.0 + 1e-6
@@ -168,8 +166,7 @@ def test_trajectory_fits_small_rooms():
                        uwb_anchors=(), wifi_anchors=(),
                        multipath={}, session_phase={})
     traj = generate_trajectory(s, duration=30.0, speed=0.2)
-    for _, pose in traj:
-        assert s.bounds.contains(pose.x, pose.y)
+    assert s.bounds.contains(*traj.xy.T).all()
 
 
 def test_bounds_contains_points_and_arrays():
@@ -329,6 +326,16 @@ def test_a_scenario_without_wifi_anchors_emits_no_radio_tables():
     tables, truth = sample_sensors(s, SimConfig(duration=2.0), generate_trajectory(s, 2.0, 0.2),
                                    return_truth=True)
     assert list(tables) == list(truth) and set(tables) == {"gt", "uwb", "imu"}
+
+
+def test_the_gt_table_is_the_trajectory_bit_for_bit():
+    # a small room: the robot walks the sweep back within 30 s
+    s = build_scenario(0, bounds=Bounds(1.2, 0.9), uwb_anchors=(), wifi_anchors=(),
+                       multipath={}, session_phase={})
+    traj = generate_trajectory(s, 30.0, 0.2)
+    gt = sample_sensors(s, SimConfig(duration=30.0), traj)["gt"]
+    assert gt.t.tobytes() == traj.t.tobytes()
+    assert gt.values.tobytes() == np.column_stack([traj.xy, traj.phi]).tobytes()
 
 
 def test_recorded_times_follow_the_clock_model():
