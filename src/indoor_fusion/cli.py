@@ -203,8 +203,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     scenario2 = replace(simulate.perturb_scenario(scenario, simulate.DEFAULT_PERTURBATION,
                                                   cfg.seed + 1), seed=cfg.seed + 1)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    n1 = _write_tables(cfg.out / "dataset1.jsonl", simulate.simulate_run(scenario, sim_config))
-    n2 = _write_tables(cfg.out / "dataset2.jsonl", simulate.simulate_run(scenario2, sim_config))
+    try:
+        n1 = _write_tables(cfg.out / "dataset1.jsonl", simulate.simulate_run(scenario, sim_config))
+        n2 = _write_tables(cfg.out / "dataset2.jsonl", simulate.simulate_run(scenario2, sim_config))
+    except MemoryError as exc:
+        raise errors.ConfigError(f"duration {cfg.duration:g} s does not fit in memory: {exc}")
     simulate.write_sidecar(cfg.out / "scenario.json", scenario, sim_config, scenario2)
     print(f"wrote {n1} records to dataset1.jsonl, {n2} to dataset2.jsonl "
           f"(seed {cfg.seed}, {cfg.duration:g} s) in {cfg.out}")
@@ -390,13 +393,18 @@ def _fit_rssi_trilat(scenario1: simulate.Scenario, result1: ingest.IngestResult)
     return estimate, None, {"beta_db": cal.beta, "calibration_median_m": cal.error_m}
 
 
-def _fit_fp(result1: ingest.IngestResult, modality: str, cfg: RunConfig):
+def _fit_fp(scenario1: simulate.Scenario, result1: ingest.IngestResult, modality: str,
+            cfg: RunConfig):
     import numpy as np
 
     stream = _stream_or_raise(result1, modality)
     train_rows, test_rows = _split(len(stream), cfg)
     # sorted rows keep tick order: the map sums each cell's rows in time order
     radio_map = fingerprint.build_map(stream.take(np.sort(train_rows)), cfg.grid)
+    centres, room = (radio_map.keys + 0.5) * radio_map.resolution, scenario1.bounds
+    if outside := np.count_nonzero(~room.contains(*centres.T)):  # an estimate averages them
+        raise errors.ConfigError(f"grid {cfg.grid!r} m puts {outside} of {len(radio_map)} cell "
+                                 f"centres outside the {room.width:g} x {room.height:g} m room")
 
     def estimate(scenario, result, rows):
         stream = _stream_or_raise(result, modality, rows)
@@ -467,7 +475,7 @@ def _run_method(method: str, camp1: tuple[simulate.Scenario, ingest.IngestResult
     elif method == "rssi-trilat":
         estimate, rows, extras = _fit_rssi_trilat(scenario, result)
     elif method in ("rssi-fp", "csi-fp"):
-        estimate, rows, extras = _fit_fp(result, method.split("-", 1)[0], cfg)
+        estimate, rows, extras = _fit_fp(scenario, result, method.split("-", 1)[0], cfg)
     else:
         estimate, rows, extras = _fit_nn(result, method, cfg)
     est, labels, counts = estimate(scenario, result, rows)

@@ -1,13 +1,13 @@
 """Error statistics, cross-layout generalization runs, and CDF plotting.
 
 Everything downstream of a localizer lands here: an (N, 2) array of
-estimates and the (N, 2) array of true positions, paired row by row,
-become an ErrorReport with an exact empirical CDF and nearest-rank
-percentiles.  One path trains and scores a network: ``fit_network``
-trains on some rows of ``Frames``, selecting its epoch on others, and
-``network_estimates`` gives its estimates for any rows, of these frames or
-of a transfer set from the other layout; ``run_generalization`` is the two
-in one call.  Reports become a CSV and a self-contained SVG.
+estimates and the (N, 2) array of true positions, paired row by row, become
+an ErrorReport with an exact empirical CDF and nearest-rank percentiles.
+One path trains and scores a network: ``fit_network`` trains on some rows
+of ``Frames``, selecting its epoch on others, and ``network_estimates``
+gives its estimates for any rows, of these frames or of a transfer set from
+the other layout, both reading the frames in bounded row steps;
+``run_generalization`` is the two in one call.  Reports become a CSV and an SVG.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, EmptyReport, LayoutMismatch, LengthMismatch,
                      MalformedLine, SchemaViolation, UndefinedDegradation)
-from .ingest import FrameLayout, Frames, frames_to_arrays
+from .ingest import _GATHER_ROWS, FrameLayout, FrameRows, Frames, frames_to_arrays
 from .mlp import Mlp, MlpConfig, train_arrays
 
 MODALITIES = ("csi", "rssi", "uwb", "imu")
@@ -148,20 +148,23 @@ def fit_network(frames: Frames, train_rows, test_rows, config: MlpConfig,
     epoch with the least median error on the ``test_rows``.
 
     ``layout`` picks the blocks, as ``ingest.select_blocks`` gives them
-    (default: all).  Each input is gathered once and freed when training
-    returns.  Returns the model and the per-epoch history.
+    (default: all).  Training reads its input from the frames a batch at a
+    time; the test input is gathered once.  Returns the model and history.
     """
-    x_test, y_test = frames_to_arrays(frames, test_rows, layout)
-    return train_arrays(*frames_to_arrays(frames, train_rows, layout), x_test, y_test,
-                        config)
+    x_train = FrameRows(frames, train_rows, layout)
+    return train_arrays(x_train, frames.labels[x_train.rows],
+                        *frames_to_arrays(frames, test_rows, layout), config)
 
 
 def network_estimates(model: Mlp, frames: Frames, rows=None,
                       layout: FrameLayout | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The model's (N, 2) estimates for ``rows`` of ``frames`` (default:
-    all) in the blocks of ``layout``, and the (N, 2) labels of those rows."""
-    x, labels = frames_to_arrays(frames, rows, layout)
-    return model.forward(x), labels
+    all) in the blocks of ``layout``, and the (N, 2) labels of those rows,
+    in steps of ``_GATHER_ROWS`` rows or more: BLAS rounds smaller ones apart."""
+    x = FrameRows(frames, rows, layout)
+    ends = [*range(_GATHER_ROWS, len(x) - _GATHER_ROWS + 1, _GATHER_ROWS), len(x)]
+    est = np.concatenate([model.forward(x[lo:hi]) for lo, hi in zip([0, *ends], ends)])
+    return est, frames.labels[x.rows]
 
 
 def run_generalization(frames: Frames, train_rows, test_rows, transfer_frames: Frames,

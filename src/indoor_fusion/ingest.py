@@ -22,9 +22,9 @@ and every stage works on its arrays.  Stages, in pipeline order:
    anchor ticks: zero-filled when absent, and held to a causal freshness
    window for the non-anchoring modalities.
 
-A regressor reads frames through one gather, ``frames_to_arrays(frames,
-rows, layout)``; ``select_blocks`` names a subset of the blocks as a
-``FrameLayout`` and copies nothing.
+A regressor reads frames through one gather, ``FrameRows(frames, rows,
+layout)``, a few rows at a time or all through ``frames_to_arrays``;
+``select_blocks`` names some blocks as a ``FrameLayout`` and copies nothing.
 
 ``ingest_run`` runs all four on one stream's tables, as ``records.read_records``
 or ``simulate.simulate_run`` return them, labelling each sensor once: the CSI
@@ -438,34 +438,50 @@ def select_blocks(layout: FrameLayout, modalities) -> FrameLayout:
     return FrameLayout(tuple(b for b in layout.blocks if b.modality in modalities))
 
 
+class FrameRows:
+    """``frames_to_arrays(frames, rows, layout)``'s X, gathered on demand:
+    ``view[idx]`` (an index array or a slice) is those rows as a new array,
+    filled ``_GATHER_ROWS`` rows a step, one copy per block and the mask."""
+
+    def __init__(self, frames: Frames, rows=None, layout: FrameLayout | None = None):
+        layout = frames.layout if layout is None else layout
+        self.frames = frames
+        self.rows = np.arange(len(frames)) if rows is None else np.asarray(rows)
+        if not len(self.rows):
+            raise ValueError("no frames to stack")
+        if differ := [b.modality for b in layout.blocks if frames.layout.block(b.modality) != b]:
+            raise LayoutMismatch(f"the {differ[0]!r} block differs from the frames' own")
+        self.shape = (len(self.rows), layout.feature_width + layout.mask_width)
+        # (destination, source) columns of each block, and the source mask bits
+        self._pieces = [(layout.feature_slice(b.modality), frames.layout.feature_slice(b.modality))
+                        for b in layout.blocks]
+        self._bits = [frames.layout.mask_index(b.modality) for b in layout.blocks]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        picked = self.rows[idx]
+        out = np.empty((len(picked), self.shape[1]))
+        for lo in range(0, len(picked), _GATHER_ROWS):  # bounds each block's temporary
+            step, part = picked[lo:lo + _GATHER_ROWS], out[lo:lo + _GATHER_ROWS]
+            for dst, src in self._pieces:
+                part[:, dst] = self.frames.features[step, src]
+            part[:, -len(self._bits):] = self.frames.mask[np.ix_(step, self._bits)]
+        return out
+
+
 def frames_to_arrays(frames: Frames, rows=None,
                      layout: FrameLayout | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(X, y) for a regressor: block features with the mask bits appended.
 
     ``rows`` picks frames in the given order (default: all), ``layout``
-    the blocks, as ``select_blocks`` gives them (default: all).  X
-    is one (rows, F + B) array filled in place, so selecting blocks and
-    splitting rows copies each input once.
+    the blocks, as ``select_blocks`` gives them (default: all).  X is one
+    (rows, F + B) array, gathered as ``FrameRows`` gathers, so selecting
+    blocks and splitting rows copies each input once.
     """
-    layout = frames.layout if layout is None else layout
-    rows = np.arange(len(frames)) if rows is None else np.asarray(rows)
-    if not len(rows):
-        raise ValueError("no frames to stack")
-    for b in layout.blocks:
-        if frames.layout.block(b.modality) != b:
-            raise LayoutMismatch(f"the {b.modality!r} block differs from the frames' own")
-    # (destination, source) columns of each block, and the source mask bits
-    pieces = [(layout.feature_slice(b.modality), frames.layout.feature_slice(b.modality))
-              for b in layout.blocks]
-    masks = [frames.layout.mask_index(b.modality) for b in layout.blocks]
-    x = np.empty((len(rows), layout.feature_width + layout.mask_width))
-    for start in range(0, len(rows), _GATHER_ROWS):
-        chunk = rows[start:start + _GATHER_ROWS]
-        out = x[start:start + len(chunk)]
-        for dst, src in pieces:
-            out[:, dst] = frames.features[chunk, src]
-        out[:, layout.feature_width:] = frames.mask[np.ix_(chunk, masks)]
-    return x, frames.labels[rows]
+    view = FrameRows(frames, rows, layout)
+    return view[:], frames.labels[view.rows]
 
 
 # Frames formatted per step: bounds the text held at once.  On a 30 s

@@ -8,9 +8,9 @@ normalization frozen from the training split and the best-so-far weights
 four parameter vectors (weights, Adam's moments, the best snapshot), the
 gradients past the first weight matrix and two Adam slices: the first
 layer's gradient is computed a slice at a time, just before its update.
-``train_arrays`` takes the (X, y) matrices of ``frames_to_arrays``:
-features with the mask bits appended.  A model's estimates are the (N, 2)
-array ``Mlp.forward`` returns.
+``train_arrays`` reads its input X, features with the mask bits appended,
+a batch at a time from ``ingest.FrameRows`` or an array, and normalizes it
+in steps.  A model's estimates are the (N, 2) array ``Mlp.forward`` returns.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, Divergence, InsufficientData, TooFewFrames
+from .ingest import _GATHER_ROWS
 
 DEFAULT_HIDDEN = (256, 128, 64)
 
@@ -112,15 +113,22 @@ class Mlp:
     def input_dim(self) -> int:
         return self.config.layer_sizes[0]
 
-    def set_normalization(self, x: np.ndarray) -> None:
-        """Freeze per-feature standardization from (training) data.
-
-        Raises Divergence where a feature's spread overflows float64 (an
-        overflowing mean makes it non-finite too).
-        """
-        x = np.atleast_2d(x)
+    def set_normalization(self, x) -> None:
+        """Freeze per-feature standardization from (training) data, read
+        ``_GATHER_ROWS`` rows a step and summed in row order: for an array two
+        or more columns wide, ``x.mean(axis=0)`` and ``x.std(axis=0)`` bit for
+        bit.  Raises Divergence where a feature's spread overflows float64
+        (an overflowing mean makes it non-finite too)."""
+        n, steps = len(x), range(0, len(x), _GATHER_ROWS)
         with np.errstate(over="ignore", invalid="ignore"):  # caught below
-            mean, std = x.mean(axis=0), x.std(axis=0)
+            total = np.full(x.shape[1], -0.0)  # -0.0: the exact additive identity
+            for lo in steps:
+                total = np.add.reduce(np.vstack([total[None], x[lo:lo + _GATHER_ROWS]]), axis=0)
+            mean, total = total / n, np.full(x.shape[1], -0.0)
+            for lo in steps:  # no step's array is held while the next is gathered
+                total = np.add.reduce(np.vstack(
+                    [total[None], np.square(x[lo:lo + _GATHER_ROWS] - mean)]), axis=0)
+            std = np.sqrt(total / n)
         bad = np.count_nonzero(~np.isfinite(std))
         if bad:
             raise Divergence(f"the spread of {bad} of {x.shape[1]} input features "
@@ -206,15 +214,14 @@ def _weight_rows(a: np.ndarray, delta: np.ndarray, rows: slice,
     return np.matmul(a[:, rows].T, delta, out=out)
 
 
-def train_arrays(x_train: np.ndarray, y_train: np.ndarray,
+def train_arrays(x_train, y_train: np.ndarray,
                  x_test: np.ndarray, y_test: np.ndarray,
                  config: MlpConfig) -> tuple[Mlp, list[tuple[int, float, float]]]:
-    """Inner optimization loop over already-stacked arrays.
-
+    """Inner optimization loop over ``x_train``, an array or any row source
+    with ``len``, ``shape`` and ``x_train[idx]`` (``ingest.FrameRows``).
     History rows are (epoch, train mse, test median error m).  Raises
     Divergence (carrying the history so far) on non-finite loss.
     """
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=np.float64))
     y_train = np.atleast_2d(np.asarray(y_train, dtype=np.float64))
     if len(x_train) == 0:
         raise InsufficientData("empty training set")

@@ -327,7 +327,12 @@ def write_records(path, tables: dict[str, SensorTable], *, digest=None) -> int:
     its floats, every table's ``t`` and ``values``, in one
     ``_format_floats`` call.  ``digest``, a ``hashlib`` object, is updated
     with every byte written, so the file need not be read back to hash it.
+    A time or value JSON cannot spell raises SchemaViolation; none is written.
     """
+    try:
+        _check_finite(tables)
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"{path}:{exc.line}: {exc}") from None
     tables = list(tables.values())
     lines = np.concatenate([t.line for t in tables]) if tables else np.zeros(0, np.intp)
     position = np.empty(len(lines), dtype=np.intp)
@@ -532,17 +537,18 @@ def _at_line(exc: Exception, line: int) -> Exception:
 
 
 def _check_finite(tables: dict[str, SensorTable]) -> None:
-    """Raise SchemaViolation for the first line holding a non-finite payload value."""
+    """Raise SchemaViolation for the first line holding a non-finite time or value."""
     first = None  # (line, table, row)
     for table in tables.values():
-        bad = np.flatnonzero(~np.isfinite(table.values).all(axis=1))
+        bad = np.flatnonzero(~(np.isfinite(table.t) & np.isfinite(table.values).all(axis=1)))
         if bad.size and (first is None or table.line[bad[0]] < first[0]):
             first = (int(table.line[bad[0]]), table, int(bad[0]))
     if first is not None:
         line, table, row = first
         column = int(np.argmin(np.isfinite(table.values[row])))
-        name = _column_name(table.sensor, column, table.values.shape[1])
-        raise _at_line(SchemaViolation(f"{name}: non-finite value"), line)
+        name = ("t" if not math.isfinite(table.t[row])
+                else _column_name(table.sensor, column, table.values.shape[1]))
+        raise _at_line(SchemaViolation(f"{name}: non-finite value ({table.sensor})"), line)
 
 
 _scan = json.JSONDecoder().scan_once  # json.loads minus its whitespace handling

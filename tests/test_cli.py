@@ -47,7 +47,7 @@ from indoor_fusion.ingest import (
 )
 from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset, train_arrays
 from indoor_fusion.records import SensorTable, read_records
-from indoor_fusion.simulate import NoiseConfig, read_sidecar
+from indoor_fusion.simulate import NoiseConfig, build_scenario, read_sidecar
 
 
 def _load(path):
@@ -182,6 +182,14 @@ def test_bad_duration_exits_config(tmp_path, capsys):
     assert main(["simulate", "--duration", "0.3", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == ("error: duration must be >= 0.4 s, two "
                                        "ground-truth periods, got 0.3\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_duration_too_long_to_fit_in_memory_exits_config(tmp_path, capsys):
+    # the trajectory's first allocation asks for petabytes and fails at once
+    assert main(["simulate", "--duration", "1e15", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration 1e+15 s does not fit in memory: ")
     assert not any(tmp_path.iterdir())
 
 
@@ -522,6 +530,33 @@ def test_run_reports_a_grid_too_fine_for_the_cell_indices(cli_campaign, tmp_path
         assert report["failures"][method].startswith("ConfigError: grid 1e-300 m")
 
 
+@pytest.mark.parametrize("grid", ["20", "1e300"])
+def test_run_reports_a_grid_coarser_than_the_room(cli_campaign, tmp_path, grid):
+    # every estimate averages cell centres: the one cell's centre, outside
+    # the 8 x 6 m room, gave a p50 beyond the room's diagonal, or of 7e299 m
+    for name in ("dataset1.jsonl", "dataset2.jsonl", "scenario.json"):
+        shutil.copy(cli_campaign / name, tmp_path / name)
+    assert main(["run", "--out", str(tmp_path), "--grid", grid,
+                 "--methods", "uwb-trilat,rssi-fp,csi-fp"]) == 0
+    report = load_report(tmp_path / "report.json")
+    assert set(report["methods"]) == {"uwb-trilat"}
+    for method in ("rssi-fp", "csi-fp"):
+        assert report["failures"][method] == (
+            f"ConfigError: grid {float(grid)!r} m puts 1 of 1 cell centres outside "
+            f"the 8 x 6 m room")
+
+
+def test_run_accepts_a_coarse_grid_whose_centres_are_in_the_room(cli_campaign, tmp_path):
+    for name in ("dataset1.jsonl", "dataset2.jsonl", "scenario.json"):
+        shutil.copy(cli_campaign / name, tmp_path / name)
+    assert main(["run", "--out", str(tmp_path), "--grid", "3",
+                 "--methods", "rssi-fp,csi-fp"]) == 0
+    report = load_report(tmp_path / "report.json")
+    assert report["failures"] == {}
+    for method in ("rssi-fp", "csi-fp"):  # centres at 1.5 and 4.5 m, and 7.5 m in x
+        assert report["methods"][method]["summary"]["p50_m"] < 10.0  # the room's diagonal
+
+
 # every snapshot of the 45 s seed-7 campaign inverts to ranges of 0 m
 _NO_RSSI_RANGE = ("EmptyObservations: rssi: 336 of the 336 snapshots have no reading whose "
                   "range is finite and > 0")
@@ -808,10 +843,11 @@ def test_transfer_scores_the_second_campaign(cli_campaign, capsys):
 
 
 def test_generalization_entry_over_a_zero_self_median_is_a_typed_error():
-    # every tick at the center of one cell with one fingerprint: each fix is exact
+    # every tick at the center of one cell with one fingerprint: each fix is
+    # exact; the scenario gives the room the cell centres must lie in
     stream = AlignedStream("rssi", np.arange(20.0), np.full((20, 1), -50.0),
                            np.full((20, 2), 0.25), ("w0",))
-    camp = (None, IngestResult({"rssi": stream}, None, None, {}, 0))
+    camp = (build_scenario(0), IngestResult({"rssi": stream}, None, None, {}, 0))
     with pytest.raises(UndefinedDegradation) as info:
         _run_method("rssi-fp", camp, camp, RunConfig(grid=0.5, k=1))
     assert isinstance(info.value, IndoorFusionError)  # exit code 4 in main

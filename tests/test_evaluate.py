@@ -18,14 +18,17 @@ from indoor_fusion.evaluate import (
     degradation,
     emit_plot,
     error_report,
+    fit_network,
+    network_estimates,
     read_cdf_csv,
     report_from_errors,
     run_generalization,
     write_cdf_csv,
     write_cdf_svg,
 )
-from indoor_fusion.ingest import BlockDef, FrameLayout, Frames
-from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset
+from indoor_fusion.ingest import (BlockDef, FrameLayout, FrameRows, Frames, frames_to_arrays,
+                                  select_blocks)
+from indoor_fusion.mlp import Mlp, MlpConfig, SplitSpec, split_dataset, train_arrays
 
 error_lists = st.lists(st.floats(min_value=0.0, max_value=1e6,
                                  allow_nan=False), min_size=1, max_size=60)
@@ -204,6 +207,81 @@ def test_generalization_validates_inputs():
     csi = FrameLayout((BlockDef("csi", 2, ("c", "c")),))  # no csi block in the frames
     with pytest.raises(LayoutMismatch):
         run_generalization(frames, rows[:20], rows[20:], frames, _FAST, csi, csi)
+
+
+def _block_frames(n, csi=40, seed=0):
+    """Random frames of a ``csi``-wide csi, a 5-wide rssi and a 9-wide imu
+    block, each present in about 80% of the frames, and random labels."""
+    rng = np.random.default_rng(seed)
+    widths = (csi, 5, 9)
+    layout = FrameLayout(tuple(BlockDef(m, w, (m,) * w)
+                               for m, w in zip(("csi", "rssi", "uwb"), widths)))
+    mask = (rng.random((n, 3)) < 0.8).astype(np.float64)
+    features = rng.normal(3.0, 2.0, size=(n, sum(widths))) * np.repeat(mask, widths, axis=1)
+    return Frames(np.arange(n, dtype=np.float64), features, mask,
+                  rng.uniform(0.0, 6.0, size=(n, 2)), layout)
+
+
+@pytest.mark.parametrize("n, steps", [(1, [1]), (511, [511]), (512, [512]), (1023, [1023]),
+                                      (1537, [512, 512, 513])])
+def test_network_estimates_in_steps_are_one_forward_over_all_rows(monkeypatch, n, steps):
+    # the csi and uwb blocks are not adjacent; rows in shuffled order
+    frames = _block_frames(1600)
+    layout = select_blocks(frames.layout, ["csi", "uwb"])
+    rows = np.random.default_rng(n).permutation(len(frames))[:n]
+    x, labels = frames_to_arrays(frames, rows, layout)
+    model = Mlp(MlpConfig.for_input(x.shape[1], seed=1))
+    model.set_normalization(x)
+    want = model.forward(x)
+    forward, sizes = Mlp.forward, []
+    monkeypatch.setattr(Mlp, "forward", lambda self, x: sizes.append(len(x)) or forward(self, x))
+    est, got_labels = network_estimates(model, frames, rows, layout)
+    assert sizes == steps  # the remainder is folded into the last step
+    assert est.tobytes() == want.tobytes()
+    assert got_labels.tobytes() == labels.tobytes()
+
+
+def test_training_on_a_frame_view_is_training_on_the_gathered_matrix():
+    frames = _block_frames(300, seed=2)
+    layout = select_blocks(frames.layout, ["csi", "uwb"])
+    train_rows, test_rows = split_dataset(np.arange(len(frames)), SplitSpec(0.8, 3))
+    config = MlpConfig.for_input(layout.feature_width + layout.mask_width, hidden=(16, 8),
+                                 epochs=4, batch_size=32, seed=5)
+    test = frames_to_arrays(frames, test_rows, layout)
+    view = FrameRows(frames, train_rows, layout)
+    got, got_history = train_arrays(view, frames.labels[train_rows], *test, config)
+    want, want_history = train_arrays(*frames_to_arrays(frames, train_rows, layout), *test,
+                                      config)
+    assert got_history == want_history
+    assert got.theta.tobytes() == want.theta.tobytes()
+    assert got.x_mean.tobytes() == want.x_mean.tobytes()
+    assert got.x_std.tobytes() == want.x_std.tobytes()
+    # fit_network trains on such a view
+    model, history = fit_network(frames, train_rows, test_rows, config, layout)
+    assert history == want_history and model.theta.tobytes() == want.theta.tobytes()
+
+
+def test_no_nn_step_holds_a_whole_input_matrix():
+    import tracemalloc
+
+    frames = _block_frames(12000, csi=200, seed=4)
+    train_rows, test_rows = split_dataset(np.arange(len(frames)), SplitSpec(0.95, 0))
+    config = MlpConfig.for_input(200 + 9 + 2, hidden=(16,), epochs=1, seed=0)
+    layout = select_blocks(frames.layout, ["csi", "uwb"])
+    whole = len(train_rows) * config.layer_sizes[0] * 8  # 19.2 MB
+    tracemalloc.start()
+    try:
+        model, _ = fit_network(frames, train_rows, test_rows, config, layout)
+        training = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        network_estimates(model, frames, layout=layout)
+        scoring = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # training holds the test input and a few steps of 512 rows; scoring
+    # two copies of a step of at most 1023 rows (0.17 and 0.21 of the whole)
+    assert training < whole / 3, (training, whole)
+    assert scoring < whole / 3, (scoring, whole)
 
 
 def test_degradation_is_transfer_over_self():

@@ -29,6 +29,7 @@ from indoor_fusion.ingest import (
     AlignedStream,
     BlockDef,
     FrameLayout,
+    FrameRows,
     Frames,
     build_fusion_frames,
     correct_clock,
@@ -640,6 +641,22 @@ def test_one_copy_gather_matches_select_split_stack_bit_for_bit(
         assert x.flags.c_contiguous
         assert _bits(x) == _bits(x_want)
         assert _bits(y) == _bits(y_want)
+
+
+def test_a_frame_view_gathers_the_rows_of_the_matrix(gather_inputs):
+    frames = gather_inputs["frames"]
+    layout = select_blocks(frames.layout, ["csi", "imu"])  # blocks not adjacent
+    rows = np.random.default_rng(1).permutation(len(frames))[:100]
+    x, _ = frames_to_arrays(frames, rows, layout)
+    view = FrameRows(frames, rows, layout)
+    assert len(view) == len(rows) == view.shape[0]
+    assert view.shape == x.shape
+    for idx in (slice(None), slice(7, 90), np.array([99, 0, 3, 3]), np.arange(0)):
+        got = view[idx]
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert _bits(got) == _bits(x[idx])
+    with pytest.raises(LayoutMismatch):
+        FrameRows(frames, rows, FrameLayout((BlockDef("csi", 1, ("a",)),)))
 
 
 def test_gather_holds_one_copy_of_its_output(gather_inputs):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from indoor_fusion.errors import (
     DimensionMismatch,
@@ -138,6 +141,44 @@ def test_loss_and_grad_input_validation():
         model.loss_and_grad(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(DimensionMismatch):
         model.loss_and_grad(np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 511, 512, 513, 1025]), width=st.integers(2, 5))
+def test_normalization_in_steps_is_mean_and_std_bit_for_bit(data, n, width):
+    # the steps add rows in order, as numpy sums the rows of an array two or
+    # more columns wide; a one-column array it sums pairwise
+    x = data.draw(arrays(np.float64, (n, width),
+                         elements=st.floats(-1e150, 1e150, allow_nan=False, width=64)))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e9]))
+    x = x + np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
+        0.0, scale, size=x.shape)  # no column constant
+    model = Mlp(MlpConfig(layer_sizes=(width, 3, 2)))
+    model.set_normalization(x)
+    assert model.x_mean.tobytes() == x.mean(axis=0).tobytes()
+    assert model.x_std.tobytes() == np.maximum(x.std(axis=0), 1e-8).tobytes()
+
+
+def test_normalization_reads_a_row_source_a_step_at_a_time():
+    x = np.random.default_rng(3).normal(size=(1300, 4))
+    reads = []
+
+    class Rows:
+        shape = x.shape
+
+        def __len__(self):
+            return len(x)
+
+        def __getitem__(self, idx):
+            reads.append(idx)
+            return x[idx].copy()
+
+    model, want = Mlp(MlpConfig(layer_sizes=(4, 3, 2))), Mlp(MlpConfig(layer_sizes=(4, 3, 2)))
+    model.set_normalization(Rows())
+    want.set_normalization(x)
+    assert [(s.start, s.stop) for s in reads] == [(0, 512), (512, 1024), (1024, 1536)] * 2
+    assert model.x_mean.tobytes() == want.x_mean.tobytes()
+    assert model.x_std.tobytes() == want.x_std.tobytes()
 
 
 def test_gradient_check_tanh_tight():

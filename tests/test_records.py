@@ -382,6 +382,26 @@ def test_reader_reports_the_first_faulty_line(tmp_path):
         read_records(path)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row, column, name", [(5, 3, r"imu payload"), (3, 1, r"magnitudes"),
+                                               (1, None, r"t")])
+def test_writer_refuses_a_non_finite_value_and_writes_no_file(tmp_path, bad, row, column,
+                                                              name):
+    # JSON cannot spell NaN or infinity: a bare ``nan`` would make a file
+    # that read_records rejects as invalid JSON
+    rows = [list(r) for r in GOLDEN]
+    if column is None:
+        rows[row][1] = bad
+    else:
+        rows[row][4] = [*rows[row][4][:column], bad, *rows[row][4][column + 1:]]
+    path = tmp_path / "dataset1.jsonl"
+    sensor = rows[row][0]
+    with pytest.raises(SchemaViolation,
+                       match=rf"dataset1\.jsonl:{row + 1}: {name}: non-finite value \({sensor}\)"):
+        write_records(path, tables_of(rows))
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # The table reader against the documents it reads, and against one-line reads
 
