@@ -202,9 +202,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # second campaign: perturbed layout, fresh measurement noise
     scenario2 = replace(simulate.perturb_scenario(scenario, simulate.DEFAULT_PERTURBATION,
                                                   cfg.seed + 1), seed=cfg.seed + 1)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     try:
-        n1 = _write_tables(cfg.out / "dataset1.jsonl", simulate.simulate_run(scenario, sim_config))
+        tables = simulate.simulate_run(scenario, sim_config)
+        cfg.out.mkdir(parents=True, exist_ok=True)  # only once campaign 1 is built
+        n1 = _write_tables(cfg.out / "dataset1.jsonl", tables)
+        del tables  # not held while campaign 2 is built
         n2 = _write_tables(cfg.out / "dataset2.jsonl", simulate.simulate_run(scenario2, sim_config))
     except MemoryError as exc:
         raise errors.ConfigError(f"duration {cfg.duration:g} s does not fit in memory: {exc}")

@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, EmptyReport, LayoutMismatch, LengthMismatch,
                      MalformedLine, SchemaViolation, UndefinedDegradation)
-from .ingest import _GATHER_ROWS, FrameLayout, FrameRows, Frames, frames_to_arrays
+from .ingest import (_GATHER_ROWS, MODALITY_ORDER, FrameLayout, FrameRows, Frames,
+                     frames_to_arrays)
 from .mlp import Mlp, MlpConfig, train_arrays
-
-MODALITIES = ("csi", "rssi", "uwb", "imu")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +104,7 @@ def blocks_for_method(method: str) -> list[str]:
     if method.startswith("nn-fusion"):
         _, _, combo = method.partition(":")
         if not combo:
-            return list(MODALITIES)
+            return list(MODALITY_ORDER)
         blocks = combo.split("+")
     elif method.startswith("nn:"):
         blocks = [method.split(":", 1)[1]]
@@ -114,7 +113,7 @@ def blocks_for_method(method: str) -> list[str]:
     cleaned = []
     for b in blocks:
         name = b.strip()
-        if name not in MODALITIES:
+        if name not in MODALITY_ORDER:
             raise ValueError(f"unknown modality {b!r} in {method!r}")
         if name not in cleaned:
             cleaned.append(name)

@@ -140,9 +140,8 @@ class RssiCalibration:
         return min(e for _, e in self.sweep_errors)
 
 
-def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D], sweep,
-                     p0: float, d0: float, exponent: float,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D],
+                     sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each snapshot's three strongest raw readings, strongest first (ties in
     reverse column order), the (N, 3, 2) positions of their anchors, and the
     (N, 3) mask of the readings whose range is finite and > 0 at every beta
@@ -159,7 +158,7 @@ def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D], swee
     # the range falls as beta grows, so the two ends of the sweep decide
     ends = np.asarray([np.min(sweep), np.max(sweep)], dtype=np.float64)[:, None, None]
     with np.errstate(over="ignore"):  # an overflow to inf is caught below
-        ranges = rssi_to_distance(strongest, p0=p0, d0=d0, n=exponent, beta=ends)
+        ranges = rssi_to_distance(strongest, beta=ends)
     usable = (np.isfinite(ranges) & (ranges > 0.0)).all(axis=0)
     blind = np.flatnonzero(~usable.any(axis=1))
     if blind.size:
@@ -169,17 +168,16 @@ def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D], swee
     return strongest, positions.reshape(-1, 2)[order], usable
 
 
-def _solve_strongest(readings: np.ndarray, geometry: np.ndarray, usable: np.ndarray, beta,
-                     p0: float, d0: float, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+def _solve_strongest(readings: np.ndarray, geometry: np.ndarray, usable: np.ndarray,
+                     beta) -> tuple[np.ndarray, np.ndarray]:
     beta = np.asarray(beta, dtype=np.float64)[..., None, None]
     with np.errstate(over="ignore"):  # only where ``usable`` leaves the reading out
-        distances = rssi_to_distance(readings, p0=p0, d0=d0, n=exponent, beta=beta)
+        distances = rssi_to_distance(readings, beta=beta)
     return locate_from_ranges(geometry, distances, usable)
 
 
 def rssi_snapshot_positions(stream: AlignedStream, anchors: dict[str, Position2D],
-                            beta, p0: float = -40.0, d0: float = 1.0,
-                            exponent: float = 2.2) -> tuple[np.ndarray, np.ndarray]:
+                            beta) -> tuple[np.ndarray, np.ndarray]:
     """Trilaterate every snapshot from its three strongest readings.
 
     Strength ranking uses the raw dBm values; ``beta`` only enters the
@@ -191,19 +189,17 @@ def rssi_snapshot_positions(stream: AlignedStream, anchors: dict[str, Position2D
     InsufficientData naming it.  Returns (..., N, 2) positions in tick order
     and the (..., N) mask of snapshots answered with the anchor centroid.
     """
-    strongest = _strongest_three(stream, anchors, beta, p0, d0, exponent)
-    return _solve_strongest(*strongest, beta, p0, d0, exponent)
+    return _solve_strongest(*_strongest_three(stream, anchors, beta), beta)
 
 
 def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
-                          sweep: np.ndarray | None = None,
-                          p0: float = -40.0, d0: float = 1.0,
-                          exponent: float = 2.2) -> RssiCalibration:
+                          sweep: np.ndarray | None = None) -> RssiCalibration:
     """Sweep a constant dB enhancement and keep the argmin of median error.
 
     For each beta in the sweep (default -30..+30 dB, 1 dB step), every
     snapshot's three strongest readings (by raw RSSI, before beta) are
-    converted to distances through the path-loss model and trilaterated;
+    converted to distances through the nominal path-loss model of
+    ``geometry.rssi_to_distance`` and trilaterated;
     the per-beta score is the median position error against the labels.
     A reading whose range is not finite and > 0 at some beta of the sweep
     is left out at every beta, as in :func:`rssi_snapshot_positions`.
@@ -217,10 +213,10 @@ def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
     sweep = np.arange(-30.0, 31.0) if sweep is None else np.asarray(sweep, dtype=np.float64)
     positions = {a.id: a.position for a in anchors}
     labels = samples.labels
-    strongest = _strongest_three(samples, positions, sweep, p0, d0, exponent)
+    strongest = _strongest_three(samples, positions, sweep)
     medians = []
     for start in range(0, len(sweep), SWEEP_BLOCK):
-        est, _ = _solve_strongest(*strongest, sweep[start:start + SWEEP_BLOCK], p0, d0, exponent)
+        est, _ = _solve_strongest(*strongest, sweep[start:start + SWEEP_BLOCK])
         err = np.hypot(est[..., 0] - labels[:, 0], est[..., 1] - labels[:, 1])
         medians.extend(np.median(err, axis=-1))
     curve = [(float(beta), float(e)) for beta, e in zip(sweep, medians)]

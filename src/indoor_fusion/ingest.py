@@ -298,11 +298,14 @@ def label_with_groundtruth(table: SensorTable, interp: TrajectoryInterpolator,
 
 @dataclass(frozen=True)
 class BlockDef:
-    """One modality's slot inside a frame."""
+    """One modality's slot inside a frame: one feature per column."""
 
     modality: str
-    width: int
     columns: tuple[str, ...]
+
+    @property
+    def width(self) -> int:
+        return len(self.columns)
 
 
 @dataclass(frozen=True)
@@ -353,8 +356,7 @@ def frame_layout(streams: list[AlignedStream]) -> FrameLayout:
     by_modality = {s.modality: s for s in streams}
     if len(by_modality) != len(streams):
         raise LayoutMismatch("duplicate modality among streams")
-    blocks = [BlockDef(m, len(by_modality[m].columns), by_modality[m].columns)
-              for m in MODALITY_ORDER if m in by_modality]
+    blocks = [BlockDef(m, by_modality[m].columns) for m in MODALITY_ORDER if m in by_modality]
     return FrameLayout(tuple(blocks))
 
 

@@ -24,6 +24,10 @@ from .errors import DimensionMismatch, Divergence, InsufficientData, TooFewFrame
 from .ingest import _GATHER_ROWS
 
 DEFAULT_HIDDEN = (256, 128, 64)
+ADAM_BETAS = (0.9, 0.999)  # decay rates of Adam's first and second moments
+ADAM_FLOOR = 1e-8          # added to Adam's divisor, its epsilon
+STALE_EPOCHS = 10          # epochs without a better held-out error that stop a training
+FD_STEP = 1e-5             # gradient_check's central-difference step
 
 
 @dataclass(frozen=True)
@@ -33,12 +37,8 @@ class MlpConfig:
 
     layer_sizes: tuple[int, ...]
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 60
     batch_size: int = 64
-    patience: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -219,8 +219,11 @@ def train_arrays(x_train, y_train: np.ndarray,
                  config: MlpConfig) -> tuple[Mlp, list[tuple[int, float, float]]]:
     """Inner optimization loop over ``x_train``, an array or any row source
     with ``len``, ``shape`` and ``x_train[idx]`` (``ingest.FrameRows``).
-    History rows are (epoch, train mse, test median error m).  Raises
-    Divergence (carrying the history so far) on non-finite loss.
+    History rows are (epoch, train mse, test median error m); the weights of
+    the first epoch with the least test error are kept, and STALE_EPOCHS
+    epochs without a better one stop the training.  Raises Divergence
+    (carrying the history so far) on non-finite loss, InsufficientData on
+    an empty training or test set.
     """
     y_train = np.atleast_2d(np.asarray(y_train, dtype=np.float64))
     if len(x_train) == 0:
@@ -228,6 +231,8 @@ def train_arrays(x_train, y_train: np.ndarray,
     if x_train.shape[1] != config.layer_sizes[0]:
         raise DimensionMismatch(f"frames have {x_train.shape[1]} features, "
                                 f"config expects {config.layer_sizes[0]}")
+    if len(x_test) == 0:
+        raise InsufficientData("empty test set: it picks the epoch whose weights are kept")
     rng = np.random.default_rng(config.seed)
     model = Mlp(config, rng=rng)
     model.set_normalization(x_train)
@@ -242,7 +247,7 @@ def train_arrays(x_train, y_train: np.ndarray,
     grad = np.empty(theta.size - first)  # every gradient but the first weight matrix's
     adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     scratch, block = np.empty(span), np.empty(span)
-    lr, b1, b2 = config.learning_rate, config.beta1, config.beta2
+    lr, (b1, b2) = config.learning_rate, ADAM_BETAS
     step = 0
     history: list[tuple[int, float, float]] = []
     best_err = math.inf
@@ -275,33 +280,29 @@ def train_arrays(x_train, y_train: np.ndarray,
                 v += np.multiply(a, g, out=a)
                 np.divide(m, c1, out=a)
                 np.sqrt(np.divide(v, c2, out=g), out=g)
-                g += config.adam_eps
+                g += ADAM_FLOOR
                 a *= lr
                 a /= g
                 p -= a
             del a0, delta0  # spent: not held while the next batch's are computed
-        train_mse = total / len(x_train)
-        test_err = median_position_error(model, x_test, y_test) if len(x_test) \
-            else math.nan
-        history.append((epoch, train_mse, test_err))
-        if len(x_test) and test_err < best_err:
+        test_err = median_position_error(model, x_test, y_test)
+        history.append((epoch, total / len(x_train), test_err))
+        if test_err < best_err:
             best_err = test_err
             np.copyto(best, theta)
             stale = 0
         else:
             stale += 1
-            if len(x_test) and stale >= config.patience:
+            if stale >= STALE_EPOCHS:
                 break
-    if len(x_test):  # without a held-out set the final weights stand
-        np.copyto(theta, best)
+    np.copyto(theta, best)
     return model, history
 
 
 # ---------------------------------------------------------------------------
 # Gradient verification
 
-def gradient_check(model: Mlp, x: np.ndarray, y: np.ndarray,
-                   epsilon: float = 1e-5, samples: int | None = None,
+def gradient_check(model: Mlp, x: np.ndarray, y: np.ndarray, samples: int | None = None,
                    rng: np.random.Generator | None = None) -> float:
     """Max |analytic - central difference|, normalized by the largest
     gradient magnitude.  ``samples`` limits the check to that many randomly
@@ -319,11 +320,11 @@ def gradient_check(model: Mlp, x: np.ndarray, y: np.ndarray,
     worst = 0.0
     for i in indices:
         original = theta[i]
-        theta[i] = original + epsilon
+        theta[i] = original + FD_STEP
         up, *_ = model.loss_and_grad(x, y)
-        theta[i] = original - epsilon
+        theta[i] = original - FD_STEP
         down, *_ = model.loss_and_grad(x, y)
         theta[i] = original
-        numeric = (up - down) / (2.0 * epsilon)
+        numeric = (up - down) / (2.0 * FD_STEP)
         worst = max(worst, abs(analytic[i] - numeric) / scale)
     return worst

@@ -178,13 +178,14 @@ class SimConfig:
     speed: float = 0.2
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.speed <= 0.0:
-            raise ValueError(f"speed must be > 0, got {self.speed}")
-        for name, rate in self.rates.items():
-            if rate <= 0.0:
-                raise ValueError(f"rate for {name!r} must be > 0, got {rate}")
+        # the rates ``sample_sensors`` reads: rssi rides on the csi ticks
+        missing = [s for s in ("gt", "csi", "uwb", "imu") if s not in self.rates]
+        if missing:
+            raise ValueError(f"rates lack {', '.join(missing)}")
+        for name, value in (("duration", self.duration), ("speed", self.speed),
+                            *((f"rate for {s!r}", r) for s, r in self.rates.items())):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def clock_for(self, sensor: str) -> ClockModel:
         return self.clocks.get(sensor, ClockModel())
@@ -373,8 +374,17 @@ class TrajectoryInterpolator:
         return translate_sensor_pose(self.position_at(ts), self.heading_at(ts), offset)
 
 
-def _lawnmower_polyline(bounds: Bounds, margin: float, spacing: float,
-                        arc_segments: int = 16) -> tuple[np.ndarray, np.ndarray]:
+# The sweep: rows SWEEP_SPACING m apart, SWEEP_MARGIN m in from the walls
+# (both shrunk to fit a small room), each turn a semicircle of TURN_ARCS
+# segments walked at TURN_SPEED times the speed.
+SWEEP_SPACING = 0.35
+SWEEP_MARGIN = 0.5
+TURN_ARCS = 16
+TURN_SPEED = 0.7
+
+
+def _lawnmower_polyline(bounds: Bounds, margin: float,
+                        spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense sweep polyline. Returns (points (M, 2), is_turn (M-1,))."""
     x0, x1 = margin, bounds.width - margin
     y0, y1 = margin, bounds.height - margin
@@ -394,17 +404,15 @@ def _lawnmower_polyline(bounds: Bounds, margin: float, spacing: float,
             # semicircular turn to the next row, bulging past the row end
             cx, cy = end, y + radius
             sign = 1.0 if i % 2 == 0 else -1.0
-            for k in range(1, arc_segments + 1):
-                theta = -math.pi / 2.0 + k * math.pi / arc_segments
+            for k in range(1, TURN_ARCS + 1):
+                theta = -math.pi / 2.0 + k * math.pi / TURN_ARCS
                 pts.append((cx + sign * radius * math.cos(theta), cy + radius * math.sin(theta)))
                 turn.append(True)
     return np.asarray(pts), np.asarray(turn, dtype=bool)
 
 
 def generate_trajectory(scenario: Scenario, duration: float, speed: float,
-                        rate: float = 5.0, spacing: float = 0.35,
-                        margin: float = 0.5, turn_slowdown: float = 0.7,
-                        ) -> TrajectoryInterpolator:
+                        rate: float = 5.0) -> TrajectoryInterpolator:
     """Boustrophedon sweep sampled at the ground-truth rate, ticks ``k / rate``.
 
     The robot walks the sweep at ``speed`` (slowed on turn arcs), ping-pongs
@@ -413,8 +421,8 @@ def generate_trajectory(scenario: Scenario, duration: float, speed: float,
     """
     if duration <= 0.0 or speed <= 0.0:
         raise ValueError("duration and speed must be > 0")
-    margin = min(margin, 0.25 * min(scenario.bounds.width, scenario.bounds.height))
-    spacing = min(spacing, scenario.bounds.height - 2.0 * margin)
+    margin = min(SWEEP_MARGIN, 0.25 * min(scenario.bounds.width, scenario.bounds.height))
+    spacing = min(SWEEP_SPACING, scenario.bounds.height - 2.0 * margin)
     pts, turn = _lawnmower_polyline(scenario.bounds, margin, spacing)
     seg = np.diff(pts, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
@@ -434,7 +442,7 @@ def generate_trajectory(scenario: Scenario, duration: float, speed: float,
         tangent = math.atan2(seg[idx, 1], seg[idx, 0])
         backward[k] = direction < 0.0
         phi[k] = tangent + math.pi if backward[k] else tangent
-        step = speed * dt * (turn_slowdown if turn[idx] else 1.0)
+        step = speed * dt * (TURN_SPEED if turn[idx] else 1.0)
         s += direction * step
         if s >= total:
             s = total - (s - total)
@@ -500,7 +508,7 @@ _SOURCE_IDS = {"gt": "robot", "uwb": "tag0", "rssi": "esp0", "csi": "esp0", "imu
 
 
 def sample_sensors(scenario: Scenario, config: SimConfig,
-                   trajectory: TrajectoryInterpolator, return_truth: bool = False):
+                   trajectory: TrajectoryInterpolator) -> dict[str, SensorTable]:
     """Emit one run's record stream as one SensorTable per sensor.
 
     Each sensor samples on its own emission grid and stamps records with its
@@ -510,30 +518,25 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
     give byte-identical streams.  Each table's rows are in line order and
     its anchor ids in order of first appearance, as ``read_records`` gives
     them; a sensor that emits no rows has no table.
-
-    With ``return_truth`` a dict of (N, 3) ``(t_true, x, y)`` arrays is
-    returned too, row-aligned with each table: the true emission time and
-    the true sensor position of every row.
     """
     interp, t_gt = trajectory, trajectory.t
     noise = config.noise
     ss = np.random.SeedSequence(scenario.seed)
     uwb_rng, rssi_rng, csi_rng, imu_rng = (np.random.default_rng(c) for c in ss.spawn(4))
 
-    # sensor -> its columns in table row order: (t_rec, anchor, anchor ids, values, truth)
+    # sensor -> its columns in table row order: (t_rec, anchor, anchor ids, values)
     columns: dict[str, tuple] = {}
-    # sensor -> blocks of rows in generation order: (t_rec, values, anchor id, truth)
+    # sensor -> blocks of rows in generation order: (t_rec, values, anchor id)
     blocks: dict[str, list] = {}
 
-    def emit(sensor: str, t_rec, values, anchor_id: str | None, t_true, pos, keep=slice(None)):
-        """Keep the rows ``keep`` of one block; their truth only if it is returned."""
+    def emit(sensor: str, t_rec, values, anchor_id: str | None, keep=slice(None)):
+        """Keep the rows ``keep`` of one block."""
         t_rec = t_rec[keep]
         if len(t_rec):
-            truth = np.column_stack([t_true, pos])[keep] if return_truth else None
-            blocks.setdefault(sensor, []).append((t_rec, values[keep], anchor_id, truth))
+            blocks.setdefault(sensor, []).append((t_rec, values[keep], anchor_id))
 
     # ground truth: the robot's own stream on the reference clock
-    emit("gt", t_gt, np.column_stack([interp.xy, interp.phi]), None, t_gt, interp.xy)
+    emit("gt", t_gt, np.column_stack([interp.xy, interp.phi]), None)
 
     # UWB: per tick one range+power record per anchor, with NLOS and dropout
     t_uwb = _tick_times(config.duration, config.rates["uwb"])
@@ -548,7 +551,7 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
             power = (-40.0 - 20.0 * np.log10(np.maximum(d, 0.1))
                      + uwb_rng.normal(0.0, 1.0, len(d)) * noise.uwb_power_sigma_db)
             keep = uwb_rng.random(len(d)) >= noise.uwb_dropout_prob
-            emit("uwb", t_rec, np.column_stack([ranges, power]), anchor.id, t_uwb, pos, keep)
+            emit("uwb", t_rec, np.column_stack([ranges, power]), anchor.id, keep)
 
     # ESP node: RSSI and CSI for every WiFi anchor at the CSI rate.  CSI has
     # no dropout, so its table rows are known before it is generated: each
@@ -577,11 +580,9 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
             del h  # complex, as large as the magnitudes and phases together
             phases += csi_rng.normal(0.0, 1.0, phases.shape) * noise.csi_phase_sigma
             csi[at, s:] = np.mod(phases + np.pi, 2.0 * np.pi) - np.pi
-            emit("rssi", rec_rssi, rssi[:, None], anchor.id, t_csi, pos_rssi)
+            emit("rssi", rec_rssi, rssi[:, None], anchor.id)
         anchor = np.repeat(np.arange(len(wifi)), len(t_csi))
-        truth = (np.tile(np.column_stack([t_csi, pos_csi]), (len(wifi), 1))[order]
-                 if return_truth else None)
-        columns["csi"] = (rec_csi[order], anchor[order], tuple(a.id for a in wifi), csi, truth)
+        columns["csi"] = (rec_csi[order], anchor[order], tuple(a.id for a in wifi), csi)
 
     # IMU: finite-difference kinematics in the body frame plus the local field
     t_imu = _tick_times(config.duration, config.rates["imu"])
@@ -610,13 +611,11 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
         gyro += imu_rng.normal(0.0, 1.0, gyro.shape) * noise.imu_gyro_sigma
         mag = np.stack([mx, my, mag_w[:, 2]], axis=1)
         mag += imu_rng.normal(0.0, 1.0, mag.shape) * noise.mag_sigma
-        emit("imu", _skew(t_imu, config.clock_for("imu")), np.hstack([accel, gyro, mag]),
-             None, t_imu, pos)
+        emit("imu", _skew(t_imu, config.clock_for("imu")), np.hstack([accel, gyro, mag]), None)
 
     for sensor in list(blocks):
         columns[sensor] = _join(blocks.pop(sensor))
-    tables, truth = _merge(columns)
-    return (tables, truth) if return_truth else tables
+    return _merge(columns)
 
 
 def _table_order(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -630,30 +629,26 @@ def _table_order(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _join(blocks: list) -> tuple:
-    """One sensor's blocks ``(t_rec, values, anchor id, truth)``, in
-    generation order, as its columns in table row order: ``(t_rec, anchor,
-    anchor ids, values, truth)``.  The payload is allocated once and each
-    block is copied straight into its rows, then dropped from ``blocks``."""
+    """One sensor's blocks ``(t_rec, values, anchor id)``, in generation
+    order, as its columns in table row order: ``(t_rec, anchor, anchor ids,
+    values)``.  The payload is allocated once and each block is copied
+    straight into its rows, then dropped from ``blocks``."""
     t = np.concatenate([b[0] for b in blocks])
     anchor = np.repeat(np.arange(len(blocks)), [len(b[0]) for b in blocks])
     ids = tuple(b[2] for b in blocks)
     order, rows = _table_order(t)
     values = np.empty((len(t), blocks[0][1].shape[1]))
-    truth = None if blocks[0][3] is None else np.empty((len(t), 3))
     start = 0
     while blocks:
-        block_t, block_values, _, block_truth = blocks.pop(0)
-        at = rows[start:start + len(block_t)]
+        block_t, block_values, _ = blocks.pop(0)
+        values[rows[start:start + len(block_t)]] = block_values
         start += len(block_t)
-        values[at] = block_values
-        if truth is not None:
-            truth[at] = block_truth
-    return t[order], anchor[order], ids, values, truth
+    return t[order], anchor[order], ids, values
 
 
-def _merge(columns: dict[str, tuple]) -> tuple[dict[str, SensorTable], dict]:
+def _merge(columns: dict[str, tuple]) -> dict[str, SensorTable]:
     """One table per sensor from its columns in row order, ``line`` set by one
-    stable sort of every sensor's times; and the truth of each.
+    stable sort of every sensor's times.
 
     ``columns`` is emptied as the tables take its arrays.
     """
@@ -663,16 +658,16 @@ def _merge(columns: dict[str, tuple]) -> tuple[dict[str, SensorTable], dict]:
     line = np.empty(len(t), dtype=np.intp)
     line[np.argsort(t, kind="stable")] = np.arange(1, len(t) + 1)
 
-    tables, truths, start = {}, {}, 0
+    tables, start = {}, 0
     for s in sensors:
-        t_rec, anchor, anchor_ids, values, truths[s] = columns.pop(s)
+        t_rec, anchor, anchor_ids, values = columns.pop(s)
         anchor, anchor_ids = _by_first_appearance(anchor, anchor_ids)
         tables[s] = SensorTable(s, t_rec, values, np.zeros(len(t_rec), dtype=np.intp),
                                 (_SOURCE_IDS[s],), anchor, anchor_ids,
                                 line[start:start + len(t_rec)])
         start += len(t_rec)
     order = sorted(tables, key=lambda s: tables[s].line[0])  # sensors in file order
-    return {s: tables[s] for s in order}, {s: truths[s] for s in order}
+    return {s: tables[s] for s in order}
 
 
 def _by_first_appearance(codes: np.ndarray, ids: tuple) -> tuple[np.ndarray, tuple[str, ...]]:

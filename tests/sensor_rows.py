@@ -3,14 +3,15 @@
 A row is ``(sensor, t, source_id, anchor_id, values)``: ``anchor_id`` is
 None for imu and gt, ``values`` the payload floats in table order (uwb
 ``[range_m, power_db]``, rssi ``[rssi_db]``, csi magnitudes then phases,
-imu the 9 floats, gt ``[x, y, phi]``).
+imu the 9 floats, gt ``[x, y, phi]``).  ``emission_truth`` rebuilds
+where and when each row of a simulated table was really taken.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from indoor_fusion.records import SensorTable
+from indoor_fusion.records import SensorOffset, SensorTable
 
 
 def tables_of(rows) -> dict[str, SensorTable]:
@@ -65,3 +66,20 @@ def assert_same_tables(got: dict[str, SensorTable], want: dict[str, SensorTable]
         for name in ("t", "values", "source", "anchor", "line"):
             a, b = getattr(table, name), getattr(other, name)
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+
+
+def emission_truth(table: SensorTable, scenario, config,
+                   trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The true emission time (N,) and true sensor position (N, 2) of each row
+    of a table that ``simulate.sample_sensors`` made, rebuilt from its recorded
+    ``t``: the sensor's clock model maps it back to its emission tick k,
+    taken at ``(k + 1) / rate`` (rssi rides on the csi ticks), where the
+    trajectory, shifted by the sensor's mounting offset, gives the position.
+    gt rows are the trajectory's own samples."""
+    if table.sensor == "gt":
+        return table.t, trajectory.xy
+    rate = config.rates["csi" if table.sensor == "rssi" else table.sensor]
+    clock = config.clock_for(table.sensor)
+    t_true = np.rint((table.t - clock.offset) / (1.0 + clock.drift) * rate) / rate  # k + 1
+    offset = scenario.sensor_offsets.get(table.sensor, SensorOffset())
+    return t_true, trajectory.sensor_position_at(t_true, offset)

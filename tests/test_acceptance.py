@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifacts import load_report
-from sensor_rows import assert_same_tables, tables_of
+from sensor_rows import assert_same_tables, emission_truth, tables_of
 from test_records import records as record_strategy
 
 from indoor_fusion.cli import main as cli_main
@@ -83,16 +83,16 @@ def test_criterion_2_noiseless_ingest_reproduces_sensor_positions():
     config = SimConfig(duration=600.0, noise=NoiseConfig.zero())
     trajectory = generate_trajectory(scenario, config.duration, config.speed,
                                      rate=config.rates["gt"])
-    tables, truth = sample_sensors(scenario, config, trajectory,
-                                   return_truth=True)
+    tables = sample_sensors(scenario, config, trajectory)
     result = ingest_run(tables, scenario.sensor_offsets, config.rates,
                         config.duration)
 
     checked = 0
     for modality, stream in result.streams.items():
         # one true (x, y) per emission tick; every anchor of a tick shares it
-        times, first = np.unique(truth[modality][:, 0], return_index=True)
-        where = truth[modality][first, 1:]
+        t_true, xy = emission_truth(tables[modality], scenario, config, trajectory)
+        times, first = np.unique(t_true, return_index=True)
+        where = xy[first]
         t_ref = stream.t
         labels = stream.labels
         # nearest true emission tick to each reconstructed tick

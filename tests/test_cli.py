@@ -186,11 +186,13 @@ def test_bad_duration_exits_config(tmp_path, capsys):
 
 
 def test_a_duration_too_long_to_fit_in_memory_exits_config(tmp_path, capsys):
-    # the trajectory's first allocation asks for petabytes and fails at once
-    assert main(["simulate", "--duration", "1e15", "--out", str(tmp_path)]) == 2
+    # the trajectory's first allocation asks for petabytes and fails at once,
+    # before the output directory is made
+    out = tmp_path / "new"
+    assert main(["simulate", "--duration", "1e15", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: duration 1e+15 s does not fit in memory: ")
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
 
 
 def test_ingest_of_a_campaign_too_short_to_fit_clocks_says_so(tmp_path, capsys):
@@ -305,11 +307,12 @@ def _not_utf8(path):
         fh.write(b"\xff\xfe")
 
 
-def _sidecar_edit(edit):
-    """A damage that applies ``edit`` to the first campaign's scenario.json entry."""
+def _sidecar_edit(edit, entry="scenario"):
+    """A damage that applies ``edit`` to one scenario.json entry: the first
+    campaign's scenario, or with ``entry="config"`` the sim config."""
     def damage(path):
         doc = _load(path)
-        edit(doc["scenario"])
+        edit(doc[entry])
         path.write_text(json.dumps(doc), encoding="utf-8")
     damage.__name__ = edit.__name__
     return damage
@@ -335,6 +338,26 @@ def _long_bump_center(scenario):
     scenario["magnetic_field"]["bumps"][0]["center"] = [1.0, 2.0, 3.0]
 
 
+def _nan_duration(config):
+    config["duration"] = math.nan
+
+
+def _infinite_speed(config):
+    config["speed"] = math.inf
+
+
+def _no_uwb_rate(config):
+    del config["rates"]["uwb"]
+
+
+def _nan_uwb_rate(config):
+    config["rates"]["uwb"] = math.nan
+
+
+def _infinite_uwb_rate(config):
+    config["rates"]["uwb"] = math.inf
+
+
 @pytest.mark.parametrize("command", ["ingest", "run"])
 @pytest.mark.parametrize("damage, message", [
     (_not_utf8, "scenario.json: not UTF-8 JSON"),
@@ -345,6 +368,15 @@ def _long_bump_center(scenario):
     (_sidecar_edit(_anchor_outside), "scenario.json: anchor u0 at (-1.0, 1.0) is outside"),
     (_sidecar_edit(_no_subcarriers), "scenario.json: subcarriers must be >= 1"),
     (_sidecar_edit(_long_bump_center), "scenario.json: bump center must hold 2 values, got 3"),
+    (_sidecar_edit(_nan_duration, "config"),
+     "scenario.json: duration must be finite and > 0, got nan"),
+    (_sidecar_edit(_infinite_speed, "config"),
+     "scenario.json: speed must be finite and > 0, got inf"),
+    (_sidecar_edit(_no_uwb_rate, "config"), "scenario.json: rates lack uwb"),
+    (_sidecar_edit(_nan_uwb_rate, "config"),
+     "scenario.json: rate for 'uwb' must be finite and > 0, got nan"),
+    (_sidecar_edit(_infinite_uwb_rate, "config"),
+     "scenario.json: rate for 'uwb' must be finite and > 0, got inf"),
 ])
 def test_malformed_sidecar_exits_io_naming_the_file(cli_campaign, tmp_path, capsys,
                                                     command, damage, message):

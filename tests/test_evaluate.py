@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from indoor_fusion.errors import (DimensionMismatch, EmptyReport, LayoutMismatch,
                                   LengthMismatch, SchemaViolation, UndefinedDegradation)
 from indoor_fusion.evaluate import (
-    MODALITIES,
     ErrorReport,
     blocks_for_method,
     degradation,
@@ -26,8 +25,8 @@ from indoor_fusion.evaluate import (
     write_cdf_csv,
     write_cdf_svg,
 )
-from indoor_fusion.ingest import (BlockDef, FrameLayout, FrameRows, Frames, frames_to_arrays,
-                                  select_blocks)
+from indoor_fusion.ingest import (MODALITY_ORDER, BlockDef, FrameLayout, FrameRows, Frames,
+                                  frames_to_arrays, select_blocks)
 from indoor_fusion.mlp import Mlp, MlpConfig, SplitSpec, split_dataset, train_arrays
 
 error_lists = st.lists(st.floats(min_value=0.0, max_value=1e6,
@@ -44,7 +43,7 @@ def _frames(n, seed=0, width=2, wobble=0.0):
             if width > 2 else np.asarray([x, y])
         labels.append((x, y))
         features.append(feats + rng.normal(0.0, wobble, size=width))
-    layout = FrameLayout((BlockDef("rssi", width, ("w",) * width),))
+    layout = FrameLayout((BlockDef("rssi", ("w",) * width),))
     return Frames(np.arange(n, dtype=np.float64), features, np.ones((n, 1)), labels, layout)
 
 
@@ -152,7 +151,7 @@ def test_error_report_pairs_rows_in_order():
 def test_blocks_for_method():
     assert blocks_for_method("nn:uwb") == ["uwb"]
     assert blocks_for_method("nn:csi-phase") == ["csi"]
-    assert blocks_for_method("nn-fusion") == list(MODALITIES)
+    assert blocks_for_method("nn-fusion") == list(MODALITY_ORDER)
     assert blocks_for_method("nn-fusion:csi+imu") == ["csi", "imu"]
     # the -phase suffix belongs to nn:csi-phase alone
     for method in ("nn-fusion:csi+csi-phase", "nn-fusion:csi-phase", "nn:uwb-phase"):
@@ -204,7 +203,7 @@ def test_generalization_validates_inputs():
     wide = _frames(10, width=5)
     with pytest.raises(LayoutMismatch):
         run_generalization(frames, rows, rows, wide, _FAST)
-    csi = FrameLayout((BlockDef("csi", 2, ("c", "c")),))  # no csi block in the frames
+    csi = FrameLayout((BlockDef("csi", ("c", "c")),))  # no csi block in the frames
     with pytest.raises(LayoutMismatch):
         run_generalization(frames, rows[:20], rows[20:], frames, _FAST, csi, csi)
 
@@ -214,7 +213,7 @@ def _block_frames(n, csi=40, seed=0):
     block, each present in about 80% of the frames, and random labels."""
     rng = np.random.default_rng(seed)
     widths = (csi, 5, 9)
-    layout = FrameLayout(tuple(BlockDef(m, w, (m,) * w)
+    layout = FrameLayout(tuple(BlockDef(m, (m,) * w)
                                for m, w in zip(("csi", "rssi", "uwb"), widths)))
     mask = (rng.random((n, 3)) < 0.8).astype(np.float64)
     features = rng.normal(3.0, 2.0, size=(n, sum(widths))) * np.repeat(mask, widths, axis=1)

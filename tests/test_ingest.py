@@ -578,7 +578,7 @@ def test_frames_to_arrays_appends_mask_bits():
 
 def test_frames_to_arrays_rejects_a_block_the_frames_do_not_hold():
     frames = build_fusion_frames([_mini_stream("csi", [1.0], 2, 1.0)], window=0.15)
-    other = FrameLayout((BlockDef("csi", 3, ("w0", "w0", "w0")),))
+    other = FrameLayout((BlockDef("csi", ("w0", "w0", "w0")),))
     with pytest.raises(LayoutMismatch):
         frames_to_arrays(frames, layout=other)
     with pytest.raises(LayoutMismatch):
@@ -656,7 +656,7 @@ def test_a_frame_view_gathers_the_rows_of_the_matrix(gather_inputs):
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert _bits(got) == _bits(x[idx])
     with pytest.raises(LayoutMismatch):
-        FrameRows(frames, rows, FrameLayout((BlockDef("csi", 1, ("a",)),)))
+        FrameRows(frames, rows, FrameLayout((BlockDef("csi", ("a",)),)))
 
 
 def test_gather_holds_one_copy_of_its_output(gather_inputs):
@@ -684,7 +684,7 @@ def test_csi_stream_is_a_read_only_view_of_the_frames(short_campaign):
 
 
 def test_frames_jsonl_roundtrip_is_exact(tmp_path):
-    layout = FrameLayout((BlockDef("csi", 2, ("w0", "w0")),))
+    layout = FrameLayout((BlockDef("csi", ("w0", "w0")),))
     frames = Frames([1.0 / 3.0, 2.0 / 3.0], [[0.1, -2.5e-7], [4.0, 5.0]], [[1.0], [0.0]],
                     [[1.23456789012345, -0.5], [0.0, 0.0]], layout)
     path = tmp_path / "frames.jsonl"
@@ -701,7 +701,7 @@ def test_frames_jsonl_roundtrip_is_exact(tmp_path):
 @example([0.0, -0.0, 5e-324, 1e300, -1e-300, 1e23], 5)
 def test_frames_file_gives_back_every_float_bit_for_bit(tmp_path_factory, values, n):
     # n frames, more than one write step for n > 4, of the six drawn floats shifted by row
-    layout = FrameLayout((BlockDef("csi", 2, ("w0", "w0")),))
+    layout = FrameLayout((BlockDef("csi", ("w0", "w0")),))
     grid = np.array([np.roll(values, i) for i in range(n)])
     frames = Frames(grid[:, 0], grid[:, 1:3], grid[:, 3:4], grid[:, 4:6], layout)
     path = tmp_path_factory.mktemp("frames") / "frames.jsonl"
@@ -716,7 +716,7 @@ def test_frames_file_gives_back_every_float_bit_for_bit(tmp_path_factory, values
 
 
 def test_frames_file_spells_non_finite_floats_as_json_does(tmp_path):
-    layout = FrameLayout((BlockDef("csi", 2, ("w0", "w0")),))
+    layout = FrameLayout((BlockDef("csi", ("w0", "w0")),))
     frames = Frames([1.0], [[math.nan, math.inf]], [[-math.inf]], [[0.0, 1.0]], layout)
     path = tmp_path / "frames.jsonl"
     write_frames(path, frames)

@@ -32,7 +32,7 @@ def _identity_frames(n, seed=0):
     """Frames whose label is literally their two features: y = x."""
     rng = np.random.default_rng(seed)
     xy = np.asarray([(rng.uniform(0.5, 7.5), rng.uniform(0.5, 5.5)) for _ in range(n)])
-    layout = FrameLayout((BlockDef("uwb", 2, ("x", "y")),))
+    layout = FrameLayout((BlockDef("uwb", ("x", "y")),))
     return Frames(np.arange(n, dtype=np.float64), xy, np.ones((n, 1)), xy, layout)
 
 
@@ -221,7 +221,8 @@ def test_first_adam_step_moves_by_lr_times_sign():
     config = MlpConfig(layer_sizes=(2, 4, 2), learning_rate=1e-3, epochs=1, batch_size=8, seed=4)
     x = np.asarray([[0.7, 0.1]])
     y = np.asarray([[-1.0, 0.5]])
-    model, _ = train_arrays(x, y, np.zeros((0, 2)), np.zeros((0, 2)), config)
+    # the one epoch is the best on any test set, so its weights are kept
+    model, _ = train_arrays(x, y, x, y, config)
 
     reference = Mlp(config, rng=np.random.default_rng(config.seed))
     reference.set_normalization(x)
@@ -238,6 +239,7 @@ def _clone_weights(model):
 def _reference_train(x_train, y_train, x_test, y_test, config):
     """The training loop with Adam written out plainly, allocating its
     temporaries on every step: the reference for train_arrays."""
+    (b1, b2), floor = mlp.ADAM_BETAS, mlp.ADAM_FLOOR
     rng = np.random.default_rng(config.seed)
     model = Mlp(config, rng=rng)
     model.set_normalization(x_train)
@@ -255,20 +257,20 @@ def _reference_train(x_train, y_train, x_test, y_test, config):
             step += 1
             params = model.weights + model.biases
             for i, grad in enumerate(grad_w + grad_b):
-                adam_m[i] *= config.beta1
-                adam_m[i] += (1.0 - config.beta1) * grad
-                adam_v[i] *= config.beta2
-                adam_v[i] += (1.0 - config.beta2) * grad * grad
-                m_hat = adam_m[i] / (1.0 - config.beta1 ** step)
-                v_hat = adam_v[i] / (1.0 - config.beta2 ** step)
-                params[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+                adam_m[i] *= b1
+                adam_m[i] += (1.0 - b1) * grad
+                adam_v[i] *= b2
+                adam_v[i] += (1.0 - b2) * grad * grad
+                m_hat = adam_m[i] / (1.0 - b1 ** step)
+                v_hat = adam_v[i] / (1.0 - b2 ** step)
+                params[i] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + floor)
         test_err = median_position_error(model, x_test, y_test)
         history.append((epoch, total / len(x_train), test_err))
         if test_err < best_err:
             best_err, best_snapshot, stale = test_err, _clone_weights(model), 0
         else:
             stale += 1
-            if stale >= config.patience:
+            if stale >= mlp.STALE_EPOCHS:
                 break
     model.weights, model.biases = best_snapshot
     return model, history
@@ -286,13 +288,13 @@ def test_in_place_update_matches_the_reference_loop_bit_for_bit():
 
 
 def test_in_place_update_restores_an_early_best_epoch_like_the_reference():
-    # a large step and a short patience: training stops on patience, so the
-    # restored snapshot is an earlier epoch's copy, not the last weights
+    # a large step: epoch 2 is the best and STALE_EPOCHS more stop training,
+    # so the restored snapshot is an earlier epoch's copy, not the last weights
     rng = np.random.default_rng(8)
     x = rng.normal(size=(70, 5))
     y = np.stack([x[:, 0] + 0.5 * x[:, 1], np.tanh(x[:, 2]) - x[:, 3]], axis=1)
     config = MlpConfig(layer_sizes=(5, 12, 6, 2), learning_rate=0.1,
-                       epochs=30, batch_size=16, patience=4, seed=9)
+                       epochs=30, batch_size=16, seed=9)
     history = _assert_matches_the_reference(x, y, config)
     assert len(history) < config.epochs
     assert min(history, key=lambda row: row[2])[0] < history[-1][0]
@@ -346,7 +348,7 @@ def test_training_memory_does_not_grow_with_the_epochs():
     train_arrays(x[:130], y[:130], x[130:], y[130:], MlpConfig.for_input(677, epochs=1))
     peaks = []
     for epochs in (2, 6):  # each epoch improves, so each takes a best snapshot
-        config = MlpConfig.for_input(677, epochs=epochs, patience=epochs)
+        config = MlpConfig.for_input(677, epochs=epochs)
         tracemalloc.start()
         try:
             train_arrays(x[:130], y[:130], x[130:], y[130:], config)
@@ -409,10 +411,10 @@ def test_best_snapshot_is_restored():
 def test_early_stopping_counts_stale_epochs():
     x = np.random.default_rng(1).normal(size=(30, 2))
     y = x.copy()
-    config = _tiny_config(learning_rate=0.0, epochs=50, patience=3)
+    config = _tiny_config(learning_rate=0.0, epochs=50)
     _, history = train_arrays(x, y, x[:5], y[:5], config)
-    # epoch 0 sets the best; the next `patience` epochs cannot improve
-    assert len(history) == 4
+    # epoch 0 sets the best; the next STALE_EPOCHS epochs cannot improve
+    assert len(history) == 1 + mlp.STALE_EPOCHS
 
 
 def test_divergence_carries_history():
@@ -422,7 +424,7 @@ def test_divergence_carries_history():
     config = _tiny_config()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(Divergence) as exc:
-            train_arrays(x, y, np.zeros((0, 2)), np.zeros((0, 2)), config)
+            train_arrays(x, y, x[:1], y[:1], config)
     assert isinstance(exc.value.history, list)
 
 
@@ -434,6 +436,13 @@ def test_train_arrays_validates_shapes():
     with pytest.raises(DimensionMismatch):
         train_arrays(np.zeros((5, 3)), np.zeros((5, 2)),
                      np.zeros((0, 3)), np.zeros((0, 2)), config)
+
+
+def test_train_arrays_refuses_an_empty_test_set():
+    # the test set picks the epoch whose weights are kept: without one there is none
+    x = np.random.default_rng(2).normal(size=(12, 2))
+    with pytest.raises(InsufficientData, match="empty test set"):
+        train_arrays(x, x, np.zeros((0, 2)), np.zeros((0, 2)), _tiny_config())
 
 
 def test_median_position_error_matches_numpy():

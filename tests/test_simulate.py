@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensor_rows import rows_of
+from sensor_rows import emission_truth, rows_of
 
 from indoor_fusion.errors import InvalidOverride
 from indoor_fusion.records import (
@@ -103,8 +103,8 @@ def test_noise_and_sim_config_validation():
         NoiseConfig(uwb_dropout_prob=1.5)
     with pytest.raises(ValueError):
         SimConfig(duration=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(rates={"gt": 5.0, "uwb": -1.0})
+    with pytest.raises(ValueError, match="rate for 'uwb' must be finite and > 0, got -1.0"):
+        SimConfig(rates={**default_rates(), "uwb": -1.0})
     assert SimConfig().clock_for("nonexistent") == ClockModel()
 
 
@@ -323,9 +323,12 @@ def test_simulate_run_holds_each_payload_once(duration):
 
 def test_a_scenario_without_wifi_anchors_emits_no_radio_tables():
     s = build_scenario(3, wifi_anchors=())
-    tables, truth = sample_sensors(s, SimConfig(duration=2.0), generate_trajectory(s, 2.0, 0.2),
-                                   return_truth=True)
-    assert list(tables) == list(truth) and set(tables) == {"gt", "uwb", "imu"}
+    config, traj = SimConfig(duration=2.0), generate_trajectory(s, 2.0, 0.2)
+    tables = sample_sensors(s, config, traj)
+    assert set(tables) == {"gt", "uwb", "imu"}
+    for table in tables.values():  # every row was taken during the campaign
+        t_true, _ = emission_truth(table, s, config, traj)
+        assert t_true.min() >= 0.0 and t_true.max() <= 2.0
 
 
 def test_the_gt_table_is_the_trajectory_bit_for_bit():
@@ -343,10 +346,10 @@ def test_recorded_times_follow_the_clock_model():
               "uwb": ClockModel(offset=0.002)}
     s = build_scenario(1)
     traj = generate_trajectory(s, 2.0, 0.2)
-    tables, truth = sample_sensors(s, _noiseless(2.0, clocks), traj, return_truth=True)
-    assert list(truth) == list(tables)
+    config = _noiseless(2.0, clocks)
+    tables = sample_sensors(s, config, traj)
     for sensor, table in tables.items():
-        t_true = truth[sensor][:, 0]
+        t_true, _ = emission_truth(table, s, config, traj)
         if sensor == "imu":
             np.testing.assert_array_equal(table.t, t_true * (1.0 + 1e-4) + 0.001)
         elif sensor == "uwb":
@@ -358,9 +361,11 @@ def test_recorded_times_follow_the_clock_model():
 def test_noiseless_measurements_match_the_physics():
     s = build_scenario(2)
     traj = generate_trajectory(s, 2.0, 0.2)
-    tables, truth = sample_sensors(s, _noiseless(2.0), traj, return_truth=True)
+    config = _noiseless(2.0)
+    tables = sample_sensors(s, config, traj)
     for sensor in ("uwb", "rssi"):
-        table, (_, x, y) = tables[sensor], truth[sensor].T
+        table = tables[sensor]
+        x, y = emission_truth(table, s, config, traj)[1].T
         by_id = {a.id: a for a in s.uwb_anchors + s.wifi_anchors}
         anchors = [by_id[table.anchor_ids[a]] for a in table.anchor]
         d = np.hypot(x - [a.position.x for a in anchors], y - [a.position.y for a in anchors])
