@@ -13,7 +13,7 @@ from indoor_fusion.fingerprint import (
     locate,
     rssi_snapshot_positions,
 )
-from indoor_fusion.geometry import locate_from_ranges
+from indoor_fusion.geometry import anchor_positions, locate_from_ranges
 from indoor_fusion.ingest import ingest_run
 from indoor_fusion.mlp import SplitSpec, split_dataset
 from indoor_fusion.simulate import SimConfig, build_scenario, simulate_run
@@ -21,8 +21,7 @@ from indoor_fusion.simulate import SimConfig, build_scenario, simulate_run
 
 def uwb_trilat(result, scenario):
     stream = result.streams["uwb"]
-    anchors = {a.id: a.position for a in scenario.uwb_anchors}
-    geometry = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
+    geometry = anchor_positions(scenario.uwb_anchors, stream.columns)
     usable = stream.features >= 0.0  # a dropped-out anchor reports a negative range
     kept = usable.any(axis=1)
     used = stream.take(kept)
@@ -33,10 +32,9 @@ def uwb_trilat(result, scenario):
 
 def rssi_trilat(result, scenario):
     stream = result.streams["rssi"]
-    cal = calibrate_rssi_offset(stream, list(scenario.wifi_anchors))
+    cal = calibrate_rssi_offset(stream, scenario.wifi_anchors)
     print(f"  (calibrated receiver gain: {cal.beta:+.0f} dB)")
-    positions = {a.id: a.position for a in scenario.wifi_anchors}
-    est, _ = rssi_snapshot_positions(stream, positions, cal.beta)
+    est, _ = rssi_snapshot_positions(stream, scenario.wifi_anchors, cal.beta)
     return error_report(est, stream.labels)
 
 

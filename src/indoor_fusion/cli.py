@@ -303,7 +303,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     stream = result.streams.get("rssi")
     if stream is None:
         raise errors.InsufficientData("dataset carries no rssi records to calibrate on")
-    cal = fingerprint.calibrate_rssi_offset(stream, list(scenario.wifi_anchors))
+    cal = fingerprint.calibrate_rssi_offset(stream, scenario.wifi_anchors)
     doc = {"beta_db": cal.beta, "median_error_m": cal.error_m,
            "sweep": [[b, e] for b, e in cal.sweep_errors]}
     with open(cfg.out / "calibration.json", "w", encoding="utf-8") as fh:
@@ -360,11 +360,7 @@ def _uwb_estimate(scenario: simulate.Scenario, result: ingest.IngestResult,
     import numpy as np
 
     stream = _stream_or_raise(result, "uwb", rows)
-    anchors = {a.id: a.position for a in scenario.uwb_anchors}
-    missing = [c for c in stream.columns if c not in anchors]
-    if missing:
-        raise errors.InsufficientData(f"no anchor positions for {missing}")
-    anchor_xy = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
+    anchor_xy = geometry.anchor_positions(scenario.uwb_anchors, stream.columns)
     usable = stream.features >= 0.0
     kept = usable.any(axis=1)
     if not kept.any():
@@ -383,13 +379,13 @@ def _uwb_estimate(scenario: simulate.Scenario, result: ingest.IngestResult,
 
 def _fit_rssi_trilat(scenario1: simulate.Scenario, result1: ingest.IngestResult):
     cal = fingerprint.calibrate_rssi_offset(_stream_or_raise(result1, "rssi"),
-                                            list(scenario1.wifi_anchors))
+                                            scenario1.wifi_anchors)
 
     def estimate(scenario, result, rows):
         # same receiver, same calibration: every campaign takes campaign-1 beta
         stream = _stream_or_raise(result, "rssi", rows)
-        positions = {a.id: a.position for a in scenario.wifi_anchors}
-        est, fallback = fingerprint.rssi_snapshot_positions(stream, positions, cal.beta)
+        est, fallback = fingerprint.rssi_snapshot_positions(stream, scenario.wifi_anchors,
+                                                            cal.beta)
         return est, stream.labels, _solver_counts(est, fallback, scenario)
 
     return estimate, None, {"beta_db": cal.beta, "calibration_median_m": cal.error_m}

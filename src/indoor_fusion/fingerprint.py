@@ -26,12 +26,11 @@ import numpy as np
 from .defaults import DEFAULT_K, DEFAULT_RESOLUTION
 from .errors import (ConfigError, DimensionMismatch, EmptyMap, EmptyObservations,
                      InsufficientData, NonFiniteDistance)
-from .geometry import locate_from_ranges, rssi_to_distance
+from .geometry import anchor_positions, locate_from_ranges, rssi_to_distance
 from .ingest import AlignedStream
-from .records import Anchor
 
-if TYPE_CHECKING:  # the anchors' positions are passed in, none is built here
-    from .records import Position2D
+if TYPE_CHECKING:  # the scenario's anchors are passed in, none is built here
+    from .records import Anchor
 
 MIN_CALIBRATION_SNAPSHOTS = 50
 SWEEP_BLOCK = 8  # beta values per batched solve: bounds the sweep's temporaries
@@ -140,7 +139,7 @@ class RssiCalibration:
         return min(e for _, e in self.sweep_errors)
 
 
-def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D],
+def _strongest_three(stream: AlignedStream, anchors: tuple[Anchor, ...],
                      sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each snapshot's three strongest raw readings, strongest first (ties in
     reverse column order), the (N, 3, 2) positions of their anchors, and the
@@ -148,12 +147,9 @@ def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D],
     of ``sweep``.  A snapshot with no such reading raises EmptyObservations,
     and a column without an anchor position InsufficientData.
     """
-    missing = [c for c in stream.columns if c not in anchors]
-    if missing:
-        raise InsufficientData(f"no anchor positions for {missing}")
+    positions = anchor_positions(anchors, stream.columns)
     readings = stream.features
     order = np.argsort(readings, axis=1, kind="stable")[:, ::-1][:, :3]
-    positions = np.asarray([(anchors[c].x, anchors[c].y) for c in stream.columns])
     strongest = np.take_along_axis(readings, order, axis=1)
     # the range falls as beta grows, so the two ends of the sweep decide
     ends = np.asarray([np.min(sweep), np.max(sweep)], dtype=np.float64)[:, None, None]
@@ -165,7 +161,7 @@ def _strongest_three(stream: AlignedStream, anchors: dict[str, Position2D],
         raise EmptyObservations(
             f"rssi: {blind.size} of the {len(usable)} snapshots have no reading whose "
             f"range is finite and > 0 (the first is snapshot {blind[0]})")
-    return strongest, positions.reshape(-1, 2)[order], usable
+    return strongest, positions[order], usable
 
 
 def _solve_strongest(readings: np.ndarray, geometry: np.ndarray, usable: np.ndarray,
@@ -176,7 +172,7 @@ def _solve_strongest(readings: np.ndarray, geometry: np.ndarray, usable: np.ndar
     return locate_from_ranges(geometry, distances, usable)
 
 
-def rssi_snapshot_positions(stream: AlignedStream, anchors: dict[str, Position2D],
+def rssi_snapshot_positions(stream: AlignedStream, anchors: tuple[Anchor, ...],
                             beta) -> tuple[np.ndarray, np.ndarray]:
     """Trilaterate every snapshot from its three strongest readings.
 
@@ -192,7 +188,7 @@ def rssi_snapshot_positions(stream: AlignedStream, anchors: dict[str, Position2D
     return _solve_strongest(*_strongest_three(stream, anchors, beta), beta)
 
 
-def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
+def calibrate_rssi_offset(samples: AlignedStream, anchors: tuple[Anchor, ...],
                           sweep: np.ndarray | None = None) -> RssiCalibration:
     """Sweep a constant dB enhancement and keep the argmin of median error.
 
@@ -211,9 +207,8 @@ def calibrate_rssi_offset(samples: AlignedStream, anchors: list[Anchor],
         raise InsufficientData(f"calibration expects an rssi stream, "
                                f"got {samples.modality!r}")
     sweep = np.arange(-30.0, 31.0) if sweep is None else np.asarray(sweep, dtype=np.float64)
-    positions = {a.id: a.position for a in anchors}
     labels = samples.labels
-    strongest = _strongest_three(samples, positions, sweep)
+    strongest = _strongest_three(samples, anchors, sweep)
     medians = []
     for start in range(0, len(sweep), SWEEP_BLOCK):
         est, _ = _solve_strongest(*strongest, sweep[start:start + SWEEP_BLOCK])

@@ -22,12 +22,21 @@ import math
 
 import numpy as np
 
-from .errors import EmptyObservations
+from .errors import EmptyObservations, InsufficientData
 from .records import SensorOffset
 
 # Rank test on the 2x2 normal matrix: smallest singular value below this
 # fraction of the largest means the anchors are (numerically) collinear.
 _COLLINEARITY_RTOL = 1e-10
+
+
+def anchor_positions(anchors, columns) -> np.ndarray:
+    """The (k, 2) positions of the anchors that ``columns`` name by id, one
+    row per column.  A column no anchor has raises InsufficientData naming it."""
+    by_id = {a.id: a.position for a in anchors}
+    if missing := [c for c in columns if c not in by_id]:
+        raise InsufficientData(f"no anchor positions for {missing}")
+    return np.asarray([(by_id[c].x, by_id[c].y) for c in columns], dtype=np.float64).reshape(-1, 2)
 
 
 def degenerate_estimate(anchors, usable) -> np.ndarray:

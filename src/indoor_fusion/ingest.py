@@ -7,9 +7,10 @@ and every stage works on its arrays.  Stages, in pipeline order:
    records with its own skewed clock; fitting the recorded timestamps
    against the sensor's expected emission grid recovers offset and drift,
 2. clock correction (``correct_clock``): map recorded time back to
-   reference (robot) time, drop pre-epoch rows, sort by (time, source id),
+   reference (robot) time and drop pre-epoch rows; rows stay in file order,
 3. ground-truth labeling (``label_with_groundtruth``): group one sensor's
-   rows into emission ticks (equal times) and label every tick in one call:
+   rows, in any order, into emission ticks (equal times), a reading's slot
+   read from its anchor code, and label every tick in one call:
    the 5 Hz robot pose interpolated at the tick (position componentwise
    linear, heading shortest-arc) and translated to the sensor's mount.
    The ``Ticks`` it returns scatter each tick's readings into one row of a
@@ -77,17 +78,11 @@ def correct_clock(table: SensorTable, clock: ClockModel) -> SensorTable:
     """Clock-correct one sensor's table: t_ref = (t - offset) / (1 + drift).
 
     Rows whose corrected time lands before the reference epoch are dropped;
-    the rest are sorted by (t_ref, source id), ties kept in table order.
+    the rest keep their table order, sharing its arrays when none is dropped.
     """
-    t_ref = (table.t - clock.offset) / (1.0 + clock.drift)
-    keep = np.flatnonzero(t_ref >= 0.0)
-    ids = table.source_ids
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    order = keep[np.lexsort((keep, rank[table.source[keep]], t_ref[keep]))]
-    if np.array_equal(order, np.arange(len(table))):  # already in order: share the rows
-        return replace(table, t=t_ref)
-    return replace(table, t=t_ref).take(order)
+    table = replace(table, t=(table.t - clock.offset) / (1.0 + clock.drift))
+    early = table.t < 0.0
+    return table.take(~early) if early.any() else table
 
 
 def estimate_clock_offset(t: np.ndarray, gt_t: np.ndarray, rate: float,
@@ -260,33 +255,28 @@ def label_with_groundtruth(table: SensorTable, interp: TrajectoryInterpolator,
                            sensor_offset: SensorOffset) -> Ticks:
     """Group one sensor's clock-corrected table into ticks and label them.
 
-    Rows are grouped by exact emission tick (equal ``t``); each tick's label
-    is the interpolated pose translated to the sensor's mounting point.
-    Within a tick the last row of each anchor (of the tick, for imu) wins.
-    Rows outside the ground-truth span are dropped and counted.
+    Rows are grouped by exact emission tick (equal ``t``), in any order;
+    each tick's label is the interpolated pose translated to the sensor's
+    mounting point.  Each anchor present has a slot, in sorted id order,
+    which is the order of its code.  Within a tick the last row of each
+    anchor (of the tick, for imu) in (source id, row) order wins.  Rows
+    outside the ground-truth span are dropped and counted.
     """
     modality = table.sensor
     if modality not in _MISSING:
         raise ValueError(f"cannot featurize modality {modality!r}")
     kept = np.flatnonzero((table.t >= interp.t[0]) & (table.t <= interp.t[-1]))
+    kept = kept[np.argsort(table.source[kept], kind="stable")]  # (source id, row) order
     times, tick = np.unique(table.t[kept], return_inverse=True)
-
+    present, slot = np.unique(table.anchor[kept], return_inverse=True)  # imu: one slot, -1
     if modality == "imu":
-        width, slots, columns = table.values.shape[1], 1, _IMU_COLUMNS
-        slot = np.zeros(len(kept), dtype=np.intp)
+        width, columns = table.values.shape[1], _IMU_COLUMNS
     else:
         # csi: the magnitude half of each reading; uwb, rssi: range_m / rssi_db
         width = table.values.shape[1] // 2 if modality == "csi" else 1
-        # one slot per anchor present, in sorted id order
-        anchor = table.anchor[kept]
-        codes = {table.anchor_ids[c]: c for c in np.unique(anchor).tolist()}
-        anchor_ids = sorted(codes)
-        slot_of = np.zeros(len(table.anchor_ids), dtype=np.intp)
-        slot_of[[codes[a] for a in anchor_ids]] = np.arange(len(anchor_ids))
-        slots, slot = len(anchor_ids), slot_of[anchor]
-        columns = tuple(a for a in anchor_ids for _ in range(width))
+        columns = tuple(table.anchor_ids[a] for a in present.tolist() for _ in range(width))
 
-    key = tick * slots + slot
+    key = tick * len(present) + slot
     last = len(key) - 1 - np.unique(key[::-1], return_index=True)[1]
     return Ticks(modality, times, interp.sensor_position_at(times, sensor_offset), columns,
                  len(table) - len(kept), table.values, width, kept[last], tick[last],

@@ -17,7 +17,8 @@ Units are meters, seconds, radians and dBm throughout; ``t`` is the
 sender's clock.
 
 In memory a stream is one ``SensorTable`` per sensor kind: times, source
-and anchor indices, a float64 payload matrix and the line of each row.
+and anchor indices into sorted ids, a float64 payload matrix and the line
+of each row, rows in file order.
 ``write_records`` writes tables as lines in ``line`` order, floats in
 scientific notation with 17 significant digits: the bytes of ``"%.16e"``,
 made for each step of lines in one numpy pass.  Zeros, subnormals, values
@@ -128,7 +129,8 @@ class SensorTable:
     ``values`` is the float payload: uwb ``[range_m, power_db]``, rssi
     ``[rssi_db]``, csi ``[magnitudes..., phases...]``, imu the 9 floats in
     wire order, gt ``[x, y, phi]``.  ``source`` and ``anchor`` index
-    ``source_ids`` and ``anchor_ids`` (``anchor`` is -1 for imu and gt).
+    ``source_ids`` and ``anchor_ids``, distinct and sorted, so an id's code
+    ranks it; ``anchor`` is -1 for imu and gt.
     ``line`` is each row's 1-based line in its file: where ``read_records``
     found the row, or where ``write_records`` puts it.  The arrays are
     read-only.
@@ -424,9 +426,20 @@ class _TableBuilder:
         self.values.resize(self.size, refcheck=False)
         values = self.values.reshape(-1, self.width)
         return SensorTable(self.sensor, np.array(self.t, dtype=np.float64), values,
-                           np.array(self.source, dtype=np.intp), tuple(self.source_ids),
-                           np.array(self.anchor, dtype=np.intp), tuple(self.anchor_ids),
+                           *_sorted_ids(self.source, self.source_ids),
+                           *_sorted_ids(self.anchor, self.anchor_ids),
                            np.array(self.line, dtype=np.intp))
+
+
+def _sorted_ids(codes: list[int], ids: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``codes``, numbered by first use as ``ids`` maps them, renumbered to
+    index the ids in sorted order; the ids so sorted."""
+    column, names = np.array(codes, dtype=np.intp), sorted(ids)
+    if names != list(ids):  # -1 (no anchor) only occurs with no ids
+        rank = np.empty(len(names), dtype=np.intp)
+        rank[[ids[name] for name in names]] = np.arange(len(names))
+        column = rank[column]
+    return column, tuple(names)
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +608,10 @@ def _tables_from_lines(lines, subcarriers: int | None) -> dict[str, SensorTable]
 def read_records(path, subcarriers: int | None = None) -> dict[str, SensorTable]:
     """Read a JSONL record stream into one SensorTable per sensor kind.
 
-    Rows keep file order.  Blank lines are rejected, not skipped; every
-    error names ``path:line:``, except bytes that are not UTF-8, which
-    raise MalformedLine naming the path.  Without ``subcarriers``, the first csi
+    Rows keep file order and ids are numbered in sorted order, however the
+    lines fall.  Blank lines are rejected, not skipped; every error names
+    ``path:line:``, except bytes that are not UTF-8, which raise
+    MalformedLine naming the path.  Without ``subcarriers``, the first csi
     record fixes the CSI width for the rest of the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -618,13 +632,12 @@ _COLUMNS = {"t": (np.float64, 1), "values": (np.float64, 2), "source": (np.intp,
 _WIDTHS = {"uwb": 2, "rssi": 1, "imu": 9, "gt": 3}  # csi: any even width > 0
 
 
-def _numbered_by_first_use(index: np.ndarray, ids: tuple) -> bool:
-    """Whether ``index`` numbers the distinct strings ``ids`` as ``read_records``
-    does: each id used, in order of first appearance."""
-    used, first = np.unique(index, return_index=True)
+def _numbered_in_sorted_order(index: np.ndarray, ids: tuple) -> bool:
+    """Whether ``index`` numbers the strings ``ids`` as ``read_records`` does:
+    distinct, in sorted order, each used."""
     return (type(ids) is tuple and all(type(i) is str for i in ids)
-            and len(set(ids)) == len(ids) and np.array_equal(used, np.arange(len(ids)))
-            and bool(np.all(np.diff(first) > 0)))
+            and all(a < b for a, b in zip(ids, ids[1:]))
+            and np.array_equal(np.unique(index), np.arange(len(ids))))
 
 
 def _table_round_trips(sensor: str, table: SensorTable) -> bool:
@@ -639,8 +652,8 @@ def _table_round_trips(sensor: str, table: SensorTable) -> bool:
     if sensor in ("imu", "gt"):
         anchors_ok = table.anchor_ids == () and bool(np.all(table.anchor == -1))
     else:
-        anchors_ok = _numbered_by_first_use(table.anchor, table.anchor_ids)
-    return (anchors_ok and _numbered_by_first_use(table.source, table.source_ids)
+        anchors_ok = _numbered_in_sorted_order(table.anchor, table.anchor_ids)
+    return (anchors_ok and _numbered_in_sorted_order(table.source, table.source_ids)
             and bool(np.all(np.diff(table.line) > 0))
             and bool(np.all(np.isfinite(table.t) & (table.t >= 0)))
             and bool(np.all(np.isfinite(table.values))))
@@ -653,8 +666,9 @@ def round_trips(tables: dict[str, SensorTable]) -> bool:
     That takes non-empty tables of known sensors, keyed in order of their
     first lines; lines that are 1..N over all tables and rise within each;
     finite times >= 0 and finite payloads of the wire width; distinct source
-    and anchor ids numbered by first appearance, and anchor -1 with no ids
-    for imu and gt; and the dtypes ``read_records`` gives each column.
+    and anchor ids, each used and numbered in sorted order, and anchor -1
+    with no ids for imu and gt; and the dtypes ``read_records`` gives each
+    column.
     """
     if not all(_table_round_trips(sensor, table) for sensor, table in tables.items()):
         return False

@@ -516,8 +516,8 @@ def sample_sensors(scenario: Scenario, config: SimConfig,
     merges their rows in file order, sorted by ``(recorded t, sensor, source
     id)`` with generation order as the final tiebreaker, so identical inputs
     give byte-identical streams.  Each table's rows are in line order and
-    its anchor ids in order of first appearance, as ``read_records`` gives
-    them; a sensor that emits no rows has no table.
+    its ids, each used, in sorted order, as ``read_records`` gives them; a
+    sensor that emits no rows has no table.
     """
     interp, t_gt = trajectory, trajectory.t
     noise = config.noise
@@ -634,8 +634,10 @@ def _join(blocks: list) -> tuple:
     values)``.  The payload is allocated once and each block is copied
     straight into its rows, then dropped from ``blocks``."""
     t = np.concatenate([b[0] for b in blocks])
-    anchor = np.repeat(np.arange(len(blocks)), [len(b[0]) for b in blocks])
-    ids = tuple(b[2] for b in blocks)
+    # one block per anchor, in sorted id order; imu and gt: one block, anchor -1
+    ids = tuple(b[2] for b in blocks if b[2] is not None)
+    codes = np.arange(len(blocks)) if ids else np.full(1, -1)
+    anchor = np.repeat(codes, [len(b[0]) for b in blocks])
     order, rows = _table_order(t)
     values = np.empty((len(t), blocks[0][1].shape[1]))
     start = 0
@@ -661,27 +663,12 @@ def _merge(columns: dict[str, tuple]) -> dict[str, SensorTable]:
     tables, start = {}, 0
     for s in sensors:
         t_rec, anchor, anchor_ids, values = columns.pop(s)
-        anchor, anchor_ids = _by_first_appearance(anchor, anchor_ids)
         tables[s] = SensorTable(s, t_rec, values, np.zeros(len(t_rec), dtype=np.intp),
                                 (_SOURCE_IDS[s],), anchor, anchor_ids,
                                 line[start:start + len(t_rec)])
         start += len(t_rec)
     order = sorted(tables, key=lambda s: tables[s].line[0])  # sensors in file order
     return {s: tables[s] for s in order}
-
-
-def _by_first_appearance(codes: np.ndarray, ids: tuple) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Renumber ``codes`` (indices into ``ids``) in order of first appearance.
-
-    A None id (imu, gt) becomes anchor -1 with no anchor ids.
-    """
-    if ids[0] is None:
-        return np.full(len(codes), -1, dtype=np.intp), ()
-    present, first = np.unique(codes, return_index=True)
-    seen = present[np.argsort(first)]
-    renumber = np.empty(len(ids), dtype=np.intp)
-    renumber[seen] = np.arange(len(seen))
-    return renumber[codes], tuple(ids[i] for i in seen)
 
 
 def simulate_run(scenario: Scenario, config: SimConfig) -> dict[str, SensorTable]:

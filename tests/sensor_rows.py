@@ -18,7 +18,8 @@ def tables_of(rows) -> dict[str, SensorTable]:
     """The tables ``read_records`` gives for these rows written one per line.
 
     ``line`` is each row's 1-based position in ``rows``; source and anchor
-    ids are numbered in order of first appearance, sensors keyed likewise.
+    ids are numbered in sorted order, sensors keyed in order of first
+    appearance.
     """
     grouped: dict[str, list] = {}
     for line, (sensor, *row) in enumerate(rows, start=1):
@@ -28,8 +29,8 @@ def tables_of(rows) -> dict[str, SensorTable]:
 
 def _table(sensor: str, group: list) -> SensorTable:
     lines, times, sources, anchors, values = zip(*group)
-    source_ids = tuple(dict.fromkeys(sources))
-    anchor_ids = tuple(dict.fromkeys(a for a in anchors if a is not None))
+    source_ids = tuple(sorted(set(sources)))
+    anchor_ids = tuple(sorted({a for a in anchors if a is not None}))
     return SensorTable(
         sensor, np.asarray(times, dtype=np.float64),
         np.asarray([list(v) for v in values], dtype=np.float64),

@@ -136,8 +136,7 @@ def test_criterion_4_rssi_calibration_recovers_injected_gain():
         tables = simulate_run(scenario, config)
         result = ingest_run(tables, scenario.sensor_offsets, config.rates,
                             config.duration)
-        cal = calibrate_rssi_offset(result.streams["rssi"],
-                                    list(scenario.wifi_anchors))
+        cal = calibrate_rssi_offset(result.streams["rssi"], scenario.wifi_anchors)
         assert abs(cal.beta - injected) <= 1.0
         sweep = dict(cal.sweep_errors)
         assert sweep[cal.beta] == min(sweep.values())

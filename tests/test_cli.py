@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -43,6 +44,7 @@ from indoor_fusion.ingest import (
     AlignedStream,
     IngestResult,
     frames_to_arrays,
+    ingest_run,
     select_blocks,
 )
 from indoor_fusion.mlp import MlpConfig, SplitSpec, split_dataset, train_arrays
@@ -782,6 +784,52 @@ def test_run_with_no_surviving_method_exits_numeric(imu_free_campaign, capsys):
     assert main(["run", "--out", str(imu_free_campaign),
                  "--methods", "nn:imu", "--epochs", "1"]) == 4
     assert "all 1 methods failed" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# ROADMAP item 8's metamorphic relations: a change to the input that must not
+# change the output
+
+def test_shuffled_lines_change_no_output_and_no_peak(fault_campaign, tmp_path):
+    # a dataset's line order is no input: each table is numbered in sorted
+    # id order when read and labelled where its rows lie
+    scenario, lines = fault_campaign
+    shuffled = list(lines[1])
+    random.Random(0).shuffle(shuffled)
+    runs = []
+    for name, dataset1 in (("in_order", lines[1]), ("shuffled", shuffled)):
+        out = tmp_path / name
+        out.mkdir()
+        shutil.copy(scenario, out / "scenario.json")
+        (out / "dataset1.jsonl").write_text("".join(dataset1), encoding="utf-8")
+        (out / "dataset2.jsonl").write_text("".join(lines[2]), encoding="utf-8")
+        assert main(["ingest", "--out", str(out)]) == 0
+        assert main(["run", "--out", str(out), "--transfer", "--epochs", "1", "--methods",
+                     "uwb-trilat,rssi-trilat,rssi-fp,csi-fp,nn:csi-phase,nn-fusion"]) == 0
+        runs.append(out)
+    for name in ("ingest.json", "frames1.jsonl"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    reports = [load_report(out / "report.json") for out in runs]
+    for report in reports:
+        del report["config"]["out"]
+    assert reports[0] == reports[1]
+
+    # and it costs no memory: no stage holds a sorted copy of a table
+    sidecar = read_sidecar(scenario)
+    campaign = (sidecar[0].sensor_offsets, sidecar[1].rates, sidecar[1].duration)
+    in_order, rows_shuffled = (cli._read_tables(out / "dataset1.jsonl") for out in runs)
+    assert np.any(np.diff(rows_shuffled["csi"].t) < 0)  # rows out of time order
+    ingest_run(in_order, *campaign, phase=True)  # warm-up, untimed
+
+    def peak(tables):
+        tracemalloc.start()
+        try:
+            ingest_run(tables, *campaign, phase=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(rows_shuffled) <= 1.1 * peak(in_order)
 
 
 def _reachable(root):

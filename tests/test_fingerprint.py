@@ -23,10 +23,10 @@ from indoor_fusion.fingerprint import (
 from indoor_fusion.ingest import AlignedStream
 from indoor_fusion.records import Anchor, Position2D
 
-SQUARE_ANCHORS = [Anchor("a0", "wifi", Position2D(0.0, 0.0)),
+SQUARE_ANCHORS = (Anchor("a0", "wifi", Position2D(0.0, 0.0)),
                   Anchor("a1", "wifi", Position2D(4.0, 0.0)),
                   Anchor("a2", "wifi", Position2D(0.0, 4.0)),
-                  Anchor("a3", "wifi", Position2D(4.0, 4.0))]
+                  Anchor("a3", "wifi", Position2D(4.0, 4.0)))
 
 
 def _stream(features, labels, columns, modality="rssi"):
@@ -270,8 +270,7 @@ def test_locate_matches_the_per_query_search_bit_for_bit(case):
 
 def test_snapshot_positions_recover_noiseless_geometry():
     stream = _rssi_stream(_survey_points(20))
-    anchors = {a.id: a.position for a in SQUARE_ANCHORS}
-    est, fallback = rssi_snapshot_positions(stream, anchors, beta=0.0)
+    est, fallback = rssi_snapshot_positions(stream, SQUARE_ANCHORS, beta=0.0)
     assert not fallback.any()
     labels = stream.labels
     err = np.hypot(est[:, 0] - labels[:, 0], est[:, 1] - labels[:, 1])
@@ -327,11 +326,10 @@ def _noisy(stream, sigma_db, seed):
 def test_one_call_sweep_reproduces_a_per_beta_loop():
     stream = _noisy(_rssi_stream(_survey_points(80), p0=-47.0), 2.0, seed=3)
     cal = calibrate_rssi_offset(stream, SQUARE_ANCHORS)
-    anchors = {a.id: a.position for a in SQUARE_ANCHORS}
     labels = stream.labels
     loop = []
     for beta in np.arange(-30.0, 31.0):
-        est, _ = rssi_snapshot_positions(stream, anchors, float(beta))
+        est, _ = rssi_snapshot_positions(stream, SQUARE_ANCHORS, float(beta))
         err = np.hypot(est[:, 0] - labels[:, 0], est[:, 1] - labels[:, 1])
         loop.append((float(beta), float(np.median(err))))
     assert [b for b, _ in cal.sweep_errors] == [b for b, _ in loop]
@@ -345,7 +343,7 @@ def test_blocked_sweep_equals_the_one_call_sweep_bit_for_bit():
     # two full blocks and a short third one
     sweep = np.linspace(-12.5, 9.0, 2 * SWEEP_BLOCK + 3)
     cal = calibrate_rssi_offset(stream, SQUARE_ANCHORS, sweep=sweep)
-    est, _ = rssi_snapshot_positions(stream, {a.id: a.position for a in SQUARE_ANCHORS}, sweep)
+    est, _ = rssi_snapshot_positions(stream, SQUARE_ANCHORS, sweep)
     labels = stream.labels
     medians = np.median(np.hypot(est[..., 0] - labels[:, 0], est[..., 1] - labels[:, 1]),
                         axis=-1)
@@ -355,15 +353,14 @@ def test_blocked_sweep_equals_the_one_call_sweep_bit_for_bit():
 
 def test_snapshot_solve_rejects_a_non_finite_distance():
     stream = _rssi_stream(_survey_points(60))
-    anchors = {a.id: a.position for a in SQUARE_ANCHORS}
-    clean, clean_fallback = rssi_snapshot_positions(stream, anchors, 0.0)
+    clean, clean_fallback = rssi_snapshot_positions(stream, SQUARE_ANCHORS, 0.0)
     # two readings so weak that their distances overflow to inf; one of
     # them is among the snapshot's three strongest, so it is left out and
     # the snapshot falls back to the centroid of the other two anchors
     features = np.array(stream.features)
     features[0] = [-1e5, -1e5, -50.0, -50.0]
     bad = _stream(features, stream.labels, stream.columns)
-    est, fallback = rssi_snapshot_positions(bad, anchors, 0.0)
+    est, fallback = rssi_snapshot_positions(bad, SQUARE_ANCHORS, 0.0)
     assert fallback[0] and (fallback[1:] == clean_fallback[1:]).all()
     np.testing.assert_array_equal(est[0], [2.0, 4.0])  # between a3 and a2
     assert est[1:].tobytes() == clean[1:].tobytes()
@@ -374,7 +371,7 @@ def test_snapshot_solve_rejects_a_non_finite_distance():
         bad = _stream(features, stream.labels, stream.columns)
         with pytest.raises(EmptyObservations, match=r"^rssi: 1 of the 60 snapshots have no "
                                                     r"reading whose range is finite and > 0"):
-            rssi_snapshot_positions(bad, anchors, 0.0)
+            rssi_snapshot_positions(bad, SQUARE_ANCHORS, 0.0)
         with pytest.raises(EmptyObservations, match=r"^rssi: 1 of the 60 snapshots"):
             calibrate_rssi_offset(bad, SQUARE_ANCHORS)
     # the stream itself refuses a non-finite reading

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indoor_fusion.errors import EmptyObservations
+from indoor_fusion.errors import EmptyObservations, InsufficientData
 from indoor_fusion.geometry import (
+    anchor_positions,
     degenerate_estimate,
     locate_from_ranges,
     rssi_to_distance,
     translate_sensor_pose,
 )
-from indoor_fusion.records import SensorOffset
+from indoor_fusion.records import Anchor, Position2D, SensorOffset
 
 coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -296,3 +297,12 @@ def test_path_loss_validates_parameters():
         rssi_to_distance(-50.0, n=0.0)
     with pytest.raises(ValueError):
         rssi_to_distance(-50.0, d0=-1.0)
+
+
+def test_anchor_positions_follow_the_columns_and_name_a_missing_anchor():
+    anchors = (Anchor("a", "uwb", Position2D(0.0, 1.0)), Anchor("b", "uwb", Position2D(2.0, 3.0)))
+    np.testing.assert_array_equal(anchor_positions(anchors, ("b", "a", "b")),
+                                  [[2.0, 3.0], [0.0, 1.0], [2.0, 3.0]])
+    assert anchor_positions(anchors, ()).shape == (0, 2)
+    with pytest.raises(InsufficientData, match=r"^no anchor positions for \['zz9'\]$"):
+        anchor_positions(anchors, ("a", "zz9"))

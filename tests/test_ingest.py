@@ -280,11 +280,11 @@ def test_align_all_splits_by_modality():
 
 
 def _reference_label(rows, interp, offset, csi_features):
-    """Per-row labeling: ticks in a dict keyed by exact time, anchors in
-    per-tick dicts (so the last row of an anchor wins), one feature
-    vector per tick."""
+    """Per-row labeling: rows in (source id, row) order, ticks in a dict
+    keyed by exact time, anchors in per-tick dicts (so the last row of an
+    anchor wins), one feature vector per tick."""
     ticks = {}
-    for row in rows:
+    for row in sorted(rows, key=lambda row: row[2]):
         if interp.t[0] <= row[1] <= interp.t[-1]:
             ticks.setdefault(row[1], []).append(row)
     anchors = sorted({row[3] for tick in ticks.values() for row in tick if row[3] is not None})
@@ -344,7 +344,6 @@ def test_label_table_matches_per_record_labeling(data, csi_features):
         with step, mock.patch.object(ingest, "estimate_clock_offset",
                                      return_value=ClockModel()):
             result = ingest_run(tables, {"csi": offset}, {"csi": 1.0}, 10.0, phase=True)
-        rows = sorted(rows, key=lambda row: row[1:3])  # corrected order: (t, source id)
         stream, frames = result.streams["csi"], result.phase
         assert frames.layout.modalities() == ("csi",) and np.all(frames.mask == 1.0)
         got = (frames.t, frames.features, frames.labels)
@@ -358,16 +357,29 @@ def test_label_table_matches_per_record_labeling(data, csi_features):
     assert (stream.record_count, stream.dropped) == (kept, len(rows) - kept)
 
 
-def test_correct_table_sorts_by_time_then_source_keeping_ties_in_order():
+def test_correct_clock_keeps_table_order_and_drops_rows_before_the_epoch():
     rows = [_uwb(2.0, "u0", 1.0), _uwb(1.0, "u0", 2.0, source="z"),
-            _uwb(1.0, "u1", 3.0, source="a"), _uwb(1.0, "u2", 4.0),
-            _uwb(1.0, "u3", 5.0), _uwb(0.001, "u4", 6.0)]
-    out = correct_clock(tables_of(rows)["uwb"], ClockModel(offset=0.002))
-    # the 0.001 s record corrects to before the epoch
-    assert out.values[:, 0].tolist() == [3.0, 4.0, 5.0, 2.0, 1.0]
-    assert [out.source_ids[s] for s in out.source] == ["a", "tag0", "tag0", "z", "tag0"]
-    np.testing.assert_array_equal(out.t, [0.998, 0.998, 0.998, 0.998, 1.998])
-    assert out.line.tolist() == [3, 4, 5, 2, 1]
+            _uwb(1.0, "u1", 3.0, source="a"), _uwb(0.001, "u4", 6.0), _uwb(1.0, "u3", 5.0)]
+    clock = ClockModel(offset=0.002)
+    out = correct_clock(tables_of(rows)["uwb"], clock)
+    # the 0.001 s record corrects to before the epoch; the rest keep file order
+    assert out.values[:, 0].tolist() == [1.0, 2.0, 3.0, 5.0]
+    assert [out.source_ids[s] for s in out.source] == ["tag0", "z", "a", "tag0"]
+    np.testing.assert_array_equal(out.t, [1.998, 0.998, 0.998, 0.998])
+    assert out.line.tolist() == [1, 2, 3, 5]
+    # with no row dropped, the table's rows are shared, not copied
+    again = correct_clock(out, ClockModel())
+    assert again.values is out.values and again.line is out.line
+    assert again.t.tobytes() == out.t.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_the_last_source_id_wins_a_reading_in_either_file_order(order):
+    # one (tick, anchor) read by sources "z" and "a": "z" sorts last and wins
+    rows = [_uwb(1.0, "u0", 2.0, source="z"), _uwb(1.0, "u0", 3.0, source="a")][::order]
+    stream = _label(rows, 10.0).stream()
+    assert stream.features.tolist() == [[2.0]]
+    assert (stream.record_count, stream.dropped) == (2, 0)
 
 
 def test_ingest_tables_of_a_file_match_ingest_run_of_its_records(short_campaign, tmp_path):

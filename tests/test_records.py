@@ -248,6 +248,24 @@ def test_tables_hold_one_row_per_record_in_file_order(tmp_path):
     assert_same_tables(tables, tables_of(GOLDEN))
 
 
+def test_ids_are_numbered_in_sorted_order_whatever_the_line_order(tmp_path):
+    rows = [("uwb", 0.5, "z", "u2", [1.0, -50.0]), ("uwb", 0.5, "a", "u0", [2.0, -50.0]),
+            ("uwb", 1.0, "z", "u1", [3.0, -50.0])]
+    path = tmp_path / "stream.jsonl"
+    path.write_text("".join(json.dumps({"t": t, "sensor": s, "id": i, "payload": {
+        "anchor_id": a, "range_m": v[0], "power_db": v[1]}}) + "\n" for s, t, i, a, v in rows))
+    uwb = read_records(path)["uwb"]
+    assert (uwb.source_ids, uwb.anchor_ids) == (("a", "z"), ("u0", "u1", "u2"))
+    assert (uwb.source.tolist(), uwb.anchor.tolist()) == ([1, 0, 1], [2, 0, 1])
+    assert round_trips({"uwb": uwb})
+    # the same rows numbered by first use, as the file lists them: not what a read gives
+    first_use = replace(uwb, source=np.asarray([0, 1, 0], np.intp), source_ids=("z", "a"),
+                        anchor=np.asarray([0, 1, 2], np.intp), anchor_ids=("u2", "u0", "u1"))
+    assert not round_trips({"uwb": first_use})
+    assert not round_trips({"uwb": replace(uwb, anchor=first_use.anchor,
+                                           anchor_ids=first_use.anchor_ids)})
+
+
 @pytest.mark.parametrize("step", [1, 2, 4, 256])
 def test_writer_merges_tables_in_line_order(tmp_path, step):
     # rows leave in ascending line order across tables, whatever their table
@@ -591,7 +609,7 @@ def _duplicate_id(tables, data):
     return _change(tables, sensor, source_ids=(ids[0], *ids[:-1]))
 
 
-def _renumbered_ids(tables, data):  # the same rows, ids 0 and 1 out of first-use order
+def _renumbered_ids(tables, data):  # the same rows, ids 0 and 1 out of sorted order
     sensor = _pick(data, tables, lambda t: len(t.source_ids) > 1)
     if sensor is None:
         return None
