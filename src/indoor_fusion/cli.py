@@ -1,18 +1,17 @@
 """Command-line front end tying the pipeline together.
 
 Subcommands: ``simulate`` (write a two-campaign dataset pair), ``ingest``
-(clock-correct, label and frame one dataset), ``calibrate`` (receiver gain
-sweep), ``run`` (one driver fits each requested method on campaign 1 and
-scores its estimates there and, with ``--transfer``, on campaign 2, then
-reports and plots), ``plot`` (re-render the CDF figure from its CSV).
+(clock-correct, label and frame one dataset), ``run`` (one driver fits each
+requested method on campaign 1 and scores its estimates there and, with
+``--transfer``, on campaign 2, then writes ``report.json``, ``cdf.csv`` and
+``cdf.svg``).
 
-Exit codes: 0 success, 2 usage/config, 3 I/O, 4 numerical failure.  Options
-may come from a flat ``key=value`` config file (``--config``); explicit
-flags win.  ``INDOOR_FUSION_THREADS`` caps how many methods ``run``
+Exit codes: 0 success, 2 usage/config, 3 I/O, 4 numerical failure.  Every
+option is a flag.  ``INDOOR_FUSION_THREADS`` caps how many methods ``run``
 evaluates concurrently; importing the package sets OpenBLAS to one thread
 unless ``OPENBLAS_NUM_THREADS`` is set, so the report is the same on any core count.
 
-``ingest``, ``calibrate`` and ``run`` read each dataset's sensor tables
+``ingest`` and ``run`` read each dataset's sensor tables
 through ``_read_tables``: it loads them from ``datasetN.tables.npz`` beside
 the JSONL when that cache is keyed on a SHA-256 of the file's bytes and of
 the ``records`` module's source, and parses the JSONL otherwise.
@@ -24,10 +23,8 @@ safe.
 Importing this module loads neither numpy nor any stage module (see the
 package docstring), and a command runs only the modules it calls:
 ``simulate`` runs ``errors``, ``records``, ``geometry`` and ``simulate``;
-``ingest`` adds ``ingest``; ``calibrate`` adds ``fingerprint`` to that;
-``plot`` runs ``evaluate`` with what it imports (all but ``fingerprint``);
-``run`` runs every module on the main thread before its pool starts, and
-prepares each campaign on a pool thread.
+``ingest`` adds ``ingest``; ``run`` runs every module on the main thread
+before its pool starts, and prepares each campaign on a pool thread.
 Stage functions are looked up on their modules when called, so a function
 replaced on its defining module is the one the CLI calls.
 """
@@ -71,45 +68,7 @@ def validate_method(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Option resolution (defaults < config file < flags)
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def read_config_file(path) -> dict:
-    """Flat key=value file; blank lines and #-comments ignored.
-
-    A file that is not UTF-8 text raises ConfigError naming the path.
-    """
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as exc:
-        raise errors.ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise errors.ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        if key not in _CONFIG_KEYS:
-            raise errors.ConfigError(f"{path}:{lineno}: unknown key {key!r} "
-                                     f"(valid: {', '.join(sorted(_CONFIG_KEYS))})")
-        try:
-            values[key] = _CONFIG_KEYS[key](value.strip())
-        except ValueError as exc:
-            raise errors.ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return values
-
+# Option resolution (defaults < flags)
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -151,25 +110,14 @@ class RunConfig:
         return {**doc, "out": str(self.out), "methods": list(self.methods)}
 
 
-# each option's parser, from its annotation's text (``from __future__ import
-# annotations``); the other options are parsed as text
-_CONFIG_KEYS = {f.name: {"int": int, "float": float, "bool": _parse_bool}.get(f.type, str)
-                for f in fields(RunConfig)}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    """Each ``RunConfig`` field from its flag when the command has one and it
+    was given, else its default."""
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+              if getattr(args, f.name, None) is not None}
     if "methods" in values:
-        tokens = [t.strip() for t in str(values["methods"]).split(",") if t.strip()]
+        tokens = [t.strip() for t in values["methods"].split(",") if t.strip()]
         values["methods"] = tuple(validate_method(t) for t in tokens)
-    if "out" in values:
-        values["out"] = Path(values["out"])
     return RunConfig(**values)
 
 
@@ -189,7 +137,7 @@ def _max_workers(n_methods: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# simulate / ingest / calibrate
+# simulate / ingest
 
 def cmd_simulate(cfg: RunConfig) -> int:
     scenario = simulate.build_scenario(cfg.seed)
@@ -295,22 +243,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
     print(f"aligned {n} frames "
           f"({', '.join(f'{m}:{c}' for m, c in sorted(summary['streams'].items()))}) "
           f"-> frames1.jsonl")
-    return EXIT_OK
-
-
-def cmd_calibrate(cfg: RunConfig) -> int:
-    scenario, result = _load_campaign(cfg, simulate.read_sidecar(cfg.out / "scenario.json"), 1)
-    stream = result.streams.get("rssi")
-    if stream is None:
-        raise errors.InsufficientData("dataset carries no rssi records to calibrate on")
-    cal = fingerprint.calibrate_rssi_offset(stream, scenario.wifi_anchors)
-    doc = {"beta_db": cal.beta, "median_error_m": cal.error_m,
-           "sweep": [[b, e] for b, e in cal.sweep_errors]}
-    with open(cfg.out / "calibration.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    print(f"receiver gain beta = {cal.beta:+.0f} dB "
-          f"(median error {cal.error_m:.3f} m) -> calibration.json")
     return EXIT_OK
 
 
@@ -550,13 +482,6 @@ def cmd_run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_plot(cfg: RunConfig) -> int:
-    series = evaluate.read_cdf_csv(cfg.out / "cdf.csv")
-    evaluate.write_cdf_svg(series, cfg.out / "cdf.svg", log_x=cfg.log_x)
-    print(f"rendered {cfg.out / 'cdf.svg'} ({len(series)} series)")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -567,9 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser):
-        p.add_argument("--out", default=None, help="dataset/artifact directory")
-        p.add_argument("--config", default=None,
-                       help="flat key=value option file (flags override)")
+        p.add_argument("--out", type=Path, default=None, help="dataset/artifact directory")
 
     p = sub.add_parser("simulate", help="write dataset1/dataset2 + scenario.json")
     common(p)
@@ -584,11 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=None,
                    help="causal staleness window (s)")
     p.set_defaults(handler=cmd_ingest)
-
-    p = sub.add_parser("calibrate", help="sweep the RSSI receiver gain")
-    common(p)
-    p.add_argument("--window", type=float, default=None)
-    p.set_defaults(handler=cmd_calibrate)
 
     p = sub.add_parser("run", help="evaluate localization methods")
     common(p)
@@ -605,11 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--log-x", dest="log_x", action="store_true", default=None)
     p.set_defaults(handler=cmd_run)
-
-    p = sub.add_parser("plot", help="re-render cdf.svg from cdf.csv")
-    common(p)
-    p.add_argument("--log-x", dest="log_x", action="store_true", default=None)
-    p.set_defaults(handler=cmd_plot)
     return parser
 
 

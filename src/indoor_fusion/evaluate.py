@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, EmptyReport, LayoutMismatch, LengthMismatch,
-                     MalformedLine, SchemaViolation, UndefinedDegradation)
+                     UndefinedDegradation)
 from .ingest import (_GATHER_ROWS, MODALITY_ORDER, FrameLayout, FrameRows, Frames,
                      frames_to_arrays)
 from .mlp import Mlp, MlpConfig, train_arrays
@@ -216,44 +216,6 @@ def write_cdf_csv(named_reports: list[tuple[str, ErrorReport]], path) -> None:
                 writer.writerow([name, repr(error), repr(fraction)])
 
 
-def read_cdf_csv(path) -> list[tuple[str, list[tuple[float, float]]]]:
-    """Read :func:`write_cdf_csv` output back as (series, [(error, fraction)]).
-
-    Bytes that are not UTF-8 raise MalformedLine naming the path; a wrong
-    header, or a row that is not (name, error, fraction) with a finite error
-    >= 0 and a fraction in (0, 1], raises SchemaViolation naming ``path:line:``.
-    """
-    series: dict[str, list[tuple[float, float]]] = {}
-    order: list[str] = []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["series", "error_m", "fraction"]:
-                raise SchemaViolation(f"{path}:1: unexpected CDF CSV header: {header}")
-            for row in reader:
-                if len(row) != 3:
-                    raise SchemaViolation(f"{path}:{reader.line_num}: expected 3 fields, "
-                                          f"got {len(row)}")
-                name, error, fraction = row
-                try:
-                    point = (float(error), float(fraction))
-                except ValueError as exc:
-                    raise SchemaViolation(f"{path}:{reader.line_num}: {exc}") from exc
-                if not (0.0 <= point[0] < math.inf and 0.0 < point[1] <= 1.0):
-                    raise SchemaViolation(f"{path}:{reader.line_num}: expected an error in [0, inf) "
-                                          f"and a fraction in (0, 1], got {error}, {fraction}")
-                if name not in series:
-                    series[name] = []
-                    order.append(name)
-                series[name].append(point)
-    except UnicodeDecodeError as exc:
-        raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except csv.Error as exc:
-        raise MalformedLine(f"{path}: {exc}") from exc
-    return [(name, series[name]) for name in order]
-
-
 def _svg_escape(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             .replace('"', "&quot;"))
@@ -368,11 +330,13 @@ def emit_plot(named_reports: list[tuple[str, ErrorReport]], path,
               log_x: bool = False) -> tuple[str, str]:
     """Write {path}.csv and {path}.svg for a list of (name, report) pairs.
 
-    Returns the two output paths.  The CSV is the source of truth: the SVG
-    renderer consumes exactly what a read-back of the CSV yields.
+    Returns the two output paths.  Both are drawn from each report's
+    ``cdf``: the CSV holds its points as repr-exact floats, and the SVG plots
+    those same points.
     """
     base = str(path)
     csv_path, svg_path = base + ".csv", base + ".svg"
     write_cdf_csv(named_reports, csv_path)
-    write_cdf_svg(read_cdf_csv(csv_path), svg_path, log_x=log_x)
+    write_cdf_svg([(name, list(report.cdf)) for name, report in named_reports], svg_path,
+                  log_x=log_x)
     return csv_path, svg_path

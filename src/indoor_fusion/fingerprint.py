@@ -26,7 +26,7 @@ import numpy as np
 from .defaults import DEFAULT_K, DEFAULT_RESOLUTION
 from .errors import (ConfigError, DimensionMismatch, EmptyMap, EmptyObservations,
                      InsufficientData, NonFiniteDistance)
-from .geometry import anchor_positions, locate_from_ranges, rssi_to_distance
+from .geometry import anchor_positions, locate_from_ranges, median, rssi_to_distance
 from .ingest import AlignedStream
 
 if TYPE_CHECKING:  # the scenario's anchors are passed in, none is built here
@@ -213,7 +213,7 @@ def calibrate_rssi_offset(samples: AlignedStream, anchors: tuple[Anchor, ...],
     for start in range(0, len(sweep), SWEEP_BLOCK):
         est, _ = _solve_strongest(*strongest, sweep[start:start + SWEEP_BLOCK])
         err = np.hypot(est[..., 0] - labels[:, 0], est[..., 1] - labels[:, 1])
-        medians.extend(np.median(err, axis=-1))
+        medians.extend(median(err))
     curve = [(float(beta), float(e)) for beta, e in zip(sweep, medians)]
     best = min(range(len(curve)), key=lambda i: curve[i][1])
     return RssiCalibration(curve[best][0], tuple(curve))

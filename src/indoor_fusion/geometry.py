@@ -150,3 +150,15 @@ def rssi_to_distance(rssi: float, p0: float = -40.0, d0: float = 1.0,
     if n <= 0.0 or d0 <= 0.0:
         raise ValueError("path-loss exponent and reference distance must be positive")
     return d0 * 10.0 ** ((p0 - (rssi + beta)) / (10.0 * n))
+
+
+def median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=-1)`` bit for bit, without the ``numpy.ma`` import
+    that ``np.median`` makes.  It partitions at the same indices and takes
+    the mean as ``np.mean`` sums, from +0.0: ``0.0 + b`` of the middle value
+    b, or ``(0.0 + a + b) / 2`` of the two for an even count; and a row
+    holding a NaN gives the NaN that sorts last."""
+    n = a.shape[-1]
+    part = np.partition(a, sorted({(n - 1) // 2, n // 2}) + [-1], axis=-1)
+    lo, hi, last = part[..., (n - 1) // 2], part[..., n // 2], part[..., -1]
+    return np.where(np.isnan(last), last, 0.0 + hi if n % 2 else (0.0 + lo + hi) / 2)

@@ -56,7 +56,7 @@ from .errors import (
     InsufficientOverlap,
     LayoutMismatch,
 )
-from .records import ClockModel, SensorOffset, SensorTable, _format_floats
+from .records import ClockModel, SensorOffset, SensorTable, _format_floats, sorted_unique
 from .simulate import TrajectoryInterpolator
 
 MIN_OVERLAP_S = 10.0
@@ -101,7 +101,7 @@ def estimate_clock_offset(t: np.ndarray, gt_t: np.ndarray, rate: float,
     """
     if not t.size or not gt_t.size:
         raise InsufficientOverlap("need both sensor records and ground truth")
-    ts = np.unique(t)
+    ts = sorted_unique(t)
     overlap = min(ts[-1], gt_t.max()) - max(ts[0], gt_t.min())
     if overlap < MIN_OVERLAP_S or len(ts) < 4:
         raise InsufficientOverlap(

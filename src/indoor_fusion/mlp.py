@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, Divergence, InsufficientData, TooFewFrames
+from .geometry import median
 from .ingest import _GATHER_ROWS
 
 DEFAULT_HIDDEN = (256, 128, 64)
@@ -190,7 +191,7 @@ class Mlp:
 # Training
 
 def median_position_error(model: Mlp, x: np.ndarray, y: np.ndarray) -> float:
-    """Held-out median position error, as ``np.median`` takes it.
+    """Held-out median position error, as ``np.median`` takes it (``geometry.median``).
 
     This is the history's ``test_median_m`` and selects the best epoch.  For
     an even count it averages the two middle errors, so it is not the
@@ -198,7 +199,7 @@ def median_position_error(model: Mlp, x: np.ndarray, y: np.ndarray) -> float:
     same frames seed 7 ``nn:uwb`` reads 3.2824 m here and 3.2766 m there.
     """
     pred = model.forward(x)
-    return float(np.median(np.hypot(pred[:, 0] - y[:, 0], pred[:, 1] - y[:, 1])))
+    return float(median(np.hypot(pred[:, 0] - y[:, 0], pred[:, 1] - y[:, 1])))
 
 
 # Floats per Adam slice: 256 KiB of scratch, which stays in cache while the

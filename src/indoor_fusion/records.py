@@ -65,6 +65,16 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` of a 1-D array holding no NaN, without the
+    ``numpy.ma`` import that ``np.unique`` makes: a sort, then each value
+    unequal to the one before it."""
+    s = np.sort(a)
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 @dataclass(frozen=True)
 class Position2D:
     """A point in the global frame, meters."""
@@ -311,7 +321,7 @@ def _row_templates(table: SensorTable) -> tuple[np.ndarray, dict[int, bytes]]:
     n_anchor = len(table.anchor_ids) + 1  # code 0 of an anchor: none (imu, gt)
     codes = table.source * n_anchor + table.anchor + 1
     templates = {}
-    for code in np.unique(codes).tolist():
+    for code in sorted_unique(codes).tolist():
         source, anchor = divmod(code, n_anchor)
         payload = _payload_template(table.sensor, table.values.shape[1],
                                     table.anchor_ids[anchor - 1] if anchor else "")
@@ -633,11 +643,12 @@ _WIDTHS = {"uwb": 2, "rssi": 1, "imu": 9, "gt": 3}  # csi: any even width > 0
 
 
 def _numbered_in_sorted_order(index: np.ndarray, ids: tuple) -> bool:
-    """Whether ``index`` numbers the strings ``ids`` as ``read_records`` does:
-    distinct, in sorted order, each used."""
+    """Whether the non-empty integer ``index`` numbers the strings ``ids`` as
+    ``read_records`` does: distinct, in sorted order, each used."""
     return (type(ids) is tuple and all(type(i) is str for i in ids)
             and all(a < b for a, b in zip(ids, ids[1:]))
-            and np.array_equal(np.unique(index), np.arange(len(ids))))
+            and 0 <= index.min() and index.max() < len(ids)
+            and bool(np.bincount(index, minlength=len(ids)).all()))
 
 
 def _table_round_trips(sensor: str, table: SensorTable) -> bool:

@@ -1,12 +1,14 @@
 """Readers of the files the command line writes, for tests.
 
-``read_frames`` reads ``frames1.jsonl`` back into arrays; ``load_report``
-loads a ``report.json`` and checks that it holds every key of the report
-schema that README documents.
+``read_frames`` reads ``frames1.jsonl`` back into arrays; ``read_cdf_csv``
+reads ``cdf.csv`` back into its series; ``load_report`` loads a
+``report.json`` and checks that it holds every key of the report schema
+that README documents.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -44,6 +46,17 @@ def read_frames(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 2))
     t, features, mask, labels = zip(*rows)
     return np.asarray(t), np.stack(features), np.stack(mask), np.asarray(labels)
+
+
+def read_cdf_csv(path) -> list[tuple[str, list[tuple[float, float]]]]:
+    """``cdf.csv`` back as (series, [(error, fraction)]), series in file order."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["series", "error_m", "fraction"], header
+    series = {}
+    for name, error, fraction in rows:
+        series.setdefault(name, []).append((float(error), float(fraction)))
+    return list(series.items())
 
 
 # The keys every report.json holds: at the top level, in each summary, in

@@ -16,12 +16,13 @@ import sys
 import threading
 import tracemalloc
 import types
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from artifacts import load_report, read_frames
+from artifacts import load_report, read_cdf_csv, read_frames
 
 import indoor_fusion
 from indoor_fusion import cli, records, simulate
@@ -33,12 +34,11 @@ from indoor_fusion.cli import (
     _run_method,
     build_parser,
     main,
-    read_config_file,
     resolve_config,
     validate_method,
 )
 from indoor_fusion.errors import ConfigError, IndoorFusionError, UndefinedDegradation
-from indoor_fusion.evaluate import emit_plot, error_report, read_cdf_csv
+from indoor_fusion.evaluate import error_report
 from indoor_fusion.ingest import (
     MIN_OVERLAP_S,
     AlignedStream,
@@ -102,44 +102,45 @@ def test_defaults_apply_when_nothing_is_given():
     assert cfg.seed == 0 and cfg.duration == 600.0 and not cfg.transfer
 
 
-def test_config_file_fills_in_and_flags_win(tmp_path):
-    path = tmp_path / "opts.cfg"
-    path.write_text("# campaign defaults\n\nseed = 9\nduration=5\nlog_x=yes\n")
-    cfg = _resolve(["simulate", "--config", str(path), "--seed", "3"])
-    assert cfg.seed == 3          # flag overrides the file
-    assert cfg.duration == 5.0    # file overrides the default
-    assert cfg.log_x is True
+# every RunConfig field, the flag that sets it and the value it sets
+FLAGS = {
+    "out": (["ingest", "--out", "elsewhere"], Path("elsewhere")),
+    "seed": (["simulate", "--seed", "3"], 3),
+    "duration": (["simulate", "--duration", "5"], 5.0),
+    "methods": (["run", "--methods", "uwb-trilat, nn-fusion:csi+uwb,"],
+                ("uwb-trilat", "nn-fusion:csi+uwb")),
+    "transfer": (["run", "--transfer"], True),
+    "window": (["ingest", "--window", "0.25"], 0.25),
+    "grid": (["run", "--grid", "0.5"], 0.5),
+    "k": (["run", "--k", "3"], 3),
+    "epochs": (["run", "--epochs", "4"], 4),
+    "noiseless": (["simulate", "--noiseless"], True),
+    "log_x": (["run", "--log-x"], True),
+}
 
 
-def test_config_file_methods_are_validated(tmp_path):
-    path = tmp_path / "opts.cfg"
-    path.write_text("methods=uwb-trilat, csi-fp\nepochs=4\n")
-    cfg = _resolve(["run", "--config", str(path)])
-    assert cfg.methods == ("uwb-trilat", "csi-fp")
-    assert cfg.epochs == 4
+@pytest.mark.parametrize("field", list(FLAGS))
+def test_each_option_is_set_by_its_flag_alone(field):
+    # the only way to set an option, so a field without a flag is one nobody can set
+    assert sorted(FLAGS) == sorted(f.name for f in fields(RunConfig))
+    argv, value = FLAGS[field]
+    cfg = _resolve(argv)
+    assert getattr(cfg, field) == value
+    assert replace(cfg, **{field: getattr(RunConfig(), field)}) == RunConfig()
 
 
-@pytest.mark.parametrize("line, fragment", [
-    ("speed=3", "unknown key"),
-    ("seed=abc", "bad value for seed"),
-    ("just-a-line", "expected key=value"),
-    ("log_x=maybe", "bad value for log_x"),
+@pytest.mark.parametrize("argv, message", [
+    (["plot"], "invalid choice: 'plot'"),
+    (["calibrate"], "invalid choice: 'calibrate'"),
+    (["run", "--config", "x"], "unrecognized arguments: --config x"),
+    (["ingest", "--config", "x"], "unrecognized arguments: --config x"),
+    (["simulate", "--config", "x"], "unrecognized arguments: --config x"),
 ])
-def test_config_file_rejections(tmp_path, line, fragment):
-    path = tmp_path / "opts.cfg"
-    path.write_text(line + "\n")
-    with pytest.raises(ConfigError, match=fragment):
-        read_config_file(path)
-
-
-@pytest.mark.parametrize("text, value", [
-    ("1", True), ("true", True), ("YES", True), ("on", True),
-    ("0", False), ("False", False), ("no", False), ("off", False),
-])
-def test_config_file_bool_forms(tmp_path, text, value):
-    path = tmp_path / "opts.cfg"
-    path.write_text(f"transfer={text}\n")
-    assert read_config_file(path) == {"transfer": value}
+def test_removed_commands_and_options_exit_usage(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -218,10 +219,26 @@ def test_unknown_fusion_block_exits_config(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run"], ["ingest"], ["calibrate"], ["plot"],
+    ["run"], ["ingest"],
 ])
 def test_missing_artifacts_exit_io(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "nowhere")]) == 3
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["ingest"], "scenario.json"), (["ingest"], "dataset1.jsonl"),
+    (["run", "--methods", "uwb-trilat"], "scenario.json"),
+    (["run", "--methods", "uwb-trilat"], "dataset1.jsonl"),
+    (["run", "--methods", "uwb-trilat", "--transfer"], "dataset2.jsonl"),
+])
+def test_a_missing_artifact_exits_io_naming_it(cli_campaign, tmp_path, capsys, argv, name):
+    out = tmp_path / "campaign"
+    shutil.copytree(cli_campaign, out)
+    (out / name).unlink()  # its table cache stays: the key is the file's bytes
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / name) in err
+    assert not (out / "report.json").exists() and not (out / "ingest.json").exists()
 
 
 @pytest.mark.parametrize("command, key", [("ingest", "window"), ("run", "window"),
@@ -230,31 +247,7 @@ def test_missing_artifacts_exit_io(tmp_path, argv):
 def test_non_finite_window_or_grid_exits_config(tmp_path, capsys, command, key, value):
     assert main([command, f"--{key}={value}", "--out", str(tmp_path)]) == 2
     assert f"error: {key} must be" in capsys.readouterr().err
-    path = tmp_path / "opts.cfg"
-    path.write_text(f"{key} = {value}\n")
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert f"error: {key} must be" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists() and not (tmp_path / "ingest.json").exists()
-
-
-def test_config_file_that_is_not_utf8_exits_config_naming_it(tmp_path, capsys):
-    path = tmp_path / "opts.cfg"
-    path.write_bytes(b"\xff\xfe")
-    with pytest.raises(ConfigError, match="opts.cfg: not UTF-8 text"):
-        read_config_file(path)
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
-
-
-def test_missing_config_file_exits_io(tmp_path):
-    missing = tmp_path / "no-such.cfg"
-    assert main(["simulate", "--config", str(missing), "--out", str(tmp_path)]) == 3
-
-
-def test_bad_config_key_exits_config(tmp_path):
-    path = tmp_path / "opts.cfg"
-    path.write_text("sensors=9\n")
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_truncated_final_line_exits_io_naming_the_line(cli_campaign, tmp_path, capsys):
@@ -458,7 +451,7 @@ def test_bad_thread_cap_exits_config(cli_campaign, monkeypatch, value):
 
 
 # ---------------------------------------------------------------------------
-# ingest / calibrate artifacts
+# ingest artifacts
 
 def test_ingest_writes_frames_and_summary(cli_campaign):
     assert main(["ingest", "--out", str(cli_campaign)]) == 0
@@ -475,17 +468,6 @@ def test_ingest_writes_frames_and_summary(cli_campaign):
         ("csi", 676), ("rssi", 13), ("uwb", 3), ("imu", 9)]
     assert set(summary["streams"]) == set(expected)
     assert all(count > 0 for count in summary["streams"].values())
-
-
-def test_calibrate_writes_the_gain_sweep(cli_campaign):
-    assert main(["calibrate", "--out", str(cli_campaign)]) == 0
-    doc = _load(cli_campaign / "calibration.json")
-    sweep = doc["sweep"]
-    assert len(sweep) == 61
-    best = min(sweep, key=lambda pair: pair[1])
-    assert doc["beta_db"] == best[0]
-    assert doc["median_error_m"] == best[1]
-    assert abs(doc["beta_db"]) <= 2.0  # the simulated receiver has no gain error
 
 
 # ---------------------------------------------------------------------------
@@ -790,28 +772,51 @@ def test_run_with_no_surviving_method_exits_numeric(imu_free_campaign, capsys):
 # ROADMAP item 8's metamorphic relations: a change to the input that must not
 # change the output
 
-def test_shuffled_lines_change_no_output_and_no_peak(fault_campaign, tmp_path):
+_RELATION_RUN = ["--transfer", "--epochs", "1", "--methods",
+                 "uwb-trilat,rssi-trilat,rssi-fp,csi-fp,nn:csi-phase,nn-fusion"]
+
+
+def _relation_campaign(fault_campaign, out, dataset1):
+    """``out`` holding the fault campaign with ``dataset1`` as its first dataset's lines."""
+    scenario, lines = fault_campaign
+    out.mkdir()
+    shutil.copy(scenario, out / "scenario.json")
+    (out / "dataset1.jsonl").write_text("".join(dataset1), encoding="utf-8")
+    (out / "dataset2.jsonl").write_text("".join(lines[2]), encoding="utf-8")
+    return out
+
+
+@pytest.fixture(scope="module")
+def in_order_run(fault_campaign, tmp_path_factory):
+    """The fault campaign as simulate wrote it, ingested and run."""
+    out = _relation_campaign(fault_campaign, tmp_path_factory.mktemp("relations") / "in_order",
+                             fault_campaign[1][1])
+    assert main(["ingest", "--out", str(out)]) == 0
+    assert main(["run", "--out", str(out), *_RELATION_RUN]) == 0
+    return out
+
+
+def _reports_but_out(*outs):
+    """The ``report.json`` of each directory, without ``config.out``."""
+    reports = [load_report(out / "report.json") for out in outs]
+    for report in reports:
+        del report["config"]["out"]
+    return reports
+
+
+def test_shuffled_lines_change_no_output_and_no_peak(fault_campaign, in_order_run, tmp_path):
     # a dataset's line order is no input: each table is numbered in sorted
     # id order when read and labelled where its rows lie
     scenario, lines = fault_campaign
     shuffled = list(lines[1])
     random.Random(0).shuffle(shuffled)
-    runs = []
-    for name, dataset1 in (("in_order", lines[1]), ("shuffled", shuffled)):
-        out = tmp_path / name
-        out.mkdir()
-        shutil.copy(scenario, out / "scenario.json")
-        (out / "dataset1.jsonl").write_text("".join(dataset1), encoding="utf-8")
-        (out / "dataset2.jsonl").write_text("".join(lines[2]), encoding="utf-8")
-        assert main(["ingest", "--out", str(out)]) == 0
-        assert main(["run", "--out", str(out), "--transfer", "--epochs", "1", "--methods",
-                     "uwb-trilat,rssi-trilat,rssi-fp,csi-fp,nn:csi-phase,nn-fusion"]) == 0
-        runs.append(out)
+    out = _relation_campaign(fault_campaign, tmp_path / "shuffled", shuffled)
+    assert main(["ingest", "--out", str(out)]) == 0
+    assert main(["run", "--out", str(out), *_RELATION_RUN]) == 0
+    runs = [in_order_run, out]
     for name in ("ingest.json", "frames1.jsonl"):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
-    reports = [load_report(out / "report.json") for out in runs]
-    for report in reports:
-        del report["config"]["out"]
+    reports = _reports_but_out(*runs)
     assert reports[0] == reports[1]
 
     # and it costs no memory: no stage holds a sorted copy of a table
@@ -830,6 +835,15 @@ def test_shuffled_lines_change_no_output_and_no_peak(fault_campaign, tmp_path):
             tracemalloc.stop()
 
     assert peak(rows_shuffled) <= 1.1 * peak(in_order)
+
+
+def test_duplicated_lines_change_no_report(fault_campaign, in_order_run, tmp_path):
+    # a record read twice is one record: every tick folds its copies
+    doubled = [line for line in fault_campaign[1][1] for _ in range(2)]
+    out = _relation_campaign(fault_campaign, tmp_path / "doubled", doubled)
+    assert main(["run", "--out", str(out), *_RELATION_RUN]) == 0
+    reports = _reports_but_out(in_order_run, out)
+    assert reports[0] == reports[1]
 
 
 def _reachable(root):
@@ -1032,6 +1046,21 @@ def test_each_command_runs_only_the_modules_it_calls(tmp_path):
         f"{_modules(*simulated, 'ingest')} ['numpy', 'hashlib', '_hashlib']")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--duration", "12"], ["ingest"],
+    ["run", "--transfer", "--methods", "uwb-trilat,rssi-trilat,csi-fp,nn:csi", "--epochs", "1"],
+], ids=["simulate", "ingest", "run"])
+def test_no_command_loads_numpy_ma(tmp_path, argv):
+    # np.median and np.unique without index flags import numpy.ma on their
+    # first call, 10-16 ms and 1.3 MiB in a process that already has numpy
+    if argv[0] != "simulate":
+        assert main(["simulate", "--duration", "12", "--out", str(tmp_path)]) == 0
+    out = _fresh_process(f"import sys\nfrom indoor_fusion.cli import main\n"
+                         f"assert main({[*argv, '--out', str(tmp_path)]!r}) == 0\n"
+                         f"print('numpy.ma' in sys.modules)")
+    assert out.splitlines()[-1] == "False"
+
+
 def test_run_executes_every_stage_module_before_its_pool_starts(cli_campaign, tmp_path):
     # LazyLoader's first access is not thread-safe on CPython 3.11, so no
     # stage module may run for the first time on a pool thread
@@ -1114,9 +1143,9 @@ def test_a_warm_run_reports_what_the_cold_run_did_without_parsing(cli_campaign, 
     assert (cold / "cdf.csv").read_bytes() == (warm / "cdf.csv").read_bytes()
 
 
-def test_ingest_calibrate_and_run_parse_the_dataset_once(cli_campaign, tmp_path, parses):
+def test_ingest_and_run_parse_the_dataset_once(cli_campaign, tmp_path, parses):
     out = _fresh_copy(cli_campaign, tmp_path)
-    for argv in (["ingest"], ["calibrate"], ["run", *_FAST_RUN]):
+    for argv in (["ingest"], ["run", *_FAST_RUN]):
         assert main([*argv, "--out", str(out)]) == 0
     assert parses == ["dataset1.jsonl"]
     assert not (out / "dataset2.tables.npz").exists()  # no command read dataset2
@@ -1195,8 +1224,14 @@ def _lone_array(cache):
         np.save(fh, np.zeros(3))
 
 
+def _index_past_its_ids(cache):  # every id still used, one row numbered past them
+    def change(a):
+        a["uwb.source"][0] = len(a["uwb.source_ids"])
+    _rewrite(cache, change)
+
+
 @pytest.mark.parametrize("damage", [_truncated, _garbage, _retyped, _short_column,
-                                    _missing_column, _lone_array])
+                                    _missing_column, _lone_array, _index_past_its_ids])
 def test_a_damaged_cache_is_parsed_past_and_rewritten(cli_campaign, tmp_path, parses,
                                                       damage):
     out = _fresh_copy(cli_campaign, tmp_path)
@@ -1251,12 +1286,12 @@ def test_nothing_parses_a_campaign_that_simulate_wrote(tmp_path, parses):
     fresh.mkdir()
     _fresh_copy(sim, fresh)
     for out in (sim, fresh):
-        for argv in (["ingest"], ["calibrate"], ["run", "--transfer", *_FAST_RUN]):
+        for argv in (["ingest"], ["run", "--transfer", *_FAST_RUN]):
             assert main([*argv, "--out", str(out)]) == 0
         if out == sim:
             assert parses == []
     assert parses == ["dataset1.jsonl", "dataset2.jsonl"]  # only the copy was parsed
-    for name in ("frames1.jsonl", "ingest.json", "calibration.json", "cdf.csv"):
+    for name in ("frames1.jsonl", "ingest.json", "cdf.csv"):
         assert (sim / name).read_bytes() == (fresh / name).read_bytes(), name
     reports = [load_report(out / "report.json") for out in (sim, fresh)]
     for report in reports:
@@ -1292,56 +1327,3 @@ def test_a_flipped_digit_in_a_simulated_dataset_is_parsed_again(tmp_path, parses
     path.write_bytes(data)
     assert main(["ingest", "--out", str(tmp_path)]) == 0
     assert parses == ["dataset1.jsonl"]
-
-
-# ---------------------------------------------------------------------------
-# plot
-
-def _bad_header(path):
-    text = path.read_text(encoding="utf-8")
-    path.write_text(text.replace("series,error_m,fraction", "name,error,fraction", 1),
-                    encoding="utf-8")
-
-
-def _two_column_row(path):
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("near,0.5\n")
-
-
-def _cdf_row(error, fraction):
-    def damage(path):
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"near,{error},{fraction}\n")
-    damage.__name__ = f"_row_{error}_{fraction}"
-    return damage
-
-
-@pytest.mark.parametrize("damage, message", [
-    (_not_utf8, "cdf.csv: not UTF-8 text"),
-    (_bad_header, "cdf.csv:1: unexpected CDF CSV header"),
-    (_two_column_row, "cdf.csv:10: expected 3 fields, got 2"),
-    (_cdf_row("inf", 1.0), "cdf.csv:10: expected an error in [0, inf) and a fraction "
-                           "in (0, 1], got inf, 1.0"),
-    (_cdf_row("nan", 1.0), "cdf.csv:10: expected an error in [0, inf)"),
-    (_cdf_row(-0.5, 1.0), "cdf.csv:10: expected an error in [0, inf)"),
-    (_cdf_row(0.5, 7.0), "cdf.csv:10: expected an error in [0, inf)"),
-    (_cdf_row(0.5, 0.0), "cdf.csv:10: expected an error in [0, inf)"),
-])
-def test_malformed_cdf_csv_exits_io_naming_the_file(tmp_path, capsys, damage, message):
-    xy = np.column_stack([np.arange(8.0), np.zeros(8)])
-    emit_plot([("near", error_report(xy, xy))], tmp_path / "cdf")
-    damage(tmp_path / "cdf.csv")
-    assert main(["plot", "--out", str(tmp_path)]) == 3
-    assert message in capsys.readouterr().err
-
-
-def test_plot_rerenders_the_same_svg(tmp_path):
-    xy = np.column_stack([np.arange(8.0), np.zeros(8)])
-    truth = xy + np.column_stack([0.1 * np.arange(1.0, 9.0), np.zeros(8)])
-    named = [("near", error_report(xy, truth)),
-             ("far", error_report(xy + [1.0, 0.0], truth))]
-    emit_plot(named, tmp_path / "cdf")
-    original = (tmp_path / "cdf.svg").read_bytes()
-    (tmp_path / "cdf.svg").unlink()
-    assert main(["plot", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "cdf.svg").read_bytes() == original

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from indoor_fusion.errors import EmptyObservations, InsufficientData
 from indoor_fusion.geometry import (
     anchor_positions,
     degenerate_estimate,
     locate_from_ranges,
+    median,
     rssi_to_distance,
     translate_sensor_pose,
 )
@@ -306,3 +308,20 @@ def test_anchor_positions_follow_the_columns_and_name_a_missing_anchor():
     assert anchor_positions(anchors, ()).shape == (0, 2)
     with pytest.raises(InsufficientData, match=r"^no anchor positions for \['zz9'\]$"):
         anchor_positions(anchors, ("a", "zz9"))
+
+
+# any float64, with the values where np.median's rounding and NaN rules show
+# drawn often: ties of 0.0 and -0.0, infinities of both signs, subnormals
+_median_values = st.one_of(st.floats(width=64), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308, 1.0]))
+
+
+@given(arrays(np.float64, st.one_of(st.tuples(st.integers(1, 12)),
+                                    st.tuples(st.integers(1, 4), st.integers(1, 12))),
+              elements=_median_values))
+@settings(max_examples=500)
+def test_median_is_numpy_median_bit_for_bit(a):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308
+        got, want = median(a), np.median(a, axis=-1)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, got, want)

@@ -24,6 +24,7 @@ from indoor_fusion.records import (
     read_records,
     round_trips,
     save_table_cache,
+    sorted_unique,
     write_records,
 )
 from indoor_fusion.simulate import NoiseConfig, SimConfig, build_scenario, simulate_run
@@ -264,6 +265,23 @@ def test_ids_are_numbered_in_sorted_order_whatever_the_line_order(tmp_path):
     assert not round_trips({"uwb": first_use})
     assert not round_trips({"uwb": replace(uwb, anchor=first_use.anchor,
                                            anchor_ids=first_use.anchor_ids)})
+
+
+@pytest.mark.parametrize("column", ["source", "anchor"])
+@pytest.mark.parametrize("value", [-1, "len", np.iinfo(np.intp).max])
+def test_round_trips_refuses_an_index_outside_its_ids(tmp_path, column, value):
+    # a range check, not a bincount's error or its array of 2**63 counts
+    rows = [("uwb", 0.5, "a", "u0", [1.0, -50.0]), ("uwb", 1.0, "z", "u1", [2.0, -50.0]),
+            ("uwb", 1.5, "a", "u1", [3.0, -50.0])]
+    path = tmp_path / "stream.jsonl"
+    path.write_text("".join(json.dumps({"t": t, "sensor": s, "id": i, "payload": {
+        "anchor_id": a, "range_m": v[0], "power_db": v[1]}}) + "\n" for s, t, i, a, v in rows))
+    uwb = read_records(path)["uwb"]
+    assert round_trips({"uwb": uwb})
+    index = getattr(uwb, column).copy()
+    # the last row's id is used by another row too, so every id stays used
+    index[-1] = len(getattr(uwb, f"{column}_ids")) if value == "len" else value
+    assert round_trips({"uwb": replace(uwb, **{column: index})}) is False
 
 
 @pytest.mark.parametrize("step", [1, 2, 4, 256])
@@ -731,3 +749,15 @@ def test_clock_model_drift_bound():
 def test_sensor_offset_defaults_to_center():
     off = SensorOffset()
     assert (off.x_off, off.y_off, off.phi_off) == (0.0, 0.0, 0.0)
+
+
+# its callers' arrays: source and anchor codes, and a sensor's finite times
+@given(st.one_of(st.lists(st.integers(-3, 3), max_size=20).map(
+                     lambda v: np.array(v, dtype=np.intp)),
+                 st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0])),
+                          max_size=20).map(lambda v: np.array(v, dtype=np.float64))))
+@settings(max_examples=300)
+def test_sorted_unique_is_numpy_unique(a):
+    got, want = sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), (a, got, want)
